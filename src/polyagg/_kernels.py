@@ -22,7 +22,7 @@ if _want_numba():
         from numba import njit as _njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional "jit" extra
         NUMBA_ENABLED = False
 
 if NUMBA_ENABLED:

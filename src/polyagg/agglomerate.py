@@ -124,7 +124,6 @@ class _Problem:
         self.w = _round_half_away(config.lam * self.scale)
         self.potts = config.sc_mode == "potts"
         self.adj_pairs = mesh.adjacency_pairs()
-        self.adj_set = set(self.adj_pairs)
         self.neighbors = mesh.neighbors
         self.dc_int = {}
         for (i, j) in self.adj_pairs:
@@ -144,8 +143,7 @@ class _Problem:
             return 0
         if self.potts:
             return 1
-        key = (l1, l2) if l1 < l2 else (l2, l1)
-        return 1 if key in self.adj_set else 0
+        return 1 if l2 in self.neighbors[l1] else 0
 
 
 def data_cost(mesh: PolygonalMesh, p: int, label: int, power: int = 1) -> float:
@@ -160,8 +158,7 @@ def data_cost(mesh: PolygonalMesh, p: int, label: int, power: int = 1) -> float:
     """
     if label == p:
         return 0.0
-    key = (min(p, label), max(p, label))
-    if key not in set(mesh.adjacency_pairs()):
+    if label not in mesh.neighbors[p]:
         return 1.0
     r = _pair_union_quality(mesh, p, label)
     return 1.0 if r is None else 1.0 - r**power
@@ -171,8 +168,7 @@ def smoothness_cost(mesh: PolygonalMesh, l1: int, l2: int) -> int:
     """1 when the cells indexed by the two labels are adjacent and distinct."""
     if l1 == l2:
         return 0
-    key = (min(l1, l2), max(l1, l2))
-    return 1 if key in set(mesh.adjacency_pairs()) else 0
+    return 1 if l2 in mesh.neighbors[l1] else 0
 
 
 def _energy(problem: _Problem, labels, iterations=0) -> EnergyBreakdown:

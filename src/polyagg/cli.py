@@ -7,12 +7,11 @@ import argparse
 import csv
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from . import dfn, quality, vem, vtkio
+from . import dfn, quality, vtkio
 from .agglomerate import AgglomerationConfig, agglomerate, write_energy_csv
 from .mesh import MeshError, load_mesh, save_mesh
 from .solutions import CATALOG
@@ -82,50 +81,24 @@ def cmd_agglomerate(args) -> int:
     return 0
 
 
-def solve_mesh(mesh, k, ms):
-    """Single-mesh VEM solve against a manufactured solution."""
-    t0 = time.perf_counter()
-    system, elements = vem.assemble(mesh, k, K=np.eye(2), f=ms.f, dirichlet=ms.u)
-    x = vem.solve_spd(system)
-    dofmap = system.dofmap
-    err_l2, err_h1 = vem.error_norms(mesh, k, elements, dofmap, x, ms.u, ms.grad)
-    dn, d0 = vem.projection_discrepancy(mesh, k, elements)
-    cond = vem.condition_estimate(system).cond
-    return {
-        "lambda": 0.0,
-        "k": k,
-        "cells": mesh.n_cells,
-        "dofs": dofmap.total,
-        "energy_initial": 0,
-        "energy_final": 0,
-        "err_l2": float(err_l2),
-        "err_h1": float(err_h1),
-        "nnz": system.nnz,
-        "cond": float(cond),
-        "max_pi_nabla": float(dn.max()),
-        "max_pi_0": float(d0.max()),
-        "wall_time": time.perf_counter() - t0,
-        "solution": x,
-        "h": mesh.h,
-    }
+def _mesh_discretization(path, solution):
+    mesh = load_mesh(path)
+    if solution not in CATALOG:
+        raise MeshError(
+            f"unknown manufactured solution '{solution}' "
+            f"(have: {', '.join(sorted(CATALOG))})"
+        )
+    return dfn.mesh_discretization(mesh, CATALOG[solution], name=str(path))
 
 
 def cmd_solve(args) -> int:
-    mesh = load_mesh(args.mesh)
-    if args.solution not in CATALOG:
-        raise MeshError(
-            f"unknown manufactured solution '{args.solution}' "
-            f"(have: {', '.join(sorted(CATALOG))})"
-        )
-    ms = CATALOG[args.solution]
-    row = solve_mesh(mesh, args.order, ms)
-    row["mesh"] = str(args.mesh)
-    row.pop("solution")
-    row.pop("h")
+    disc = _mesh_discretization(args.mesh, args.solution)
+    rep = dfn.solve_discretized(disc, args.order)
     out = _outdir(args)
-    write_report([row], out / f"solve.{args.format}", args.format)
-    print(f"k={args.order} dofs={row['dofs']} err_l2={row['err_l2']:.3e} "
-          f"err_h1={row['err_h1']:.3e} nnz={row['nnz']} cond={row['cond']:.3e}")
+    write_report([_report_from_run(rep, str(args.mesh))],
+                 out / f"solve.{args.format}", args.format)
+    print(f"k={args.order} dofs={rep.dofs} err_l2={rep.err_l2:.3e} "
+          f"err_h1={rep.err_h1:.3e} nnz={rep.nnz} cond={rep.cond:.3e}")
     return 0
 
 
@@ -202,55 +175,40 @@ def _fit_slope(xs, ys):
 
 def cmd_convergence(args) -> int:
     out = _outdir(args)
-    rows = []
-    rates = []
     if args.network:
         case = _load_case(args.network)
         if len(args.area) < 3:
             raise MeshError("convergence needs at least 3 refinements")
-        for lam in args.lam:
-            discs = [
-                dfn.discretize_network(case, max_area=a, lam=lam,
-                                       sc_mode=args.sc_mode)
-                for a in sorted(args.area, reverse=True)
-            ]
-            for k in args.order:
-                reps = [dfn.solve_discretized(d, k, estimate_condition=False)
-                        for d in discs]
-                hs = [r.h for r in reps]
-                dofs = [r.dofs for r in reps]
-                l2 = [r.err_l2 for r in reps]
-                h1 = [r.err_h1 for r in reps]
-                for r in reps:
-                    rows.append(_report_from_run(r, f"h={r.h!r}"))
-                rates.append({
-                    "k": k, "lambda": lam,
-                    "rate_h_l2": _fit_slope(hs, l2),
-                    "rate_h_h1": _fit_slope(hs, h1),
-                    "rate_dof_l2": -2.0 * _fit_slope(dofs, l2),
-                    "rate_dof_h1": -2.0 * _fit_slope(dofs, h1),
-                })
+        families = (  # lazily: one lambda's meshes in memory at a time
+            [dfn.discretize_network(case, max_area=a, lam=lam,
+                                    sc_mode=args.sc_mode)
+             for a in sorted(args.area, reverse=True)]
+            for lam in args.lam
+        )
     else:
         if len(args.meshes) < 3:
             raise MeshError("convergence needs at least 3 meshes")
-        ms = CATALOG[args.solution]
+        families = [[_mesh_discretization(m, args.solution) for m in args.meshes]]
+    rows = []
+    rates = []
+    for discs in families:
         for k in args.order:
-            reps = [solve_mesh(load_mesh(m), k, ms) for m in args.meshes]
-            hs = [r["h"] for r in reps]
+            reps = [dfn.solve_discretized(d, k, estimate_condition=not args.network)
+                    for d in discs]
+            for r in reps:
+                rows.append(_report_from_run(
+                    r, f"h={r.h!r}" if args.network else r.case))
+            hs = [r.h for r in reps]
+            dofs = [r.dofs for r in reps]
+            l2 = [r.err_l2 for r in reps]
+            h1 = [r.err_h1 for r in reps]
             rates.append({
-                "k": k, "lambda": 0.0,
-                "rate_h_l2": _fit_slope(hs, [r["err_l2"] for r in reps]),
-                "rate_h_h1": _fit_slope(hs, [r["err_h1"] for r in reps]),
-                "rate_dof_l2": -2.0 * _fit_slope([r["dofs"] for r in reps],
-                                                 [r["err_l2"] for r in reps]),
-                "rate_dof_h1": -2.0 * _fit_slope([r["dofs"] for r in reps],
-                                                 [r["err_h1"] for r in reps]),
+                "k": k, "lambda": reps[0].lam,
+                "rate_h_l2": _fit_slope(hs, l2),
+                "rate_h_h1": _fit_slope(hs, h1),
+                "rate_dof_l2": -2.0 * _fit_slope(dofs, l2),
+                "rate_dof_h1": -2.0 * _fit_slope(dofs, h1),
             })
-            for r, m in zip(reps, args.meshes):
-                r["mesh"] = str(m)
-                r.pop("solution")
-                r.pop("h")
-                rows.append(r)
 
     # expected-error columns: lambda = 0 errors rescaled by DOF counts
     by_key = {(r["mesh"], r["k"]): r for r in rows if r["lambda"] == 0.0}

@@ -9,7 +9,6 @@ tangential frame.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,19 +16,13 @@ import scipy.sparse as sps
 
 from . import geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate
-from .mesh import MeshError, PolygonalMesh, build_mesh
+from .mesh import (MeshError, MeshFormatError, PolygonalMesh, build_mesh,
+                   parse_count, parse_tokens)
 from .vem import SparseSpdSystem, build_dof_map, gauss_lobatto_points
 
 
 class NetworkError(MeshError):
     pass
-
-
-def worker_count(n_tasks: int) -> int:
-    env = os.environ.get("POLYAGG_THREADS", "").strip()
-    if env:
-        return max(1, min(int(env), n_tasks))
-    return max(1, min(os.cpu_count() or 1, n_tasks, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +715,10 @@ def agglomerate_fracture(mesh: PolygonalMesh, lam: float, sc_mode="potts",
 def _on_trace_vertices(mm: _MutableMesh, a2, dn, L, tol):
     out = []
     for vid, p in enumerate(mm.points):
-        d = np.hypot(*(p - a2))
         t = dn[0] * (p[0] - a2[0]) + dn[1] * (p[1] - a2[1])
         s = dn[0] * (p[1] - a2[1]) - dn[1] * (p[0] - a2[0])
         if abs(s) <= tol and -tol <= t <= L + tol:
             out.append((float(t), vid))
-        del d
     out.sort()
     return out
 
@@ -765,7 +756,6 @@ def stitch_meshes(meshes: dict, network: FractureNetwork, tol_rel=1e-9):
                 union.append(t)
         for fid in (tr.frac_i, tr.frac_j):
             mm = mms[fid]
-            a2, dn = side[fid]
             have = nodes[fid]
             for t in union:
                 k = np.searchsorted([q for q, _ in have], t)
@@ -785,42 +775,15 @@ def stitch_meshes(meshes: dict, network: FractureNetwork, tol_rel=1e-9):
                 vid = mm.add_vertex(p)
                 mm.split_edge(v0, v1, vid)
                 mm.con_verts.add(vid)
-                key = (min(v0, v1), max(v0, v1))
-                if key in mm.con_edges:  # split_edge already handled subs
-                    pass
                 have.insert(k, (t, vid))
         matches[tr.tid] = {fid: list(nodes[fid]) for fid in nodes}
-    out = {fid: mm.to_mesh() for fid, mm in mms.items()}
-    # rebuilds preserve ids only when nothing was compacted; re-locate by position
-    for tr in network.traces:
-        for fid in (tr.frac_i, tr.frac_j):
-            mesh = out[fid]
-            pool = {}
-            snap = 0.5 * tol
-            for vid, p in enumerate(mesh.points):
-                pool[(round(p[0] / snap), round(p[1] / snap))] = vid
-            relocated = []
-            mm = mms[fid]
-            for t, vid in matches[tr.tid][fid]:
-                p = mm.points[vid]
-                nid = pool.get((round(p[0] / snap), round(p[1] / snap)))
-                if nid is None:
-                    for dx in (-1, 0, 1):
-                        for dy in (-1, 0, 1):
-                            nid = pool.get(
-                                (round(p[0] / snap) + dx, round(p[1] / snap) + dy)
-                            )
-                            if nid is not None and np.hypot(
-                                *(mesh.points[nid] - p)
-                            ) <= snap:
-                                break
-                            nid = None
-                        if nid is not None:
-                            break
-                if nid is None:
-                    raise MeshError("stitched vertex lost during rebuild")
-                relocated.append((t, nid))
-            matches[tr.tid][fid] = relocated
+    # matches hold _MutableMesh ids; they stay valid because the rebuild
+    # compacts (renumbers) only when a vertex is unused
+    out = {}
+    for fid, mm in mms.items():
+        out[fid] = mm.to_mesh()
+        if out[fid].n_vertices != len(mm.points):
+            raise MeshError(f"fracture {fid}: stitched rebuild dropped vertices")
     return out, matches
 
 
@@ -977,24 +940,11 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
     rows_all, cols_all, vals_all = [], [], []
     b = np.zeros(gmap.n_global)
     elements = {}
-    results = {}
-
-    def local_work(fid):
-        f_loc = sources.get(fid) if sources else None
-        return vem.build_local_system(meshes[fid], k, frs[fid].K, f_loc)
-
-    nw = worker_count(len(fids))
-    if nw > 1 and len(fids) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            futs = {fid: pool.submit(local_work, fid) for fid in fids}
-            for fid in fids:
-                results[fid] = futs[fid].result()
-    else:
-        for fid in fids:
-            results[fid] = local_work(fid)
-
     for fid in fids:
-        dofmap, els, rows, cols, vals, bl = results[fid]
+        f_loc = sources.get(fid) if sources else None
+        _, els, rows, cols, vals, bl = vem.build_local_system(
+            meshes[fid], k, frs[fid].K, f_loc
+        )
         elements[fid] = els
         gm = gmap.g[fid]
         rows_all.append(gm[rows])
@@ -1026,7 +976,8 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
         vals = np.asarray(gfn(pos), dtype=float)
         gm = gmap.g[fid]
         for d, val in zip(loc, vals):
-            dir_val[int(gm[d])] = float(val)
+            if np.isfinite(val):  # NaN: no plane matched, homogeneous Neumann
+                dir_val[int(gm[d])] = float(val)
     if not dir_val:
         raise NetworkError("no Dirichlet boundary found (|Gamma_D| must be positive)")
     dir_idx = np.array(sorted(dir_val), dtype=np.int64)
@@ -1225,7 +1176,9 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
     frs = {f.fid: f for f in network.fractures}
     scale = network.scale
 
-    def per_fracture(fid):
+    meshes = {}
+    infos = {}
+    for fid in sorted(frs):
         fr = frs[fid]
         tri = triangulate_fracture(fr, max_area=max_area, n_cells=n_cells,
                                    jitter=jitter)
@@ -1236,7 +1189,8 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
         target = abs(geometry.polygon_area(fr.local_polygon))
         if abs(result.mesh.total_area - target) > 1e-10 * target:
             raise NetworkError(f"fracture {fid}: pipeline changed the covered area")
-        info = FracturePipelineInfo(
+        meshes[fid] = result.mesh
+        infos[fid] = FracturePipelineInfo(
             fid=fid,
             cells_triangulated=tri.n_cells,
             cells_cut=cut.n_cells,
@@ -1248,20 +1202,6 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
             cycles=result.stats.cycles,
             history=result.history,
         )
-        return result.mesh, info
-
-    fids = sorted(frs)
-    meshes = {}
-    infos = {}
-    nw = worker_count(len(fids))
-    if nw > 1 and len(fids) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            futs = {fid: pool.submit(per_fracture, fid) for fid in fids}
-            for fid in fids:
-                meshes[fid], infos[fid] = futs[fid].result()
-    else:
-        for fid in fids:
-            meshes[fid], infos[fid] = per_fracture(fid)
 
     stitched, matches = stitch_meshes(meshes, network)
     # the refinement parameter is the triangulation size h: agglomeration
@@ -1270,6 +1210,22 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
     return NetworkDiscretization(
         case, lam, stitched, matches, infos, h, max_area, n_cells
     )
+
+
+def mesh_discretization(mesh: PolygonalMesh, exact, name="mesh") -> NetworkDiscretization:
+    """One planar mesh as a one-fracture network, ready for solve_discretized.
+
+    The fracture is the z = 0 bounding rectangle of the mesh with K = I and no
+    traces, so the whole boundary is Dirichlet; ``exact`` (anything with
+    ``u``, ``grad`` and ``f`` on local coordinates) gives the data and errors.
+    """
+    (x0, y0), (x1, y1) = mesh.points.min(0), mesh.points.max(0)
+    fr = make_fracture([(x0, y0, 0), (x1, y0, 0), (x1, y1, 0), (x0, y1, 0)],
+                       frame=((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    case = NetworkCase(name, FractureNetwork([fr], []), {0: exact})
+    info = FracturePipelineInfo(0, mesh.n_cells, mesh.n_cells, mesh.n_cells,
+                                mesh.h, 0, 0, 0.0, 0, [])
+    return NetworkDiscretization(case, 0.0, {0: mesh}, {}, {0: info}, mesh.h)
 
 
 @dataclass
@@ -1391,8 +1347,6 @@ def load_network(path) -> NetworkCase:
     ``dirichlet a b c d <value>`` where the plane is a*x+b*y+c*z+d=0 and the
     value is a constant or an expression in x, y, z.
     """
-    from .mesh import MeshFormatError
-
     with open(path) as fh:
         raw = fh.readlines()
     tokens = []
@@ -1405,7 +1359,8 @@ def load_network(path) -> NetworkCase:
     def take(what):
         nonlocal pos
         if pos >= len(tokens):
-            raise MeshFormatError(f"unexpected end of file, expected {what}")
+            raise MeshFormatError(f"unexpected end of file, expected {what}",
+                                  line=len(raw))
         t = tokens[pos]
         pos += 1
         return t
@@ -1416,26 +1371,28 @@ def load_network(path) -> NetworkCase:
     ln, tok = take("F header")
     if tok[0] != "F" or len(tok) != 2:
         raise MeshFormatError("expected 'F n' header", line=ln)
-    nf = int(tok[1])
+    nf = parse_count(tok[1], "fracture count", ln)
+    if nf < 1:
+        raise MeshFormatError("network has no fractures", line=ln)
     fractures = []
     for fid in range(nf):
         ln, tok = take("vertex count")
         if len(tok) != 1:
             raise MeshFormatError("expected a fracture vertex count", line=ln)
-        m = int(tok[0])
+        m = parse_count(tok[0], "fracture vertex count", ln)
         verts = []
         for _ in range(m):
             ln, tok = take("fracture vertex")
             if len(tok) != 3:
                 raise MeshFormatError("fracture vertex must be 'x y z'", line=ln)
-            verts.append([float(t) for t in tok])
+            verts.append(parse_tokens(float, tok, "fracture vertex", ln))
         K = None
         nxt = peek()
         if nxt is not None and nxt[1][0] == "K":
             ln, tok = take("K line")
             if len(tok) != 4:
                 raise MeshFormatError("K line must be 'K kxx kxy kyy'", line=ln)
-            kxx, kxy, kyy = (float(t) for t in tok[1:])
+            kxx, kxy, kyy = parse_tokens(float, tok[1:], "transmissivity", ln)
             K = np.array([[kxx, kxy], [kxy, kyy]])
         try:
             fractures.append(make_fracture(verts, K=K, fid=fid))
@@ -1446,7 +1403,9 @@ def load_network(path) -> NetworkCase:
     nxt = peek()
     if nxt is not None and nxt[1][0] == "T":
         ln, tok = take("T header")
-        nt = int(tok[1])
+        if len(tok) != 2:
+            raise MeshFormatError("expected 'T m' header", line=ln)
+        nt = parse_count(tok[1], "trace count", ln)
         traces = []
         for tid in range(nt):
             ln, tok = take("trace line")
@@ -1454,9 +1413,10 @@ def load_network(path) -> NetworkCase:
                 raise MeshFormatError(
                     "trace line must be 'i j ax ay az bx by bz'", line=ln
                 )
-            i, j = int(tok[0]), int(tok[1])
-            a3 = np.array([float(t) for t in tok[2:5]])
-            b3 = np.array([float(t) for t in tok[5:8]])
+            i, j = parse_tokens(int, tok[:2], "trace fracture index", ln)
+            if not (0 <= i < nf and 0 <= j < nf and i != j):
+                raise MeshFormatError("trace must join two listed fractures", line=ln)
+            a3, b3 = np.reshape(parse_tokens(float, tok[2:], "trace point", ln), (2, 3))
             if tuple(b3) < tuple(a3):
                 a3, b3 = b3, a3
             traces.append(TraceSegment(tid, a3, b3, i, j))
@@ -1467,14 +1427,16 @@ def load_network(path) -> NetworkCase:
     nxt = peek()
     if nxt is not None and nxt[1][0] == "BC":
         ln, tok = take("BC header")
-        nb = int(tok[1])
+        if len(tok) != 2:
+            raise MeshFormatError("expected 'BC m' header", line=ln)
+        nb = parse_count(tok[1], "BC count", ln)
         for _ in range(nb):
             ln, tok = take("BC line")
             if tok[0] != "dirichlet" or len(tok) < 6:
                 raise MeshFormatError(
                     "BC line must be 'dirichlet a b c d <value>'", line=ln
                 )
-            plane = np.array([float(t) for t in tok[1:5]])
+            plane = np.array(parse_tokens(float, tok[1:5], "plane coefficient", ln))
             expr = " ".join(tok[5:])
             try:
                 const = float(expr)
@@ -1497,6 +1459,4 @@ def load_network(path) -> NetworkCase:
         network = FractureNetwork(fractures, traces, bcs)
     except NetworkError as err:
         raise MeshFormatError(str(err)) from err
-    import os.path as _osp
-
-    return NetworkCase(_osp.basename(str(path)), network, None)
+    return NetworkCase(os.path.basename(str(path)), network, None)

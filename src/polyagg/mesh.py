@@ -438,6 +438,22 @@ def simplify_aligned_edges(mesh: PolygonalMesh, tol=COLLINEAR_TOL) -> PolygonalM
 # text format I/O
 # ---------------------------------------------------------------------------
 
+def parse_tokens(cast, tokens, what, line) -> list:
+    """``cast`` applied to each token; a bad token is a MeshFormatError at ``line``."""
+    try:
+        return [cast(t) for t in tokens]
+    except ValueError:
+        raise MeshFormatError(f"bad {what} in {' '.join(tokens)!r}", line=line) from None
+
+
+def parse_count(token, what, line) -> int:
+    """Non-negative integer count token, or a MeshFormatError at ``line``."""
+    (n,) = parse_tokens(int, [token], what, line)
+    if n < 0:
+        raise MeshFormatError(f"negative {what} {n}", line=line)
+    return n
+
+
 def load_mesh(path) -> PolygonalMesh:
     """Read the whitespace text format: V/C blocks plus optional E block."""
     with open(path) as fh:
@@ -461,50 +477,38 @@ def load_mesh(path) -> PolygonalMesh:
     ln, tok = take("V header")
     if tok[0] != "V" or len(tok) != 2:
         raise MeshFormatError("expected 'V n' header", line=ln)
-    try:
-        nv = int(tok[1])
-    except ValueError:
-        raise MeshFormatError("bad vertex count", line=ln)
+    nv = parse_count(tok[1], "vertex count", ln)
     pts = np.empty((nv, 2))
     vflags = []
     for i in range(nv):
         ln, tok = take("vertex line")
         if len(tok) not in (2, 3):
             raise MeshFormatError("vertex line must be 'x y [c]'", line=ln)
-        try:
-            pts[i] = (float(tok[0]), float(tok[1]))
-        except ValueError:
-            raise MeshFormatError("bad vertex coordinate", line=ln)
+        pts[i] = parse_tokens(float, tok[:2], "vertex coordinate", ln)
         if len(tok) == 3 and tok[2] == "1":
             vflags.append(i)
 
     ln, tok = take("C header")
     if tok[0] != "C" or len(tok) != 2:
         raise MeshFormatError("expected 'C m' header", line=ln)
-    nc = int(tok[1])
+    nc = parse_count(tok[1], "cell count", ln)
     if nc < 1:
         raise MeshFormatError("mesh has no cells", line=ln)
     cells = []
     for _ in range(nc):
         ln, tok = take("cell line")
-        try:
-            cells.append([int(t) for t in tok])
-        except ValueError:
-            raise MeshFormatError("bad cell index", line=ln)
+        cells.append(parse_tokens(int, tok, "cell index", ln))
 
     cons = []
     if pos < len(tokens):
         ln, tok = take("E header")
         if tok[0] != "E" or len(tok) != 2:
             raise MeshFormatError("expected 'E k' header", line=ln)
-        for _ in range(int(tok[1])):
+        for _ in range(parse_count(tok[1], "edge count", ln)):
             ln, tok = take("edge line")
             if len(tok) != 2:
                 raise MeshFormatError("edge line must be 'i j'", line=ln)
-            try:
-                cons.append((int(tok[0]), int(tok[1])))
-            except ValueError:
-                raise MeshFormatError("bad edge index", line=ln)
+            cons.append(parse_tokens(int, tok, "edge index", ln))
     if pos < len(tokens):
         ln, _ = tokens[pos]
         raise MeshFormatError("trailing content", line=ln)

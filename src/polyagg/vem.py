@@ -420,7 +420,13 @@ def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
 
 
 def solve_spd(system: SparseSpdSystem) -> np.ndarray:
-    """Direct solve after symmetric Dirichlet elimination; checks the residual."""
+    """Direct solve after symmetric Dirichlet elimination; checks the residual.
+
+    Non-finite load or Dirichlet data, and a residual that is not finite or
+    above 1e-12 relative, raise SolverError.
+    """
+    if not (np.isfinite(system.b).all() and np.isfinite(system.dirichlet_val).all()):
+        raise SolverError("non-finite load vector or Dirichlet values")
     x = np.zeros(system.A.shape[0])
     x[system.dirichlet_idx] = system.dirichlet_val
     if len(system.free_idx) == 0:
@@ -431,8 +437,8 @@ def solve_spd(system: SparseSpdSystem) -> np.ndarray:
     xI = system.factor().solve(bI)
     res = np.linalg.norm(system.reduced_matrix() @ xI - bI)
     scale = np.linalg.norm(bI)
-    if scale > 0 and res / scale > 1e-12:
-        raise SolverError(f"solver residual {res / scale:.3e} exceeds 1e-12")
+    if not (res <= 1e-12 * scale):  # written so that a NaN residual fails
+        raise SolverError(f"solver residual {res:.3e} exceeds 1e-12 * {scale:.3e}")
     x[system.free_idx] = xI
     return x
 

@@ -3,9 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from polyagg import vem
 from polyagg.cli import main
 from polyagg.dfn import cut_by_traces
 from polyagg.mesh import load_mesh, save_mesh
+from polyagg.solutions import CATALOG
 
 from conftest import grid_mesh, tri_grid_mesh
 
@@ -42,6 +44,45 @@ def test_quality_empty_mesh_exit2(tmp_path):
     bad = tmp_path / "empty.mesh"
     bad.write_text("V 0\nC 0\n")
     assert run(["quality", bad]) == 2
+
+
+# header of two orthogonal unit fractures, 11 lines
+TWO_FRACTURES = "F 2\n4\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4\n0 0 -1\n1 0 -1\n1 0 1\n0 0 1\n"
+TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
+
+
+@pytest.mark.parametrize("suffix, text, line", [
+    pytest.param(".mesh", "V two\n", 1, id="mesh-vertex-count"),
+    pytest.param(".mesh", "V -1\n", 1, id="mesh-negative-count"),
+    pytest.param(".mesh", TRIANGLE + "C one\n", 5, id="mesh-cell-count"),
+    pytest.param(".mesh", TRIANGLE + "C 1\n0 1 x\n", 6, id="mesh-cell-index"),
+    pytest.param(".mesh", TRIANGLE + "C 1\n0 1 2\nE z\n", 7, id="mesh-edge-count"),
+    pytest.param(".dfn", "F two\n", 1, id="dfn-fracture-count"),
+    pytest.param(".dfn", "F 0\n", 1, id="dfn-no-fractures"),
+    pytest.param(".dfn", "F 1\nthree\n", 2, id="dfn-vertex-count"),
+    pytest.param(".dfn", "F 1\n3\n0 0 0\n1 0 0\n0 1 zero\n", 5, id="dfn-vertex"),
+    pytest.param(".dfn", "F 1\n3\n0 0 0\n1 0 0\n0 1 0\nK 1 0 one\n", 6,
+                 id="dfn-transmissivity"),
+    pytest.param(".dfn", "F 1\n3\n0 0 0\n", 3, id="dfn-truncated"),
+    pytest.param(".dfn", TWO_FRACTURES + "T x\n", 12, id="dfn-trace-count"),
+    pytest.param(".dfn", TWO_FRACTURES + "T\n", 12, id="dfn-trace-header"),
+    pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 5 0 0 0 1 0 0\n", 13,
+                 id="dfn-trace-fracture"),
+    pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 1 0 0 0 1 0 nil\n", 13,
+                 id="dfn-trace-point"),
+    pytest.param(".dfn", TWO_FRACTURES + "BC\n", 12, id="dfn-bc-header"),
+    pytest.param(".dfn", TWO_FRACTURES + "BC 1\ndirichlet 0 0 one 1 10\n", 13,
+                 id="dfn-bc-plane"),
+])
+def test_malformed_input_exit2_with_line(tmp_path, capsys, suffix, text, line):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    if suffix == ".mesh":
+        args = ["quality", path]
+    else:
+        args = ["dfn-solve", "--network", path, "--area", "0.1"]
+    assert run(["--out", tmp_path / "out", *args]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_missing_file_exit2(tmp_path):
@@ -128,6 +169,43 @@ def test_convergence_mesh_family(tmp_path):
     assert len(rows) == 1
     assert float(rows[0]["rate_h_l2"]) == pytest.approx(2.0, rel=0.15)
     assert float(rows[0]["rate_h_h1"]) == pytest.approx(1.0, rel=0.15)
+
+
+def test_single_mesh_route_matches_reference(tmp_path):
+    """solve and convergence --meshes report what the single-mesh VEM gives."""
+    ms = CATALOG["sinsin"]
+    paths = []
+    for n in (4, 6, 8):
+        p = tmp_path / f"j{n}.mesh"
+        save_mesh(grid_mesh(n, n, jitter=0.3, seed=n), p)
+        paths.append(p)
+
+    def reference(path, k):
+        mesh = load_mesh(path)
+        system, elements = vem.assemble(mesh, k, f=ms.f, dirichlet=ms.u)
+        x = vem.solve_spd(system)
+        err_l2, err_h1 = vem.error_norms(mesh, k, elements, system.dofmap, x,
+                                         ms.u, ms.grad)
+        dn, d0 = vem.projection_discrepancy(mesh, k, elements)
+        return {"mesh": str(path), "k": str(k), "dofs": str(system.dofmap.total),
+                "nnz": str(system.nnz), "err_l2": float(err_l2),
+                "err_h1": float(err_h1),
+                "cond": float(vem.condition_estimate(system).cond),
+                "max_pi_nabla": float(dn.max()), "max_pi_0": float(d0.max())}
+
+    out = tmp_path / "out"
+    assert run(["--out", out, "solve", paths[1], "--order", "3"]) == 0
+    assert run(["--out", out, "convergence", "--meshes", *paths,
+                "--order", "1", "2"]) == 0
+    rows = list(csv.DictReader(open(out / "solve.csv")))
+    rows += list(csv.DictReader(open(out / "convergence_rows.csv")))
+    expected = [reference(paths[1], 3)]
+    expected += [reference(p, k) for k in (1, 2) for p in paths]
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        for col, want in ref.items():
+            got = float(row[col]) if isinstance(want, float) else row[col]
+            assert got == want, (col, row["mesh"], row["k"])
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -23,6 +23,7 @@ from polyagg.dfn import (
     load_network,
     make_fracture,
     network1,
+    solve_discretized,
     solve_network,
     stitch_conforming,
     stitch_meshes,
@@ -423,18 +424,23 @@ def test_solve_network_agglomerated_continuity():
             assert ga == gb
 
 
+# two orthogonal unit fractures; the planes z = -1 and z = 1 touch only the
+# second one, so most of the boundary is homogeneous Neumann
+TWO_FRACTURES = (
+    "# two orthogonal unit fractures\n"
+    "F 2\n"
+    "4\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+    "K 1.0 0.0 1.0\n"
+    "4\n0 0 -1\n1 0 -1\n1 0 1\n0 0 1\n"
+    "BC 2\n"
+    "dirichlet 0 0 1 1 10.0\n"
+    "dirichlet 0 0 -1 1 x + y\n"
+)
+
+
 def test_load_network_roundtrip(tmp_path):
     path = tmp_path / "net.dfn"
-    path.write_text(
-        "# two orthogonal unit fractures\n"
-        "F 2\n"
-        "4\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
-        "K 1.0 0.0 1.0\n"
-        "4\n0 0 -1\n1 0 -1\n1 0 1\n0 0 1\n"
-        "BC 2\n"
-        "dirichlet 0 0 1 1 10.0\n"
-        "dirichlet 0 0 -1 1 x + y\n"
-    )
+    path.write_text(TWO_FRACTURES)
     case = load_network(path)
     assert len(case.network.fractures) == 2
     assert len(case.network.traces) == 1
@@ -443,6 +449,30 @@ def test_load_network_roundtrip(tmp_path):
     assert vals[0] == 10.0
     vals = case.network.bcs[1].value(np.array([[0.25, 0.5, 1.0]]))
     assert vals[0] == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_partial_dirichlet_planes_leave_neumann_boundary(tmp_path, k):
+    path = tmp_path / "net.dfn"
+    path.write_text(TWO_FRACTURES)
+    case = load_network(path)
+    disc = discretize_network(case, max_area=0.05)
+    rep = solve_discretized(disc, k, estimate_condition=False, keep_system=True)
+    assert np.isfinite(rep.solution).all()
+    system = rep.system
+    assert np.isfinite(system.dirichlet_val).all()
+    # exactly the DOFs on the two planes are Dirichlet, with their plane's value
+    on_planes = {}
+    for fr in case.network.fractures:
+        mesh, dm = disc.meshes[fr.fid], rep.gmap.locals[fr.fid]
+        p3 = fr.to_global(vem.dof_positions(mesh, dm))
+        for d, (x, y, z) in zip(rep.gmap.g[fr.fid], p3):
+            if abs(abs(z) - 1.0) < 1e-12:
+                on_planes[int(d)] = 10.0 if z < 0 else x + y
+    assert system.dirichlet_idx.tolist() == sorted(on_planes)
+    assert system.dirichlet_val == pytest.approx(
+        [on_planes[d] for d in system.dirichlet_idx], abs=1e-12
+    )
 
 
 def test_load_network_bad_file(tmp_path):

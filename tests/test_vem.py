@@ -242,6 +242,26 @@ def test_solve_residual_contract():
     assert res <= 1e-12 * np.linalg.norm(bI)
 
 
+@pytest.mark.parametrize("field", ["b", "dirichlet_val"])
+def test_solve_spd_rejects_non_finite_data(field):
+    ms = CATALOG["sinsin"]
+    system, _ = assemble(grid_mesh(4, 4), 1, f=ms.f, dirichlet=ms.u)
+    getattr(system, field)[0] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_spd(system)
+
+
+def test_solve_spd_rejects_nan_residual():
+    # x = 4 / inf = 0 and the residual inf * 0 is NaN, which a `>` test misses
+    system = vem.SparseSpdSystem(
+        sps.csr_matrix(np.array([[np.inf]])), np.array([4.0]),
+        np.array([], dtype=np.int64), np.array([]),
+        np.array([0], dtype=np.int64), None,
+    )
+    with pytest.raises(SolverError, match="residual nan"):
+        solve_spd(system)
+
+
 def test_condition_identity_and_diag():
     assert condition_estimate(sps.eye(5, format="csc")).cond == pytest.approx(1.0, rel=1e-4)
     D = sps.diags([1.0, 10.0, 100.0]).tocsc()
