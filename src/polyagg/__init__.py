@@ -6,7 +6,6 @@ virtual element Poisson solver, validated on single meshes and on conforming
 discrete fracture networks.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .agglomerate import (
     AgglomerationConfig,
     EnergyBreakdown,
@@ -55,14 +54,11 @@ from .dfn import (
     FractureNetwork,
     NetworkError,
     TraceSegment,
-    agglomerate_fracture,
     compute_traces,
     cut_by_traces,
     load_network,
     make_fracture,
     network1,
-    solve_network,
-    stitch_conforming,
     triangulate_fracture,
 )
 

@@ -1,193 +1,18 @@
-"""Hot numeric kernels.
+"""Hot numeric loops: per-cell quality scores and the swap-move max flow.
 
-Every function here exists in two flavours: the plain Python/NumPy
-implementation (suffix ``_py``) and a numba ``@njit``-compiled alias used by
-the rest of the package.  Set ``POLYAGG_NO_NUMBA=1`` to force the pure
-fallback path; the two paths share the same source, so results are identical.
-``benchmarks/bench_kernels.py`` times one against the other.
+Both are plain Python/NumPy.  Callers reach them as ``_kernels.quality_scores``
+and ``_kernels.maxflow`` so that a tracer can replace the module attribute.
 """
-
-import os
 
 import numpy as np
 
+from . import geometry
 
-def _want_numba() -> bool:
-    return os.environ.get("POLYAGG_NO_NUMBA", "0").strip() in ("", "0")
-
-
+# there is no numba lane; the benchmark's environment record still reads this
 NUMBA_ENABLED = False
-if _want_numba():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba is the optional "jit" extra
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    def _compile(fn):
-        return _njit(cache=True)(fn)
-else:
-    def _compile(fn):
-        return fn
 
 
-# ---------------------------------------------------------------------------
-# polygon primitives
-# ---------------------------------------------------------------------------
-
-def signed_area_py(pts):
-    """Shoelace signed area; positive for CCW polygons."""
-    n = pts.shape[0]
-    a = 0.0
-    for i in range(n):
-        j = i + 1
-        if j == n:
-            j = 0
-        a += pts[i, 0] * pts[j, 1] - pts[j, 0] * pts[i, 1]
-    return 0.5 * a
-
-
-def area_centroid_py(pts):
-    """Signed area and area-weighted centroid (undefined for zero area)."""
-    n = pts.shape[0]
-    a2 = 0.0
-    cx = 0.0
-    cy = 0.0
-    for i in range(n):
-        j = i + 1
-        if j == n:
-            j = 0
-        w = pts[i, 0] * pts[j, 1] - pts[j, 0] * pts[i, 1]
-        a2 += w
-        cx += (pts[i, 0] + pts[j, 0]) * w
-        cy += (pts[i, 1] + pts[j, 1]) * w
-    area = 0.5 * a2
-    if a2 != 0.0:
-        cx /= 3.0 * a2
-        cy /= 3.0 * a2
-    return area, cx, cy
-
-
-def diameter_py(pts):
-    """Max pairwise vertex distance, exact O(n^2); cells are small."""
-    n = pts.shape[0]
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = pts[i, 0] - pts[j, 0]
-            dy = pts[i, 1] - pts[j, 1]
-            d = dx * dx + dy * dy
-            if d > best:
-                best = d
-    return np.sqrt(best)
-
-
-def kernel_polygon_py(pts, eps):
-    """Kernel of a simple CCW polygon by successive half-plane clipping.
-
-    Starts from the bounding box and clips against the inward (left)
-    half-plane of every boundary edge; the result is the convex kernel,
-    empty (0 rows) when the polygon is not star-shaped.  ``eps`` is an
-    absolute distance tolerance.
-    """
-    n = pts.shape[0]
-    cap = 2 * n + 8
-    cur = np.empty((cap, 2))
-    buf = np.empty((cap, 2))
-    xmin = pts[0, 0]
-    xmax = pts[0, 0]
-    ymin = pts[0, 1]
-    ymax = pts[0, 1]
-    for i in range(1, n):
-        if pts[i, 0] < xmin:
-            xmin = pts[i, 0]
-        if pts[i, 0] > xmax:
-            xmax = pts[i, 0]
-        if pts[i, 1] < ymin:
-            ymin = pts[i, 1]
-        if pts[i, 1] > ymax:
-            ymax = pts[i, 1]
-    cur[0, 0] = xmin
-    cur[0, 1] = ymin
-    cur[1, 0] = xmax
-    cur[1, 1] = ymin
-    cur[2, 0] = xmax
-    cur[2, 1] = ymax
-    cur[3, 0] = xmin
-    cur[3, 1] = ymax
-    m = 4
-    for e in range(n):
-        f = e + 1
-        if f == n:
-            f = 0
-        ax = pts[e, 0]
-        ay = pts[e, 1]
-        dx = pts[f, 0] - ax
-        dy = pts[f, 1] - ay
-        ln = np.sqrt(dx * dx + dy * dy)
-        if ln <= 0.0:
-            continue
-        dx /= ln
-        dy /= ln
-        k = 0
-        for i in range(m):
-            j = i + 1
-            if j == m:
-                j = 0
-            px = cur[i, 0]
-            py = cur[i, 1]
-            qx = cur[j, 0]
-            qy = cur[j, 1]
-            sp = dx * (py - ay) - dy * (px - ax)
-            sq = dx * (qy - ay) - dy * (qx - ax)
-            if sp >= -eps:
-                buf[k, 0] = px
-                buf[k, 1] = py
-                k += 1
-            if (sp > eps and sq < -eps) or (sp < -eps and sq > eps):
-                t = sp / (sp - sq)
-                buf[k, 0] = px + t * (qx - px)
-                buf[k, 1] = py + t * (qy - py)
-                k += 1
-        m = k
-        if m == 0:
-            break
-        for i in range(m):
-            cur[i, 0] = buf[i, 0]
-            cur[i, 1] = buf[i, 1]
-    return cur[:m].copy()
-
-
-def point_in_polygon_py(pts, x, y, eps):
-    """1 strictly inside, 0 on the boundary (within eps), -1 outside."""
-    n = pts.shape[0]
-    inside = False
-    for i in range(n):
-        j = i + 1
-        if j == n:
-            j = 0
-        ax = pts[i, 0]
-        ay = pts[i, 1]
-        bx = pts[j, 0]
-        by = pts[j, 1]
-        dx = bx - ax
-        dy = by - ay
-        ln = np.sqrt(dx * dx + dy * dy)
-        if ln > 0.0:
-            s = (dx * (y - ay) - dy * (x - ax)) / ln
-            t = (dx * (x - ax) + dy * (y - ay)) / (ln * ln)
-            if abs(s) <= eps and -eps <= t * ln <= ln + eps:
-                return 0
-        if (ay > y) != (by > y):
-            xc = ax + (y - ay) / (by - ay) * dx
-            if x < xc:
-                inside = not inside
-    return 1 if inside else -1
-
-
-def quality_scores_py(pts, collinear_tol, kernel_rel_tol):
+def quality_scores(pts, collinear_tol, kernel_rel_tol):
     """All four regularity indicators plus the combined score of one cell.
 
     Returns (rho1, rho2, rho3, rho4, rho).  The polygon must be simple and
@@ -196,13 +21,7 @@ def quality_scores_py(pts, collinear_tol, kernel_rel_tol):
     relative area below kernel_rel_tol count as empty.
     """
     n = pts.shape[0]
-    a2 = 0.0
-    for i in range(n):
-        j = i + 1
-        if j == n:
-            j = 0
-        a2 += pts[i, 0] * pts[j, 1] - pts[j, 0] * pts[i, 1]
-    area = 0.5 * a2
+    area = geometry.polygon_area(pts)
     elen = np.empty(n)
     min_e = np.inf
     for i in range(n):
@@ -214,15 +33,7 @@ def quality_scores_py(pts, collinear_tol, kernel_rel_tol):
         elen[i] = np.sqrt(dx * dx + dy * dy)
         if elen[i] < min_e:
             min_e = elen[i]
-    diam = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = pts[i, 0] - pts[j, 0]
-            dy = pts[i, 1] - pts[j, 1]
-            d = dx * dx + dy * dy
-            if d > diam:
-                diam = d
-    diam = np.sqrt(diam)
+    diam = geometry.polygon_diameter(pts)
     if area <= 0.0 or diam <= 0.0:
         return 0.0, 0.0, 0.0, 0.0, 0.0
 
@@ -277,16 +88,7 @@ def quality_scores_py(pts, collinear_tol, kernel_rel_tol):
     if rho2 > 1.0:
         rho2 = 1.0
 
-    # late-bound global: resolves to the njit dispatcher when numba is on
-    kern = kernel_polygon(pts, 1e-12 * diam)
-    ka = 0.0
-    m = kern.shape[0]
-    for i in range(m):
-        j = i + 1
-        if j == m:
-            j = 0
-        ka += kern[i, 0] * kern[j, 1] - kern[j, 0] * kern[i, 1]
-    ka *= 0.5
+    ka = geometry.polygon_area(geometry.kernel_clip(pts, 1e-12 * diam))
     if ka < kernel_rel_tol * area:
         rho1 = 0.0
     else:
@@ -304,7 +106,7 @@ def quality_scores_py(pts, collinear_tol, kernel_rel_tol):
 # s-t max flow (Dinic) on terminal + pairwise capacities
 # ---------------------------------------------------------------------------
 
-def maxflow_py(cap_s, cap_t, edge_u, edge_v, edge_cap):
+def maxflow(cap_s, cap_t, edge_u, edge_v, edge_cap):
     """Exact s-t min cut of a binary energy graph.
 
     Node i carries terminal capacities cap_s[i] (source arc) and cap_t[i]
@@ -430,12 +232,3 @@ def maxflow_py(cap_s, cap_t, edge_u, edge_v, edge_cap):
     for i in range(n):
         mask[i] = level[i] != -1
     return flow, mask
-
-
-signed_area = _compile(signed_area_py)
-area_centroid = _compile(area_centroid_py)
-diameter = _compile(diameter_py)
-kernel_polygon = _compile(kernel_polygon_py)
-point_in_polygon = _compile(point_in_polygon_py)
-quality_scores = _compile(quality_scores_py)
-maxflow = _compile(maxflow_py)

@@ -7,7 +7,9 @@ assembly and solve of the hydraulic head problem in each fracture's
 tangential frame.
 """
 
+import ast
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -87,6 +89,13 @@ def make_fracture(vertices3, K=None, fid=0, frame=None) -> Fracture:
         u_axis /= np.linalg.norm(u_axis)
         v_axis = np.cross(normal, u_axis)
     normal = normal / np.linalg.norm(normal)
+    K = np.eye(2) if K is None else np.asarray(K, dtype=float)
+    if (K.shape != (2, 2) or not np.all(np.isfinite(K))
+            or not np.allclose(K, K.T, rtol=1e-12, atol=1e-14)
+            or np.linalg.eigvalsh(K)[0] <= 0.0):
+        raise NetworkError(
+            f"fracture {fid}: K must be a finite symmetric positive definite 2x2 matrix"
+        )
     fr = Fracture(
         fid=fid,
         vertices3=verts,
@@ -94,7 +103,7 @@ def make_fracture(vertices3, K=None, fid=0, frame=None) -> Fracture:
         u_axis=u_axis,
         v_axis=v_axis,
         normal=normal,
-        K=np.eye(2) if K is None else np.asarray(K, dtype=float),
+        K=K,
     )
     diam = fr.diameter
     off = (verts - origin) @ normal
@@ -532,14 +541,12 @@ class _MutableMesh:
 
 
 def _point_in_some_cell(mm: _MutableMesh, p):
-    from . import _kernels
-
     for loop in mm.cells:
         pts = np.array([mm.points[v] for v in loop])
         if (
             pts[:, 0].min() - mm.snap <= p[0] <= pts[:, 0].max() + mm.snap
             and pts[:, 1].min() - mm.snap <= p[1] <= pts[:, 1].max() + mm.snap
-            and _kernels.point_in_polygon(pts, float(p[0]), float(p[1]), mm.snap) == 1
+            and geometry.point_in_polygon(pts, p, mm.snap) == 1
         ):
             return True
     return False
@@ -693,19 +700,6 @@ def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=1e-9) -> PolygonalMesh:
     if abs(out.total_area - area_before) > 1e-10 * area_before:
         raise MeshError("cutting changed the covered area")
     return out
-
-
-def agglomerate_fracture(mesh: PolygonalMesh, lam: float, sc_mode="potts",
-                         dc_power=2, max_cycles=50):
-    """Quality agglomeration of a cut fracture mesh; traces stay conforming.
-
-    Constraints (trace edges and endpoints) are already flagged in the mesh,
-    which makes cells across a trace non-adjacent; at lambda = 0 only the
-    trivial labeling is applied (aligned-edge cleanup away from constraints).
-    """
-    config = AgglomerationConfig(lam=lam, sc_mode=sc_mode, dc_power=dc_power,
-                                 max_cycles=max_cycles)
-    return agglomerate(mesh, config)
 
 
 # ---------------------------------------------------------------------------
@@ -879,12 +873,6 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
         g[fid] = inv[lo: lo + locals_[fid].total].astype(np.int64)
     return GlobalDofMap(k, locals_, offsets, g, int(len(uniq)))
 
-
-def stitch_conforming(meshes: dict, network: FractureNetwork, k: int = 1):
-    """Spec-level entry: unified meshes plus the cross-fracture DOF map."""
-    out, matches = stitch_meshes(meshes, network)
-    gmap = build_global_dofmap(out, network, matches, k)
-    return out, gmap, matches
 
 # ---------------------------------------------------------------------------
 # boundary classification and network assembly
@@ -1175,6 +1163,8 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
     network = case.network
     frs = {f.fid: f for f in network.fractures}
     scale = network.scale
+    config = AgglomerationConfig(lam=lam, sc_mode=sc_mode, dc_power=dc_power,
+                                 max_cycles=max_cycles)
 
     meshes = {}
     infos = {}
@@ -1184,8 +1174,9 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
                                    jitter=jitter)
         segs = [tr.local_segment(fr) for tr in network.fracture_traces(fid)]
         cut = cut_by_traces(tri, segs, tol_rel=1e-9 * scale / max(fr.diameter, 1e-300))
-        result = agglomerate_fracture(cut, lam, sc_mode=sc_mode,
-                                      dc_power=dc_power, max_cycles=max_cycles)
+        # trace edges and endpoints are constrained in ``cut``, so no merge
+        # crosses a trace and the fractures stay conforming
+        result = agglomerate(cut, config)
         target = abs(geometry.polygon_area(fr.local_polygon))
         if abs(result.mesh.total_area - target) > 1e-10 * target:
             raise NetworkError(f"fracture {fid}: pipeline changed the covered area")
@@ -1324,19 +1315,63 @@ def solve_discretized(disc: NetworkDiscretization, k: int,
     return report
 
 
-def solve_network(case: NetworkCase, k=1, max_area=None, n_cells=None,
-                  lam=0.0, sc_mode="potts", dc_power=2, max_cycles=50,
-                  jitter=0.22, estimate_condition=True) -> NetworkRunReport:
-    """Full pipeline: triangulate, cut, agglomerate, stitch, assemble, solve."""
-    disc = discretize_network(case, max_area=max_area, n_cells=n_cells,
-                              lam=lam, sc_mode=sc_mode, dc_power=dc_power,
-                              max_cycles=max_cycles, jitter=jitter)
-    return solve_discretized(disc, k, estimate_condition=estimate_condition)
-
-
 # ---------------------------------------------------------------------------
 # DFN text format
 # ---------------------------------------------------------------------------
+
+_BC_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
+_BC_FUNCS = {name: getattr(np, name)
+             for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")}
+
+
+def _parse_bc_value(text, line):
+    """A BC value expression as a function of (n, 3) points.
+
+    The grammar is numbers, ``x``, ``y``, ``z``, the binary operators
+    ``+ - * / **``, unary minus and the functions in ``_BC_FUNCS``; anything
+    else is a MeshFormatError at ``line``.  Nothing from the file is executed.
+    """
+    try:
+        tree = ast.parse(text, mode="eval").body
+    except SyntaxError:
+        raise MeshFormatError(f"BC value {text!r} is not an expression", line=line) from None
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            try:  # numpy scalars: overflow gives inf, not an exception at solve time
+                c = np.float64(node.value)
+            except OverflowError:
+                raise MeshFormatError(f"BC value {text!r}: number out of range",
+                                      line=line) from None
+            return lambda p3: c
+        if isinstance(node, ast.Name) and node.id in ("x", "y", "z"):
+            axis = "xyz".index(node.id)
+            return lambda p3: p3[:, axis]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BC_BINOPS:
+            op = _BC_BINOPS[type(node.op)]
+            left, right = build(node.left), build(node.right)
+            return lambda p3: op(left(p3), right(p3))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            arg = build(node.operand)
+            return lambda p3: -arg(p3)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _BC_FUNCS and len(node.args) == 1 and not node.keywords):
+            fn, arg = _BC_FUNCS[node.func.id], build(node.args[0])
+            return lambda p3: fn(arg(p3))
+        raise MeshFormatError(
+            f"BC value {text!r}: {ast.unparse(node)!r} is not allowed "
+            f"(numbers, x, y, z, + - * / **, {', '.join(_BC_FUNCS)})",
+            line=line,
+        )
+
+    expr = build(tree)
+
+    def value(p3):
+        return np.broadcast_to(np.asarray(expr(p3), dtype=float), (len(p3),)).copy()
+
+    return value
+
 
 def load_network(path) -> NetworkCase:
     """Read the DFN text format.
@@ -1345,7 +1380,7 @@ def load_network(path) -> NetworkCase:
     an optional ``K kxx kxy kyy`` line; optional ``T m`` block with lines
     ``i j ax ay az bx by bz``; optional ``BC m`` block with lines
     ``dirichlet a b c d <value>`` where the plane is a*x+b*y+c*z+d=0 and the
-    value is a constant or an expression in x, y, z.
+    value is an expression in x, y, z (grammar in ``_parse_bc_value``).
     """
     with open(path) as fh:
         raw = fh.readlines()
@@ -1437,21 +1472,7 @@ def load_network(path) -> NetworkCase:
                     "BC line must be 'dirichlet a b c d <value>'", line=ln
                 )
             plane = np.array(parse_tokens(float, tok[1:5], "plane coefficient", ln))
-            expr = " ".join(tok[5:])
-            try:
-                const = float(expr)
-
-                def value(p3, c=const):
-                    return np.full(len(p3), c)
-            except ValueError:
-                def value(p3, e=expr):
-                    ns = {"x": p3[:, 0], "y": p3[:, 1], "z": p3[:, 2], "np": np}
-                    return np.broadcast_to(
-                        np.asarray(eval(e, {"__builtins__": {}}, ns), dtype=float),
-                        (len(p3),),
-                    ).copy()
-
-            bcs.append(BCSpec(plane, value))
+            bcs.append(BCSpec(plane, _parse_bc_value(" ".join(tok[5:]), ln)))
     if pos < len(tokens):
         ln, _ = tokens[pos]
         raise MeshFormatError("trailing content", line=ln)

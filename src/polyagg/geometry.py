@@ -6,8 +6,6 @@ assumed simple and counter-clockwise.
 
 import numpy as np
 
-from . import _kernels
-
 COLLINEAR_TOL = 1e-9  # relative cross-product threshold for aligned edges
 
 
@@ -22,25 +20,57 @@ def as_points(pts) -> np.ndarray:
     return a
 
 
-def polygon_area(pts) -> float:
-    return float(_kernels.signed_area(as_points(pts)))
+def polygon_area(pts):
+    """Shoelace signed area; positive for CCW polygons."""
+    n = pts.shape[0]
+    a = 0.0
+    for i in range(n):
+        j = i + 1
+        if j == n:
+            j = 0
+        a += pts[i, 0] * pts[j, 1] - pts[j, 0] * pts[i, 1]
+    return 0.5 * a
 
 
-def polygon_centroid(pts):
-    area, cx, cy = _kernels.area_centroid(as_points(pts))
-    if area == 0.0:
-        raise GeometryError("centroid of a zero-area polygon")
-    return np.array([cx, cy])
+def polygon_area_centroid(pts):
+    """Signed area and area-weighted centroid (undefined for zero area)."""
+    n = pts.shape[0]
+    a2 = 0.0
+    cx = 0.0
+    cy = 0.0
+    for i in range(n):
+        j = i + 1
+        if j == n:
+            j = 0
+        w = pts[i, 0] * pts[j, 1] - pts[j, 0] * pts[i, 1]
+        a2 += w
+        cx += (pts[i, 0] + pts[j, 0]) * w
+        cy += (pts[i, 1] + pts[j, 1]) * w
+    area = 0.5 * a2
+    if a2 != 0.0:
+        cx /= 3.0 * a2
+        cy /= 3.0 * a2
+    return area, cx, cy
 
 
-def polygon_diameter(pts) -> float:
-    return float(_kernels.diameter(as_points(pts)))
+def polygon_diameter(pts):
+    """Max pairwise vertex distance, exact O(n^2); cells are small."""
+    n = pts.shape[0]
+    best = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = pts[i, 0] - pts[j, 0]
+            dy = pts[i, 1] - pts[j, 1]
+            d = dx * dx + dy * dy
+            if d > best:
+                best = d
+    return np.sqrt(best)
 
 
 def ensure_ccw(pts) -> np.ndarray:
     """Return the polygon with positive signed area, reversing if given CW."""
     pts = as_points(pts)
-    if _kernels.signed_area(pts) < 0.0:
+    if polygon_area(pts) < 0.0:
         return np.ascontiguousarray(pts[::-1])
     return pts
 
@@ -110,22 +140,122 @@ def is_simple_polygon(pts, eps=None) -> bool:
     return True
 
 
+def kernel_clip(pts, eps):
+    """Kernel of a simple CCW polygon by successive half-plane clipping.
+
+    Starts from the bounding box and clips against the inward (left)
+    half-plane of every boundary edge; the result is the convex kernel,
+    empty (0 rows) when the polygon is not star-shaped.  ``eps`` is an
+    absolute distance tolerance.
+    """
+    n = pts.shape[0]
+    cap = 2 * n + 8
+    cur = np.empty((cap, 2))
+    buf = np.empty((cap, 2))
+    xmin = pts[0, 0]
+    xmax = pts[0, 0]
+    ymin = pts[0, 1]
+    ymax = pts[0, 1]
+    for i in range(1, n):
+        if pts[i, 0] < xmin:
+            xmin = pts[i, 0]
+        if pts[i, 0] > xmax:
+            xmax = pts[i, 0]
+        if pts[i, 1] < ymin:
+            ymin = pts[i, 1]
+        if pts[i, 1] > ymax:
+            ymax = pts[i, 1]
+    cur[0, 0] = xmin
+    cur[0, 1] = ymin
+    cur[1, 0] = xmax
+    cur[1, 1] = ymin
+    cur[2, 0] = xmax
+    cur[2, 1] = ymax
+    cur[3, 0] = xmin
+    cur[3, 1] = ymax
+    m = 4
+    for e in range(n):
+        f = e + 1
+        if f == n:
+            f = 0
+        ax = pts[e, 0]
+        ay = pts[e, 1]
+        dx = pts[f, 0] - ax
+        dy = pts[f, 1] - ay
+        ln = np.sqrt(dx * dx + dy * dy)
+        if ln <= 0.0:
+            continue
+        dx /= ln
+        dy /= ln
+        k = 0
+        for i in range(m):
+            j = i + 1
+            if j == m:
+                j = 0
+            px = cur[i, 0]
+            py = cur[i, 1]
+            qx = cur[j, 0]
+            qy = cur[j, 1]
+            sp = dx * (py - ay) - dy * (px - ax)
+            sq = dx * (qy - ay) - dy * (qx - ax)
+            if sp >= -eps:
+                buf[k, 0] = px
+                buf[k, 1] = py
+                k += 1
+            if (sp > eps and sq < -eps) or (sp < -eps and sq > eps):
+                t = sp / (sp - sq)
+                buf[k, 0] = px + t * (qx - px)
+                buf[k, 1] = py + t * (qy - py)
+                k += 1
+        m = k
+        if m == 0:
+            break
+        for i in range(m):
+            cur[i, 0] = buf[i, 0]
+            cur[i, 1] = buf[i, 1]
+    return cur[:m].copy()
+
+
 def polygon_kernel_points(pts) -> np.ndarray:
     """Kernel polygon (possibly empty) of a simple CCW polygon."""
     pts = as_points(pts)
     diam = polygon_diameter(pts)
-    kern = _kernels.kernel_polygon(pts, 1e-12 * max(diam, 1e-300))
-    if len(kern) >= 3 and abs(_kernels.signed_area(kern)) > 0.0:
+    kern = kernel_clip(pts, 1e-12 * max(diam, 1e-300))
+    if len(kern) >= 3 and abs(polygon_area(kern)) > 0.0:
         return kern
     return np.empty((0, 2))
 
 
 def point_in_polygon(pts, point, eps=None) -> int:
-    """1 strictly inside, 0 on the boundary, -1 outside."""
+    """1 strictly inside, 0 on the boundary (within eps), -1 outside."""
     pts = as_points(pts)
     if eps is None:
         eps = 1e-12 * polygon_diameter(pts)
-    return int(_kernels.point_in_polygon(pts, float(point[0]), float(point[1]), eps))
+    x = float(point[0])
+    y = float(point[1])
+    n = pts.shape[0]
+    inside = False
+    for i in range(n):
+        j = i + 1
+        if j == n:
+            j = 0
+        ax = pts[i, 0]
+        ay = pts[i, 1]
+        bx = pts[j, 0]
+        by = pts[j, 1]
+        dx = bx - ax
+        dy = by - ay
+        ln = np.sqrt(dx * dx + dy * dy)
+        if ln > 0.0:
+            s = (dx * (y - ay) - dy * (x - ax)) / ln
+            t = (dx * (x - ax) + dy * (y - ay)) / (ln * ln)
+            if abs(s) <= eps and -eps <= t * ln <= ln + eps:
+                return 0
+        if (ay > y) != (by > y):
+            xc = ax + (y - ay) / (by - ay) * dx
+            if x < xc:
+                inside = not inside
+    return 1 if inside else -1
 
 
 def collinear_mask(pts, tol=COLLINEAR_TOL) -> np.ndarray:

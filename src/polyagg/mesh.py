@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, geometry
+from . import geometry
 from .geometry import COLLINEAR_TOL
 
 
@@ -23,6 +23,14 @@ class MeshFormatError(MeshError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class CellError(MeshError):
+    """Invalid input cell; ``cell`` is its index in the cell list."""
+
+    def __init__(self, cell, message):
+        self.cell = cell
+        super().__init__(f"cell {cell} {message}")
 
 
 class MergeError(MeshError):
@@ -62,21 +70,21 @@ class Cell:
 
 def make_cell(points, vertex_ids=None, cell_id=None) -> Cell:
     pts = geometry.as_points(points)
-    area, cx, cy = _kernels.area_centroid(pts)
+    area, cx, cy = geometry.polygon_area_centroid(pts)
     if area <= 0.0 or not np.isfinite(area):
         name = "" if cell_id is None else f" {cell_id}"
         raise MeshError(f"degenerate or negatively oriented cell{name} (area {area})")
-    diam = float(_kernels.diameter(pts))
+    diam = float(geometry.polygon_diameter(pts))
     ids = None if vertex_ids is None else np.asarray(vertex_ids, dtype=np.int64)
     return Cell(pts, float(area), np.array([cx, cy]), diam, ids)
 
 
 def cell_geometry(cell: Cell):
     """Area, centroid, diameter of a cell (recomputed, validating the cache)."""
-    area, cx, cy = _kernels.area_centroid(cell.points)
+    area, cx, cy = geometry.polygon_area_centroid(cell.points)
     if area <= 0.0:
         raise MeshError("degenerate cell in cell_geometry")
-    return float(area), np.array([cx, cy]), float(_kernels.diameter(cell.points))
+    return float(area), np.array([cx, cy]), float(geometry.polygon_diameter(cell.points))
 
 
 def polygon_kernel(cell: Cell) -> np.ndarray:
@@ -183,19 +191,19 @@ def build_mesh(
     for ci, raw in enumerate(cells):
         ids = np.asarray(raw, dtype=np.int64)
         if ids.ndim != 1 or len(ids) < 3:
-            raise MeshError(f"cell {ci} must list at least 3 vertices")
+            raise CellError(ci, "must list at least 3 vertices")
         if ids.min() < 0 or ids.max() >= nv:
-            raise MeshError(f"cell {ci} references a missing vertex")
+            raise CellError(ci, "references a missing vertex")
         if np.any(ids == np.roll(ids, 1)):
-            raise MeshError(f"cell {ci} repeats consecutive vertices")
+            raise CellError(ci, "repeats consecutive vertices")
         if len(np.unique(ids)) != len(ids):
-            raise MeshError(f"cell {ci} visits a vertex twice")
+            raise CellError(ci, "visits a vertex twice")
         loop = pts[ids]
-        if _kernels.signed_area(loop) < 0.0:
+        if geometry.polygon_area(loop) < 0.0:
             ids = ids[::-1].copy()
             loop = pts[ids]
         if not geometry.is_simple_polygon(loop):
-            raise MeshError(f"cell {ci} is not a simple polygon")
+            raise CellError(ci, "is not a simple polygon")
         cell_arrays.append(ids)
 
     if compact:
@@ -232,11 +240,10 @@ def build_mesh(
                 edge_dir.append(u < v)
             else:
                 if len(edge_cells[e]) >= 2:
-                    raise MeshError(f"edge {key} is shared by more than 2 cells")
+                    raise CellError(ci, f"has edge {key}, which is shared by more than 2 cells")
                 if edge_dir[e] == (u < v):
-                    raise MeshError(
-                        f"edge {key} traversed twice in the same direction (overlapping cells)"
-                    )
+                    raise CellError(ci, f"has edge {key} traversed twice in the same "
+                                        "direction (overlapping cells)")
                 edge_cells[e].append(ci)
 
     ne = len(edges)
@@ -262,12 +269,12 @@ def build_mesh(
     cell_diameter = np.empty(nc)
     for ci, ids in enumerate(cell_arrays):
         loop = pts[ids]
-        area, cx, cy = _kernels.area_centroid(loop)
+        area, cx, cy = geometry.polygon_area_centroid(loop)
         if area <= 0.0:
-            raise MeshError(f"cell {ci} has zero area")
+            raise CellError(ci, "has zero area")
         cell_area[ci] = area
         cell_centroid[ci] = (cx, cy)
-        cell_diameter[ci] = _kernels.diameter(loop)
+        cell_diameter[ci] = geometry.polygon_diameter(loop)
 
     neighbors = [set() for _ in range(nc)]
     for e, cs in enumerate(edge_cells):
@@ -495,9 +502,11 @@ def load_mesh(path) -> PolygonalMesh:
     if nc < 1:
         raise MeshFormatError("mesh has no cells", line=ln)
     cells = []
+    cell_lines = []
     for _ in range(nc):
         ln, tok = take("cell line")
         cells.append(parse_tokens(int, tok, "cell index", ln))
+        cell_lines.append(ln)
 
     cons = []
     if pos < len(tokens):
@@ -514,6 +523,8 @@ def load_mesh(path) -> PolygonalMesh:
         raise MeshFormatError("trailing content", line=ln)
     try:
         return build_mesh(pts, cells, cons, vflags, compact=False)
+    except CellError as err:
+        raise MeshFormatError(str(err), line=cell_lines[err.cell]) from err
     except MeshError as err:
         raise MeshFormatError(str(err)) from err
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from . import _kernels
+from . import geometry
 from .mesh import MeshError, PolygonalMesh
 from .quadrature import edge_lobatto_quadrature, gauss_lobatto_points, polygon_quadrature
 
@@ -92,11 +92,11 @@ def build_element(points, k: int, cell_id=None) -> VemElement:
     """All local projector matrices of one polygonal cell."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    area, cx, cy = _kernels.area_centroid(pts)
+    area, cx, cy = geometry.polygon_area_centroid(pts)
     if area <= 0.0:
         raise MeshError(f"degenerate cell {cell_id} in element construction")
     center = np.array([cx, cy])
-    h = float(_kernels.diameter(pts))
+    h = float(geometry.polygon_diameter(pts))
     exps = monomial_exponents(k)
     nk = len(exps)
     nk1 = monomial_dim(k - 1)

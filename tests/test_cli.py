@@ -57,6 +57,8 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
     pytest.param(".mesh", TRIANGLE + "C one\n", 5, id="mesh-cell-count"),
     pytest.param(".mesh", TRIANGLE + "C 1\n0 1 x\n", 6, id="mesh-cell-index"),
     pytest.param(".mesh", TRIANGLE + "C 1\n0 1 2\nE z\n", 7, id="mesh-edge-count"),
+    pytest.param(".mesh", TRIANGLE + "C 2\n0 1 7\n0 1 2\n", 6, id="mesh-missing-vertex"),
+    pytest.param(".mesh", TRIANGLE + "C 1\n0 1\n", 6, id="mesh-two-vertex-cell"),
     pytest.param(".dfn", "F two\n", 1, id="dfn-fracture-count"),
     pytest.param(".dfn", "F 0\n", 1, id="dfn-no-fractures"),
     pytest.param(".dfn", "F 1\nthree\n", 2, id="dfn-vertex-count"),
@@ -73,6 +75,11 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
     pytest.param(".dfn", TWO_FRACTURES + "BC\n", 12, id="dfn-bc-header"),
     pytest.param(".dfn", TWO_FRACTURES + "BC 1\ndirichlet 0 0 one 1 10\n", 13,
                  id="dfn-bc-plane"),
+    pytest.param(".dfn", TWO_FRACTURES + "K 1 2 1\n", 12, id="dfn-indefinite-k"),
+    pytest.param(".dfn", TWO_FRACTURES + "BC 1\ndirichlet 0 0 1 1 foo\n", 13,
+                 id="dfn-bc-unknown-name"),
+    pytest.param(".dfn", TWO_FRACTURES + "BC 1\ndirichlet 0 0 1 1 __import__('os')\n", 13,
+                 id="dfn-bc-call"),
 ])
 def test_malformed_input_exit2_with_line(tmp_path, capsys, suffix, text, line):
     path = tmp_path / f"bad{suffix}"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyagg import vem
+from polyagg.agglomerate import AgglomerationConfig, agglomerate
 from polyagg.dfn import (
     NetworkError,
     _f1,
@@ -17,15 +18,12 @@ from polyagg.dfn import (
     build_global_dofmap,
     compute_traces,
     cut_by_traces,
-    agglomerate_fracture,
     dirichlet_boundary_edges,
     discretize_network,
     load_network,
     make_fracture,
     network1,
     solve_discretized,
-    solve_network,
-    stitch_conforming,
     stitch_meshes,
     triangulate_fracture,
     FractureNetwork,
@@ -265,7 +263,7 @@ def test_agglomerate_fracture_keeps_trace_conforming(lam):
     m = triangulate_fracture(fr, max_area=0.09)
     seg = ((0.13, 0.0), (1.87, 2.0))
     cut = cut_by_traces(m, [seg])
-    res = agglomerate_fracture(cut, lam)
+    res = agglomerate(cut, AgglomerationConfig(lam=lam))
     out = res.mesh
     assert trace_is_covered(out, *seg)
     assert out.total_area == pytest.approx(4.0, rel=1e-10)
@@ -337,7 +335,8 @@ def test_stitch_conforming_dof_identification(k):
     network = two_plane_network()
     ma = mesh_with_trace_nodes([0.5])
     mb = mesh_with_trace_nodes([0.3])
-    out, gmap, matches = stitch_conforming({0: ma, 1: mb}, network, k)
+    out, matches = stitch_meshes({0: ma, 1: mb}, network)
+    gmap = build_global_dofmap(out, network, matches, k)
     t_total = sum(gmap.locals[f].total for f in (0, 1))
     n_nodes = 4  # union nodes on the trace
     n_edges = 3
@@ -390,14 +389,13 @@ def test_dirichlet_excludes_trace_covered_boundary():
 
 def test_solve_network_coarse():
     case = network1()
-    rep = solve_network(case, k=1, max_area=0.1, lam=0.0,
-                        estimate_condition=False)
+    disc = discretize_network(case, max_area=0.1, lam=0.0)
+    rep = solve_discretized(disc, 1, estimate_condition=False)
     assert rep.err_l2 is not None and np.isfinite(rep.err_l2)
     assert rep.err_h1 is not None and np.isfinite(rep.err_h1)
     assert rep.err_l2 < 0.15  # h is ~0.4 here; rate checks live in acceptance
     assert rep.dofs > 0 and rep.cells > 0
-    rep2 = solve_network(case, k=2, max_area=0.1, lam=0.0,
-                         estimate_condition=False)
+    rep2 = solve_discretized(disc, 2, estimate_condition=False)
     assert rep2.err_l2 < rep.err_l2
     assert rep2.err_h1 < rep.err_h1
 
@@ -410,8 +408,6 @@ def test_solve_network_agglomerated_continuity():
         la = [t for t, _ in disc.matches[tr.tid][tr.frac_i]]
         lb = [t for t, _ in disc.matches[tr.tid][tr.frac_j]]
         assert la == pytest.approx(lb, abs=1e-12)
-    from polyagg.dfn import solve_discretized
-
     rep = solve_discretized(disc, 1, estimate_condition=False)
     # probe solution continuity at matched trace vertices (shared unknown)
     gmap = rep.gmap
