@@ -238,6 +238,17 @@ def cmd_convergence(args) -> int:
     return 0
 
 
+def _lambda(text) -> float:
+    """argparse type of ``--lambda``: a float in [0, 1], else a usage error."""
+    try:
+        lam = float(text)
+    except ValueError:
+        lam = None
+    if lam is None or not 0.0 <= lam <= 1.0:
+        raise argparse.ArgumentTypeError(f"lambda must be a number in [0, 1], got {text!r}")
+    return lam
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="polyagg")
     p.add_argument("--out", default="out", help="output directory")
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("agglomerate", help="graph-cut mesh agglomeration")
     a.add_argument("mesh")
-    a.add_argument("--lambda", dest="lam", type=float, required=True)
+    a.add_argument("--lambda", dest="lam", type=_lambda, required=True)
     a.add_argument("--sc-mode", choices=("literal", "potts"), default="potts")
     a.add_argument("--dc-power", type=int, choices=(1, 2), default=2)
     a.add_argument("--max-cycles", type=int, default=50)
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DFN file or builtin:network1")
     d.add_argument("--area", type=float, nargs="*", default=[])
     d.add_argument("--cells", type=int, default=None)
-    d.add_argument("--lambda", dest="lam", type=float, nargs="+", default=[0.0])
+    d.add_argument("--lambda", dest="lam", type=_lambda, nargs="+", default=[0.0])
     d.add_argument("--order", type=int, nargs="+", default=[1])
     d.add_argument("--sc-mode", choices=("literal", "potts"), default="potts")
     d.set_defaults(func=cmd_dfn)
@@ -277,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--area", type=float, nargs="*", default=[])
     c.add_argument("--meshes", nargs="*", default=[])
     c.add_argument("--solution", default="sinsin")
-    c.add_argument("--lambda", dest="lam", type=float, nargs="+", default=[0.0])
+    c.add_argument("--lambda", dest="lam", type=_lambda, nargs="+", default=[0.0])
     c.add_argument("--order", type=int, nargs="+", default=[1])
     c.add_argument("--sc-mode", choices=("literal", "potts"), default="potts")
     c.set_defaults(func=cmd_convergence)

@@ -27,6 +27,14 @@ class NetworkError(MeshError):
     pass
 
 
+class FractureError(NetworkError):
+    """Invalid fracture; ``fid`` is its index in the fracture list."""
+
+    def __init__(self, fid, message):
+        self.fid = fid
+        super().__init__(f"fracture {fid} {message}")
+
+
 # ---------------------------------------------------------------------------
 # fractures and traces
 # ---------------------------------------------------------------------------
@@ -184,8 +192,8 @@ def compute_traces(fractures, tol_rel=1e-10) -> list:
                     fi.to_local(fj.vertices3), fi.local_polygon
                 )
                 if len(inter) >= 3 and abs(geometry.polygon_area(inter)) > tol * tol:
-                    raise NetworkError(
-                        f"fractures {fi.fid} and {fj.fid} are coplanar and overlap"
+                    raise FractureError(
+                        fj.fid, f"and fracture {fi.fid} are coplanar and overlap"
                     )
                 continue
             sec = _polygon_plane_section(fi, fj.normal, fj.plane_offset(), tol)
@@ -219,7 +227,8 @@ def _reject_shared_trace_lines(traces, tol):
     for m1 in range(len(traces)):
         for m2 in range(m1 + 1, len(traces)):
             t1, t2 = traces[m1], traces[m2]
-            if not set((t1.frac_i, t1.frac_j)) & set((t2.frac_i, t2.frac_j)):
+            shared = set((t1.frac_i, t1.frac_j)) & set((t2.frac_i, t2.frac_j))
+            if not shared:
                 continue
             d1 = t1.b3 - t1.a3
             d2 = t2.b3 - t2.a3
@@ -231,8 +240,9 @@ def _reject_shared_trace_lines(traces, tol):
             i0 = sorted([float((t1.a3 - t1.a3) @ u), float((t1.b3 - t1.a3) @ u)])
             i1 = sorted([float((t2.a3 - t1.a3) @ u), float((t2.b3 - t1.a3) @ u)])
             if min(i0[1], i1[1]) - max(i0[0], i1[0]) > tol:
-                raise NetworkError(
-                    "traces shared by three or more fractures are unsupported"
+                raise FractureError(
+                    min(shared),
+                    "shares a trace line with two other fractures (unsupported)",
                 )
 
 
@@ -250,9 +260,7 @@ class FractureNetwork:
                 touched.add(t.frac_j)
             for f in self.fractures:
                 if f.fid not in touched:
-                    raise NetworkError(
-                        f"fracture {f.fid} intersects no other fracture"
-                    )
+                    raise FractureError(f.fid, "intersects no other fracture")
 
     @property
     def scale(self) -> float:
@@ -921,7 +929,7 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
     ``sources`` and ``dirichlet_values`` map fid to callables on local 2D
     coordinates; identified trace DOFs share one global unknown.  Boundary
     edges covered by a trace are interface, not Dirichlet.  Returns
-    (system, elements_by_fid).
+    (system, element groups by fid).
     """
     frs = {f.fid: f for f in network.fractures}
     fids = sorted(meshes)
@@ -1016,7 +1024,15 @@ class NetworkCase:
                     dist = np.abs(p3 @ np.array([a, b_, c]) + d)
                     hit = dist <= 1e-6 * scale * np.linalg.norm([a, b_, c])
                     if hit.any():
-                        out[hit] = np.asarray(bc.value(p3[hit]), dtype=float)
+                        v = np.asarray(bc.value(p3[hit]), dtype=float)
+                        bad = ~np.isfinite(v)
+                        if bad.any():
+                            x, y, z = p3[hit][bad][0]
+                            raise NetworkError(
+                                f"dirichlet plane {a:g} {b_:g} {c:g} {d:g}: value "
+                                f"{v[bad][0]} at ({x:g}, {y:g}, {z:g}) is not finite"
+                            )
+                        out[hit] = v
                 return out
 
             return g
@@ -1368,7 +1384,9 @@ def _parse_bc_value(text, line):
     expr = build(tree)
 
     def value(p3):
-        return np.broadcast_to(np.asarray(expr(p3), dtype=float), (len(p3),)).copy()
+        with np.errstate(all="ignore"):  # a non-finite value is reported by its caller
+            v = np.asarray(expr(p3), dtype=float)
+        return np.broadcast_to(v, (len(p3),)).copy()
 
     return value
 
@@ -1410,8 +1428,10 @@ def load_network(path) -> NetworkCase:
     if nf < 1:
         raise MeshFormatError("network has no fractures", line=ln)
     fractures = []
+    frac_lines = []  # first line of each fracture's block
     for fid in range(nf):
         ln, tok = take("vertex count")
+        frac_lines.append(ln)
         if len(tok) != 1:
             raise MeshFormatError("expected a fracture vertex count", line=ln)
         m = parse_count(tok[0], "fracture vertex count", ln)
@@ -1455,8 +1475,6 @@ def load_network(path) -> NetworkCase:
             if tuple(b3) < tuple(a3):
                 a3, b3 = b3, a3
             traces.append(TraceSegment(tid, a3, b3, i, j))
-    if traces is None:
-        traces = compute_traces(fractures)
 
     bcs = []
     nxt = peek()
@@ -1477,7 +1495,11 @@ def load_network(path) -> NetworkCase:
         ln, _ = tokens[pos]
         raise MeshFormatError("trailing content", line=ln)
     try:
+        if traces is None:
+            traces = compute_traces(fractures)
         network = FractureNetwork(fractures, traces, bcs)
+    except FractureError as err:
+        raise MeshFormatError(str(err), line=frac_lines[err.fid]) from err
     except NetworkError as err:
         raise MeshFormatError(str(err)) from err
     return NetworkCase(os.path.basename(str(path)), network, None)

@@ -33,6 +33,14 @@ class CellError(MeshError):
         super().__init__(f"cell {cell} {message}")
 
 
+class ConstraintError(MeshError):
+    """Invalid constrained edge; ``edge`` is its index in the constraint list."""
+
+    def __init__(self, edge, message):
+        self.edge = edge
+        super().__init__(f"constrained edge {edge} {message}")
+
+
 class MergeError(MeshError):
     """Base class for invalid cell merges."""
 
@@ -189,7 +197,10 @@ def build_mesh(
 
     cell_arrays = []
     for ci, raw in enumerate(cells):
-        ids = np.asarray(raw, dtype=np.int64)
+        try:
+            ids = np.asarray(raw, dtype=np.int64)
+        except OverflowError:
+            raise CellError(ci, "references a missing vertex") from None
         if ids.ndim != 1 or len(ids) < 3:
             raise CellError(ci, "must list at least 3 vertices")
         if ids.min() < 0 or ids.max() >= nv:
@@ -248,11 +259,11 @@ def build_mesh(
 
     ne = len(edges)
     edge_constrained = np.zeros(ne, dtype=bool)
-    for u, v in constrained_edges:
+    for i, (u, v) in enumerate(constrained_edges):
         key = (int(u), int(v)) if u < v else (int(v), int(u))
         e = edge_index.get(key)
         if e is None:
-            raise MeshError(f"constrained edge {key} is not a mesh edge")
+            raise ConstraintError(i, f"{key} is not a mesh edge")
         edge_constrained[e] = True
 
     vertex_constrained = np.zeros(nv, dtype=bool)
@@ -485,13 +496,15 @@ def load_mesh(path) -> PolygonalMesh:
     if tok[0] != "V" or len(tok) != 2:
         raise MeshFormatError("expected 'V n' header", line=ln)
     nv = parse_count(tok[1], "vertex count", ln)
-    pts = np.empty((nv, 2))
+    pts = []
     vflags = []
     for i in range(nv):
         ln, tok = take("vertex line")
         if len(tok) not in (2, 3):
             raise MeshFormatError("vertex line must be 'x y [c]'", line=ln)
-        pts[i] = parse_tokens(float, tok[:2], "vertex coordinate", ln)
+        pts.append(parse_tokens(float, tok[:2], "vertex coordinate", ln))
+        if not np.isfinite(pts[-1]).all():
+            raise MeshFormatError("non-finite vertex coordinate", line=ln)
         if len(tok) == 3 and tok[2] == "1":
             vflags.append(i)
 
@@ -509,6 +522,7 @@ def load_mesh(path) -> PolygonalMesh:
         cell_lines.append(ln)
 
     cons = []
+    edge_lines = []
     if pos < len(tokens):
         ln, tok = take("E header")
         if tok[0] != "E" or len(tok) != 2:
@@ -518,13 +532,16 @@ def load_mesh(path) -> PolygonalMesh:
             if len(tok) != 2:
                 raise MeshFormatError("edge line must be 'i j'", line=ln)
             cons.append(parse_tokens(int, tok, "edge index", ln))
+            edge_lines.append(ln)
     if pos < len(tokens):
         ln, _ = tokens[pos]
         raise MeshFormatError("trailing content", line=ln)
     try:
-        return build_mesh(pts, cells, cons, vflags, compact=False)
+        return build_mesh(np.reshape(pts, (nv, 2)), cells, cons, vflags, compact=False)
     except CellError as err:
         raise MeshFormatError(str(err), line=cell_lines[err.cell]) from err
+    except ConstraintError as err:
+        raise MeshFormatError(str(err), line=edge_lines[err.edge]) from err
     except MeshError as err:
         raise MeshFormatError(str(err)) from err
 

@@ -30,31 +30,29 @@ def gauss_lobatto_rule(n_points: int):
 
 
 def gauss_lobatto_points(k: int, a, b):
-    """Internal Gauss-Lobatto DOF points (and weights) of an order-k edge.
+    """Internal Gauss-Lobatto DOF points (and weights) of order-k edges.
 
-    Maps the k-1 interior nodes of the (k+1)-point rule onto the segment
-    a-b; returns ((k-1, 2) points, (k-1,) weights scaled by |edge|/2).
-    Empty for k < 2.
+    Maps the k-1 interior nodes of the (k+1)-point rule onto the segments
+    a-b, given as (..., 2) end points; returns ((..., k-1, 2) points,
+    (..., k-1) weights scaled by |edge|/2).  Empty for k < 2.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if k < 2:
-        return np.empty((0, 2)), np.empty(0)
-    x, w = gauss_lobatto_rule(k + 1)
-    t = 0.5 * (x[1:-1] + 1.0)
-    pts = a[None, :] + t[:, None] * (b - a)[None, :]
-    halflen = 0.5 * np.hypot(*(b - a))
-    return pts, w[1:-1] * halflen
+    x, w = gauss_lobatto_rule(max(k, 1) + 1)
+    return _map_to_edges(x[1:-1], w[1:-1], a, b)
 
 
 def edge_lobatto_quadrature(k: int, a, b):
-    """Full (k+1)-point Gauss-Lobatto rule on segment a-b, weights summing to |e|."""
+    """Full (k+1)-point Gauss-Lobatto rule on segments a-b, weights summing to |e|."""
+    x, w = gauss_lobatto_rule(k + 1)
+    return _map_to_edges(x, w, a, b)
+
+
+def _map_to_edges(x, w, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    x, w = gauss_lobatto_rule(k + 1)
     t = 0.5 * (x + 1.0)
-    pts = a[None, :] + t[:, None] * (b - a)[None, :]
-    return pts, w * 0.5 * np.hypot(*(b - a))
+    pts = a[..., None, :] + t[:, None] * (b - a)[..., None, :]
+    halflen = 0.5 * np.hypot((b - a)[..., 0], (b - a)[..., 1])
+    return pts, w * halflen[..., None]
 
 
 @lru_cache(maxsize=None)
@@ -77,29 +75,34 @@ def _duffy_reference(degree: int):
 
 
 def triangle_quadrature(tri, degree: int):
-    """Rule exact to ``degree`` on one triangle given as (3, 2) coordinates."""
+    """Rule exact to ``degree`` on triangles given as (..., 3, 2) coordinates.
+
+    Returns (..., q, 2) points and (..., q) weights.
+    """
     tri = np.asarray(tri, dtype=float)
     xi, eta, w = _duffy_reference(degree)
-    p0, p1, p2 = tri
-    pts = p0[None, :] + np.outer(xi, p1 - p0) + np.outer(eta, p2 - p0)
-    jac = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
-    return pts, w * jac
+    p0, p1, p2 = tri[..., 0:1, :], tri[..., 1:2, :], tri[..., 2:3, :]
+    d1, d2 = p1 - p0, p2 - p0
+    pts = p0 + xi[:, None] * d1 + eta[:, None] * d2
+    return pts, w * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
 
 
-def polygon_quadrature(points, degree: int):
-    """Rule exact to ``degree`` on a simple CCW polygon.
+def polygon_quadrature(points, degree: int, triangles=None):
+    """Rule exact to ``degree`` on simple CCW polygons (n, 2) or (..., n, 2).
 
-    Ear-clips the polygon and maps a triangle rule of matching degree onto
-    each piece; weights sum to the polygon area.
+    Maps a triangle rule of matching degree onto each ear-clip triangle;
+    weights sum to the polygon area.  ``triangles`` (..., t, 3) holds the
+    ear clipping of each polygon; when omitted every polygon is clipped
+    here (stacked polygons must then clip into equally many triangles).
+    Returns (..., t * q, 2) points and (..., t * q) weights.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    pts = geometry.as_points(points)
-    tris = geometry.ear_clip(pts)
-    all_p = []
-    all_w = []
-    for t in tris:
-        p, w = triangle_quadrature(pts[t], degree)
-        all_p.append(p)
-        all_w.append(w)
-    return np.vstack(all_p), np.concatenate(all_w)
+    pts = np.asarray(points, dtype=float)
+    lead, n = pts.shape[:-2], pts.shape[-2]
+    flat = pts.reshape(-1, n, 2)
+    if triangles is None:
+        triangles = np.stack([geometry.ear_clip(p) for p in flat])
+    tris = np.asarray(triangles).reshape(len(flat), -1, 3)
+    p, w = triangle_quadrature(flat[np.arange(len(flat))[:, None, None], tris], degree)
+    return p.reshape(lead + (-1, 2)), w.reshape(lead + (-1,))

@@ -4,7 +4,9 @@ Local spaces use scaled monomials centered at the cell centroid; degrees of
 freedom are vertex values, internal Gauss-Lobatto edge values (k > 1) and
 normalized interior moments against the degree k-2 monomials.  The local
 bilinear form couples the L2 projection of gradients with a dofi-dofi
-stabilization scaled by the transmissivity norm.
+stabilization scaled by the transmissivity norm.  Element matrices are
+built for whole stacks of cells at once: a mesh is split by ``cell_groups``
+and every array of a ``VemElement`` then carries the stack axis.
 """
 
 from dataclasses import dataclass, field
@@ -38,25 +40,26 @@ def monomial_dim(k: int) -> int:
 
 
 def eval_monomials(exps, pts, center, h) -> np.ndarray:
-    X = (pts[:, 0] - center[0]) / h
-    Y = (pts[:, 1] - center[1]) / h
-    out = np.empty((len(pts), len(exps)))
-    for j, (a, b) in enumerate(exps):
-        out[:, j] = X ** a * Y ** b
-    return out
+    """Scaled monomials at (..., p, 2) points of cells with (..., 2) centers
+    and (...) diameters; returns (..., p, len(exps))."""
+    X, Y = _scaled_coords(pts, center, h)
+    return np.stack([X ** a * Y ** b for a, b in exps], axis=-1)
 
 
 def eval_monomial_grads(exps, pts, center, h):
-    X = (pts[:, 0] - center[0]) / h
-    Y = (pts[:, 1] - center[1]) / h
-    gx = np.zeros((len(pts), len(exps)))
-    gy = np.zeros((len(pts), len(exps)))
-    for j, (a, b) in enumerate(exps):
-        if a > 0:
-            gx[:, j] = a / h * X ** (a - 1) * Y ** b
-        if b > 0:
-            gy[:, j] = b / h * X ** a * Y ** (b - 1)
-    return gx, gy
+    """x and y derivatives of the scaled monomials, each (..., p, len(exps))."""
+    X, Y = _scaled_coords(pts, center, h)
+    h = np.asarray(h)[..., None]
+    zero = np.zeros_like(X)
+    gx = [a / h * X ** (a - 1) * Y ** b if a > 0 else zero for a, b in exps]
+    gy = [b / h * X ** a * Y ** (b - 1) if b > 0 else zero for a, b in exps]
+    return np.stack(gx, axis=-1), np.stack(gy, axis=-1)
+
+
+def _scaled_coords(pts, center, h):
+    center = np.asarray(center)[..., None, :]
+    h = np.asarray(h)[..., None]
+    return (pts[..., 0] - center[..., 0]) / h, (pts[..., 1] - center[..., 1]) / h
 
 
 def _monomial_index(a: int, b: int) -> int:
@@ -68,8 +71,25 @@ def n_local_dofs(k: int, n_vertices: int) -> int:
     return n_vertices * k + k * (k - 1) // 2
 
 
+@lru_cache(maxsize=None)
+def _edge_scatter(n: int, k: int) -> np.ndarray:
+    """0/1 matrix taking Lobatto point q of edge i (row i*(k+1)+q) to its
+    local dof: the edge's end vertices for q = 0 and q = k, else its
+    internal edge dof."""
+    S = np.zeros((n * (k + 1), n_local_dofs(k, n)))
+    for i in range(n):
+        for q in range(k + 1):
+            j = i if q == 0 else (i + 1) % n if q == k else n + i * (k - 1) + q - 1
+            S[i * (k + 1) + q, j] = 1.0
+    S.flags.writeable = False
+    return S
+
+
 @dataclass
 class VemElement:
+    """Local matrices of one cell, or of a stack of cells sharing a vertex
+    count: every array then carries the stack's leading axes."""
+
     k: int
     points: np.ndarray
     area: float
@@ -78,7 +98,6 @@ class VemElement:
     ndof: int
     D: np.ndarray            # dof_i(m_j)
     pins: np.ndarray         # H1 projector, monomial coefficients
-    pin_dof: np.ndarray      # H1 projector in dof representation
     pi0s: np.ndarray         # L2 projector onto P_k
     pi0km1s: np.ndarray      # L2 projector onto P_{k-1} (load term)
     pigrad: tuple            # (x, y) L2 gradient projectors onto P_{k-1}
@@ -88,107 +107,103 @@ class VemElement:
     Mq: np.ndarray           # monomials at quadrature points
 
 
-def build_element(points, k: int, cell_id=None) -> VemElement:
-    """All local projector matrices of one polygonal cell."""
+def build_element(points, k: int, cell_id=None, triangles=None) -> VemElement:
+    """All local projector matrices of one polygonal cell (n, 2), or of a
+    stack of cells (..., n, 2) with one vertex count, built in one pass.
+
+    ``triangles`` (..., t, 3) is the ear clipping of each cell; when
+    omitted, ``polygon_quadrature`` clips the cells itself.
+    """
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    area, cx, cy = geometry.polygon_area_centroid(pts)
-    if area <= 0.0:
-        raise MeshError(f"degenerate cell {cell_id} in element construction")
-    center = np.array([cx, cy])
-    h = float(geometry.polygon_diameter(pts))
+    lead, n = pts.shape[:-2], pts.shape[-2]
+    # shoelace sums accumulated left to right (cumsum) as in
+    # geometry.polygon_area_centroid, which makes area and centroid equal to
+    # it bit for bit
+    x, y = pts[..., 0], pts[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    w = x * yn - xn * y
+    a2 = np.cumsum(w, axis=-1)[..., -1]
+    area = 0.5 * a2
+    bad = area <= 0.0
+    if bad.any():
+        who = np.broadcast_to(np.asarray(cell_id, dtype=object), bad.shape)[bad][0]
+        raise MeshError(f"degenerate cell {who} in element construction")
+    center = np.stack([np.cumsum((x + xn) * w, axis=-1)[..., -1] / (3.0 * a2),
+                       np.cumsum((y + yn) * w, axis=-1)[..., -1] / (3.0 * a2)], axis=-1)
+    d = pts[..., :, None, :] - pts[..., None, :, :]
+    h = np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).max(axis=(-2, -1)))
     exps = monomial_exponents(k)
-    nk = len(exps)
     nk1 = monomial_dim(k - 1)
     nmom = k * (k - 1) // 2
-    ndof = n * k + nmom
+    ndof = n_local_dofs(k, n)
     mom_base = n * k
 
-    qp, qw = polygon_quadrature(pts, 2 * k + 2)
+    qp, qw = polygon_quadrature(pts, 2 * k + 2, triangles)
     Mq = eval_monomials(exps, qp, center, h)
-    H = Mq.T @ (qw[:, None] * Mq)
+    H = Mq.swapaxes(-1, -2) @ (qw[..., None] * Mq)
 
-    # dof positions: vertices, then k-1 internal Lobatto points per edge
-    D = np.empty((ndof, nk))
-    D[:n] = eval_monomials(exps, pts, center, h)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        gl, _ = gauss_lobatto_points(k, a, b)
-        if k > 1:
-            D[n + i * (k - 1): n + (i + 1) * (k - 1)] = eval_monomials(
-                exps, gl, center, h
-            )
-    if nmom:
-        D[mom_base:] = H[:nmom, :] / area
+    # dof positions: vertices, then k-1 internal Lobatto points per edge;
+    # edge i runs from vertex i to vertex i+1
+    nxt = np.roll(pts, -1, axis=-2)
+    gl, _ = gauss_lobatto_points(k, pts, nxt)
+    D = np.concatenate([
+        eval_monomials(exps, pts, center, h),
+        eval_monomials(exps, gl.reshape(lead + (-1, 2)), center, h),
+        H[..., :nmom, :] / area[..., None, None],
+    ], axis=-2)
 
-    def edge_dof(i, q):
-        if q == 0:
-            return i
-        if q == k:
-            return (i + 1) % n
-        return n + i * (k - 1) + (q - 1)
-
-    # B: rows (grad m_r, grad phi_j) by parts; row 0 fixes the projector constant
-    B = np.zeros((nk, ndof))
-    Ex = np.zeros((nk1, ndof))
-    Ey = np.zeros((nk1, ndof))
-    elen = np.empty(n)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        d = b - a
-        ln = np.hypot(*d)
-        elen[i] = ln
-        nrm = np.array([d[1], -d[0]]) / ln
-        ep, ew = edge_lobatto_quadrature(k, a, b)
-        gx, gy = eval_monomial_grads(exps, ep, center, h)
-        Me = eval_monomials(exps, ep, center, h)
-        for q in range(k + 1):
-            j = edge_dof(i, q)
-            flux = ew[q] * (gx[q] * nrm[0] + gy[q] * nrm[1])
-            B[:, j] += flux
-            Ex[:, j] += ew[q] * nrm[0] * Me[q, :nk1]
-            Ey[:, j] += ew[q] * nrm[1] * Me[q, :nk1]
+    # B: rows (grad m_r, grad phi_j) by parts; row 0 fixes the projector
+    # constant.  Edge terms are summed per Lobatto point, then scattered to
+    # the dofs.
+    e = nxt - pts
+    elen = np.hypot(e[..., 0], e[..., 1])
+    ep, ew = edge_lobatto_quadrature(k, pts, nxt)
+    ep = ep.reshape(lead + (-1, 2))
+    wnx = (ew * (e[..., 1] / elen)[..., None]).reshape(lead + (-1, 1))
+    wny = (ew * (-e[..., 0] / elen)[..., None]).reshape(lead + (-1, 1))
+    gx, gy = eval_monomial_grads(exps, ep, center, h)
+    Me = eval_monomials(exps, ep, center, h)[..., :nk1]
+    S = _edge_scatter(n, k)
+    B = (wnx * gx + wny * gy).swapaxes(-1, -2) @ S
+    Ex = (wnx * Me).swapaxes(-1, -2) @ S
+    Ey = (wny * Me).swapaxes(-1, -2) @ S
     if nmom:
         for r, (a_, b_) in enumerate(exps):
             if a_ >= 2:
-                B[r, mom_base + _monomial_index(a_ - 2, b_)] -= (
+                B[..., r, mom_base + _monomial_index(a_ - 2, b_)] -= (
                     area * a_ * (a_ - 1) / h**2
                 )
             if b_ >= 2:
-                B[r, mom_base + _monomial_index(a_, b_ - 2)] -= (
+                B[..., r, mom_base + _monomial_index(a_, b_ - 2)] -= (
                     area * b_ * (b_ - 1) / h**2
                 )
         for r, (a_, b_) in enumerate(exps[:nk1]):
             if a_ >= 1:
-                Ex[r, mom_base + _monomial_index(a_ - 1, b_)] -= area * a_ / h
+                Ex[..., r, mom_base + _monomial_index(a_ - 1, b_)] -= area * a_ / h
             if b_ >= 1:
-                Ey[r, mom_base + _monomial_index(a_, b_ - 1)] -= area * b_ / h
+                Ey[..., r, mom_base + _monomial_index(a_, b_ - 1)] -= area * b_ / h
 
-    B[0, :] = 0.0
+    B[..., 0, :] = 0.0
     if k == 1:
-        peri = elen.sum()
-        for j in range(n):
-            B[0, j] = (elen[j - 1] + elen[j]) / (2.0 * peri)
+        peri = elen.sum(axis=-1)
+        B[..., 0, :n] = (np.roll(elen, 1, axis=-1) + elen) / (2.0 * peri[..., None])
     else:
-        B[0, mom_base] = 1.0
+        B[..., 0, mom_base] = 1.0
 
-    G = B @ D
-    pins = np.linalg.solve(G, B)
-    pin_dof = D @ pins
+    pins = np.linalg.solve(B @ D, B)
 
     # L2 projector onto P_k: exact moments up to k-2, enhancement above
+    moments = (np.arange(nmom), mom_base + np.arange(nmom))
     C = H @ pins
-    for r in range(nmom):
-        C[r, :] = 0.0
-        C[r, mom_base + r] = area
+    C[..., :nmom, :] = 0.0
+    C[(...,) + moments] = area[..., None]
     pi0s = np.linalg.solve(H, C)
 
-    H1 = H[:nk1, :nk1]
-    C1 = (H[:nk1, :] @ pins)
-    for r in range(min(nmom, nk1)):
-        C1[r, :] = 0.0
-        C1[r, mom_base + r] = area
-    pi0km1s = np.linalg.solve(H1, C1)
+    H1 = H[..., :nk1, :nk1]
+    C = H[..., :nk1, :] @ pins
+    C[..., :nmom, :] = 0.0
+    C[(...,) + moments] = area[..., None]
+    pi0km1s = np.linalg.solve(H1, C)
 
     pgx = np.linalg.solve(H1, Ex)
     pgy = np.linalg.solve(H1, Ey)
@@ -196,13 +211,12 @@ def build_element(points, k: int, cell_id=None) -> VemElement:
     return VemElement(
         k=k,
         points=pts,
-        area=float(area),
+        area=area[()],
         centroid=center,
-        diameter=h,
+        diameter=h[()],
         ndof=ndof,
         D=D,
         pins=pins,
-        pin_dof=pin_dof,
         pi0s=pi0s,
         pi0km1s=pi0km1s,
         pigrad=(pgx, pgy),
@@ -224,33 +238,38 @@ def local_stiffness(element: VemElement, K=None) -> np.ndarray:
     if ev[0] <= 0.0:
         raise ValueError("K must be positive definite")
     nk1 = monomial_dim(element.k - 1)
-    H1 = element.H[:nk1, :nk1]
+    H1 = element.H[..., :nk1, :nk1]
     g = element.pigrad
-    A = np.zeros((element.ndof, element.ndof))
+    A = np.zeros(element.D.shape[:-2] + (element.ndof, element.ndof))
     for c in range(2):
         for d in range(2):
             if K[c, d] != 0.0:
-                A += K[c, d] * (g[c].T @ H1 @ g[d])
-    S = np.eye(element.ndof) - element.pin_dof
-    A += np.linalg.norm(K, 2) * (S.T @ S)
-    return 0.5 * (A + A.T)
+                A += K[c, d] * (g[c].swapaxes(-1, -2) @ H1 @ g[d])
+    S = np.eye(element.ndof) - element.D @ element.pins
+    A += np.linalg.norm(K, 2) * (S.swapaxes(-1, -2) @ S)
+    return 0.5 * (A + A.swapaxes(-1, -2))
 
 
 def local_load(element: VemElement, f) -> np.ndarray:
     """(f, Pi0_{k-1} phi_j) over the cell via the stored quadrature."""
     nk1 = monomial_dim(element.k - 1)
-    fv = np.asarray(f(element.qp), dtype=float)
-    fm = element.Mq[:, :nk1].T @ (element.qw * fv)
-    return element.pi0km1s.T @ fm
+    fv = _at_points(f, element.qp)
+    fm = np.einsum("...pr,...p->...r", element.Mq[..., :nk1], element.qw * fv)
+    return np.einsum("...rj,...r->...j", element.pi0km1s, fm)
+
+
+def _at_points(fn, pts) -> np.ndarray:
+    """``fn`` of (N, 2) points evaluated at stacked (..., p, 2) points."""
+    out = np.asarray(fn(pts.reshape(-1, 2)), dtype=float)
+    return out.reshape(pts.shape[:-1] + out.shape[1:])
 
 
 def projector_discrepancies(element: VemElement):
-    """Spectral norms of Pi_nabla*D - I and Pi0*D - I."""
-    nk = element.D.shape[1]
-    eye = np.eye(nk)
-    dn = np.linalg.norm(element.pins @ element.D - eye, 2)
-    d0 = np.linalg.norm(element.pi0s @ element.D - eye, 2)
-    return float(dn), float(d0)
+    """Spectral norms of Pi_nabla*D - I and Pi0*D - I (one per stacked cell)."""
+    eye = np.eye(element.D.shape[-1])
+    dn = np.linalg.norm(element.pins @ element.D - eye, 2, axis=(-2, -1))
+    d0 = np.linalg.norm(element.pi0s @ element.D - eye, 2, axis=(-2, -1))
+    return dn[()], d0[()]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +289,10 @@ class DofMap:
 
     def edge_slot(self, edge_id: int, s: int) -> int:
         return self.edge_base + edge_id * (self.k - 1) + s
+
+    def group_dofs(self, cell_ids) -> np.ndarray:
+        """(m, ndof) local-to-global ids of cells with one vertex count."""
+        return np.stack([self.cell_dofs[c] for c in cell_ids])
 
     def edge_slots(self, edge_id: int) -> np.ndarray:
         km1 = self.k - 1
@@ -374,23 +397,42 @@ class SparseSpdSystem:
         return self._factor
 
 
+def cell_groups(mesh: PolygonalMesh):
+    """Cells grouped by (vertex count, ear-clip triangle count), keys ascending.
+
+    Yields (cell ids, (m, n) vertex ids, (m, t, 3) ear-clip triangles).
+    Straight vertices yield no triangle, so the cells of one group share
+    one quadrature layout and stack without padding.
+    """
+    groups = {}
+    for ci, ids in enumerate(mesh.cells):
+        tris = geometry.ear_clip(mesh.points[ids])
+        groups.setdefault((len(ids), len(tris)), []).append((ci, ids, tris))
+    for key in sorted(groups):
+        cids, verts, tris = zip(*groups[key])
+        yield np.array(cids, dtype=np.int64), np.stack(verts), np.stack(tris)
+
+
 def build_local_system(mesh: PolygonalMesh, k: int, K=None, f=None):
-    """Element list plus COO triplets and load vector in mesh-local DOF ids."""
+    """Element groups plus COO triplets and load vector in mesh-local DOF ids.
+
+    One ``build_element`` call per ``cell_groups`` group; ``elements`` is a
+    list of (cell ids, stacked VemElement).
+    """
     dofmap = build_dof_map(mesh, k)
     elements = []
     rows, cols, vals = [], [], []
     b = np.zeros(dofmap.total)
-    for ci, ids in enumerate(mesh.cells):
-        el = build_element(mesh.points[ids], k, cell_id=ci)
-        elements.append(el)
+    for cids, verts, tris in cell_groups(mesh):
+        el = build_element(mesh.points[verts], k, cell_id=cids, triangles=tris)
+        elements.append((cids, el))
         Ke = local_stiffness(el, K)
-        g = dofmap.cell_dofs[ci]
-        gg = np.meshgrid(g, g, indexing="ij")
-        rows.append(gg[0].ravel())
-        cols.append(gg[1].ravel())
+        g = dofmap.group_dofs(cids)
+        rows.append(np.broadcast_to(g[:, :, None], Ke.shape).ravel())
+        cols.append(np.broadcast_to(g[:, None, :], Ke.shape).ravel())
         vals.append(Ke.ravel())
         if f is not None:
-            b[g] += local_load(el, f)
+            np.add.at(b, g, local_load(el, f))
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
@@ -402,7 +444,7 @@ def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
 
     ``dirichlet`` maps (n, 2) positions to values and is interpolated at the
     vertex and edge DOF points of boundary edges.  Returns the system plus
-    the element list for later error evaluation.
+    the element groups for later error evaluation.
     """
     if dirichlet is None:
         raise MeshError("boundary data missing: a Dirichlet callable is required")
@@ -497,44 +539,47 @@ def condition_estimate(system_or_matrix, tol=1e-6, max_iter=5000) -> CondEstimat
                         ok1 and ok2, it1 + it2)
 
 
+def _projected_solution(k, element, u_loc):
+    """Pi0_k u_h and the projected gradient at each cell's quadrature points."""
+    nk1 = monomial_dim(k - 1)
+
+    def at_qp(P, Mq):
+        return np.einsum("...pr,...r->...p", Mq,
+                         np.einsum("...rj,...j->...r", P, u_loc))
+
+    Mq1 = element.Mq[..., :nk1]
+    return (at_qp(element.pi0s, element.Mq),
+            at_qp(element.pigrad[0], Mq1), at_qp(element.pigrad[1], Mq1))
+
+
 def error_norms(mesh, k, elements, dofmap, solution, exact_u, exact_grad):
     """Global L2 error against Pi0_k u_h and H1 seminorm error on gradients."""
-    nk1 = monomial_dim(k - 1)
     l2 = 0.0
     h1 = 0.0
-    for ci in range(mesh.n_cells):
-        el = elements[ci]
-        u_loc = solution[dofmap.cell_dofs[ci]]
-        uh = el.Mq @ (el.pi0s @ u_loc)
-        gxh = el.Mq[:, :nk1] @ (el.pigrad[0] @ u_loc)
-        gyh = el.Mq[:, :nk1] @ (el.pigrad[1] @ u_loc)
-        ue = np.asarray(exact_u(el.qp), dtype=float)
-        ge = np.asarray(exact_grad(el.qp), dtype=float)
-        l2 += float(el.qw @ (ue - uh) ** 2)
-        h1 += float(el.qw @ ((ge[:, 0] - gxh) ** 2 + (ge[:, 1] - gyh) ** 2))
+    for cids, el in elements:
+        uh, gxh, gyh = _projected_solution(k, el, solution[dofmap.group_dofs(cids)])
+        ue = _at_points(exact_u, el.qp)
+        ge = _at_points(exact_grad, el.qp)
+        l2 += float(np.sum(el.qw * (ue - uh) ** 2))
+        h1 += float(np.sum(el.qw * ((ge[..., 0] - gxh) ** 2 + (ge[..., 1] - gyh) ** 2)))
     return np.sqrt(l2), np.sqrt(h1)
 
 
 def solution_norms(mesh, k, elements, dofmap, solution):
     """L2 norm and H1 seminorm of the projected discrete solution."""
-    nk1 = monomial_dim(k - 1)
     l2 = 0.0
     h1 = 0.0
-    for ci in range(mesh.n_cells):
-        el = elements[ci]
-        u_loc = solution[dofmap.cell_dofs[ci]]
-        uh = el.Mq @ (el.pi0s @ u_loc)
-        gxh = el.Mq[:, :nk1] @ (el.pigrad[0] @ u_loc)
-        gyh = el.Mq[:, :nk1] @ (el.pigrad[1] @ u_loc)
-        l2 += float(el.qw @ uh**2)
-        h1 += float(el.qw @ (gxh**2 + gyh**2))
+    for cids, el in elements:
+        uh, gxh, gyh = _projected_solution(k, el, solution[dofmap.group_dofs(cids)])
+        l2 += float(np.sum(el.qw * uh**2))
+        h1 += float(np.sum(el.qw * (gxh**2 + gyh**2)))
     return np.sqrt(l2), np.sqrt(h1)
 
 
-def projection_discrepancy(mesh: PolygonalMesh, k: int, elements=None):
-    """Per-cell spectral norms of the two projector identities."""
-    if elements is None:
-        elements = [build_element(mesh.points[ids], k, cell_id=ci)
-                    for ci, ids in enumerate(mesh.cells)]
-    out = np.array([projector_discrepancies(el) for el in elements])
-    return out[:, 0], out[:, 1]
+def projection_discrepancy(mesh: PolygonalMesh, k: int, elements):
+    """Per-cell spectral norms of the two projector identities, in cell order."""
+    dn = np.empty(mesh.n_cells)
+    d0 = np.empty(mesh.n_cells)
+    for cids, el in elements:
+        dn[cids], d0[cids] = projector_discrepancies(el)
+    return dn, d0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 
 from polyagg.mesh import build_mesh, make_cell
 
@@ -142,3 +143,44 @@ def kernel_sampling_oracle(poly, grid=25):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# tokens a file mutation may write: numbers at and beyond the float and
+# int64 ranges, non-finite values, every block keyword and plain junk
+FUZZ_TOKENS = ("0", "1", "-1", "2", "3", "5", "0.5", "-0.25", "1e308", "1e400", "inf",
+               "-inf", "nan", "99999999999999999999", "x", "x + y", "log(x)", "#",
+               "V", "C", "E", "F", "K", "T", "BC", "dirichlet")
+
+
+@st.composite
+def mutated_file(draw, text):
+    """``text`` after 1-4 random line drops, duplications, swaps and token
+    replacements, insertions and deletions."""
+    lines = [ln.split() for ln in text.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("drop", "dup", "swap", "replace", "insert", "delete")))
+        if not lines:
+            lines.append([])
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, list(line))
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], line
+        elif op == "insert":
+            line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(FUZZ_TOKENS)))
+        elif line:
+            j = draw(st.integers(0, len(line) - 1))
+            if op == "replace":
+                line[j] = draw(st.sampled_from(FUZZ_TOKENS))
+            else:
+                del line[j]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+# settings of the parser fuzz tests: a fixed example sequence keeps Tier-1
+# reproducible and fast
+FUZZ_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -59,6 +59,11 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
     pytest.param(".mesh", TRIANGLE + "C 1\n0 1 2\nE z\n", 7, id="mesh-edge-count"),
     pytest.param(".mesh", TRIANGLE + "C 2\n0 1 7\n0 1 2\n", 6, id="mesh-missing-vertex"),
     pytest.param(".mesh", TRIANGLE + "C 1\n0 1\n", 6, id="mesh-two-vertex-cell"),
+    pytest.param(".mesh", TRIANGLE + "C 1\n0 1 2\nE 1\n0 5\n", 8, id="mesh-edge-not-an-edge"),
+    pytest.param(".mesh", "V 3\n0 0\nnan 0\n0 1\nC 1\n0 1 2\n", 3, id="mesh-nan-vertex"),
+    pytest.param(".mesh", TRIANGLE + "C 1\n0 1 99999999999999999999\n", 6,
+                 id="mesh-huge-index"),
+    pytest.param(".mesh", "V 99999999999999999999\n0 0\n", 2, id="mesh-huge-count"),
     pytest.param(".dfn", "F two\n", 1, id="dfn-fracture-count"),
     pytest.param(".dfn", "F 0\n", 1, id="dfn-no-fractures"),
     pytest.param(".dfn", "F 1\nthree\n", 2, id="dfn-vertex-count"),
@@ -66,6 +71,8 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
     pytest.param(".dfn", "F 1\n3\n0 0 0\n1 0 0\n0 1 0\nK 1 0 one\n", 6,
                  id="dfn-transmissivity"),
     pytest.param(".dfn", "F 1\n3\n0 0 0\n", 3, id="dfn-truncated"),
+    pytest.param(".dfn", "F 3" + TWO_FRACTURES[3:] + "4\n5 5 5\n6 5 5\n6 6 5\n5 6 5\n", 12,
+                 id="dfn-isolated-fracture"),
     pytest.param(".dfn", TWO_FRACTURES + "T x\n", 12, id="dfn-trace-count"),
     pytest.param(".dfn", TWO_FRACTURES + "T\n", 12, id="dfn-trace-header"),
     pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 5 0 0 0 1 0 0\n", 13,
@@ -90,6 +97,18 @@ def test_malformed_input_exit2_with_line(tmp_path, capsys, suffix, text, line):
         args = ["dfn-solve", "--network", path, "--area", "0.1"]
     assert run(["--out", tmp_path / "out", *args]) == 2
     assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["agglomerate", "any.mesh"], id="agglomerate"),
+    pytest.param(["dfn-solve", "--network", "builtin:network1"], id="dfn-solve"),
+])
+@pytest.mark.parametrize("lam", ["2", "-0.5", "nan", "one"])
+def test_lambda_out_of_range_exit2(capsys, command, lam):
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--lambda", lam])
+    assert exc.value.code == 2
+    assert "lambda must be a number in [0, 1]" in capsys.readouterr().err
 
 
 def test_missing_file_exit2(tmp_path):

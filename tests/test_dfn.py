@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from polyagg import vem
 from polyagg.agglomerate import AgglomerationConfig, agglomerate
@@ -30,8 +31,10 @@ from polyagg.dfn import (
     NetworkCase,
     FractureSolution,
 )
-from polyagg.mesh import build_mesh
+from polyagg.mesh import MeshFormatError, build_mesh
 from polyagg.solutions import CATALOG
+
+from conftest import FUZZ_SETTINGS, mutated_file
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +474,14 @@ def test_partial_dirichlet_planes_leave_neumann_boundary(tmp_path, k):
     )
 
 
+def test_non_finite_bc_value_on_its_plane_is_an_error(tmp_path):
+    path = tmp_path / "net.dfn"
+    path.write_text(TWO_FRACTURES.replace("x + y", "log(x - 2)"))
+    disc = discretize_network(load_network(path), max_area=0.05)
+    with pytest.raises(NetworkError, match="dirichlet plane 0 0 -1 1: value nan"):
+        solve_discretized(disc, 1, estimate_condition=False)
+
+
 def test_load_network_bad_file(tmp_path):
     path = tmp_path / "bad.dfn"
     path.write_text("F 1\n3\n0 0 0\n1 0 0\n")
@@ -478,3 +489,25 @@ def test_load_network_bad_file(tmp_path):
 
     with pytest.raises(MeshFormatError):
         load_network(path)
+
+
+# TWO_FRACTURES with its trace written out, so that mutations reach the T block
+TWO_FRACTURES_TRACED = TWO_FRACTURES.replace("BC 2", "T 1\n0 1 0 0 0 1 0 0\nBC 2")
+
+
+def test_valid_network_fixture_loads(tmp_path):
+    path = tmp_path / "ok.dfn"
+    path.write_text(TWO_FRACTURES_TRACED)
+    case = load_network(path)
+    assert len(case.network.traces) == 1 and len(case.network.bcs) == 2
+
+
+@FUZZ_SETTINGS
+@given(text=mutated_file(TWO_FRACTURES_TRACED))
+def test_load_network_fuzz_raises_only_line_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.dfn"
+    path.write_text(text)
+    try:
+        load_network(path)
+    except MeshFormatError as err:
+        assert err.line is not None, f"no line number: {err}"

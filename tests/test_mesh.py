@@ -13,7 +13,9 @@ from polyagg.mesh import (
     simplify_aligned_edges,
 )
 
-from conftest import grid_mesh
+from hypothesis import given
+
+from conftest import FUZZ_SETTINGS, grid_mesh, mutated_file
 
 
 TWO_SQUARES = dict(
@@ -178,3 +180,24 @@ def test_mesh_io_error_has_line(tmp_path):
     path.write_text("V 2\n0 0\nnope 1\n")
     with pytest.raises(MeshFormatError, match="line 3"):
         load_mesh(path)
+
+
+# two unit squares sharing the constrained edge 1-4
+VALID_MESH = "V 6\n0 0\n1 0 1\n2 0\n2 1\n1 1 1\n0 1\nC 2\n0 1 4 5\n1 2 3 4\nE 1\n1 4\n"
+
+
+def test_valid_mesh_fixture_loads(tmp_path):
+    path = tmp_path / "ok.mesh"
+    path.write_text(VALID_MESH)
+    assert load_mesh(path).n_cells == 2
+
+
+@FUZZ_SETTINGS
+@given(text=mutated_file(VALID_MESH))
+def test_load_mesh_fuzz_raises_only_line_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.mesh"
+    path.write_text(text)
+    try:
+        load_mesh(path)
+    except MeshFormatError as err:
+        assert err.line is not None, f"no line number: {err}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from polyagg.agglomerate import AgglomerationConfig, agglomerate
+from polyagg.agglomerate import AgglomerationConfig, agglomerate, apply_labeling
 from polyagg.mesh import build_mesh
 from polyagg.solutions import CATALOG, polynomial_of_degree
 from polyagg import vem
@@ -287,3 +287,65 @@ def test_projection_discrepancy_square_vs_sliver():
     )
     nice = build_element(SQUARE, 3)
     assert projector_discrepancies(sliver)[0] > projector_discrepancies(nice)[0]
+
+
+# 6 x 6 grid squares, bottom row first; squares with one letter merge into one
+# cell, "." squares stay two triangles.  The U and L cells are non-convex and
+# several cells keep straight (hanging) vertices where their neighbours do.
+MIXED_REGIONS = (
+    "UUUAAB",
+    "U.UAB.",
+    "U.U.BB",
+    "LL..QQ",
+    "L..CC.",
+    "..CC..",
+)
+
+
+def _turns(p):
+    """Cross products of consecutive edges: negative at a reflex vertex."""
+    d = np.roll(p, -1, axis=0) - p
+    nd = np.roll(d, -1, axis=0)
+    return d[:, 0] * nd[:, 1] - d[:, 1] * nd[:, 0]
+
+
+@pytest.fixture(scope="module")
+def mixed_mesh():
+    base = tri_grid_mesh(6, 6)
+    labels = np.arange(base.n_cells)
+    for j, row in enumerate(MIXED_REGIONS):
+        for i, ch in enumerate(row):
+            if ch != ".":
+                labels[2 * (6 * j + i): 2 * (6 * j + i) + 2] = base.n_cells + ord(ch)
+    return apply_labeling(base, labels)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_build_matches_single_cells(mixed_mesh, k):
+    m = mixed_mesh
+    groups = list(vem.cell_groups(m))
+    counts = [len(ids) for ids in m.cells]
+    assert min(counts) == 3 and max(counts) >= 9
+    assert any((_turns(m.points[ids]) < 0).any() for ids in m.cells)  # non-convex
+    assert any(t.shape[1] < v.shape[1] - 2 for _, v, t in groups)  # straight vertices
+    assert any(len(cids) == 1 for cids, _, _ in groups)
+    assert any(len(cids) > 1 for cids, _, _ in groups)
+    K = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+    def f(p):
+        return np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2
+
+    seen = []
+    for cids, verts, tris in groups:
+        el = build_element(m.points[verts], k, cell_id=cids, triangles=tris)
+        A, b = local_stiffness(el, K), local_load(el, f)
+        dn, d0 = projector_discrepancies(el)
+        for j, c in enumerate(cids):
+            one = build_element(m.points[m.cells[c]], k)
+            A1, b1 = local_stiffness(one, K), local_load(one, f)
+            assert np.abs(A[j] - A1).max() <= 1e-12 * np.abs(A1).max()
+            assert np.abs(b[j] - b1).max() <= 1e-12 * np.abs(b1).max()
+            dn1, d01 = projector_discrepancies(one)
+            assert abs(dn[j] - dn1) <= 1e-10 and abs(d0[j] - d01) <= 1e-10
+            seen.append(c)
+    assert sorted(seen) == list(range(m.n_cells))
