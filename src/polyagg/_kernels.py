@@ -2,7 +2,11 @@
 
 Both are plain Python/NumPy.  Callers reach them as ``_kernels.quality_scores``
 and ``_kernels.maxflow`` so that a tracer can replace the module attribute.
+``maxflow`` scores every cut of a graph with at most ``ENUM_MAX_NODES`` nodes
+at once and runs Dinic above that; both return the same canonical cut.
 """
+
+import functools
 
 import numpy as np
 
@@ -103,8 +107,18 @@ def quality_scores(pts, collinear_tol, kernel_rel_tol):
 
 
 # ---------------------------------------------------------------------------
-# s-t max flow (Dinic) on terminal + pairwise capacities
+# s-t min cut on terminal + pairwise capacities
 # ---------------------------------------------------------------------------
+
+# graphs up to this many nodes are solved by enumerating all 2**n cuts
+ENUM_MAX_NODES = 12
+
+
+@functools.cache
+def _cut_table(n):
+    """(2**n, n) bool table whose row r holds the bits of r (True: source side)."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+
 
 def maxflow(cap_s, cap_t, edge_u, edge_v, edge_cap):
     """Exact s-t min cut of a binary energy graph.
@@ -113,8 +127,28 @@ def maxflow(cap_s, cap_t, edge_u, edge_v, edge_cap):
     (sink arc); each undirected pair (edge_u[k], edge_v[k]) carries symmetric
     capacity edge_cap[k].  All capacities are nonnegative int64.  Returns
     (flow, mask) where mask[i] is True when node i lies on the source side of
-    the canonical minimum cut (residual reachability).
+    the canonical minimum cut: the smallest min-cut source set, which is the
+    set reachable from the source in the residual graph of a maximum flow.
+
+    Up to ``ENUM_MAX_NODES`` nodes every cut is scored from a cached bit table
+    and the mask is the intersection of all optimal cuts (min cuts are closed
+    under intersection); larger graphs run Dinic.  Both give the same cut.
     """
+    n = cap_s.shape[0]
+    if n > ENUM_MAX_NODES:
+        return _dinic(cap_s, cap_t, edge_u, edge_v, edge_cap)
+    table = _cut_table(n)
+    # a source-side node pays its sink arc, a sink-side node its source arc
+    cost = table @ (cap_t - cap_s) + cap_s.sum()
+    cost += (table[:, edge_u] != table[:, edge_v]) @ edge_cap
+    # the smallest optimal source set is a subset of every other optimal set,
+    # so it is the optimal row with the lowest index: the first argmin
+    best = cost.argmin()
+    return cost[best], table[best].copy()
+
+
+def _dinic(cap_s, cap_t, edge_u, edge_v, edge_cap):
+    """``maxflow`` by Dinic's algorithm; mask is residual reachability."""
     n = cap_s.shape[0]
     m = edge_u.shape[0]
     nn = n + 2

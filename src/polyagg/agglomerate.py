@@ -124,7 +124,7 @@ class _Problem:
         self.w = _round_half_away(config.lam * self.scale)
         self.potts = config.sc_mode == "potts"
         self.adj_pairs = mesh.adjacency_pairs()
-        self.neighbors = mesh.neighbors
+        self.neighbors = [nb.tolist() for nb in mesh.neighbors]
         self.dc_int = {}
         for (i, j) in self.adj_pairs:
             r = _pair_union_quality(mesh, i, j)
@@ -191,8 +191,10 @@ def min_cut(cap_source, cap_sink, pair_edges, pair_caps):
 
     ``cap_source``/``cap_sink`` are per-node terminal capacities and
     ``pair_edges``/``pair_caps`` symmetric pairwise capacities; all must be
-    nonnegative integers.  The source side is the canonical residual-reachable
-    set, which makes ties deterministic.
+    nonnegative integers.  The source side is the canonical cut, the smallest
+    optimal source set (residual reachability), which makes ties
+    deterministic.  ``_kernels.maxflow`` finds it by enumerating all cuts up
+    to ``_kernels.ENUM_MAX_NODES`` nodes and by Dinic above.
     """
     cs = np.ascontiguousarray(cap_source, dtype=np.int64)
     ct = np.ascontiguousarray(cap_sink, dtype=np.int64)
@@ -206,62 +208,73 @@ def min_cut(cap_source, cap_sink, pair_edges, pair_caps):
     return int(flow), mask
 
 
-def _swap(problem: _Problem, labels, alpha: int, beta: int):
-    """One alpha-beta swap move; returns (labels, energy delta <= 0)."""
-    w = problem.w
-    in_set = (labels == alpha) | (labels == beta)
-    nodes = np.nonzero(in_set)[0]
-    if len(nodes) == 0:
-        return labels, 0
-    pos = {int(c): k for k, c in enumerate(nodes)}
+def _swap(problem: _Problem, labels: list, members: dict, alpha: int, beta: int):
+    """One alpha-beta swap move; returns the energy delta <= 0.
 
-    cost_a = np.zeros(len(nodes), dtype=np.int64)
-    cost_b = np.zeros(len(nodes), dtype=np.int64)
+    ``labels`` is a list of labels per cell and ``members`` maps each label to
+    the list of its cells; an improving move updates both in place.
+    """
+    nodes = members.get(alpha, []) + members.get(beta, [])
+    if not nodes:
+        return 0
+    w = problem.w
+    data_int = problem.data_int
+    sc_val = problem.sc_val
+    pos = {c: k for k, c in enumerate(nodes)}
+    pair_w = w * sc_val(alpha, beta)
+    cost_a, cost_b, eu, ev = [], [], [], []
     cur = 0
     for k, c in enumerate(nodes):
-        c = int(c)
-        lc = int(labels[c])
-        cost_a[k] = problem.data_int(c, alpha)
-        cost_b[k] = problem.data_int(c, beta)
-        cur += problem.data_int(c, lc)
+        lc = labels[c]
+        ca = data_int(c, alpha)
+        cb = data_int(c, beta)
+        cur += ca if lc == alpha else cb
         for nb in problem.neighbors[c]:
-            nb = int(nb)
-            if in_set[nb]:
+            j = pos.get(nb)
+            if j is not None:
                 if nb > c:
-                    cur += w * problem.sc_val(lc, int(labels[nb]))
+                    cur += w * sc_val(lc, labels[nb])
+                    if pair_w > 0:
+                        eu.append(k)
+                        ev.append(j)
                 continue
-            lq = int(labels[nb])
-            cost_a[k] += w * problem.sc_val(alpha, lq)
-            cost_b[k] += w * problem.sc_val(beta, lq)
-            cur += w * problem.sc_val(lc, lq)
+            lq = labels[nb]
+            ca += w * sc_val(alpha, lq)
+            cb += w * sc_val(beta, lq)
+            cur += w * sc_val(lc, lq)
+        cost_a.append(ca)
+        cost_b.append(cb)
 
-    pair_w = w * problem.sc_val(alpha, beta)
-    eu, ev = [], []
-    if pair_w > 0:
-        for k, c in enumerate(nodes):
-            c = int(c)
-            for nb in problem.neighbors[c]:
-                nb = int(nb)
-                if nb > c and in_set[nb]:
-                    eu.append(k)
-                    ev.append(pos[nb])
-    caps = np.full(len(eu), pair_w, dtype=np.int64)
     flow, mask = _kernels.maxflow(
-        cost_b,
-        cost_a,
-        np.asarray(eu, dtype=np.int64),
-        np.asarray(ev, dtype=np.int64),
-        caps,
+        np.array(cost_b, dtype=np.int64),
+        np.array(cost_a, dtype=np.int64),
+        np.array(eu, dtype=np.int64),
+        np.array(ev, dtype=np.int64),
+        np.full(len(eu), pair_w, dtype=np.int64),
     )
     delta = int(flow) - cur
     if delta > 0:
         raise RuntimeError("swap move increased the energy; graph construction bug")
     if delta == 0:
-        return labels, 0
-    out = labels.copy()
-    out[nodes[mask]] = alpha
-    out[nodes[~mask]] = beta
-    return out, delta
+        return 0
+    to_alpha, to_beta = [], []
+    for c, source_side in zip(nodes, mask.tolist()):
+        if source_side:
+            labels[c] = alpha
+            to_alpha.append(c)
+        else:
+            labels[c] = beta
+            to_beta.append(c)
+    members[alpha] = to_alpha
+    members[beta] = to_beta
+    return delta
+
+
+def _members(labels: list) -> dict:
+    out = {}
+    for c, lab in enumerate(labels):
+        out.setdefault(lab, []).append(c)
+    return out
 
 
 def swap_move(mesh: PolygonalMesh, labels, alpha: int, beta: int,
@@ -269,8 +282,10 @@ def swap_move(mesh: PolygonalMesh, labels, alpha: int, beta: int,
     """Optimal reassignment of all alpha/beta cells between the two labels."""
     if alpha == beta:
         raise ValueError("alpha and beta must differ")
-    labels = np.asarray(labels, dtype=np.int64).copy()
-    return _swap(_Problem(mesh, config), labels, int(alpha), int(beta))
+    labels = np.asarray(labels, dtype=np.int64).tolist()
+    delta = _swap(_Problem(mesh, config), labels, _members(labels),
+                  int(alpha), int(beta))
+    return np.array(labels, dtype=np.int64), delta
 
 
 def minimize(mesh: PolygonalMesh, config: AgglomerationConfig,
@@ -283,22 +298,22 @@ def minimize(mesh: PolygonalMesh, config: AgglomerationConfig,
     EnergyBreakdown per completed cycle plus the initial state.
     """
     problem = _problem if _problem is not None else _Problem(mesh, config)
-    labels = trivial_labeling(mesh.n_cells)
+    labels = list(range(mesh.n_cells))
+    members = _members(labels)
     history = [_energy(problem, labels, iterations=0)]
     for cycle in range(1, config.max_cycles + 1):
         pairs = set()
         for (i, j) in problem.adj_pairs:
-            a, b = int(labels[i]), int(labels[j])
+            a, b = labels[i], labels[j]
             if a != b:
                 pairs.add((min(a, b), max(a, b)))
         total_delta = 0
         for (a, b) in sorted(pairs):
-            labels, d = _swap(problem, labels, a, b)
-            total_delta += d
+            total_delta += _swap(problem, labels, members, a, b)
         history.append(_energy(problem, labels, iterations=cycle))
         if total_delta == 0:
             break
-    return labels, history
+    return np.array(labels, dtype=np.int64), history
 
 
 def apply_labeling(mesh: PolygonalMesh, labels) -> PolygonalMesh:

@@ -78,6 +78,13 @@ def make_fracture(vertices3, K=None, fid=0, frame=None) -> Fracture:
     verts = np.asarray(vertices3, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 3:
         raise NetworkError(f"fracture {fid}: need at least 3 3D vertices")
+    edge_len = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+    short = np.flatnonzero(edge_len <= 1e-10 * edge_len.max())
+    if len(short):
+        i = int(short[0])
+        raise NetworkError(
+            f"fracture {fid}: vertices {i} and {(i + 1) % len(verts)} coincide"
+        )
     if frame is not None:
         origin, u_axis, v_axis = (np.asarray(a, dtype=float) for a in frame)
         normal = np.cross(u_axis, v_axis)

@@ -71,6 +71,7 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
     pytest.param(".dfn", "F 1\n3\n0 0 0\n1 0 0\n0 1 0\nK 1 0 one\n", 6,
                  id="dfn-transmissivity"),
     pytest.param(".dfn", "F 1\n3\n0 0 0\n", 3, id="dfn-truncated"),
+    pytest.param(".dfn", "F 2\n5\n0 0 0\n" + TWO_FRACTURES[6:], 7, id="dfn-repeated-vertex"),
     pytest.param(".dfn", "F 3" + TWO_FRACTURES[3:] + "4\n5 5 5\n6 5 5\n6 6 5\n5 6 5\n", 12,
                  id="dfn-isolated-fracture"),
     pytest.param(".dfn", TWO_FRACTURES + "T x\n", 12, id="dfn-trace-count"),

@@ -22,6 +22,21 @@ def test_maxflow_int64_saturation_safe():
     assert mask.tolist() == [False]
 
 
+def test_maxflow_int64_saturation_safe_above_enumeration():
+    n = _kernels.ENUM_MAX_NODES + 1  # solved by Dinic
+    big = np.int64(1) << 40
+    cap_s = np.zeros(n, dtype=np.int64)
+    cap_t = np.zeros(n, dtype=np.int64)
+    cap_s[0] = big
+    cap_t[-1] = big + 5
+    chain = np.arange(n - 1, dtype=np.int64)
+    flow, mask = _kernels.maxflow(
+        cap_s, cap_t, chain, chain + 1, np.full(n - 1, big << 1, dtype=np.int64)
+    )
+    assert flow == big
+    assert mask.tolist() == [False] * n
+
+
 def test_benchmark_patch_targets_exist():
     """Every attribute the benchmark tracer patches or reads is still there."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
