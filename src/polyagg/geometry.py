@@ -1,8 +1,14 @@
 """Plain polygon geometry used by the mesh, quality and cutting layers.
 
 All polygons are (n, 2) float64 arrays; unless stated otherwise they are
-assumed simple and counter-clockwise.
+assumed simple and counter-clockwise.  The area, centroid, diameter and
+simplicity primitives also take a stack (..., n, 2) of polygons with one
+vertex count and return one value per polygon; a single polygon is the
+stack without leading axes, so each primitive has one implementation.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -20,51 +26,47 @@ def as_points(pts) -> np.ndarray:
     return a
 
 
+def _successors(pts):
+    """Vertex i+1 (cyclic) at row i of every polygon of a stack (..., n, 2)."""
+    return np.concatenate((pts[..., 1:, :], pts[..., :1, :]), axis=-2)
+
+
+def _sum_left(terms):
+    """Sum over the last axis, left to right as a scalar loop adds.
+
+    A cell's sum then does not depend on the stack it was computed in, as
+    the pairwise summation of ``np.sum`` would.  0 for an empty axis.
+    """
+    if terms.shape[-1] == 0:
+        return np.zeros(terms.shape[:-1])
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
 def polygon_area(pts):
-    """Shoelace signed area; positive for CCW polygons."""
-    n = pts.shape[0]
-    a = 0.0
-    for i in range(n):
-        j = i + 1
-        if j == n:
-            j = 0
-        a += pts[i, 0] * pts[j, 1] - pts[j, 0] * pts[i, 1]
-    return 0.5 * a
+    """Shoelace signed area of a polygon (n, 2) or of each polygon of a stack
+    (..., n, 2) with one vertex count; positive for CCW polygons."""
+    nxt = _successors(pts)
+    return 0.5 * _sum_left(pts[..., 0] * nxt[..., 1] - nxt[..., 0] * pts[..., 1])
 
 
 def polygon_area_centroid(pts):
-    """Signed area and area-weighted centroid (undefined for zero area)."""
-    n = pts.shape[0]
-    a2 = 0.0
-    cx = 0.0
-    cy = 0.0
-    for i in range(n):
-        j = i + 1
-        if j == n:
-            j = 0
-        w = pts[i, 0] * pts[j, 1] - pts[j, 0] * pts[i, 1]
-        a2 += w
-        cx += (pts[i, 0] + pts[j, 0]) * w
-        cy += (pts[i, 1] + pts[j, 1]) * w
-    area = 0.5 * a2
-    if a2 != 0.0:
-        cx /= 3.0 * a2
-        cy /= 3.0 * a2
-    return area, cx, cy
+    """Signed area and area-weighted centroid (x, y) of a polygon (n, 2) or of
+    each polygon of a stack (..., n, 2).  The centroid of a zero-area polygon
+    is its unnormalized moment sum."""
+    nxt = _successors(pts)
+    x, y, xn, yn = pts[..., 0], pts[..., 1], nxt[..., 0], nxt[..., 1]
+    w = x * yn - xn * y
+    a2 = _sum_left(w)
+    scale = np.where(a2 != 0.0, 3.0 * a2, 1.0)
+    return 0.5 * a2, _sum_left((x + xn) * w) / scale, _sum_left((y + yn) * w) / scale
 
 
 def polygon_diameter(pts):
-    """Max pairwise vertex distance, exact O(n^2); cells are small."""
-    n = pts.shape[0]
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = pts[i, 0] - pts[j, 0]
-            dy = pts[i, 1] - pts[j, 1]
-            d = dx * dx + dy * dy
-            if d > best:
-                best = d
-    return np.sqrt(best)
+    """Max pairwise vertex distance of a polygon (n, 2) or of each polygon of
+    a stack (..., n, 2); exact O(n^2), cells are small."""
+    d = pts[..., :, None, :] - pts[..., None, :, :]
+    sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    return np.sqrt(sq.max(axis=(-2, -1), initial=0.0))
 
 
 def ensure_ccw(pts) -> np.ndarray:
@@ -79,65 +81,94 @@ def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def segments_properly_intersect(p, q, r, s, eps) -> bool:
-    """True when open segments pq and rs cross or overlap collinearly."""
-    d1 = _orient(r[0], r[1], s[0], s[1], p[0], p[1])
-    d2 = _orient(r[0], r[1], s[0], s[1], q[0], q[1])
-    d3 = _orient(p[0], p[1], q[0], q[1], r[0], r[1])
-    d4 = _orient(p[0], p[1], q[0], q[1], s[0], s[1])
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
-    # collinear overlap
-    if abs(d1) <= eps and abs(d2) <= eps and abs(d3) <= eps and abs(d4) <= eps:
-        lo0, hi0 = sorted((p[0], q[0]))
-        lo1, hi1 = sorted((r[0], s[0]))
-        mo0, mh0 = sorted((p[1], q[1]))
-        mo1, mh1 = sorted((r[1], s[1]))
-        if min(hi0, hi1) - max(lo0, lo1) > eps or min(mh0, mh1) - max(mo0, mo1) > eps:
-            return True
-    return False
+@functools.cache
+def _crossing_pairs(n):
+    """Edge index pairs (i, j), i < j, of the non-adjacent edges of an n-gon;
+    edge i joins vertex i to vertex i+1."""
+    i, j = np.triu_indices(n, 2)
+    keep = (i > 0) | (j < n - 1)
+    i, j = i[keep], j[keep]
+    i.flags.writeable = j.flags.writeable = False  # shared by every caller
+    return i, j
 
 
-def is_simple_polygon(pts, eps=None) -> bool:
-    """Check simplicity: no duplicate vertices, no edge crossings or spikes."""
-    pts = as_points(pts)
-    n = len(pts)
+# cells times vertex pairs per block of is_simple_polygon, to bound its memory
+_SIMPLE_BLOCK = 1 << 16
+
+
+def is_simple_polygon(pts, eps=None):
+    """Simplicity of a polygon (n, 2), as a bool, or of each polygon of a
+    stack (..., n, 2), as a bool array.
+
+    A polygon is simple when it has at least 3 vertices and a positive
+    diameter, no two vertices lie within the snap distance 1e-12 * diameter
+    in both coordinates (which rejects zero-length edges too), no two
+    non-adjacent edges cross or overlap collinearly, and no two adjacent
+    edges fold back onto each other (a spike).  ``eps`` is the orientation
+    tolerance, 1e-12 * diameter**2 by default.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim < 2 or pts.shape[-1] != 2:
+        raise GeometryError(f"expected (..., n, 2) coordinates, got shape {pts.shape}")
+    lead, n = pts.shape[:-2], pts.shape[-2]
+    flat = pts.reshape((math.prod(lead), n, 2))
+    diam = polygon_diameter(flat)
+    eps = 1e-12 * diam * diam if eps is None else np.broadcast_to(eps, lead).reshape(-1)
     if n < 3:
-        return False
-    diam = polygon_diameter(pts)
-    if diam <= 0.0:
-        return False
-    if eps is None:
-        eps = 1e-12 * diam * diam
-    snap = 1e-12 * diam
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pts[i, 0] - pts[j, 0]) <= snap and abs(pts[i, 1] - pts[j, 1]) <= snap:
-                return False
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if np.hypot(*(b - a)) <= snap:
-            return False
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                # adjacent edges: reject zero-area spikes (reversal)
-                continue
-            c, d = pts[j], pts[(j + 1) % n]
-            if segments_properly_intersect(a, b, c, d, eps):
-                return False
-    for i in range(n):
-        # spike test at vertex i
-        p = pts[i - 1]
-        q = pts[i]
-        r = pts[(i + 1) % n]
-        u = q - p
-        v = r - q
-        cr = u[0] * v[1] - u[1] * v[0]
-        if abs(cr) <= eps and (u @ v) < 0.0:
-            return False
-    return True
+        ok = np.zeros(len(flat), dtype=bool)
+    else:
+        step = max(1, _SIMPLE_BLOCK // (n * n))
+        ok = np.concatenate([
+            _simple_block(flat[s:s + step], diam[s:s + step], eps[s:s + step])
+            for s in range(0, len(flat), step)
+        ] or [np.zeros(0, dtype=bool)])
+    return ok.reshape(lead) if lead else bool(ok[0])
+
+
+def _simple_block(pts, diam, eps):
+    """is_simple_polygon of a stack (m, n, 2), n >= 3, with its diameters
+    and orientation tolerances (m,)."""
+    n = pts.shape[1]
+    snap = (1e-12 * diam)[:, None]
+    ok = diam > 0.0
+    i, j = np.triu_indices(n, 1)
+    d = pts[:, i] - pts[:, j]
+    ok &= ~((np.abs(d[..., 0]) <= snap) & (np.abs(d[..., 1]) <= snap)).any(axis=1)
+
+    eps = eps[:, None]
+    nxt = _successors(pts)
+    i, j = _crossing_pairs(n)
+    if len(i):
+        # edge i runs from (ax, ay) to (bx, by), edge j from (cx, cy) to (dx, dy)
+        ax, ay = np.moveaxis(pts[:, i], -1, 0)
+        bx, by = np.moveaxis(nxt[:, i], -1, 0)
+        cx, cy = np.moveaxis(pts[:, j], -1, 0)
+        dx, dy = np.moveaxis(nxt[:, j], -1, 0)
+        d1 = _orient(cx, cy, dx, dy, ax, ay)
+        d2 = _orient(cx, cy, dx, dy, bx, by)
+        d3 = _orient(ax, ay, bx, by, cx, cy)
+        d4 = _orient(ax, ay, bx, by, dx, dy)
+        cross = (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & (
+            ((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps))
+        )
+        collinear = ((np.abs(d1) <= eps) & (np.abs(d2) <= eps)
+                     & (np.abs(d3) <= eps) & (np.abs(d4) <= eps))
+        overlap = (
+            np.minimum(np.maximum(ax, bx), np.maximum(cx, dx))
+            - np.maximum(np.minimum(ax, bx), np.minimum(cx, dx)) > eps
+        ) | (
+            np.minimum(np.maximum(ay, by), np.maximum(cy, dy))
+            - np.maximum(np.minimum(ay, by), np.minimum(cy, dy)) > eps
+        )
+        ok &= ~(cross | (collinear & overlap)).any(axis=1)
+
+    # spike at vertex i: edges i-1 and i collinear and pointing apart
+    u = pts - np.concatenate((pts[:, -1:], pts[:, :-1]), axis=1)
+    v = nxt - pts
+    cr = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    ok &= ~((np.abs(cr) <= eps) & (dot < 0.0)).any(axis=1)
+    return ok
 
 
 def kernel_clip(pts, eps):

@@ -187,6 +187,10 @@ def build_mesh(
     Cells given clockwise are silently reversed.  Rejects dangling indices,
     non-simple cells, edges shared by more than two cells and inconsistent
     orientations.  With ``compact`` unused vertices are dropped.
+
+    Cells are checked in groups of one vertex count; a ``CellError`` names
+    the lowest failing cell and the first check it fails, in the order of
+    ``_CELL_CHECKS``.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -195,37 +199,34 @@ def build_mesh(
         raise MeshError("non-finite vertex coordinates")
     nv = len(pts)
 
-    cell_arrays = []
-    for ci, raw in enumerate(cells):
-        try:
-            ids = np.asarray(raw, dtype=np.int64)
-        except OverflowError:
-            raise CellError(ci, "references a missing vertex") from None
-        if ids.ndim != 1 or len(ids) < 3:
-            raise CellError(ci, "must list at least 3 vertices")
-        if ids.min() < 0 or ids.max() >= nv:
-            raise CellError(ci, "references a missing vertex")
-        if np.any(ids == np.roll(ids, 1)):
-            raise CellError(ci, "repeats consecutive vertices")
-        if len(np.unique(ids)) != len(ids):
-            raise CellError(ci, "visits a vertex twice")
-        loop = pts[ids]
-        if geometry.polygon_area(loop) < 0.0:
-            ids = ids[::-1].copy()
-            loop = pts[ids]
-        if not geometry.is_simple_polygon(loop):
-            raise CellError(ci, "is not a simple polygon")
-        cell_arrays.append(ids)
+    cells = list(cells)
+    nc = len(cells)
+    sizes = np.array([_length(raw) for raw in cells], dtype=np.int64)
+    groups = []  # (cell indices, (m, n) vertex ids, (m, n, 2) CCW loops)
+    failures = []  # (cell, message) candidates; the lowest cell is raised
+    for n in np.unique(sizes).tolist():
+        idx, ids, failure = _group_ids(cells, np.flatnonzero(sizes == n), n)
+        if failure:
+            failures.append(failure)
+        if not len(idx):
+            continue
+        failed, loops = _cell_failures(ids, pts)
+        bad = np.flatnonzero(failed < len(_CELL_CHECKS))
+        if len(bad):
+            failures.append((int(idx[bad[0]]), _CELL_CHECKS[failed[bad[0]]]))
+        groups.append((idx, ids, loops))
+    if failures:
+        raise CellError(*min(failures))
 
     if compact:
         used = np.zeros(nv, dtype=bool)
-        for ids in cell_arrays:
+        for _, ids, _ in groups:
             used[ids] = True
         if not used.all():
             remap = -np.ones(nv, dtype=np.int64)
             remap[used] = np.arange(int(used.sum()))
             pts = pts[used]
-            cell_arrays = [remap[ids] for ids in cell_arrays]
+            groups = [(idx, remap[ids], loops) for idx, ids, loops in groups]
             constrained_edges = [
                 (remap[u], remap[v])
                 for (u, v) in constrained_edges
@@ -234,29 +235,30 @@ def build_mesh(
             constrained_vertices = [int(remap[v]) for v in constrained_vertices if used[v]]
             nv = len(pts)
 
-    edges = []
-    edge_index = {}
-    edge_cells = []
-    edge_dir = []  # directions already seen, for orientation consistency
-    for ci, ids in enumerate(cell_arrays):
-        for k in range(len(ids)):
-            u, v = int(ids[k]), int(ids[(k + 1) % len(ids)])
-            key = (u, v) if u < v else (v, u)
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edges)
-                edge_index[key] = e
-                edges.append(key)
-                edge_cells.append([ci])
-                edge_dir.append(u < v)
-            else:
-                if len(edge_cells[e]) >= 2:
-                    raise CellError(ci, f"has edge {key}, which is shared by more than 2 cells")
-                if edge_dir[e] == (u < v):
-                    raise CellError(ci, f"has edge {key} traversed twice in the same "
-                                        "direction (overlapping cells)")
-                edge_cells[e].append(ci)
+    # every directed edge (tail[t], head[t]) of cell owner[t], in traversal
+    # order: cell by cell, edge k of a cell running from its vertex k to k+1
+    offsets = np.zeros(nc + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    tail = np.empty(offsets[-1], dtype=np.int64)
+    head = np.empty_like(tail)
+    owner = np.empty_like(tail)
+    cell_area = np.empty(nc)
+    cell_centroid = np.empty((nc, 2))
+    cell_diameter = np.empty(nc)
+    for idx, ids, loops in groups:
+        at = offsets[idx][:, None] + np.arange(ids.shape[1])
+        tail[at] = ids
+        head[at] = np.roll(ids, -1, axis=1)
+        owner[at] = idx[:, None]
+        area, cx, cy = geometry.polygon_area_centroid(loops)
+        cell_area[idx] = area
+        cell_centroid[idx, 0] = cx
+        cell_centroid[idx, 1] = cy
+        cell_diameter[idx] = geometry.polygon_diameter(loops)
+    cell_arrays = [tail[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
+    edges, first, second = _edge_table(tail, head, owner, nv)
+    edge_index = dict(zip(edges, range(len(edges))))
     ne = len(edges)
     edge_constrained = np.zeros(ne, dtype=bool)
     for i, (u, v) in enumerate(constrained_edges):
@@ -274,25 +276,18 @@ def build_mesh(
         vertex_constrained[u] = True
         vertex_constrained[v] = True
 
-    nc = len(cell_arrays)
-    cell_area = np.empty(nc)
-    cell_centroid = np.empty((nc, 2))
-    cell_diameter = np.empty(nc)
-    for ci, ids in enumerate(cell_arrays):
-        loop = pts[ids]
-        area, cx, cy = geometry.polygon_area_centroid(loop)
-        if area <= 0.0:
-            raise CellError(ci, "has zero area")
-        cell_area[ci] = area
-        cell_centroid[ci] = (cx, cy)
-        cell_diameter[ci] = geometry.polygon_diameter(loop)
+    degenerate = np.flatnonzero(cell_area <= 0.0)
+    if len(degenerate):
+        raise CellError(int(degenerate[0]), "has zero area")
 
-    neighbors = [set() for _ in range(nc)]
-    for e, cs in enumerate(edge_cells):
-        if len(cs) == 2 and not edge_constrained[e]:
-            a, b = cs
-            neighbors[a].add(b)
-            neighbors[b].add(a)
+    # adjacency across shared unconstrained edges, both ways, each pair once
+    inner = (second >= 0) & ~edge_constrained
+    a, b = first[inner], second[inner]
+    span = max(nc, 1)
+    pairs = np.unique(np.concatenate([a * span + b, b * span + a]))
+    bounds = np.searchsorted(pairs // span, np.arange(nc + 1)).tolist()
+    others = pairs % span
+    neighbors = [others[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     return PolygonalMesh(
         points=pts,
@@ -301,13 +296,121 @@ def build_mesh(
         edges=edges,
         edge_index=edge_index,
         edge_constrained=edge_constrained,
-        edge_cells=[tuple(cs) for cs in edge_cells],
+        edge_cells=[(a,) if b < 0 else (a, b)
+                    for a, b in zip(first.tolist(), second.tolist())],
         cell_area=cell_area,
         cell_centroid=cell_centroid,
         cell_diameter=cell_diameter,
-        neighbors=[np.array(sorted(s), dtype=np.int64) for s in neighbors],
+        neighbors=neighbors,
         h=float(cell_diameter.max()) if nc else 0.0,
     )
+
+
+# the per-cell checks of build_mesh in the order it applies them; a cell's
+# error message is its first failing check
+_CELL_CHECKS = (
+    "references a missing vertex",
+    "repeats consecutive vertices",
+    "visits a vertex twice",
+    "is not a simple polygon",
+)
+
+
+def _length(raw) -> int:
+    """Entry count of a cell; -1 for an object without a length."""
+    try:
+        return len(raw)
+    except TypeError:
+        return -1
+
+
+def _group_ids(cells, idx, n):
+    """Vertex ids (m, n) int64 of the cells ``idx``, which all have n entries.
+
+    One ``np.array`` call converts the group.  Only when it fails (a ragged,
+    overflowing or non-integer entry, or fewer than 3 entries) are the cells
+    converted one at a time; that error path returns the cells before the
+    first one that does not convert, their ids and (cell, message) of it.
+    """
+    if n >= 3:
+        try:
+            ids = np.array([cells[i] for i in idx], dtype=np.int64)
+            if ids.shape == (len(idx), n):
+                return idx, ids, None
+        except (OverflowError, ValueError, TypeError):
+            pass
+    rows, failure = [], None
+    for ci in idx.tolist():
+        try:
+            row = np.asarray(cells[ci], dtype=np.int64)
+            if row.ndim != 1 or len(row) < 3:
+                failure = (ci, "must list at least 3 vertices")
+        except OverflowError:
+            failure = (ci, "references a missing vertex")
+        except (ValueError, TypeError):
+            failure = (ci, "must list integer vertex indices")
+        if failure:
+            break
+        rows.append(row)
+    # cells after the failing one cannot fail first, so they are not needed
+    m = len(rows)
+    return idx[:m], np.array(rows, dtype=np.int64).reshape(m, max(n, 0)), failure
+
+
+def _cell_failures(ids, pts):
+    """Index into ``_CELL_CHECKS`` of the first check each cell of a group
+    fails, ``len(_CELL_CHECKS)`` when it passes all, and the cells' vertex
+    loops.  Clockwise cells are reversed in place, in ``ids`` too."""
+    checks = [
+        (ids.min(axis=1) < 0) | (ids.max(axis=1) >= len(pts)),
+        (ids == np.roll(ids, 1, axis=1)).any(axis=1),
+    ]
+    ordered = np.sort(ids, axis=1)
+    checks.append((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    loops = pts[np.where(checks[0][:, None], 0, ids)]
+    cw = geometry.polygon_area(loops) < 0.0
+    ids[cw] = ids[cw, ::-1]
+    loops[cw] = loops[cw, ::-1]
+    checks.append(~geometry.is_simple_polygon(loops))
+    checks.append(np.ones(len(ids), dtype=bool))  # passed all: len(_CELL_CHECKS)
+    return np.argmax(checks, axis=0), loops
+
+
+def _edge_table(tail, head, owner, nv):
+    """Undirected edges (u, v), u < v, numbered by first occurrence, with the
+    cell that uses each edge first and the second one (-1 for none).
+
+    One stable sort of the directed edges by vertex pair puts the uses of
+    each edge together in traversal order.  A third use of an edge, or a
+    second use in the direction of the first, is an error; the one raised
+    is the first in traversal order.
+    """
+    lo = np.minimum(tail, head)
+    hi = np.maximum(tail, head)
+    key = lo * nv + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    rank = np.arange(len(order)) - starts[np.cumsum(new) - 1]
+    forward = (tail < head)[order]
+    third = order[rank == 2]
+    same_way = order[1:][(rank[1:] == 1) & (forward[1:] == forward[:-1])]
+    if len(third) or len(same_way):
+        t = int(np.concatenate([third, same_way]).min())
+        cell, edge = int(owner[t]), (int(lo[t]), int(hi[t]))
+        if len(third) and third.min() == t:
+            raise CellError(cell, f"has edge {edge}, which is shared by more than 2 cells")
+        raise CellError(cell, f"has edge {edge} traversed twice in the same "
+                              "direction (overlapping cells)")
+    second = np.full(len(starts), -1, dtype=np.int64)
+    shared = np.flatnonzero(np.diff(starts, append=len(order)) == 2)
+    second[shared] = owner[order[starts[shared] + 1]]
+    by_use = np.argsort(order[starts])  # edges in first-occurrence order
+    first = order[starts][by_use]
+    edges = list(zip(lo[first].tolist(), hi[first].tolist()))
+    return edges, owner[first], second[by_use]
 
 
 # ---------------------------------------------------------------------------

@@ -116,22 +116,13 @@ def build_element(points, k: int, cell_id=None, triangles=None) -> VemElement:
     """
     pts = np.asarray(points, dtype=float)
     lead, n = pts.shape[:-2], pts.shape[-2]
-    # shoelace sums accumulated left to right (cumsum) as in
-    # geometry.polygon_area_centroid, which makes area and centroid equal to
-    # it bit for bit
-    x, y = pts[..., 0], pts[..., 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
-    w = x * yn - xn * y
-    a2 = np.cumsum(w, axis=-1)[..., -1]
-    area = 0.5 * a2
+    area, cx, cy = geometry.polygon_area_centroid(pts)
     bad = area <= 0.0
     if bad.any():
         who = np.broadcast_to(np.asarray(cell_id, dtype=object), bad.shape)[bad][0]
         raise MeshError(f"degenerate cell {who} in element construction")
-    center = np.stack([np.cumsum((x + xn) * w, axis=-1)[..., -1] / (3.0 * a2),
-                       np.cumsum((y + yn) * w, axis=-1)[..., -1] / (3.0 * a2)], axis=-1)
-    d = pts[..., :, None, :] - pts[..., None, :, :]
-    h = np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).max(axis=(-2, -1)))
+    center = np.stack([cx, cy], axis=-1)
+    h = geometry.polygon_diameter(pts)
     exps = monomial_exponents(k)
     nk1 = monomial_dim(k - 1)
     nmom = k * (k - 1) // 2

@@ -140,6 +140,174 @@ def kernel_sampling_oracle(poly, grid=25):
     return False
 
 
+# Reference oracles: the scalar per-polygon loops that the stacked geometry
+# primitives replace, kept verbatim.  The stacked primitives must give the
+# same area, centroid and diameter bit for bit and the same simplicity verdict.
+
+def ref_polygon_area_centroid(pts):
+    n = pts.shape[0]
+    a2 = 0.0
+    cx = 0.0
+    cy = 0.0
+    for i in range(n):
+        j = i + 1
+        if j == n:
+            j = 0
+        w = pts[i, 0] * pts[j, 1] - pts[j, 0] * pts[i, 1]
+        a2 += w
+        cx += (pts[i, 0] + pts[j, 0]) * w
+        cy += (pts[i, 1] + pts[j, 1]) * w
+    area = 0.5 * a2
+    if a2 != 0.0:
+        cx /= 3.0 * a2
+        cy /= 3.0 * a2
+    return area, cx, cy
+
+
+def ref_polygon_diameter(pts):
+    n = pts.shape[0]
+    best = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = pts[i, 0] - pts[j, 0]
+            dy = pts[i, 1] - pts[j, 1]
+            d = dx * dx + dy * dy
+            if d > best:
+                best = d
+    return np.sqrt(best)
+
+
+def _ref_orient(ax, ay, bx, by, cx, cy):
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def ref_segments_properly_intersect(p, q, r, s, eps) -> bool:
+    d1 = _ref_orient(r[0], r[1], s[0], s[1], p[0], p[1])
+    d2 = _ref_orient(r[0], r[1], s[0], s[1], q[0], q[1])
+    d3 = _ref_orient(p[0], p[1], q[0], q[1], r[0], r[1])
+    d4 = _ref_orient(p[0], p[1], q[0], q[1], s[0], s[1])
+    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
+        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
+    ):
+        return True
+    # collinear overlap
+    if abs(d1) <= eps and abs(d2) <= eps and abs(d3) <= eps and abs(d4) <= eps:
+        lo0, hi0 = sorted((p[0], q[0]))
+        lo1, hi1 = sorted((r[0], s[0]))
+        mo0, mh0 = sorted((p[1], q[1]))
+        mo1, mh1 = sorted((r[1], s[1]))
+        if min(hi0, hi1) - max(lo0, lo1) > eps or min(mh0, mh1) - max(mo0, mo1) > eps:
+            return True
+    return False
+
+
+def ref_is_simple_polygon(pts, eps=None) -> bool:
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    n = len(pts)
+    if n < 3:
+        return False
+    diam = ref_polygon_diameter(pts)
+    if diam <= 0.0:
+        return False
+    if eps is None:
+        eps = 1e-12 * diam * diam
+    snap = 1e-12 * diam
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(pts[i, 0] - pts[j, 0]) <= snap and abs(pts[i, 1] - pts[j, 1]) <= snap:
+                return False
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if np.hypot(*(b - a)) <= snap:
+            return False
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                # adjacent edges: reject zero-area spikes (reversal)
+                continue
+            c, d = pts[j], pts[(j + 1) % n]
+            if ref_segments_properly_intersect(a, b, c, d, eps):
+                return False
+    for i in range(n):
+        # spike test at vertex i
+        p = pts[i - 1]
+        q = pts[i]
+        r = pts[(i + 1) % n]
+        u = q - p
+        v = r - q
+        cr = u[0] * v[1] - u[1] * v[0]
+        if abs(cr) <= eps and (u @ v) < 0.0:
+            return False
+    return True
+
+
+def ref_build_mesh_cells(points, cells, compact=True):
+    """Cell validation and edge table of ``build_mesh``, one cell at a time.
+
+    Returns (cells, edges, edge_cells) or raises the ``CellError`` of the
+    first failing cell; constraints and cell geometry do not take part.
+    """
+    from polyagg.mesh import CellError
+
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    nv = len(pts)
+
+    cell_arrays = []
+    for ci, raw in enumerate(cells):
+        try:
+            ids = np.asarray(raw, dtype=np.int64)
+        except OverflowError:
+            raise CellError(ci, "references a missing vertex") from None
+        if ids.ndim != 1 or len(ids) < 3:
+            raise CellError(ci, "must list at least 3 vertices")
+        if ids.min() < 0 or ids.max() >= nv:
+            raise CellError(ci, "references a missing vertex")
+        if np.any(ids == np.roll(ids, 1)):
+            raise CellError(ci, "repeats consecutive vertices")
+        if len(np.unique(ids)) != len(ids):
+            raise CellError(ci, "visits a vertex twice")
+        loop = pts[ids]
+        if ref_polygon_area_centroid(loop)[0] < 0.0:
+            ids = ids[::-1].copy()
+            loop = pts[ids]
+        if not ref_is_simple_polygon(loop):
+            raise CellError(ci, "is not a simple polygon")
+        cell_arrays.append(ids)
+
+    if compact:
+        used = np.zeros(nv, dtype=bool)
+        for ids in cell_arrays:
+            used[ids] = True
+        if not used.all():
+            remap = -np.ones(nv, dtype=np.int64)
+            remap[used] = np.arange(int(used.sum()))
+            cell_arrays = [remap[ids] for ids in cell_arrays]
+
+    edges = []
+    edge_index = {}
+    edge_cells = []
+    edge_dir = []  # directions already seen, for orientation consistency
+    for ci, ids in enumerate(cell_arrays):
+        for k in range(len(ids)):
+            u, v = int(ids[k]), int(ids[(k + 1) % len(ids)])
+            key = (u, v) if u < v else (v, u)
+            e = edge_index.get(key)
+            if e is None:
+                e = len(edges)
+                edge_index[key] = e
+                edges.append(key)
+                edge_cells.append([ci])
+                edge_dir.append(u < v)
+            else:
+                if len(edge_cells[e]) >= 2:
+                    raise CellError(ci, f"has edge {key}, which is shared by more than 2 cells")
+                if edge_dir[e] == (u < v):
+                    raise CellError(ci, f"has edge {key} traversed twice in the same "
+                                        "direction (overlapping cells)")
+                edge_cells[e].append(ci)
+
+    return cell_arrays, edges, [tuple(cs) for cs in edge_cells]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -1,3 +1,7 @@
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -511,3 +515,29 @@ def test_load_network_fuzz_raises_only_line_errors(tmp_path_factory, text):
         load_network(path)
     except MeshFormatError as err:
         assert err.line is not None, f"no line number: {err}"
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["n1-agglo", "n1-k3"])
+def test_benchmark_seed0_outputs(name):
+    """network1 at the benchmark's seed-0 settings gives its reference cells,
+    dofs, final energy and errors, so a change of results fails here too."""
+    bench = _benchmark_workloads()
+    work = bench.WORKLOADS[name]
+    case = network1()
+    disc = discretize_network(case, max_area=work.area, lam=work.lam)
+    for k in work.orders:
+        ref = work.references[k]
+        rep = solve_discretized(disc, k, estimate_condition=False)
+        assert (rep.cells, rep.dofs, rep.energy_final) == (ref.cells, ref.dofs, ref.energy_final)
+        assert math.isclose(rep.err_l2, ref.err_l2, rel_tol=bench.ERR_RTOL, abs_tol=0.0)
+        assert math.isclose(rep.err_h1, ref.err_h1, rel_tol=bench.ERR_RTOL, abs_tol=0.0)

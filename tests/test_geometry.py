@@ -5,7 +5,15 @@ from polyagg import geometry
 from polyagg.mesh import Cell, cell_geometry, collinear_runs, make_cell, polygon_kernel, triangulate_cell
 from polyagg.mesh import MeshError
 
-from conftest import NON_STAR_POLY, kernel_sampling_oracle, sees_all_vertices, random_polygon
+from conftest import (
+    NON_STAR_POLY,
+    kernel_sampling_oracle,
+    random_polygon,
+    ref_is_simple_polygon,
+    ref_polygon_area_centroid,
+    ref_polygon_diameter,
+    sees_all_vertices,
+)
 
 
 def test_cell_geometry_unit_square():
@@ -155,3 +163,83 @@ def test_convex_clip_quad():
     tri = np.array([[0, 0], [3, 0], [0, 3]], dtype=float)
     out = geometry.convex_clip(quad, tri)
     assert abs(geometry.polygon_area(out)) == pytest.approx(3.5)
+
+
+# non-simple cells of every kind the simplicity test rejects
+NON_SIMPLE = {
+    "bow-tie": [[0, 0], [1, 1], [1, 0], [0, 1]],
+    "spike": [[0, 0], [2, 0], [2, 2], [2, 1], [0, 2]],
+    "repeated vertex": [[0, 0], [2, 0], [1, 1], [2, 2], [0, 2], [1, 1]],
+    "zero-length edge": [[0, 0], [1, 0], [1, 0], [0, 1]],
+    "collinear overlap": [[0, 0], [4, 0], [4, 2], [3, 2], [3, 0], [1, 0], [1, 2], [0, 2]],
+    "vertex within snap": [[0, 0], [2, 0], [1, 1], [2, 2], [0, 2], [1, 1 + 1e-13]],
+}
+
+
+def _oracle_cases(rng):
+    """Seeded random polygons of all four kinds, a third of them broken by
+    moving one vertex onto, near or past another, plus vertices drawn from a
+    small integer grid, where collinear and touching edges are common."""
+    polys = []
+    for t in range(400):
+        poly = random_polygon(rng, kind=t % 4)
+        if t % 3 == 1:
+            k, other = rng.integers(len(poly), size=2)
+            poly[k] = poly[other] + rng.normal(size=2) * rng.choice([0.0, 1e-13, 0.3, 2.0])
+        polys.append(poly)
+    for _ in range(300):
+        polys.append(rng.integers(0, 4, size=(int(rng.integers(3, 8)), 2)).astype(float))
+    polys += [np.array(p, dtype=float) for p in NON_SIMPLE.values()]
+    return polys
+
+
+def _assert_matches_reference(poly, area, cx, cy, diam, simple):
+    assert (area, cx, cy) == ref_polygon_area_centroid(poly)
+    assert diam == ref_polygon_diameter(poly)
+    assert simple == ref_is_simple_polygon(poly)
+
+
+def test_single_cell_primitives_match_reference(rng):
+    simple = 0
+    for poly in _oracle_cases(rng):
+        out = geometry.polygon_area_centroid(poly)
+        assert geometry.polygon_area(poly) == out[0]
+        verdict = geometry.is_simple_polygon(poly)
+        assert type(verdict) is bool
+        _assert_matches_reference(poly, *out, geometry.polygon_diameter(poly), verdict)
+        simple += verdict
+        assert geometry.is_simple_polygon(poly, eps=0.05) == ref_is_simple_polygon(poly, eps=0.05)
+    assert 300 < simple < 600  # both verdicts are well represented
+
+
+def test_stacked_primitives_match_reference(rng):
+    polys = _oracle_cases(rng)
+    for n in sorted({len(p) for p in polys}):
+        stack = np.array([p for p in polys if len(p) == n])
+        if len(stack) % 2 == 0:  # two leading axes
+            stack = stack.reshape(2, -1, n, 2)
+        area, cx, cy = geometry.polygon_area_centroid(stack)
+        diam = geometry.polygon_diameter(stack)
+        simple = geometry.is_simple_polygon(stack)
+        assert area.shape == diam.shape == simple.shape == stack.shape[:-2]
+        assert np.array_equal(geometry.polygon_area(stack), area)
+        for i in np.ndindex(stack.shape[:-2]):
+            _assert_matches_reference(stack[i], area[i], cx[i], cy[i], diam[i], simple[i])
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLE))
+def test_is_simple_rejects(name):
+    poly = np.array(NON_SIMPLE[name], dtype=float)
+    assert not ref_is_simple_polygon(poly)
+    assert not geometry.is_simple_polygon(poly)
+    assert not geometry.is_simple_polygon(poly[::-1])
+
+
+def test_is_simple_stack_blocks_agree(monkeypatch, rng):
+    """Splitting a stack into memory blocks does not change any verdict."""
+    stack = np.array([random_polygon(rng, kind=0)[:4] for _ in range(50)])
+    stack[::3, 2] = stack[::3, 0]
+    whole = geometry.is_simple_polygon(stack)
+    monkeypatch.setattr(geometry, "_SIMPLE_BLOCK", 16)
+    assert np.array_equal(geometry.is_simple_polygon(stack), whole)
+    assert 0 < whole.sum() < len(stack)

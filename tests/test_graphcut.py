@@ -1,4 +1,3 @@
-import importlib
 import itertools
 
 import networkx as nx
@@ -21,10 +20,8 @@ from polyagg.agglomerate import (
 from polyagg.dfn import cut_by_traces, network1, triangulate_fracture
 from polyagg.mesh import build_mesh
 
+import polyagg.agglomerate as agg
 from conftest import grid_mesh, tri_grid_mesh
-
-# the package re-exports the function ``agglomerate`` under the module's name
-agg = importlib.import_module("polyagg.agglomerate")
 
 TWO_SQUARES = dict(
     points=[[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]],

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import numpy as np
@@ -49,3 +50,13 @@ def test_benchmark_patch_targets_exist():
     assert missing == []
     vem = importlib.import_module("polyagg.vem")
     assert callable(vem.SparseSpdSystem.factor)
+
+
+def test_submodules_are_modules():
+    """No package-level name shadows a submodule."""
+    import polyagg.agglomerate as agglomerate
+    import polyagg.dfn as dfn
+    import polyagg.mesh as mesh
+
+    for module in (agglomerate, dfn, mesh):
+        assert isinstance(module, types.ModuleType)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyagg.mesh import (
+    CellError,
     MergeDisconnectedError,
     MergeHoleError,
     MeshError,
@@ -13,9 +14,9 @@ from polyagg.mesh import (
     simplify_aligned_edges,
 )
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import FUZZ_SETTINGS, grid_mesh, mutated_file
+from conftest import FUZZ_SETTINGS, grid_mesh, mutated_file, ref_build_mesh_cells
 
 
 TWO_SQUARES = dict(
@@ -201,3 +202,127 @@ def test_load_mesh_fuzz_raises_only_line_errors(tmp_path_factory, text):
         load_mesh(path)
     except MeshFormatError as err:
         assert err.line is not None, f"no line number: {err}"
+
+
+# two unit squares, a triangle on the right and a quad on top: cells of three
+# vertex counts, listed so that cell order and vertex-count order differ
+MIXED = dict(
+    points=[[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1], [3, 0.5], [1, 2], [0, 2]],
+    cells=[[0, 1, 4, 5], [2, 6, 3], [1, 2, 3, 4], [5, 4, 7, 8]],
+)
+
+
+def test_edges_numbered_by_first_occurrence():
+    m = build_mesh(**MIXED)
+    assert m.edges == [(0, 1), (1, 4), (4, 5), (0, 5), (2, 6), (3, 6), (2, 3), (1, 2),
+                       (3, 4), (4, 7), (7, 8), (5, 8)]
+    assert m.edge_cells == [(0,), (0, 2), (0, 3), (0,), (1,), (1,), (1, 2), (2,),
+                            (2,), (3,), (3,), (3,)]
+    assert m.edge_index == {e: i for i, e in enumerate(m.edges)}
+    assert [list(nb) for nb in m.neighbors] == [[2, 3], [2], [0, 1], [0]]
+    assert all(nb.dtype == np.int64 for nb in m.neighbors)
+    assert [list(c) for c in m.cells] == MIXED["cells"]
+
+
+def test_lowest_failing_cell_is_reported():
+    pts = MIXED["points"]
+    cells = [[0, 1, 4, 5], [2, 6, 9], [0, 4, 1, 5], [5, 4, 4, 8], [0, 1, 2, 2, 3]]
+    # cell 1 (a triangle) is checked in another group than cell 2 (a quad)
+    with pytest.raises(CellError, match="^cell 1 references a missing vertex$"):
+        build_mesh(pts, cells)
+    cells[1] = [2, 6, 3]
+    with pytest.raises(CellError, match="^cell 2 is not a simple polygon$"):
+        build_mesh(pts, cells)
+    cells[2] = [1, 2, 3, 4]
+    with pytest.raises(CellError, match="^cell 3 repeats consecutive vertices$"):
+        build_mesh(pts, cells)
+    # a cell failing several checks gets the message of the first
+    cells[3] = [5, 5, 9, 8]
+    with pytest.raises(CellError, match="^cell 3 references a missing vertex$"):
+        build_mesh(pts, cells)
+    cells[3] = [5, 4, 7, 8]
+    with pytest.raises(CellError, match="^cell 4 repeats consecutive vertices$"):
+        build_mesh(pts, cells)
+    cells[4] = [0, 1, 2, 0, 3]
+    with pytest.raises(CellError, match="^cell 4 visits a vertex twice$"):
+        build_mesh(pts, cells)
+
+
+@pytest.mark.parametrize("third, message", [
+    # cell 2 first repeats edge 0-1 of cell 0 in its direction
+    ([0, 1, 4, 5], "cell 2 has edge (0, 1) traversed twice in the same direction"),
+    # cell 2 first uses edge 1-4, which cells 0 and 1 already share
+    ([1, 4, 5, 0], "cell 2 has edge (1, 4), which is shared by more than 2 cells"),
+])
+def test_first_edge_error_in_traversal_order(third, message):
+    with pytest.raises(CellError) as err:
+        build_mesh(TWO_SQUARES["points"], TWO_SQUARES["cells"] + [third])
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0, 1, [2, 3]], "must list integer vertex indices"),
+    ([0, 1, "x"], "must list integer vertex indices"),
+    ([0, 1, None], "must list integer vertex indices"),
+    ([0, 1, 2 ** 70], "references a missing vertex"),
+    ([[0], [1], [2]], "must list at least 3 vertices"),
+    (7, "must list at least 3 vertices"),
+    ([0, 1], "must list at least 3 vertices"),
+])
+def test_unconvertible_cell_raises_at_its_index(bad, message):
+    pts = MIXED["points"]
+    cells = [[0, 1, 4, 5], [2, 6, 3], [1, 2, 3, 4], bad, [5, 4, 7, 8]]
+    with pytest.raises(CellError, match=f"^cell 3 {message}$"):
+        build_mesh(pts, cells)
+    # a lower failing cell of another check wins over the conversion error
+    cells[1] = [2, 3, 6]
+    cells[2] = [1, 2, 1, 4]
+    with pytest.raises(CellError, match="^cell 2 visits a vertex twice$"):
+        build_mesh(pts, cells)
+
+
+def test_non_integer_indices_truncate_as_before():
+    m = build_mesh(TWO_SQUARES["points"], [[0.5, 1, 4, 5], [1, 2, 3, 4.9]])
+    assert [list(c) for c in m.cells] == TWO_SQUARES["cells"]
+
+
+@st.composite
+def mutated_cells(draw):
+    """MIXED's cells after 1-3 random index replacements, insertions,
+    deletions, reversals, rotations or copied cells."""
+    cells = [list(c) for c in MIXED["cells"]]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("set", "insert", "delete", "reverse", "rotate", "copy")))
+        c = draw(st.integers(0, len(cells) - 1))
+        cell = cells[c]
+        if op == "set":
+            cell[draw(st.integers(0, len(cell) - 1))] = draw(
+                st.sampled_from((-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2 ** 63, 2 ** 70)))
+        elif op == "insert":
+            cell.insert(draw(st.integers(0, len(cell))), draw(st.integers(-1, 9)))
+        elif op == "delete" and cell:
+            del cell[draw(st.integers(0, len(cell) - 1))]
+        elif op == "reverse":
+            cell.reverse()
+        elif op == "rotate":
+            cells[c] = cell[1:] + cell[:1]
+        elif op == "copy":
+            cells.insert(draw(st.integers(0, len(cells))), list(cell))
+    return cells
+
+
+@FUZZ_SETTINGS
+@given(cells=mutated_cells(), compact=st.booleans())
+def test_build_mesh_matches_per_cell_reference(cells, compact):
+    try:
+        ref = ref_build_mesh_cells(MIXED["points"], cells, compact)
+    except CellError as err:
+        with pytest.raises(CellError) as got:
+            build_mesh(MIXED["points"], cells, compact=compact)
+        assert str(got.value) == str(err)
+        return
+    m = build_mesh(MIXED["points"], cells, compact=compact)
+    ref_cells, ref_edges, ref_edge_cells = ref
+    assert [c.tolist() for c in m.cells] == [c.tolist() for c in ref_cells]
+    assert m.edges == ref_edges
+    assert m.edge_cells == ref_edge_cells
