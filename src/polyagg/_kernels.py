@@ -1,4 +1,4 @@
-"""Hot numeric loops: per-cell quality scores and the swap-move max flow.
+"""Hot numeric loops: stacked quality scores and the swap-move max flow.
 
 Both are plain Python/NumPy.  Callers reach them as ``_kernels.quality_scores``
 and ``_kernels.maxflow`` so that a tracer can replace the module attribute.
@@ -7,6 +7,7 @@ at once and runs Dinic above that; both return the same canonical cut.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -16,94 +17,75 @@ from . import geometry
 NUMBA_ENABLED = False
 
 
+# cells times kernel-buffer rows per block of quality_scores, to bound its memory
+_QUALITY_BLOCK = 1 << 16
+
+
 def quality_scores(pts, collinear_tol, kernel_rel_tol):
-    """All four regularity indicators plus the combined score of one cell.
+    """All four regularity indicators plus the combined score of one cell
+    (n, 2) or of each cell of a stack (..., n, 2) with one vertex count.
 
-    Returns (rho1, rho2, rho3, rho4, rho).  The polygon must be simple and
-    CCW-oriented.  Collinear runs are maximal chains of consecutive edges
-    whose turn angle satisfies |cross|/(|a||b|) < collinear_tol; kernels of
-    relative area below kernel_rel_tol count as empty.
+    Returns (..., 5): rho1, rho2, rho3, rho4, rho.  Cells must be simple and
+    CCW-oriented; a cell of zero area or diameter scores all zeros.
+    Collinear runs are maximal chains of consecutive edges whose turn angle
+    satisfies |cross|/(|a||b|) < collinear_tol; kernels of relative area
+    below kernel_rel_tol count as empty.  Each cell's scores do not depend
+    on the stack it is scored in.
     """
-    n = pts.shape[0]
+    pts = np.asarray(pts, dtype=np.float64)
+    lead, n = pts.shape[:-2], pts.shape[-2]
+    flat = pts.reshape((math.prod(lead), n, 2))
+    step = max(1, _QUALITY_BLOCK // (2 * n + 8))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.concatenate([
+            _scores_block(flat[s:s + step], collinear_tol, kernel_rel_tol)
+            for s in range(0, len(flat), step)
+        ] or [np.zeros((0, 5))])
+    return out.reshape(lead + (5,))
+
+
+def _scores_block(pts, collinear_tol, kernel_rel_tol):
+    """quality_scores of a stack (g, n, 2)."""
+    g, n = pts.shape[:2]
     area = geometry.polygon_area(pts)
-    elen = np.empty(n)
-    min_e = np.inf
-    for i in range(n):
-        j = i + 1
-        if j == n:
-            j = 0
-        dx = pts[j, 0] - pts[i, 0]
-        dy = pts[j, 1] - pts[i, 1]
-        elen[i] = np.sqrt(dx * dx + dy * dy)
-        if elen[i] < min_e:
-            min_e = elen[i]
     diam = geometry.polygon_diameter(pts)
-    if area <= 0.0 or diam <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0, 0.0
+    d = np.roll(pts, -1, axis=1) - pts  # edge i runs from vertex i to vertex i+1
+    elen = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
 
-    # corner[i] marks vertex i as a genuine turn between edge i-1 and edge i
-    corner = np.zeros(n, np.bool_)
-    n_corners = 0
-    for i in range(n):
-        p = i - 1
-        if p < 0:
-            p = n - 1
-        j = i + 1
-        if j == n:
-            j = 0
-        ux = pts[i, 0] - pts[p, 0]
-        uy = pts[i, 1] - pts[p, 1]
-        vx = pts[j, 0] - pts[i, 0]
-        vy = pts[j, 1] - pts[i, 1]
-        cr = ux * vy - uy * vx
-        denom = elen[p] * elen[i]
-        if denom > 0.0 and abs(cr) / denom >= collinear_tol:
-            corner[i] = True
-            n_corners += 1
+    # corner[:, i] marks vertex i as a genuine turn between edge i-1 and edge i
+    u = np.roll(d, 1, axis=1)
+    cr = u[..., 0] * d[..., 1] - u[..., 1] * d[..., 0]
+    denom = np.roll(elen, 1, axis=1) * elen
+    corner = (denom > 0.0) & (np.abs(cr) / denom >= collinear_tol)
 
-    if n_corners == 0:
-        rho4 = 1.0
-    else:
-        c0 = 0
-        while not corner[c0]:
-            c0 += 1
-        rho4 = 1.0
-        run_min = np.inf
-        run_max = 0.0
-        # edge i starts at vertex i; a run ends when the next vertex is a corner
-        for s in range(n):
-            i = (c0 + s) % n
-            if elen[i] < run_min:
-                run_min = elen[i]
-            if elen[i] > run_max:
-                run_max = elen[i]
-            j = i + 1
-            if j == n:
-                j = 0
-            if corner[j]:
-                r = run_min / run_max
-                if r < rho4:
-                    rho4 = r
-                run_min = np.inf
-                run_max = 0.0
+    # walk the edges from the first corner; a run ends where the next vertex
+    # is a corner.  Without corners no run ends and rho4 stays 1.
+    order = (corner.argmax(axis=1)[:, None] + np.arange(n)) % n
+    run_len = np.take_along_axis(elen, order, axis=1)
+    run_end = np.take_along_axis(corner, (order + 1) % n, axis=1)
+    rho4 = np.ones(g)
+    run_min = np.full(g, np.inf)
+    run_max = np.zeros(g)
+    for s in range(n):
+        e = run_len[:, s]
+        run_min = np.where(e < run_min, e, run_min)
+        run_max = np.where(e > run_max, e, run_max)
+        end = run_end[:, s]
+        r = run_min / run_max
+        rho4 = np.where(end & (r < rho4), r, rho4)
+        run_min = np.where(end, np.inf, run_min)
+        run_max = np.where(end, 0.0, run_max)
 
-    rho3 = 3.0 / n
-    rho2 = min(np.sqrt(area), min_e) / diam
-    if rho2 > 1.0:
-        rho2 = 1.0
+    rho2 = np.minimum(np.minimum(np.sqrt(area), elen.min(axis=1)) / diam, 1.0)
 
-    ka = geometry.polygon_area(geometry.kernel_clip(pts, 1e-12 * diam))
-    if ka < kernel_rel_tol * area:
-        rho1 = 0.0
-    else:
-        rho1 = ka / area
-        if rho1 > 1.0:
-            rho1 = 1.0
+    buf, _ = geometry.kernel_clip(pts, 1e-12 * diam)
+    ka = geometry.polygon_area(buf)
+    rho1 = np.where(ka < kernel_rel_tol * area, 0.0, np.minimum(ka / area, 1.0))
 
-    rho = np.sqrt(rho1 * (rho2 + rho3 + rho4) / 3.0)
-    if rho > 1.0:
-        rho = 1.0
-    return rho1, rho2, rho3, rho4, rho
+    rho = np.minimum(np.sqrt(rho1 * (rho2 + 3.0 / n + rho4) / 3.0), 1.0)
+    out = np.stack([rho1, rho2, np.full(g, 3.0 / n), rho4, rho], axis=-1)
+    out[(area <= 0.0) | (diam <= 0.0)] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

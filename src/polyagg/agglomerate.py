@@ -63,49 +63,84 @@ def _round_half_away(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def _simplified_union_points(mesh, loop, tol=COLLINEAR_TOL):
-    """Union loop with unconstrained straight vertices dropped."""
-    ids = list(loop)
-    while True:
-        pts = mesh.points[ids]
-        n = len(ids)
-        if n <= 3:
-            return pts
-        drop = None
-        for k in range(n):
-            v = ids[k]
-            if mesh.vertex_constrained[v]:
-                continue
-            a = ids[k - 1]
-            b = ids[(k + 1) % n]
-            e1 = mesh.edge_index.get((min(a, v), max(a, v)))
-            e2 = mesh.edge_index.get((min(v, b), max(v, b)))
-            if (e1 is not None and mesh.edge_constrained[e1]) or (
-                e2 is not None and mesh.edge_constrained[e2]
-            ):
-                continue
-            u1 = pts[k] - pts[k - 1]
-            u2 = pts[(k + 1) % n] - pts[k]
-            denom = np.hypot(*u1) * np.hypot(*u2)
-            if denom == 0.0:
-                continue
-            if abs(u1[0] * u2[1] - u1[1] * u2[0]) / denom < tol and (u1 @ u2) > 0.0:
-                drop = k
-                break
-        if drop is None:
-            return pts
-        ids.pop(drop)
+def _droppable(mesh, ids, constrained_keys, tol):
+    """(g, n) mask of the unconstrained straight vertices of union loops (g, n):
+    neither the vertex nor either mesh edge at it is constrained, and its two
+    loop edges point the same way within ``tol``."""
+    nv = mesh.n_vertices
+
+    def constrained_edge(a, b):
+        return np.isin(np.minimum(a, b) * nv + np.maximum(a, b), constrained_keys)
+
+    prv = np.roll(ids, 1, axis=1)
+    nxt = np.roll(ids, -1, axis=1)
+    free = ~(mesh.vertex_constrained[ids] | constrained_edge(prv, ids)
+             | constrained_edge(ids, nxt))
+    pts = mesh.points[ids]
+    u1 = pts - np.roll(pts, 1, axis=1)
+    u2 = np.roll(pts, -1, axis=1) - pts
+    denom = np.hypot(u1[..., 0], u1[..., 1]) * np.hypot(u2[..., 0], u2[..., 1])
+    turn = np.abs(u1[..., 0] * u2[..., 1] - u1[..., 1] * u2[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        straight = (denom != 0.0) & (turn / denom < tol)
+    ahead = u1[..., 0] * u2[..., 0] + u1[..., 1] * u2[..., 1] > 0.0
+    return free & straight & ahead
 
 
-def _pair_union_quality(mesh: PolygonalMesh, i: int, j: int):
-    """rho of the simplified union of two adjacent cells, or None on failure."""
-    try:
-        loop = _union_loop(mesh, (i, j))
-    except MergeError:
-        return None
-    pts = _simplified_union_points(mesh, loop)
-    r = _kernels.quality_scores(pts, COLLINEAR_TOL, quality.KERNEL_REL_TOL)
-    return float(r[4])
+def _simplified_loop_groups(mesh, loops, tol=COLLINEAR_TOL):
+    """Union loops with their unconstrained straight vertices dropped, grouped
+    by the vertex count that remains.
+
+    Yields (loop indices, (g, n) vertex ids) once per vertex count.  Loops
+    are processed a vertex count at a time, largest first: each loop of the
+    count drops its first droppable vertex and moves down one count, so the
+    vertices dropped are those of a scan that restarts after every drop.
+    Loops of 3 vertices or fewer are kept as they are.
+    """
+    edges = np.array(mesh.edges, dtype=np.int64).reshape(-1, 2)[mesh.edge_constrained]
+    constrained_keys = edges[:, 0] * mesh.n_vertices + edges[:, 1]
+    by_count = {}
+    for k, loop in enumerate(loops):
+        by_count.setdefault(len(loop), []).append(k)
+    # vertex count -> [(loop indices, (g, n) vertex ids)]
+    pending = {n: [(np.array(ks), np.array([loops[k] for k in ks], dtype=np.int64))]
+               for n, ks in by_count.items()}
+    while pending:
+        n = max(pending)
+        parts = pending.pop(n)
+        idx = np.concatenate([i for i, _ in parts])
+        ids = np.concatenate([v for _, v in parts])
+        if n > 3:
+            drop = _droppable(mesh, ids, constrained_keys, tol)
+            hit = drop.any(axis=1)
+            if hit.any():
+                keep = np.arange(n) != drop[hit].argmax(axis=1)[:, None]
+                pending.setdefault(n - 1, []).append((idx[hit], ids[hit][keep].reshape(-1, n - 1)))
+                idx, ids = idx[~hit], ids[~hit]
+        if len(idx):
+            yield idx, ids
+
+
+def _union_rhos(mesh: PolygonalMesh, pairs, tol=COLLINEAR_TOL) -> list:
+    """rho of the simplified union of each pair of adjacent cells, None where
+    the union fails (``MergeError``).
+
+    The unions are simplified and scored by vertex count, one
+    ``quality_scores`` call per count.
+    """
+    loops, scored = [], []
+    for k, pair in enumerate(pairs):
+        try:
+            loops.append(_union_loop(mesh, pair))
+        except MergeError:
+            continue
+        scored.append(k)
+    rhos = [None] * len(pairs)
+    for idx, ids in _simplified_loop_groups(mesh, loops, tol):
+        r = _kernels.quality_scores(mesh.points[ids], tol, quality.KERNEL_REL_TOL)
+        for k, v in zip(idx.tolist(), r[:, 4].tolist()):
+            rhos[scored[k]] = v
+    return rhos
 
 
 class _Problem:
@@ -126,10 +161,9 @@ class _Problem:
         self.adj_pairs = mesh.adjacency_pairs()
         self.neighbors = [nb.tolist() for nb in mesh.neighbors]
         self.dc_int = {}
-        for (i, j) in self.adj_pairs:
-            r = _pair_union_quality(mesh, i, j)
+        for pair, r in zip(self.adj_pairs, _union_rhos(mesh, self.adj_pairs)):
             cost = 1.0 if r is None else 1.0 - r**config.dc_power
-            self.dc_int[(i, j)] = _round_half_away(self.scale * cost)
+            self.dc_int[pair] = _round_half_away(self.scale * cost)
 
     def data_int(self, p: int, label: int) -> int:
         if label == p:
@@ -160,7 +194,7 @@ def data_cost(mesh: PolygonalMesh, p: int, label: int, power: int = 1) -> float:
         return 0.0
     if label not in mesh.neighbors[p]:
         return 1.0
-    r = _pair_union_quality(mesh, p, label)
+    r, = _union_rhos(mesh, [(p, label)])
     return 1.0 if r is None else 1.0 - r**power
 
 

@@ -1,10 +1,10 @@
 """Plain polygon geometry used by the mesh, quality and cutting layers.
 
 All polygons are (n, 2) float64 arrays; unless stated otherwise they are
-assumed simple and counter-clockwise.  The area, centroid, diameter and
-simplicity primitives also take a stack (..., n, 2) of polygons with one
-vertex count and return one value per polygon; a single polygon is the
-stack without leading axes, so each primitive has one implementation.
+assumed simple and counter-clockwise.  The area, centroid, diameter,
+simplicity and kernel primitives also take a stack (..., n, 2) of polygons
+with one vertex count and return one result per polygon; a single polygon is
+the stack without leading axes, so each primitive has one implementation.
 """
 
 import functools
@@ -81,6 +81,12 @@ def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
+def _within_span(px, py, ax, ay, bx, by):
+    """Point p projects strictly between a and b onto the line through them."""
+    return (((px - ax) * (bx - ax) + (py - ay) * (by - ay) > 0.0)
+            & ((px - bx) * (ax - bx) + (py - by) * (ay - by) > 0.0))
+
+
 @functools.cache
 def _crossing_pairs(n):
     """Edge index pairs (i, j), i < j, of the non-adjacent edges of an n-gon;
@@ -103,9 +109,10 @@ def is_simple_polygon(pts, eps=None):
     A polygon is simple when it has at least 3 vertices and a positive
     diameter, no two vertices lie within the snap distance 1e-12 * diameter
     in both coordinates (which rejects zero-length edges too), no two
-    non-adjacent edges cross or overlap collinearly, and no two adjacent
-    edges fold back onto each other (a spike).  ``eps`` is the orientation
-    tolerance, 1e-12 * diameter**2 by default.
+    non-adjacent edges cross or overlap collinearly, no vertex lies within
+    the orientation tolerance of the open interior of a non-adjacent edge (a
+    pinch), and no two adjacent edges fold back onto each other (a spike).
+    ``eps`` is the orientation tolerance, 1e-12 * diameter**2 by default.
     """
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim < 2 or pts.shape[-1] != 2:
@@ -160,7 +167,12 @@ def _simple_block(pts, diam, eps):
             np.minimum(np.maximum(ay, by), np.maximum(cy, dy))
             - np.maximum(np.minimum(ay, by), np.minimum(cy, dy)) > eps
         )
-        ok &= ~(cross | (collinear & overlap)).any(axis=1)
+        # a vertex on the open interior of a non-adjacent edge pinches the polygon
+        pinch = ((np.abs(d1) <= eps) & _within_span(ax, ay, cx, cy, dx, dy)
+                 | (np.abs(d2) <= eps) & _within_span(bx, by, cx, cy, dx, dy)
+                 | (np.abs(d3) <= eps) & _within_span(cx, cy, ax, ay, bx, by)
+                 | (np.abs(d4) <= eps) & _within_span(dx, dy, ax, ay, bx, by))
+        ok &= ~(cross | (collinear & overlap) | pinch).any(axis=1)
 
     # spike at vertex i: edges i-1 and i collinear and pointing apart
     u = pts - np.concatenate((pts[:, -1:], pts[:, :-1]), axis=1)
@@ -172,87 +184,83 @@ def _simple_block(pts, diam, eps):
 
 
 def kernel_clip(pts, eps):
-    """Kernel of a simple CCW polygon by successive half-plane clipping.
+    """Kernel of a simple CCW polygon (n, 2), or of each polygon of a stack
+    (..., n, 2) with one vertex count, by successive half-plane clipping.
 
     Starts from the bounding box and clips against the inward (left)
-    half-plane of every boundary edge; the result is the convex kernel,
-    empty (0 rows) when the polygon is not star-shaped.  ``eps`` is an
-    absolute distance tolerance.
+    half-plane of every boundary edge in turn, the whole stack at once.
+    Returns ``(buf, m)``: the kernel of a polygon is ``buf[..., :m, :]``, a
+    convex polygon, empty (m = 0) when the polygon is not star-shaped.
+    ``buf`` has 2n + 8 rows and its rows past m repeat row 0 (all rows are
+    zero when m = 0), so the shoelace of a whole buffer adds exact zeros to
+    the kernel's.  ``eps`` is an absolute distance tolerance, one value or
+    one per polygon.
     """
-    n = pts.shape[0]
-    cap = 2 * n + 8
-    cur = np.empty((cap, 2))
-    buf = np.empty((cap, 2))
-    xmin = pts[0, 0]
-    xmax = pts[0, 0]
-    ymin = pts[0, 1]
-    ymax = pts[0, 1]
+    pts = np.asarray(pts, dtype=np.float64)
+    lead, n = pts.shape[:-2], pts.shape[-2]
+    flat = pts.reshape((math.prod(lead), n, 2))
+    g = len(flat)
+    eps = np.broadcast_to(eps, lead).reshape(-1)
+    cells = np.arange(g)
+    lo = flat[:, 0]
+    hi = flat[:, 0]
     for i in range(1, n):
-        if pts[i, 0] < xmin:
-            xmin = pts[i, 0]
-        if pts[i, 0] > xmax:
-            xmax = pts[i, 0]
-        if pts[i, 1] < ymin:
-            ymin = pts[i, 1]
-        if pts[i, 1] > ymax:
-            ymax = pts[i, 1]
-    cur[0, 0] = xmin
-    cur[0, 1] = ymin
-    cur[1, 0] = xmax
-    cur[1, 1] = ymin
-    cur[2, 0] = xmax
-    cur[2, 1] = ymax
-    cur[3, 0] = xmin
-    cur[3, 1] = ymax
-    m = 4
-    for e in range(n):
-        f = e + 1
-        if f == n:
-            f = 0
-        ax = pts[e, 0]
-        ay = pts[e, 1]
-        dx = pts[f, 0] - ax
-        dy = pts[f, 1] - ay
-        ln = np.sqrt(dx * dx + dy * dy)
-        if ln <= 0.0:
-            continue
-        dx /= ln
-        dy /= ln
-        k = 0
-        for i in range(m):
-            j = i + 1
-            if j == m:
-                j = 0
-            px = cur[i, 0]
-            py = cur[i, 1]
-            qx = cur[j, 0]
-            qy = cur[j, 1]
-            sp = dx * (py - ay) - dy * (px - ax)
-            sq = dx * (qy - ay) - dy * (qx - ax)
-            if sp >= -eps:
-                buf[k, 0] = px
-                buf[k, 1] = py
-                k += 1
-            if (sp > eps and sq < -eps) or (sp < -eps and sq > eps):
-                t = sp / (sp - sq)
-                buf[k, 0] = px + t * (qx - px)
-                buf[k, 1] = py + t * (qy - py)
-                k += 1
-        m = k
-        if m == 0:
-            break
-        for i in range(m):
-            cur[i, 0] = buf[i, 0]
-            cur[i, 1] = buf[i, 1]
-    return cur[:m].copy()
+        lo = np.where(flat[:, i] < lo, flat[:, i], lo)
+        hi = np.where(flat[:, i] > hi, flat[:, i], hi)
+    # edge e of every polygon: start (ax, ay), unit direction (ux, uy), (n, g)
+    ax, ay = flat[..., 0].T, flat[..., 1].T
+    d = _successors(flat) - flat
+    ln = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).T
+    skip = ln <= 0.0  # a zero-length edge clips nothing
+    # kernel vertices as a (rows, cells, 2) array: a row of all cells is
+    # contiguous, so scans over the rows run across the whole stack
+    cur = np.stack((lo, hi, hi, lo))
+    cur[1, :, 1] = lo[:, 1]
+    cur[3, :, 1] = hi[:, 1]
+    m = np.full(g, 4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = d[..., 0].T / ln
+        uy = d[..., 1].T / ln
+        for e in range(n):
+            # signed distances; row m repeats row 0, so the successor of a
+            # kernel's last vertex is its first
+            s = ux[e] * (cur[..., 1] - ay[e]) - uy[e] * (cur[..., 0] - ax[e])
+            sq = np.concatenate((s[1:], s[:1]))
+            valid = np.arange(len(s))[:, None] < m
+            keep = valid & ((s >= -eps) | skip[e])
+            cross = valid & (((s > eps) & (sq < -eps)) | ((s < -eps) & (sq > eps)))
+            # each vertex emits itself when kept, then the crossing point
+            emit = keep.astype(np.int64) + cross
+            end = np.cumsum(emit, axis=0)
+            m = end[-1]
+            width = max(int(m.max(initial=0)), 1)
+            dst = ((end - emit) * g + cells).ravel()
+            old, s, sq, keep = cur.reshape(-1, 2), s.ravel(), sq.ravel(), keep.ravel()
+            cur = np.zeros((width * g, 2))
+            i = np.flatnonzero(keep)
+            cur[dst[i]] = old[i]
+            i = np.flatnonzero(cross)
+            t = s[i] / (s[i] - sq[i])
+            p = old[i]
+            cur[dst[i] + g * keep[i]] = p + t[:, None] * (old[(i + g) % len(old)] - p)
+            i = np.flatnonzero(np.arange(width)[:, None] >= m)
+            cur[i] = cur[i % g]
+            cur = cur.reshape(width, g, 2)
+    rows = np.arange(2 * n + 8)
+    if len(cur) > len(rows):
+        raise GeometryError(f"kernel of more than {len(rows)} vertices")
+    rows[rows >= len(cur)] = 0
+    m = m.reshape(lead) if lead else int(m[0])
+    return cur[rows].transpose(1, 0, 2).reshape(lead + (len(rows), 2)), m
 
 
 def polygon_kernel_points(pts) -> np.ndarray:
     """Kernel polygon (possibly empty) of a simple CCW polygon."""
     pts = as_points(pts)
     diam = polygon_diameter(pts)
-    kern = kernel_clip(pts, 1e-12 * max(diam, 1e-300))
-    if len(kern) >= 3 and abs(polygon_area(kern)) > 0.0:
+    buf, m = kernel_clip(pts, 1e-12 * max(diam, 1e-300))
+    kern = buf[:m]
+    if m >= 3 and abs(polygon_area(kern)) > 0.0:
         return kern
     return np.empty((0, 2))
 

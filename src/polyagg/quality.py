@@ -32,8 +32,7 @@ class QualityScores:
 
 def scores_from_points(points, tol=COLLINEAR_TOL) -> QualityScores:
     pts = geometry.as_points(points)
-    r1, r2, r3, r4, r = _kernels.quality_scores(pts, tol, KERNEL_REL_TOL)
-    return QualityScores(float(r1), float(r2), float(r3), float(r4), float(r))
+    return QualityScores(*_kernels.quality_scores(pts, tol, KERNEL_REL_TOL).tolist())
 
 
 def rho1(cell: Cell) -> float:
@@ -71,8 +70,15 @@ class QualityReport:
 
 
 def mesh_quality_report(mesh: PolygonalMesh, tol=COLLINEAR_TOL) -> QualityReport:
-    scores = [scores_from_points(mesh.points[ids], tol) for ids in mesh.cells]
-    rhos = np.array([s.rho for s in scores])
+    """Scores of every cell, one ``quality_scores`` call per vertex count."""
+    counts = np.array([len(ids) for ids in mesh.cells])
+    table = np.empty((mesh.n_cells, 5))
+    for n in np.unique(counts):
+        cids = np.flatnonzero(counts == n)
+        verts = np.array([mesh.cells[c] for c in cids])
+        table[cids] = _kernels.quality_scores(mesh.points[verts], tol, KERNEL_REL_TOL)
+    scores = [QualityScores(*row) for row in table.tolist()]
+    rhos = table[:, 4].copy()  # contiguous, so the mean sums as before
     hist, edges = np.histogram(rhos, bins=10, range=(0.0, 1.0))
     return QualityReport(scores, float(rhos.min()), float(rhos.mean()), hist, edges)
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
+from polyagg import geometry
+from polyagg.geometry import COLLINEAR_TOL
 from polyagg.mesh import build_mesh, make_cell
 
 
@@ -53,6 +55,33 @@ def tri_grid_mesh(nx, ny, lx=1.0, ly=1.0):
     return build_mesh(pts, cells)
 
 
+# 6 x 6 grid squares, bottom row first; squares with one letter merge into one
+# cell, "." squares stay two triangles.  The U and L cells are non-convex and
+# several cells keep straight (hanging) vertices where their neighbours do.
+MIXED_REGIONS = (
+    "UUUAAB",
+    "U.UAB.",
+    "U.U.BB",
+    "LL..QQ",
+    "L..CC.",
+    "..CC..",
+)
+
+
+def mixed_region_mesh():
+    """The ``MIXED_REGIONS`` mesh: cells of 3 to 9+ vertices, non-convex ones
+    among them, merged from a 6 x 6 triangle grid."""
+    from polyagg.agglomerate import apply_labeling
+
+    base = tri_grid_mesh(6, 6)
+    labels = np.arange(base.n_cells)
+    for j, row in enumerate(MIXED_REGIONS):
+        for i, ch in enumerate(row):
+            if ch != ".":
+                labels[2 * (6 * j + i): 2 * (6 * j + i) + 2] = base.n_cells + ord(ch)
+    return apply_labeling(base, labels)
+
+
 NON_STAR_POLY = np.array(
     [[0, 0], [5, 0], [5, 3], [4, 3], [4, 1], [1, 1], [1, 3], [0, 3]], dtype=float
 )
@@ -97,6 +126,34 @@ def random_polygon(rng, kind=None):
     scale = 0.5 + 2.0 * rng.random()
     shift = rng.uniform(-3, 3, 2)
     return scale * pts @ R.T + shift
+
+
+def quality_cases(rng):
+    """Simple CCW cells for the stacked kernel and quality oracles: seeded
+    ``random_polygon`` cells of every kind (kind 3 is not star-shaped),
+    radial cells of 3 to 16 vertices, cells with collinear runs, and cells
+    of zero area, zero diameter or a zero-length edge."""
+    cells = []
+    for t in range(240):
+        poly = random_polygon(rng, kind=t % 4)
+        if geometry.is_simple_polygon(poly):
+            cells.append(geometry.ensure_ccw(poly))
+    for n in range(3, 17):
+        for spiky in (False, True):
+            ang = (np.arange(n) + 0.8 * rng.random(n)) * 2 * np.pi / n
+            rad = np.where(spiky & (np.arange(n) % 2 == 1), 0.2, 1.0) + 0.3 * rng.random(n)
+            cells.append(np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]))
+    cells += [np.array(p, dtype=float) for p in (
+        [[0, 0], [0.25, 0], [1, 0], [1, 1], [0, 1]],
+        [[0, 0], [0.5, 0], [1, 0], [1, 0.5], [1, 1], [0.5, 1], [0, 1], [0, 0.5]],
+        [[0, 0], [1, 0], [2, 0], [3, 0], [3, 1e-3], [0, 1e-3]],
+        [[0, 0], [1, 0], [2, 0], [1, 0]],          # zero area
+        [[1, 1], [1, 1], [1, 1]],                  # zero diameter
+        [[0, 0], [1, 0], [1, 0], [0, 1]],          # zero-length edge
+        [[0, 0], [0, 1], [1, 1], [1, 0]],          # clockwise
+    )]
+    cells.append(NON_STAR_POLY)
+    return cells
 
 
 def sees_all_vertices(poly, p, eps=1e-9):
@@ -201,6 +258,17 @@ def ref_segments_properly_intersect(p, q, r, s, eps) -> bool:
     return False
 
 
+def ref_vertex_pinches_edge(p, q, r, s, eps) -> bool:
+    """An endpoint of segment pq or rs within eps (orientation) of the open
+    interior of the other segment."""
+    for v, a, b in ((p, r, s), (q, r, s), (r, p, q), (s, p, q)):
+        if (abs(_ref_orient(a[0], a[1], b[0], b[1], v[0], v[1])) <= eps
+                and (v[0] - a[0]) * (b[0] - a[0]) + (v[1] - a[1]) * (b[1] - a[1]) > 0.0
+                and (v[0] - b[0]) * (a[0] - b[0]) + (v[1] - b[1]) * (a[1] - b[1]) > 0.0):
+            return True
+    return False
+
+
 def ref_is_simple_polygon(pts, eps=None) -> bool:
     pts = np.ascontiguousarray(pts, dtype=np.float64)
     n = len(pts)
@@ -226,6 +294,8 @@ def ref_is_simple_polygon(pts, eps=None) -> bool:
                 continue
             c, d = pts[j], pts[(j + 1) % n]
             if ref_segments_properly_intersect(a, b, c, d, eps):
+                return False
+            if ref_vertex_pinches_edge(a, b, c, d, eps):
                 return False
     for i in range(n):
         # spike test at vertex i
@@ -306,6 +376,211 @@ def ref_build_mesh_cells(points, cells, compact=True):
                 edge_cells[e].append(ci)
 
     return cell_arrays, edges, [tuple(cs) for cs in edge_cells]
+
+
+# Reference oracles: the scalar per-cell kernel clip and quality scores and
+# the one-loop union simplification that the stacked versions replace, kept
+# verbatim (the scores call the scalar clip above).  The stacked quality
+# scores, kernel buffers and simplified union loops must match them bit for bit.
+
+def ref_kernel_clip(pts, eps):
+    """Kernel of a simple CCW polygon by successive half-plane clipping.
+
+    Starts from the bounding box and clips against the inward (left)
+    half-plane of every boundary edge; the result is the convex kernel,
+    empty (0 rows) when the polygon is not star-shaped.  ``eps`` is an
+    absolute distance tolerance.
+    """
+    n = pts.shape[0]
+    cap = 2 * n + 8
+    cur = np.empty((cap, 2))
+    buf = np.empty((cap, 2))
+    xmin = pts[0, 0]
+    xmax = pts[0, 0]
+    ymin = pts[0, 1]
+    ymax = pts[0, 1]
+    for i in range(1, n):
+        if pts[i, 0] < xmin:
+            xmin = pts[i, 0]
+        if pts[i, 0] > xmax:
+            xmax = pts[i, 0]
+        if pts[i, 1] < ymin:
+            ymin = pts[i, 1]
+        if pts[i, 1] > ymax:
+            ymax = pts[i, 1]
+    cur[0, 0] = xmin
+    cur[0, 1] = ymin
+    cur[1, 0] = xmax
+    cur[1, 1] = ymin
+    cur[2, 0] = xmax
+    cur[2, 1] = ymax
+    cur[3, 0] = xmin
+    cur[3, 1] = ymax
+    m = 4
+    for e in range(n):
+        f = e + 1
+        if f == n:
+            f = 0
+        ax = pts[e, 0]
+        ay = pts[e, 1]
+        dx = pts[f, 0] - ax
+        dy = pts[f, 1] - ay
+        ln = np.sqrt(dx * dx + dy * dy)
+        if ln <= 0.0:
+            continue
+        dx /= ln
+        dy /= ln
+        k = 0
+        for i in range(m):
+            j = i + 1
+            if j == m:
+                j = 0
+            px = cur[i, 0]
+            py = cur[i, 1]
+            qx = cur[j, 0]
+            qy = cur[j, 1]
+            sp = dx * (py - ay) - dy * (px - ax)
+            sq = dx * (qy - ay) - dy * (qx - ax)
+            if sp >= -eps:
+                buf[k, 0] = px
+                buf[k, 1] = py
+                k += 1
+            if (sp > eps and sq < -eps) or (sp < -eps and sq > eps):
+                t = sp / (sp - sq)
+                buf[k, 0] = px + t * (qx - px)
+                buf[k, 1] = py + t * (qy - py)
+                k += 1
+        m = k
+        if m == 0:
+            break
+        for i in range(m):
+            cur[i, 0] = buf[i, 0]
+            cur[i, 1] = buf[i, 1]
+    return cur[:m].copy()
+
+
+def ref_quality_scores(pts, collinear_tol, kernel_rel_tol):
+    """All four regularity indicators plus the combined score of one cell.
+
+    Returns (rho1, rho2, rho3, rho4, rho).  The polygon must be simple and
+    CCW-oriented.  Collinear runs are maximal chains of consecutive edges
+    whose turn angle satisfies |cross|/(|a||b|) < collinear_tol; kernels of
+    relative area below kernel_rel_tol count as empty.
+    """
+    n = pts.shape[0]
+    area = geometry.polygon_area(pts)
+    elen = np.empty(n)
+    min_e = np.inf
+    for i in range(n):
+        j = i + 1
+        if j == n:
+            j = 0
+        dx = pts[j, 0] - pts[i, 0]
+        dy = pts[j, 1] - pts[i, 1]
+        elen[i] = np.sqrt(dx * dx + dy * dy)
+        if elen[i] < min_e:
+            min_e = elen[i]
+    diam = geometry.polygon_diameter(pts)
+    if area <= 0.0 or diam <= 0.0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+
+    # corner[i] marks vertex i as a genuine turn between edge i-1 and edge i
+    corner = np.zeros(n, np.bool_)
+    n_corners = 0
+    for i in range(n):
+        p = i - 1
+        if p < 0:
+            p = n - 1
+        j = i + 1
+        if j == n:
+            j = 0
+        ux = pts[i, 0] - pts[p, 0]
+        uy = pts[i, 1] - pts[p, 1]
+        vx = pts[j, 0] - pts[i, 0]
+        vy = pts[j, 1] - pts[i, 1]
+        cr = ux * vy - uy * vx
+        denom = elen[p] * elen[i]
+        if denom > 0.0 and abs(cr) / denom >= collinear_tol:
+            corner[i] = True
+            n_corners += 1
+
+    if n_corners == 0:
+        rho4 = 1.0
+    else:
+        c0 = 0
+        while not corner[c0]:
+            c0 += 1
+        rho4 = 1.0
+        run_min = np.inf
+        run_max = 0.0
+        # edge i starts at vertex i; a run ends when the next vertex is a corner
+        for s in range(n):
+            i = (c0 + s) % n
+            if elen[i] < run_min:
+                run_min = elen[i]
+            if elen[i] > run_max:
+                run_max = elen[i]
+            j = i + 1
+            if j == n:
+                j = 0
+            if corner[j]:
+                r = run_min / run_max
+                if r < rho4:
+                    rho4 = r
+                run_min = np.inf
+                run_max = 0.0
+
+    rho3 = 3.0 / n
+    rho2 = min(np.sqrt(area), min_e) / diam
+    if rho2 > 1.0:
+        rho2 = 1.0
+
+    ka = geometry.polygon_area(ref_kernel_clip(pts, 1e-12 * diam))
+    if ka < kernel_rel_tol * area:
+        rho1 = 0.0
+    else:
+        rho1 = ka / area
+        if rho1 > 1.0:
+            rho1 = 1.0
+
+    rho = np.sqrt(rho1 * (rho2 + rho3 + rho4) / 3.0)
+    if rho > 1.0:
+        rho = 1.0
+    return rho1, rho2, rho3, rho4, rho
+
+
+def ref_simplified_union_points(mesh, loop, tol=COLLINEAR_TOL):
+    """Union loop with unconstrained straight vertices dropped."""
+    ids = list(loop)
+    while True:
+        pts = mesh.points[ids]
+        n = len(ids)
+        if n <= 3:
+            return pts
+        drop = None
+        for k in range(n):
+            v = ids[k]
+            if mesh.vertex_constrained[v]:
+                continue
+            a = ids[k - 1]
+            b = ids[(k + 1) % n]
+            e1 = mesh.edge_index.get((min(a, v), max(a, v)))
+            e2 = mesh.edge_index.get((min(v, b), max(v, b)))
+            if (e1 is not None and mesh.edge_constrained[e1]) or (
+                e2 is not None and mesh.edge_constrained[e2]
+            ):
+                continue
+            u1 = pts[k] - pts[k - 1]
+            u2 = pts[(k + 1) % n] - pts[k]
+            denom = np.hypot(*u1) * np.hypot(*u2)
+            if denom == 0.0:
+                continue
+            if abs(u1[0] * u2[1] - u1[1] * u2[0]) / denom < tol and (u1 @ u2) > 0.0:
+                drop = k
+                break
+        if drop is None:
+            return pts
+        ids.pop(drop)
 
 
 @pytest.fixture

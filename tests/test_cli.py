@@ -64,6 +64,8 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
     pytest.param(".mesh", TRIANGLE + "C 1\n0 1 99999999999999999999\n", 6,
                  id="mesh-huge-index"),
     pytest.param(".mesh", "V 99999999999999999999\n0 0\n", 2, id="mesh-huge-count"),
+    pytest.param(".mesh", "V 5\n0 0\n2 0\n2 2\n1 0\n0 2\nC 1\n0 1 2 3 4\n", 8,
+                 id="mesh-pinched-cell"),
     pytest.param(".dfn", "F two\n", 1, id="dfn-fracture-count"),
     pytest.param(".dfn", "F 0\n", 1, id="dfn-no-fractures"),
     pytest.param(".dfn", "F 1\nthree\n", 2, id="dfn-vertex-count"),

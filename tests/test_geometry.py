@@ -8,8 +8,10 @@ from polyagg.mesh import MeshError
 from conftest import (
     NON_STAR_POLY,
     kernel_sampling_oracle,
+    quality_cases,
     random_polygon,
     ref_is_simple_polygon,
+    ref_kernel_clip,
     ref_polygon_area_centroid,
     ref_polygon_diameter,
     sees_all_vertices,
@@ -173,6 +175,8 @@ NON_SIMPLE = {
     "zero-length edge": [[0, 0], [1, 0], [1, 0], [0, 1]],
     "collinear overlap": [[0, 0], [4, 0], [4, 2], [3, 2], [3, 0], [1, 0], [1, 2], [0, 2]],
     "vertex within snap": [[0, 0], [2, 0], [1, 1], [2, 2], [0, 2], [1, 1 + 1e-13]],
+    "pinched": [[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]],
+    "pinched within eps": [[0, 0], [2, 0], [2, 2], [1, 1e-13], [0, 2]],
 }
 
 
@@ -243,3 +247,41 @@ def test_is_simple_stack_blocks_agree(monkeypatch, rng):
     monkeypatch.setattr(geometry, "_SIMPLE_BLOCK", 16)
     assert np.array_equal(geometry.is_simple_polygon(stack), whole)
     assert 0 < whole.sum() < len(stack)
+
+
+def _assert_kernel_matches_reference(poly, buf, m, eps):
+    ref = ref_kernel_clip(poly, eps)
+    assert buf.shape == (2 * len(poly) + 8, 2)
+    assert m == len(ref) and np.array_equal(buf[:m], ref)
+    # padding repeats row 0, so a whole-buffer shoelace is the kernel area
+    assert (buf[m:] == (buf[0] if m else 0.0)).all()
+    assert geometry.polygon_area(buf) == geometry.polygon_area(ref)
+
+
+def test_kernel_clip_matches_reference(rng):
+    cells = quality_cases(rng)
+    empty = 0
+    for poly in cells:
+        eps = 1e-12 * geometry.polygon_diameter(poly)
+        buf, m = geometry.kernel_clip(poly, eps)
+        assert type(m) is int
+        _assert_kernel_matches_reference(poly, buf, m, eps)
+        empty += m == 0
+    assert 50 < empty < len(cells) - 100
+    for n in sorted({len(p) for p in cells}):
+        stack = np.array([p for p in cells if len(p) == n])
+        if len(stack) % 2 == 0:  # two leading axes
+            stack = stack.reshape(2, -1, n, 2)
+        eps = 1e-12 * geometry.polygon_diameter(stack)
+        buf, m = geometry.kernel_clip(stack, eps)
+        assert buf.shape == stack.shape[:-2] + (2 * n + 8, 2) and m.shape == stack.shape[:-2]
+        for i in np.ndindex(stack.shape[:-2]):
+            _assert_kernel_matches_reference(stack[i], buf[i], m[i], eps[i])
+
+
+def test_kernel_points_match_reference(rng):
+    for poly in quality_cases(rng):
+        ref = ref_kernel_clip(poly, 1e-12 * max(geometry.polygon_diameter(poly), 1e-300))
+        kern = geometry.polygon_kernel_points(poly)
+        keep = len(ref) >= 3 and abs(geometry.polygon_area(ref)) > 0.0
+        assert np.array_equal(kern, ref if keep else np.empty((0, 2)))

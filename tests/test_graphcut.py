@@ -18,10 +18,18 @@ from polyagg.agglomerate import (
     trivial_labeling,
 )
 from polyagg.dfn import cut_by_traces, network1, triangulate_fracture
-from polyagg.mesh import build_mesh
+from polyagg.geometry import COLLINEAR_TOL
+from polyagg.mesh import MergeError, _union_loop, build_mesh
+from polyagg.quality import KERNEL_REL_TOL
 
 import polyagg.agglomerate as agg
-from conftest import grid_mesh, tri_grid_mesh
+from conftest import (
+    grid_mesh,
+    mixed_region_mesh,
+    ref_quality_scores,
+    ref_simplified_union_points,
+    tri_grid_mesh,
+)
 
 TWO_SQUARES = dict(
     points=[[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]],
@@ -163,6 +171,92 @@ def cut_fracture():
     fr = case.network.fractures[0]
     tri = triangulate_fracture(fr, max_area=2e-2)
     return cut_by_traces(tri, [t.local_segment(fr) for t in case.network.fracture_traces(0)])
+
+
+# two stacked cells; the lower one's bottom bends by 0.8e-9 at vertices 1 and
+# 2, each below the collinear tolerance, while dropping either one makes the
+# other turn by 1.2e-9, so the union keeps whichever vertex is tested last
+BENT = dict(
+    points=[[0, 0], [1, 0], [2, 0.8e-9], [3, 2.4e-9], [3, 1], [0, 1], [3, 2], [0, 2]],
+    cells=[[0, 1, 2, 3, 4, 5], [5, 4, 6, 7]],
+)
+
+
+@pytest.fixture(scope="module")
+def union_meshes(cut_fracture):
+    """The cut fracture, its agglomerate at lambda 1 (long loops with hanging
+    nodes and non-star unions), the mixed-region mesh (unions that fail) and
+    the bent pair, whose simplified union depends on the order of drops."""
+    return {
+        "cut": cut_fracture,
+        "lambda1": agglomerate(cut_fracture, AgglomerationConfig(lam=1.0)).mesh,
+        "mixed": mixed_region_mesh(),
+        "bent": build_mesh(**BENT),
+    }
+
+
+def _union_loops(mesh):
+    """(pair, union loop or None on MergeError) for every adjacent pair."""
+    out = []
+    for pair in mesh.adjacency_pairs():
+        try:
+            out.append((pair, _union_loop(mesh, pair)))
+        except MergeError:
+            out.append((pair, None))
+    return out
+
+
+@pytest.mark.parametrize("which", ["cut", "lambda1", "mixed", "bent"])
+def test_simplified_loops_match_per_loop_reference(union_meshes, which):
+    mesh = union_meshes[which]
+    loops = [loop for _, loop in _union_loops(mesh) if loop is not None]
+    got = {}
+    for idx, ids in agg._simplified_loop_groups(mesh, loops):
+        assert ids.shape[0] == len(idx) and ids.shape[1] not in {len(v) for v in got.values()}
+        got.update(zip(idx.tolist(), ids))
+    assert sorted(got) == list(range(len(loops)))
+    dropped = 0
+    for k, loop in enumerate(loops):
+        assert np.array_equal(mesh.points[got[k]], ref_simplified_union_points(mesh, loop))
+        dropped += len(loop) - len(got[k])
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0])
+@pytest.mark.parametrize("which", ["cut", "mixed"])
+def test_problem_costs_match_per_pair_reference(monkeypatch, union_meshes, which, lam):
+    """dc_int equals the per-pair path (one-loop simplification, scalar
+    scores), and the precompute scores each vertex count in one stacked call."""
+    mesh = union_meshes[which]
+    config = AgglomerationConfig(lam=lam)
+    shapes = []
+    scores = _kernels.quality_scores
+
+    def counted(pts, *args):
+        shapes.append(np.shape(pts))
+        return scores(pts, *args)
+
+    monkeypatch.setattr(_kernels, "quality_scores", counted)
+    problem = agg._Problem(mesh, config)
+    expected, rhos = {}, []
+    for pair, loop in _union_loops(mesh):
+        r = None
+        if loop is not None:
+            pts = ref_simplified_union_points(mesh, loop)
+            r = float(ref_quality_scores(pts, COLLINEAR_TOL, KERNEL_REL_TOL)[4])
+        rhos.append(r)
+        cost = 1.0 if r is None else 1.0 - r**config.dc_power
+        expected[pair] = int(np.floor(problem.scale * cost + 0.5))
+    assert problem.dc_int == expected
+    # a per-pair call path would show as repeated vertex counts
+    counts = [s[-2] for s in shapes]
+    assert all(len(s) == 3 for s in shapes) and len(set(counts)) == len(counts)
+    assert sum(s[0] for s in shapes) == sum(r is not None for r in rhos)
+    if which == "mixed":
+        assert None in rhos and 0.0 in rhos  # failed unions and non-star unions
+    for (p, q), r in list(zip(mesh.adjacency_pairs(), rhos))[:40]:
+        want = 1.0 if r is None else 1.0 - r**config.dc_power
+        assert data_cost(mesh, q, p, power=config.dc_power) == want
 
 
 @pytest.mark.parametrize("sc_mode", ["literal", "potts"])

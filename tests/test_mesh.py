@@ -60,6 +60,13 @@ def test_build_rejects_nonsimple_cell():
         build_mesh([[0, 0], [1, 1], [1, 0], [0, 1]], [[0, 1, 2, 3]])
 
 
+def test_build_rejects_pinched_cell():
+    """Vertex 3 lies on the open interior of edge 0-1: two triangles joined
+    at one point."""
+    with pytest.raises(CellError, match="cell 0 is not a simple polygon"):
+        build_mesh([[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]], [[0, 1, 2, 3, 4]])
+
+
 def test_build_rejects_overused_edge():
     pts = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0.5], [0.5, -1]]
     cells = [[0, 1, 2, 3], [1, 4, 2], [5, 2, 1]]

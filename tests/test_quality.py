@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from polyagg import _kernels
+from polyagg.geometry import COLLINEAR_TOL
 from polyagg.mesh import make_cell
 from polyagg.quality import (
+    KERNEL_REL_TOL,
     mesh_quality_report,
     rho,
     rho1,
@@ -17,7 +20,10 @@ from conftest import (
     equilateral_cell,
     grid_mesh,
     kernel_sampling_oracle,
+    mixed_region_mesh,
+    quality_cases,
     random_polygon,
+    ref_quality_scores,
     square_cell,
     tri_grid_mesh,
     unit_triangle_cell,
@@ -176,3 +182,56 @@ def test_quality_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "cell_id,rho1,rho2,rho3,rho4,rho"
     assert len(lines) == 5
+
+
+def _scores(pts):
+    return _kernels.quality_scores(pts, COLLINEAR_TOL, KERNEL_REL_TOL)
+
+
+def _reference(poly):
+    return np.array(ref_quality_scores(poly, COLLINEAR_TOL, KERNEL_REL_TOL), dtype=float)
+
+
+def test_quality_scores_match_reference(rng):
+    cells = quality_cases(rng)
+    single = [_scores(poly) for poly in cells]
+    for poly, out in zip(cells, single):
+        assert out.shape == (5,)
+        assert np.array_equal(out, _reference(poly))
+    assert sum(out[0] == 0.0 for out in single) > 50  # non-star-shaped cells score 0
+    for n in sorted({len(p) for p in cells}):
+        stack = np.array([p for p in cells if len(p) == n])
+        if len(stack) % 2 == 0:  # two leading axes
+            stack = stack.reshape(2, -1, n, 2)
+        out = _scores(stack)
+        assert out.shape == stack.shape[:-2] + (5,)
+        for i in np.ndindex(stack.shape[:-2]):
+            assert np.array_equal(out[i], _reference(stack[i]))
+
+
+def test_quality_score_blocks_agree(monkeypatch, rng):
+    """Splitting a stack into memory blocks does not change any value."""
+    stack = np.array([random_polygon(rng, kind=t % 4)[:4] for t in range(60)])
+    stack[::5, 2] = stack[::5, 1]  # zero-length edges
+    whole = _scores(stack)
+    monkeypatch.setattr(_kernels, "_QUALITY_BLOCK", 3 * 16)  # 3 quads per block
+    assert np.array_equal(_scores(stack), whole)
+    assert np.array_equal(_scores(stack[:0]), np.zeros((0, 5)))
+
+
+def test_mesh_report_one_call_per_vertex_count(monkeypatch):
+    mesh = mixed_region_mesh()
+    shapes = []
+    scores = _kernels.quality_scores
+
+    def counted(pts, *args):
+        shapes.append(np.shape(pts))
+        return scores(pts, *args)
+
+    monkeypatch.setattr(_kernels, "quality_scores", counted)
+    rep = mesh_quality_report(mesh)
+    counts = sorted({len(ids) for ids in mesh.cells})
+    assert sorted(s[-2] for s in shapes) == counts and len(counts) > 3
+    for ids, s in zip(mesh.cells, rep.scores):
+        assert np.array_equal(s.as_tuple(), _reference(mesh.points[ids]))
+        assert all(type(v) is float for v in s.as_tuple())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from polyagg.agglomerate import AgglomerationConfig, agglomerate, apply_labeling
+from polyagg.agglomerate import AgglomerationConfig, agglomerate
 from polyagg.mesh import build_mesh
 from polyagg.solutions import CATALOG, polynomial_of_degree
 from polyagg import vem
@@ -20,7 +20,7 @@ from polyagg.vem import (
     solve_spd,
 )
 
-from conftest import grid_mesh, tri_grid_mesh
+from conftest import grid_mesh, mixed_region_mesh, tri_grid_mesh
 
 SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
 TRIANGLE = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
@@ -289,19 +289,6 @@ def test_projection_discrepancy_square_vs_sliver():
     assert projector_discrepancies(sliver)[0] > projector_discrepancies(nice)[0]
 
 
-# 6 x 6 grid squares, bottom row first; squares with one letter merge into one
-# cell, "." squares stay two triangles.  The U and L cells are non-convex and
-# several cells keep straight (hanging) vertices where their neighbours do.
-MIXED_REGIONS = (
-    "UUUAAB",
-    "U.UAB.",
-    "U.U.BB",
-    "LL..QQ",
-    "L..CC.",
-    "..CC..",
-)
-
-
 def _turns(p):
     """Cross products of consecutive edges: negative at a reflex vertex."""
     d = np.roll(p, -1, axis=0) - p
@@ -311,13 +298,7 @@ def _turns(p):
 
 @pytest.fixture(scope="module")
 def mixed_mesh():
-    base = tri_grid_mesh(6, 6)
-    labels = np.arange(base.n_cells)
-    for j, row in enumerate(MIXED_REGIONS):
-        for i, ch in enumerate(row):
-            if ch != ".":
-                labels[2 * (6 * j + i): 2 * (6 * j + i) + 2] = base.n_cells + ord(ch)
-    return apply_labeling(base, labels)
+    return mixed_region_mesh()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
