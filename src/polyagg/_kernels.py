@@ -3,7 +3,7 @@
 Both are plain Python/NumPy.  Callers reach them as ``_kernels.quality_scores``
 and ``_kernels.maxflow`` so that a tracer can replace the module attribute.
 ``maxflow`` scores every cut of a graph with at most ``ENUM_MAX_NODES`` nodes
-at once and runs Dinic above that; both return the same canonical cut.
+and runs Dinic above that; both return the same canonical cut.
 """
 
 import functools
@@ -95,42 +95,82 @@ def _scores_block(pts, collinear_tol, kernel_rel_tol):
 # graphs up to this many nodes are solved by enumerating all 2**n cuts
 ENUM_MAX_NODES = 12
 
+# graphs up to this many nodes score their cuts with one product against a
+# cached cut matrix; larger ones score one block of 2**_ENUM_DENSE_NODES cuts
+# at a time, with the columns of their weighted pairs only, so that no cut
+# matrix above 2**_ENUM_DENSE_NODES rows is built or held
+_ENUM_DENSE_NODES = 8
+
 
 @functools.cache
-def _cut_table(n):
-    """(2**n, n) bool table whose row r holds the bits of r (True: source side)."""
-    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+def pair_offsets(n):
+    """Node pair (i, j), i < j, of an n-node graph is entry
+    ``pair_offsets(n)[i] + j`` of its pair weights, which run over the pairs
+    in ``np.triu_indices(n, 1)`` order."""
+    return tuple(i * (2 * n - i - 3) // 2 - 1 for i in range(n))
 
 
-def maxflow(cap_s, cap_t, edge_u, edge_v, edge_cap):
-    """Exact s-t min cut of a binary energy graph.
+def _cut_bits(cuts, n):
+    """(..., n) int64 bits of each cut index (1: node on the source side)."""
+    return (np.asarray(cuts)[..., None] >> np.arange(n)) & 1
 
-    Node i carries terminal capacities cap_s[i] (source arc) and cap_t[i]
-    (sink arc); each undirected pair (edge_u[k], edge_v[k]) carries symmetric
-    capacity edge_cap[k].  All capacities are nonnegative int64.  Returns
-    (flow, mask) where mask[i] is True when node i lies on the source side of
-    the canonical minimum cut: the smallest min-cut source set, which is the
-    set reachable from the source in the residual graph of a maximum flow.
 
-    Up to ``ENUM_MAX_NODES`` nodes every cut is scored from a cached bit table
-    and the mask is the intersection of all optimal cuts (min cuts are closed
-    under intersection); larger graphs run Dinic.  Both give the same cut.
+@functools.cache
+def _cut_matrix(n):
+    """(2**n, n + n(n-1)/2) int64 matrix scoring every cut of an n-node
+    graph: row r holds the bits of r, then, per node pair, 1 where cut r
+    separates the pair."""
+    bits = _cut_bits(np.arange(1 << n), n)
+    i, j = np.triu_indices(n, 1)
+    return np.concatenate([bits, bits[:, i] ^ bits[:, j]], axis=1)
+
+
+def maxflow(unary, pair_w):
+    """Exact minimum of a binary cut energy, by s-t min cut.
+
+    Node i pays unary[i] (int64, any sign) when it lies on the source side;
+    node pair p pays pair_w[p] (nonnegative int64) when the cut separates it,
+    with the pairs in ``np.triu_indices(n, 1)`` order (see ``pair_offsets``).
+    This is the s-t min cut of the graph with source arcs max(-unary, 0),
+    sink arcs max(unary, 0) and symmetric pair arcs pair_w, less the sum of
+    the source arcs.  Returns (value, mask): the minimum energy, and mask[i]
+    True when node i lies on the source side of the canonical minimum cut:
+    the smallest optimal source set, which is the set reachable from the
+    source in the residual graph of a maximum flow.
+
+    Up to ``ENUM_MAX_NODES`` nodes every cut is scored, by one product of the
+    cut matrix with the packed weights (unary, then pair_w) up to
+    ``_ENUM_DENSE_NODES`` nodes, and the mask is the intersection of all
+    optimal cuts (min cuts are closed under intersection); larger graphs
+    run Dinic.  Both give the same cut.
     """
-    n = cap_s.shape[0]
-    if n > ENUM_MAX_NODES:
-        return _dinic(cap_s, cap_t, edge_u, edge_v, edge_cap)
-    table = _cut_table(n)
-    # a source-side node pays its sink arc, a sink-side node its source arc
-    cost = table @ (cap_t - cap_s) + cap_s.sum()
-    cost += (table[:, edge_u] != table[:, edge_v]) @ edge_cap
+    n = len(unary)
     # the smallest optimal source set is a subset of every other optimal set,
     # so it is the optimal row with the lowest index: the first argmin
+    if n <= min(_ENUM_DENSE_NODES, ENUM_MAX_NODES):
+        m = _cut_matrix(n)
+        cost = m @ np.concatenate((unary, pair_w))
+        best = cost.argmin()
+        return cost[best], m[best, :n] != 0
+    nz = np.flatnonzero(pair_w)
+    i, j = np.triu_indices(n, 1)
+    i, j, w = i[nz], j[nz], pair_w[nz]
+    if n > ENUM_MAX_NODES:
+        cap_s = np.maximum(-unary, 0)
+        flow, mask = _dinic(cap_s, np.maximum(unary, 0), i, j, w)
+        return flow - cap_s.sum(), mask
+    step = 1 << _ENUM_DENSE_NODES
+    blocks = (_cut_bits(np.arange(r, r + step), n) for r in range(0, 1 << n, step))
+    cost = np.concatenate([b @ unary + (b[:, i] ^ b[:, j]) @ w for b in blocks])
     best = cost.argmin()
-    return cost[best], table[best].copy()
+    return cost[best], _cut_bits(best, n) != 0
 
 
 def _dinic(cap_s, cap_t, edge_u, edge_v, edge_cap):
-    """``maxflow`` by Dinic's algorithm; mask is residual reachability."""
+    """Max flow by Dinic's algorithm on int64 terminal arcs cap_s (source to
+    node) and cap_t (node to sink) and symmetric arcs edge_cap between
+    edge_u[k] and edge_v[k]; returns (flow, mask), mask the residual
+    reachability from the source."""
     n = cap_s.shape[0]
     m = edge_u.shape[0]
     nn = n + 2

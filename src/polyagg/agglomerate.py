@@ -160,24 +160,13 @@ class _Problem:
         self.potts = config.sc_mode == "potts"
         self.adj_pairs = mesh.adjacency_pairs()
         self.neighbors = [nb.tolist() for nb in mesh.neighbors]
-        self.dc_int = {}
-        for pair, r in zip(self.adj_pairs, _union_rhos(mesh, self.adj_pairs)):
+        # costs[p][label]: integer data cost of giving cell p that label, for
+        # its own index and its neighbours; every other label costs scale
+        rhos = _union_rhos(mesh, self.adj_pairs)  # before the dicts: lower peak memory
+        self.costs = [{p: 0} for p in range(n)]
+        for (p, q), r in zip(self.adj_pairs, rhos):
             cost = 1.0 if r is None else 1.0 - r**config.dc_power
-            self.dc_int[pair] = _round_half_away(self.scale * cost)
-
-    def data_int(self, p: int, label: int) -> int:
-        if label == p:
-            return 0
-        key = (p, label) if p < label else (label, p)
-        val = self.dc_int.get(key)
-        return self.scale if val is None else val
-
-    def sc_val(self, l1: int, l2: int) -> int:
-        if l1 == l2:
-            return 0
-        if self.potts:
-            return 1
-        return 1 if l2 in self.neighbors[l1] else 0
+            self.costs[p][q] = self.costs[q][p] = _round_half_away(self.scale * cost)
 
 
 def data_cost(mesh: PolygonalMesh, p: int, label: int, power: int = 1) -> float:
@@ -205,19 +194,31 @@ def smoothness_cost(mesh: PolygonalMesh, l1: int, l2: int) -> int:
     return 1 if l2 in mesh.neighbors[l1] else 0
 
 
-def _energy(problem: _Problem, labels, iterations=0) -> EnergyBreakdown:
-    data = 0
-    for p in range(problem.mesh.n_cells):
-        data += problem.data_int(p, int(labels[p]))
-    smooth = 0
-    for (i, j) in problem.adj_pairs:
-        smooth += problem.sc_val(int(labels[i]), int(labels[j]))
+def _energy(problem: _Problem, labels: list, iterations=0) -> EnergyBreakdown:
+    scale = problem.scale
+    data = sum(cost.get(lab, scale) for cost, lab in zip(problem.costs, labels))
+    if problem.potts:
+        smooth = sum(labels[i] != labels[j] for i, j in problem.adj_pairs)
+    else:
+        # the literal term charges distinct labels of adjacent cells only
+        neighbors = problem.neighbors
+        smooth = sum(labels[j] in neighbors[labels[i]] for i, j in problem.adj_pairs)
     return EnergyBreakdown(data, smooth, data + problem.w * smooth, iterations)
 
 
 def energy(mesh: PolygonalMesh, labels, config: AgglomerationConfig) -> EnergyBreakdown:
     """Integerized energy of a labeling (data plus weighted smoothness)."""
-    return _energy(_Problem(mesh, config), np.asarray(labels, dtype=np.int64))
+    return _energy(_Problem(mesh, config), np.asarray(labels, dtype=np.int64).tolist())
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError unless every entry is an integer."""
+    a = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        out = a.astype(np.int64)
+    if not np.array_equal(out, a):
+        raise ValueError(f"{what} must be integers")
+    return out
 
 
 def min_cut(cap_source, cap_sink, pair_edges, pair_caps):
@@ -225,83 +226,100 @@ def min_cut(cap_source, cap_sink, pair_edges, pair_caps):
 
     ``cap_source``/``cap_sink`` are per-node terminal capacities and
     ``pair_edges``/``pair_caps`` symmetric pairwise capacities; all must be
-    nonnegative integers.  The source side is the canonical cut, the smallest
-    optimal source set (residual reachability), which makes ties
-    deterministic.  ``_kernels.maxflow`` finds it by enumerating all cuts up
-    to ``_kernels.ENUM_MAX_NODES`` nodes and by Dinic above.
+    nonnegative integers, and edge endpoints node indices.  The source side
+    is the canonical cut, the smallest optimal source set (residual
+    reachability), which makes ties deterministic.  ``_kernels.maxflow``
+    finds it by enumerating all cuts up to ``_kernels.ENUM_MAX_NODES`` nodes
+    and by Dinic above; it takes the pair capacities as one entry per node
+    pair, so memory grows with the square of the node count.
     """
-    cs = np.ascontiguousarray(cap_source, dtype=np.int64)
-    ct = np.ascontiguousarray(cap_sink, dtype=np.int64)
-    pe = np.asarray(pair_edges, dtype=np.int64).reshape(-1, 2)
-    pc = np.ascontiguousarray(pair_caps, dtype=np.int64)
-    if cs.min(initial=0) < 0 or ct.min(initial=0) < 0 or pc.min(initial=0) < 0:
+    cs = _integers(cap_source, "capacities").reshape(-1)
+    ct = _integers(cap_sink, "capacities").reshape(-1)
+    pe = _integers(pair_edges, "edge endpoints").reshape(-1, 2)
+    pc = _integers(pair_caps, "capacities").reshape(-1)
+    n = len(cs)
+    if len(ct) != n:
+        raise ValueError("cap_source and cap_sink differ in length")
+    if len(pc) != len(pe):
+        raise ValueError("pair_caps and pair_edges differ in length")
+    if min(cs.min(initial=0), ct.min(initial=0), pc.min(initial=0)) < 0:
         raise ValueError("capacities must be nonnegative")
-    flow, mask = _kernels.maxflow(
-        cs, ct, np.ascontiguousarray(pe[:, 0]), np.ascontiguousarray(pe[:, 1]), pc
-    )
-    return int(flow), mask
+    if pe.min(initial=0) < 0 or pe.max(initial=0) >= n:
+        raise ValueError(f"edge endpoints must lie in [0, {n})")
+    u, v = pe.min(axis=1), pe.max(axis=1)
+    loop = u == v  # a self loop is never cut
+    pair_w = np.zeros(n * (n - 1) // 2, dtype=np.int64)
+    offsets = np.array(_kernels.pair_offsets(n), dtype=np.int64)
+    np.add.at(pair_w, offsets[u[~loop]] + v[~loop], pc[~loop])
+    value, mask = _kernels.maxflow(ct - cs, pair_w)
+    return int(cs.sum() + value), mask
 
 
 def _swap(problem: _Problem, labels: list, members: dict, alpha: int, beta: int):
-    """One alpha-beta swap move; returns the energy delta <= 0.
+    """One alpha-beta swap move; returns (energy delta <= 0, moved cells).
 
     ``labels`` is a list of labels per cell and ``members`` maps each label to
     the list of its cells; an improving move updates both in place.
-    """
-    nodes = members.get(alpha, []) + members.get(beta, [])
-    if not nodes:
-        return 0
-    w = problem.w
-    data_int = problem.data_int
-    sc_val = problem.sc_val
-    pos = {c: k for k, c in enumerate(nodes)}
-    pair_w = w * sc_val(alpha, beta)
-    cost_a, cost_b, eu, ev = [], [], [], []
-    cur = 0
-    for k, c in enumerate(nodes):
-        lc = labels[c]
-        ca = data_int(c, alpha)
-        cb = data_int(c, beta)
-        cur += ca if lc == alpha else cb
-        for nb in problem.neighbors[c]:
-            j = pos.get(nb)
-            if j is not None:
-                if nb > c:
-                    cur += w * sc_val(lc, labels[nb])
-                    if pair_w > 0:
-                        eu.append(k)
-                        ev.append(j)
-                continue
-            lq = labels[nb]
-            ca += w * sc_val(alpha, lq)
-            cb += w * sc_val(beta, lq)
-            cur += w * sc_val(lc, lq)
-        cost_a.append(ca)
-        cost_b.append(cb)
 
-    flow, mask = _kernels.maxflow(
-        np.array(cost_b, dtype=np.int64),
-        np.array(cost_a, dtype=np.int64),
-        np.array(eu, dtype=np.int64),
-        np.array(ev, dtype=np.int64),
-        np.full(len(eu), pair_w, dtype=np.int64),
+    The swap graph has one node per alpha or beta cell, alpha on the source
+    side, and its energy is measured against all nodes taking beta.  A node
+    pays its data cost for alpha less that for beta, plus, in the literal
+    mode, w per neighbour outside the swap that alpha touches and less w per
+    one that beta touches (the Potts term charges such a neighbour w either
+    way).  Adjacent nodes split between the labels pay w * sc(alpha, beta).
+    """
+    in_alpha = members.get(alpha, [])
+    nodes = in_alpha + members.get(beta, [])
+    n = len(nodes)
+    if not n:
+        return 0, []
+    na = len(in_alpha)  # nodes[:na] are labelled alpha, the rest beta
+    w = problem.w
+    scale = problem.scale
+    costs = problem.costs
+    neighbors = problem.neighbors
+    adj_a = neighbors[alpha]
+    pos = {c: k for k, c in enumerate(nodes)}
+    unary = [costs[c].get(alpha, scale) - costs[c].get(beta, scale) for c in nodes]
+    if not problem.potts:
+        adj_b = neighbors[beta]
+        for k, c in enumerate(nodes):
+            for nb in neighbors[c]:
+                if nb not in pos:
+                    lq = labels[nb]
+                    unary[k] += w * ((lq in adj_a) - (lq in adj_b))
+    pair_w = w if problem.potts or beta in adj_a else 0
+    pairs = [0] * (n * (n - 1) // 2)
+    split = 0  # adjacent node pairs the current labeling splits
+    for k, (c, offset) in enumerate(zip(nodes, _kernels.pair_offsets(n))):
+        for nb in neighbors[c]:
+            j = pos.get(nb, -1)
+            if j > k:
+                pairs[offset + j] = pair_w
+                if k < na <= j:
+                    split += 1
+
+    value, mask = _kernels.maxflow(
+        np.array(unary, dtype=np.int64), np.array(pairs, dtype=np.int64)
     )
-    delta = int(flow) - cur
+    delta = int(value) - sum(unary[:na]) - pair_w * split
     if delta > 0:
         raise RuntimeError("swap move increased the energy; graph construction bug")
     if delta == 0:
-        return 0
-    to_alpha, to_beta = [], []
-    for c, source_side in zip(nodes, mask.tolist()):
+        return 0, []
+    to_alpha, to_beta, moved = [], [], []
+    for k, (c, source_side) in enumerate(zip(nodes, mask.tolist())):
         if source_side:
             labels[c] = alpha
             to_alpha.append(c)
         else:
             labels[c] = beta
             to_beta.append(c)
+        if source_side != (k < na):
+            moved.append(c)
     members[alpha] = to_alpha
     members[beta] = to_beta
-    return delta
+    return delta, moved
 
 
 def _members(labels: list) -> dict:
@@ -317,8 +335,8 @@ def swap_move(mesh: PolygonalMesh, labels, alpha: int, beta: int,
     if alpha == beta:
         raise ValueError("alpha and beta must differ")
     labels = np.asarray(labels, dtype=np.int64).tolist()
-    delta = _swap(_Problem(mesh, config), labels, _members(labels),
-                  int(alpha), int(beta))
+    delta, _ = _swap(_Problem(mesh, config), labels, _members(labels),
+                     int(alpha), int(beta))
     return np.array(labels, dtype=np.int64), delta
 
 
@@ -330,21 +348,54 @@ def minimize(mesh: PolygonalMesh, config: AgglomerationConfig,
     mesh, in ascending order; stops after the first cycle with zero total
     decrease or at ``max_cycles``.  Returns (labels, energy history), one
     EnergyBreakdown per completed cycle plus the initial state.
+
+    A swap's graph depends only on the labels of its cells and of their
+    neighbours, so a pair whose last swap returned 0 is skipped until a label
+    change touches a member of either label or a neighbour of one: that swap
+    would return 0 again.
     """
     problem = _problem if _problem is not None else _Problem(mesh, config)
+    neighbors = problem.neighbors
     labels = list(range(mesh.n_cells))
     members = _members(labels)
     history = [_energy(problem, labels, iterations=0)]
+    # label pairs a < b are keyed a * n + b, which sorts them as (a, b) does.
+    # touched[l]: the last swap that changed the label of a member of label l
+    # or of a neighbour of one; idle[key]: the last swap of the pair, if it
+    # returned 0.  Swaps are numbered from 1.
+    n = mesh.n_cells
+    touched = [0] * n
+    idle = {}
+    swaps = 0
     for cycle in range(1, config.max_cycles + 1):
         pairs = set()
         for (i, j) in problem.adj_pairs:
             a, b = labels[i], labels[j]
             if a != b:
-                pairs.add((min(a, b), max(a, b)))
+                pairs.add(a * n + b if a < b else b * n + a)
         total_delta = 0
-        for (a, b) in sorted(pairs):
-            total_delta += _swap(problem, labels, members, a, b)
-        history.append(_energy(problem, labels, iterations=cycle))
+        for key in sorted(pairs):
+            a, b = divmod(key, n)
+            last = idle.get(key, 0)
+            if last > touched[a] and last > touched[b]:
+                continue
+            swaps += 1
+            delta, moved = _swap(problem, labels, members, a, b)
+            if not moved:
+                idle[key] = swaps
+                continue
+            total_delta += delta
+            touched[a] = touched[b] = swaps
+            for c in moved:
+                for nb in neighbors[c]:
+                    touched[labels[nb]] = swaps
+        state = _energy(problem, labels, iterations=cycle)
+        if state.total != history[-1].total + total_delta:
+            raise RuntimeError(
+                f"cycle {cycle}: energy {state.total} differs from "
+                f"{history[-1].total} plus the swap deltas {total_delta}"
+            )
+        history.append(state)
         if total_delta == 0:
             break
     return np.array(labels, dtype=np.int64), history

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from polyagg import geometry
+import polyagg.agglomerate as agg
+from polyagg import _kernels, geometry
 from polyagg.geometry import COLLINEAR_TOL
 from polyagg.mesh import build_mesh, make_cell
 
@@ -581,6 +584,162 @@ def ref_simplified_union_points(mesh, loop, tol=COLLINEAR_TOL):
         if drop is None:
             return pts
         ids.pop(drop)
+
+
+# Reference swap solver: the per-pair cost table, the five-array swap graph
+# and the cut enumeration that the packed solver replaced, kept as oracles.
+
+REF_ENUM_MAX_NODES = 12
+
+
+@functools.cache
+def ref_cut_table(n):
+    """(2**n, n) bool table whose row r holds the bits of r (True: source side)."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+
+
+def ref_maxflow(cap_s, cap_t, edge_u, edge_v, edge_cap):
+    """Canonical s-t min cut (flow, source mask) of terminal arcs cap_s/cap_t
+    and symmetric pair arcs: every cut scored up to ``REF_ENUM_MAX_NODES``
+    nodes, ``_kernels._dinic`` above."""
+    n = cap_s.shape[0]
+    if n > REF_ENUM_MAX_NODES:
+        return _kernels._dinic(cap_s, cap_t, edge_u, edge_v, edge_cap)
+    table = ref_cut_table(n)
+    # a source-side node pays its sink arc, a sink-side node its source arc
+    cost = table @ (cap_t - cap_s) + cap_s.sum()
+    cost += (table[:, edge_u] != table[:, edge_v]) @ edge_cap
+    # the smallest optimal source set is a subset of every other optimal set,
+    # so it is the optimal row with the lowest index: the first argmin
+    best = cost.argmin()
+    return cost[best], table[best].copy()
+
+
+class RefProblem:
+    """Precomputed integer costs and adjacency for one minimization run."""
+
+    def __init__(self, mesh, config):
+        self.mesh = mesh
+        self.config = config
+        n = mesh.n_cells
+        scale = config.cost_scale if config.cost_scale is not None else n
+        if scale < n:
+            raise ValueError(
+                f"cost_scale {scale} is below the cell count {n}"
+            )
+        self.scale = int(scale)
+        self.w = agg._round_half_away(config.lam * self.scale)
+        self.potts = config.sc_mode == "potts"
+        self.adj_pairs = mesh.adjacency_pairs()
+        self.neighbors = [nb.tolist() for nb in mesh.neighbors]
+        self.dc_int = {}
+        for pair, r in zip(self.adj_pairs, agg._union_rhos(mesh, self.adj_pairs)):
+            cost = 1.0 if r is None else 1.0 - r**config.dc_power
+            self.dc_int[pair] = agg._round_half_away(self.scale * cost)
+
+    def data_int(self, p: int, label: int) -> int:
+        if label == p:
+            return 0
+        key = (p, label) if p < label else (label, p)
+        val = self.dc_int.get(key)
+        return self.scale if val is None else val
+
+    def sc_val(self, l1: int, l2: int) -> int:
+        if l1 == l2:
+            return 0
+        if self.potts:
+            return 1
+        return 1 if l2 in self.neighbors[l1] else 0
+
+
+def ref_energy(problem, labels, iterations=0):
+    data = 0
+    for p in range(problem.mesh.n_cells):
+        data += problem.data_int(p, int(labels[p]))
+    smooth = 0
+    for (i, j) in problem.adj_pairs:
+        smooth += problem.sc_val(int(labels[i]), int(labels[j]))
+    return agg.EnergyBreakdown(data, smooth, data + problem.w * smooth, iterations)
+
+
+def ref_swap(problem, labels, members, alpha, beta, maxflow=ref_maxflow):
+    """One alpha-beta swap move; returns the energy delta <= 0."""
+    nodes = members.get(alpha, []) + members.get(beta, [])
+    if not nodes:
+        return 0
+    w = problem.w
+    data_int = problem.data_int
+    sc_val = problem.sc_val
+    pos = {c: k for k, c in enumerate(nodes)}
+    pair_w = w * sc_val(alpha, beta)
+    cost_a, cost_b, eu, ev = [], [], [], []
+    cur = 0
+    for k, c in enumerate(nodes):
+        lc = labels[c]
+        ca = data_int(c, alpha)
+        cb = data_int(c, beta)
+        cur += ca if lc == alpha else cb
+        for nb in problem.neighbors[c]:
+            j = pos.get(nb)
+            if j is not None:
+                if nb > c:
+                    cur += w * sc_val(lc, labels[nb])
+                    if pair_w > 0:
+                        eu.append(k)
+                        ev.append(j)
+                continue
+            lq = labels[nb]
+            ca += w * sc_val(alpha, lq)
+            cb += w * sc_val(beta, lq)
+            cur += w * sc_val(lc, lq)
+        cost_a.append(ca)
+        cost_b.append(cb)
+
+    flow, mask = maxflow(
+        np.array(cost_b, dtype=np.int64),
+        np.array(cost_a, dtype=np.int64),
+        np.array(eu, dtype=np.int64),
+        np.array(ev, dtype=np.int64),
+        np.full(len(eu), pair_w, dtype=np.int64),
+    )
+    delta = int(flow) - cur
+    if delta > 0:
+        raise RuntimeError("swap move increased the energy; graph construction bug")
+    if delta == 0:
+        return 0
+    to_alpha, to_beta = [], []
+    for c, source_side in zip(nodes, mask.tolist()):
+        if source_side:
+            labels[c] = alpha
+            to_alpha.append(c)
+        else:
+            labels[c] = beta
+            to_beta.append(c)
+    members[alpha] = to_alpha
+    members[beta] = to_beta
+    return delta
+
+
+def ref_minimize(mesh, config, maxflow=ref_maxflow):
+    """Every label pair in contact swapped once per cycle, nothing skipped;
+    returns (labels, energy history)."""
+    problem = RefProblem(mesh, config)
+    labels = list(range(mesh.n_cells))
+    members = agg._members(labels)
+    history = [ref_energy(problem, labels, iterations=0)]
+    for cycle in range(1, config.max_cycles + 1):
+        pairs = set()
+        for (i, j) in problem.adj_pairs:
+            a, b = labels[i], labels[j]
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+        total_delta = 0
+        for (a, b) in sorted(pairs):
+            total_delta += ref_swap(problem, labels, members, a, b, maxflow)
+        history.append(ref_energy(problem, labels, iterations=cycle))
+        if total_delta == 0:
+            break
+    return np.array(labels, dtype=np.int64), history
 
 
 @pytest.fixture

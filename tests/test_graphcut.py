@@ -26,6 +26,8 @@ import polyagg.agglomerate as agg
 from conftest import (
     grid_mesh,
     mixed_region_mesh,
+    ref_maxflow,
+    ref_minimize,
     ref_quality_scores,
     ref_simplified_union_points,
     tri_grid_mesh,
@@ -71,6 +73,26 @@ def test_min_cut_path_large_pairs():
 def test_min_cut_rejects_negative():
     with pytest.raises(ValueError):
         min_cut([-1], [2], np.empty((0, 2)), [])
+
+
+@pytest.mark.parametrize("args, match", [
+    (([1, 2], [3], np.empty((0, 2)), []), "differ in length"),
+    (([5.7, 0], [0, 5], [(0, 1)], [3.9]), "integers"),
+    (([5, 0], [0, 5], [(0, 1)], [3.9]), "integers"),
+    (([5, 0], [0, 5], [(0, 0.5)], [3]), "integers"),
+    (([5, 0], [0, 5], [(0, -1)], [3]), r"\[0, 2\)"),
+    (([5, 0], [0, 5], [(0, 2)], [3]), r"\[0, 2\)"),
+    (([5, 0], [0, 5], [(0, 1)], [3, 4]), "differ in length"),
+], ids=["terminal-lengths", "float-capacities", "float-pair-capacity", "float-endpoint",
+        "negative-endpoint", "endpoint-past-n", "pair-cap-count"])
+def test_min_cut_rejects_malformed_input(args, match):
+    with pytest.raises(ValueError, match=match):
+        min_cut(*args)
+
+
+def test_min_cut_accepts_integral_floats_and_self_loops():
+    value, mask = min_cut([5.0, 0], [0, 5.0], [(0, 1), (1, 1)], [3, 7])
+    assert value == 3 and mask.tolist() == [True, False]
 
 
 def test_min_cut_matches_bruteforce(rng):
@@ -147,22 +169,47 @@ def test_maxflow_matches_networkx_residual_cut(rng):
                 if rng.random() < 0.2:
                     edges.append((v, u) if rng.random() < 0.5 else (u, v))
         caps = [int(c) for c in rng.integers(0, 4, len(edges))]
-        args = (
+        flow, mask = min_cut(cap_s, cap_t, np.array(edges).reshape(-1, 2), caps)
+        value, reach = _residual_source_set(n, cap_s, cap_t, edges, caps)
+        assert flow == value
+        assert mask.tolist() == reach
+        d_flow, d_mask = _kernels._dinic(
             np.asarray(cap_s, dtype=np.int64),
             np.asarray(cap_t, dtype=np.int64),
             np.array([u for u, _ in edges], dtype=np.int64),
             np.array([v for _, v in edges], dtype=np.int64),
             np.array(caps, dtype=np.int64),
         )
-        flow, mask = _kernels.maxflow(*args)
-        value, reach = _residual_source_set(n, cap_s, cap_t, edges, caps)
-        assert flow == value
-        assert mask.tolist() == reach
-        d_flow, d_mask = _kernels._dinic(*args)
         assert d_flow == flow
         assert np.array_equal(d_mask, mask)
         sizes.append(n)
     assert min(sizes) <= _kernels.ENUM_MAX_NODES < max(sizes)
+
+
+def test_packed_maxflow_matches_reference(rng):
+    """The packed enumeration gives the five-array enumeration's cut and
+    value on graphs of 1-12 nodes with parallel, reversed and zero edges."""
+    for trial in range(240):
+        n = trial % _kernels.ENUM_MAX_NODES + 1
+        cap_s = rng.integers(0, 6, n)
+        cap_t = rng.integers(0, 6, n)
+        edges = [(int(u), int(v)) for u, v in rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))
+                 if u != v]
+        edges += [(v, u) for u, v in edges[:2]] + edges[:1]
+        caps = rng.integers(0, 4, len(edges))
+        ref_flow, ref_mask = ref_maxflow(
+            cap_s, cap_t,
+            np.array([u for u, _ in edges], dtype=np.int64),
+            np.array([v for _, v in edges], dtype=np.int64),
+            caps,
+        )
+        pair_w = np.zeros(n * (n - 1) // 2, dtype=np.int64)
+        offsets = _kernels.pair_offsets(n)
+        for (u, v), c in zip(edges, caps):
+            pair_w[offsets[min(u, v)] + max(u, v)] += c
+        value, mask = _kernels.maxflow(cap_t - cap_s, pair_w)
+        assert value + cap_s.sum() == ref_flow
+        assert np.array_equal(mask, ref_mask)
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +272,7 @@ def test_simplified_loops_match_per_loop_reference(union_meshes, which):
 @pytest.mark.parametrize("lam", [0.25, 1.0])
 @pytest.mark.parametrize("which", ["cut", "mixed"])
 def test_problem_costs_match_per_pair_reference(monkeypatch, union_meshes, which, lam):
-    """dc_int equals the per-pair path (one-loop simplification, scalar
+    """The data costs equal the per-pair path (one-loop simplification, scalar
     scores), and the precompute scores each vertex count in one stacked call."""
     mesh = union_meshes[which]
     config = AgglomerationConfig(lam=lam)
@@ -238,16 +285,16 @@ def test_problem_costs_match_per_pair_reference(monkeypatch, union_meshes, which
 
     monkeypatch.setattr(_kernels, "quality_scores", counted)
     problem = agg._Problem(mesh, config)
-    expected, rhos = {}, []
-    for pair, loop in _union_loops(mesh):
+    expected, rhos = [{p: 0} for p in range(mesh.n_cells)], []
+    for (p, q), loop in _union_loops(mesh):
         r = None
         if loop is not None:
             pts = ref_simplified_union_points(mesh, loop)
             r = float(ref_quality_scores(pts, COLLINEAR_TOL, KERNEL_REL_TOL)[4])
         rhos.append(r)
         cost = 1.0 if r is None else 1.0 - r**config.dc_power
-        expected[pair] = int(np.floor(problem.scale * cost + 0.5))
-    assert problem.dc_int == expected
+        expected[p][q] = expected[q][p] = int(np.floor(problem.scale * cost + 0.5))
+    assert problem.costs == expected
     # a per-pair call path would show as repeated vertex counts
     counts = [s[-2] for s in shapes]
     assert all(len(s) == 3 for s in shapes) and len(set(counts)) == len(counts)
@@ -271,9 +318,54 @@ def test_minimize_enumeration_matches_dinic(monkeypatch, cut_fracture, lam, sc_m
     assert history[-1].total < history[0].total
 
 
-def test_minimize_one_maxflow_per_nonempty_swap(monkeypatch, cut_fracture):
-    """The benchmark tracer counts swaps as ``_kernels.maxflow`` calls."""
-    calls = {"maxflow": 0, "nonempty": 0}
+@pytest.fixture(scope="module")
+def network1_fractures():
+    """area -> the three network1 fractures, triangulated and cut."""
+    case = network1()
+    out = {}
+    for area in (5e-3, 2e-2):
+        out[area] = []
+        for f, fr in enumerate(case.network.fractures):
+            tri = triangulate_fracture(fr, max_area=area)
+            traces = [t.local_segment(fr) for t in case.network.fracture_traces(f)]
+            out[area].append(cut_by_traces(tri, traces))
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference_minima():
+    """(area, fracture, lambda, sc_mode) -> ``ref_minimize`` result, filled
+    on first use."""
+    return {}
+
+
+@pytest.mark.parametrize("enum_max", [_kernels.ENUM_MAX_NODES, 0], ids=["enumeration", "dinic"])
+@pytest.mark.parametrize("area", [5e-3, 2e-2])
+def test_minimize_matches_reference(monkeypatch, network1_fractures, reference_minima,
+                                    area, enum_max):
+    """Labels and energy histories equal the reference solver's (every pair
+    swapped every cycle, five-array graphs, cut enumeration) on 3 fractures
+    x 2 lambdas x 2 smoothness modes, with the packed enumeration and with
+    Dinic on every swap."""
+    monkeypatch.setattr(_kernels, "ENUM_MAX_NODES", enum_max)
+    for f, mesh in enumerate(network1_fractures[area]):
+        for lam in (0.25, 1.0):
+            for sc_mode in ("potts", "literal"):
+                config = AgglomerationConfig(lam=lam, sc_mode=sc_mode)
+                key = (area, f, lam, sc_mode)
+                if key not in reference_minima:
+                    reference_minima[key] = ref_minimize(mesh, config)
+                ref_labels, ref_history = reference_minima[key]
+                labels, history = minimize(mesh, config)
+                assert np.array_equal(labels, ref_labels), key
+                assert history == ref_history, key
+
+
+def test_minimize_one_maxflow_per_evaluated_swap(monkeypatch, cut_fracture):
+    """The benchmark tracer counts swaps as ``_kernels.maxflow`` calls: one per
+    nonempty swap that minimize evaluates.  Skipping unchanged pairs
+    evaluates fewer swaps than the reference solver makes."""
+    calls = {"maxflow": 0, "evaluated": 0, "reference": 0}
     maxflow, swap = _kernels.maxflow, agg._swap
 
     def counted_maxflow(*args):
@@ -282,13 +374,33 @@ def test_minimize_one_maxflow_per_nonempty_swap(monkeypatch, cut_fracture):
 
     def counted_swap(problem, labels, members, alpha, beta):
         if members.get(alpha) or members.get(beta):
-            calls["nonempty"] += 1
+            calls["evaluated"] += 1
         return swap(problem, labels, members, alpha, beta)
+
+    def counted_ref_maxflow(*args):
+        calls["reference"] += 1
+        return ref_maxflow(*args)
 
     monkeypatch.setattr(_kernels, "maxflow", counted_maxflow)
     monkeypatch.setattr(agg, "_swap", counted_swap)
-    minimize(cut_fracture, AgglomerationConfig(lam=1.0))
-    assert calls["maxflow"] == calls["nonempty"] > 0
+    config = AgglomerationConfig(lam=1.0)
+    minimize(cut_fracture, config)
+    ref_minimize(cut_fracture, config, maxflow=counted_ref_maxflow)
+    assert calls["maxflow"] == calls["evaluated"] > 0
+    assert calls["evaluated"] < calls["reference"]
+
+
+def test_minimize_checks_energy_against_swap_deltas(monkeypatch):
+    """A swap that misreports its delta fails the per-cycle energy check."""
+    swap = agg._swap
+
+    def misreported(*args):
+        delta, moved = swap(*args)
+        return (delta - 1 if moved else delta), moved
+
+    monkeypatch.setattr(agg, "_swap", misreported)
+    with pytest.raises(RuntimeError, match="swap deltas"):
+        minimize(grid_mesh(3, 3), AgglomerationConfig(lam=1.0))
 
 
 def test_data_cost_self_zero():

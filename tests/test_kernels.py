@@ -6,19 +6,14 @@ from pathlib import Path
 import numpy as np
 
 from polyagg import _kernels
+from polyagg.agglomerate import min_cut
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def test_maxflow_int64_saturation_safe():
     big = np.int64(1) << 40
-    flow, mask = _kernels.maxflow(
-        np.array([big], dtype=np.int64),
-        np.array([big + 5], dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-    )
+    flow, mask = min_cut([big], [big + 5], np.empty((0, 2), dtype=np.int64), [])
     assert flow == big
     assert mask.tolist() == [False]
 
@@ -31,8 +26,8 @@ def test_maxflow_int64_saturation_safe_above_enumeration():
     cap_s[0] = big
     cap_t[-1] = big + 5
     chain = np.arange(n - 1, dtype=np.int64)
-    flow, mask = _kernels.maxflow(
-        cap_s, cap_t, chain, chain + 1, np.full(n - 1, big << 1, dtype=np.int64)
+    flow, mask = min_cut(
+        cap_s, cap_t, np.stack([chain, chain + 1], axis=1), np.full(n - 1, big << 1, dtype=np.int64)
     )
     assert flow == big
     assert mask.tolist() == [False] * n
