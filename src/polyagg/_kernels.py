@@ -92,8 +92,9 @@ def _scores_block(pts, collinear_tol, kernel_rel_tol):
 # s-t min cut on terminal + pairwise capacities
 # ---------------------------------------------------------------------------
 
-# graphs up to this many nodes are solved by enumerating all 2**n cuts
-ENUM_MAX_NODES = 12
+# graphs up to this many nodes are solved by enumerating all 2**n cuts; at
+# 12 nodes the block enumeration already costs more than Dinic
+ENUM_MAX_NODES = 11
 
 # graphs up to this many nodes score their cuts with one product against a
 # cached cut matrix; larger ones score one block of 2**_ENUM_DENSE_NODES cuts

@@ -808,6 +808,18 @@ class GlobalDofMap:
         return self.g[fid][self.locals[fid].cell_dofs[ci]]
 
 
+def _forest_roots(parent) -> np.ndarray:
+    """Root of every node of the union-find forest ``parent``, by pointer
+    jumping: each pass replaces every pointer by its pointer's pointer, so
+    the passes grow with the logarithm of the deepest path."""
+    roots = parent
+    while True:
+        up = roots[roots]
+        if np.array_equal(up, roots):
+            return roots
+        roots = up
+
+
 def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
                         tol_rel=1e-9) -> GlobalDofMap:
     fids = sorted(meshes)
@@ -880,8 +892,7 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
                         offsets[fid_b] + dm_b.edge_slot(eb, s2),
                     )
 
-    roots = np.array([find(i) for i in range(total)], dtype=np.int64)
-    uniq, inv = np.unique(roots, return_inverse=True)
+    uniq, inv = np.unique(_forest_roots(parent), return_inverse=True)
     g = {}
     for fid in fids:
         lo = offsets[fid]
@@ -930,8 +941,8 @@ def dirichlet_boundary_edges(mesh: PolygonalMesh, fracture: Fracture,
 
 
 def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
-                     k: int, sources=None, dirichlet_values=None):
-    """Coupled global system over all fractures.
+                     sources=None, dirichlet_values=None):
+    """Coupled global system over all fractures, at the order of ``gmap``.
 
     ``sources`` and ``dirichlet_values`` map fid to callables on local 2D
     coordinates; identified trace DOFs share one global unknown.  Boundary
@@ -945,8 +956,8 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
     elements = {}
     for fid in fids:
         f_loc = sources.get(fid) if sources else None
-        _, els, rows, cols, vals, bl = vem.build_local_system(
-            meshes[fid], k, frs[fid].K, f_loc
+        els, rows, cols, vals, bl = vem.build_local_system(
+            meshes[fid], gmap.locals[fid], frs[fid].K, f_loc
         )
         elements[fid] = els
         gm = gmap.g[fid]
@@ -1277,7 +1288,7 @@ def solve_discretized(disc: NetworkDiscretization, k: int,
     network = case.network
     gmap = build_global_dofmap(disc.meshes, network, disc.matches, k)
     system, elements = assemble_network(
-        network, disc.meshes, gmap, k,
+        network, disc.meshes, gmap,
         sources=case.sources(),
         dirichlet_values=case.dirichlet_values(),
     )

@@ -158,9 +158,9 @@ class PolygonalMesh:
         return c
 
     def boundary_edge_ids(self) -> np.ndarray:
-        return np.array(
-            [e for e, cs in enumerate(self.edge_cells) if len(cs) == 1], dtype=np.int64
-        )
+        n_cells = np.fromiter(map(len, self.edge_cells), dtype=np.int64,
+                              count=len(self.edge_cells))
+        return np.flatnonzero(n_cells == 1)
 
     def adjacency_pairs(self) -> list:
         """Unordered adjacent cell pairs (i, j), i < j, ascending."""

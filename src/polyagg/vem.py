@@ -285,14 +285,15 @@ class DofMap:
         """(m, ndof) local-to-global ids of cells with one vertex count."""
         return np.stack([self.cell_dofs[c] for c in cell_ids])
 
-    def edge_slots(self, edge_id: int) -> np.ndarray:
-        km1 = self.k - 1
-        return np.arange(
-            self.edge_base + edge_id * km1, self.edge_base + (edge_id + 1) * km1
-        )
-
 
 def build_dof_map(mesh: PolygonalMesh, k: int) -> DofMap:
+    """Local-to-global DOF ids of every cell: its vertices, then k-1 slots
+    per edge in the cell's traversal direction, then its moments.
+
+    Cells are handled one vertex-count group at a time; an edge's slots run
+    from its lower to its higher vertex id and are reversed for a cell that
+    traverses the edge the other way.
+    """
     if k not in (1, 2, 3):
         raise ValueError("order k must be 1, 2 or 3")
     nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
@@ -301,24 +302,30 @@ def build_dof_map(mesh: PolygonalMesh, k: int) -> DofMap:
     edge_base = nv
     moment_base = nv + ne * km1
     total = moment_base + nc * nmom
-    cell_dofs = []
-    for ci, ids in enumerate(mesh.cells):
-        m = len(ids)
-        g = np.empty(m * k + nmom, dtype=np.int64)
-        g[:m] = ids
+    if k > 1:
+        ends = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)
+        edge_keys = ends[:, 0] * nv + ends[:, 1]
+        by_key = np.argsort(edge_keys)
+        sorted_keys = edge_keys[by_key]
+    sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=nc)
+    cell_dofs = [None] * nc
+    for n in np.unique(sizes).tolist():
+        cids = np.flatnonzero(sizes == n)
+        ids = np.stack([mesh.cells[c] for c in cids])
+        g = np.empty((len(cids), n * k + nmom), dtype=np.int64)
+        g[:, :n] = ids
         if k > 1:
-            for i in range(m):
-                u, v = int(ids[i]), int(ids[(i + 1) % m])
-                key = (u, v) if u < v else (v, u)
-                e = mesh.edge_index[key]
-                base = edge_base + e * km1
-                slots = np.arange(base, base + km1)
-                if u > v:
-                    slots = slots[::-1]
-                g[m + i * km1: m + (i + 1) * km1] = slots
+            nxt = np.roll(ids, -1, axis=1)
+            keys = np.minimum(ids, nxt) * nv + np.maximum(ids, nxt)
+            e = by_key[np.searchsorted(sorted_keys, keys)]
+            slots = edge_base + e[..., None] * km1 + np.arange(km1)
+            reverse = ids > nxt
+            slots[reverse] = slots[reverse, ::-1]
+            g[:, n: n * k] = slots.reshape(len(cids), n * km1)
         if nmom:
-            g[m * k:] = moment_base + ci * nmom + np.arange(nmom)
-        cell_dofs.append(g)
+            g[:, n * k:] = moment_base + cids[:, None] * nmom + np.arange(nmom)
+        for c, row in zip(cids.tolist(), g):
+            cell_dofs[c] = row
     return DofMap(k, nv, ne, nc, total, cell_dofs, edge_base, moment_base)
 
 
@@ -327,15 +334,12 @@ def dof_positions(mesh: PolygonalMesh, dofmap: DofMap) -> np.ndarray:
     pos = np.empty((dofmap.total, 2))
     pos[: mesh.n_vertices] = mesh.points
     if dofmap.k > 1:
-        for e, (u, v) in enumerate(mesh.edges):
-            gl, _ = gauss_lobatto_points(dofmap.k, mesh.points[u], mesh.points[v])
-            pos[dofmap.edge_slots(e)] = gl
+        ends = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)
+        gl, _ = gauss_lobatto_points(dofmap.k, mesh.points[ends[:, 0]], mesh.points[ends[:, 1]])
+        pos[dofmap.edge_base: dofmap.moment_base] = gl.reshape(-1, 2)
     nmom = dofmap.k * (dofmap.k - 1) // 2
     if nmom:
-        for ci in range(mesh.n_cells):
-            pos[dofmap.moment_base + ci * nmom: dofmap.moment_base + (ci + 1) * nmom] = (
-                mesh.cell_centroid[ci]
-            )
+        pos[dofmap.moment_base:] = np.repeat(mesh.cell_centroid, nmom, axis=0)
     return pos
 
 
@@ -343,14 +347,11 @@ def boundary_dofs(mesh: PolygonalMesh, dofmap: DofMap, edge_ids=None) -> np.ndar
     """Vertex and edge DOFs carried by the given (default: all) boundary edges."""
     if edge_ids is None:
         edge_ids = mesh.boundary_edge_ids()
-    out = set()
-    for e in edge_ids:
-        u, v = mesh.edges[int(e)]
-        out.add(u)
-        out.add(v)
-        if dofmap.k > 1:
-            out.update(int(s) for s in dofmap.edge_slots(int(e)))
-    return np.array(sorted(out), dtype=np.int64)
+    e = np.asarray(edge_ids, dtype=np.int64)
+    ends = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)[e]
+    km1 = dofmap.k - 1
+    slots = dofmap.edge_base + e[:, None] * km1 + np.arange(km1)
+    return np.unique(np.concatenate([ends.ravel(), slots.ravel()]))
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +381,29 @@ class SparseSpdSystem:
 
     def factor(self):
         if self._factor is None:
-            Af = self.reduced_matrix()
-            try:
-                self._factor = spla.splu(Af)
-            except RuntimeError as err:
-                raise SolverError(f"factorization failed: {err}") from err
+            self._factor = _factor_spd(self.reduced_matrix())
         return self._factor
+
+
+def _factor_spd(A):
+    """SuperLU factor of the SPD matrix ``A`` (CSC).
+
+    The columns are ordered by minimum degree on the pattern of A^T + A and
+    every pivot is taken on the diagonal, so the factor keeps the symmetric
+    structure (about half the fill of SuperLU's default COLAMD ordering).
+    A singular matrix raises SolverError, and so does a zero diagonal pivot,
+    where SuperLU takes an off-diagonal one instead: no SPD matrix needs
+    that, so the row and column orders then differ.
+    """
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as err:
+        raise SolverError(f"factorization failed: {err}") from err
+    if (lu.perm_r != lu.perm_c).any():
+        raise SolverError("factorization failed: zero pivot "
+                          "(the matrix is not positive definite)")
+    return lu
 
 
 def cell_groups(mesh: PolygonalMesh):
@@ -404,13 +422,14 @@ def cell_groups(mesh: PolygonalMesh):
         yield np.array(cids, dtype=np.int64), np.stack(verts), np.stack(tris)
 
 
-def build_local_system(mesh: PolygonalMesh, k: int, K=None, f=None):
-    """Element groups plus COO triplets and load vector in mesh-local DOF ids.
+def build_local_system(mesh: PolygonalMesh, dofmap: DofMap, K=None, f=None):
+    """Element groups plus COO triplets and load vector in the mesh-local DOF
+    ids of ``dofmap``, which fixes the order k.
 
     One ``build_element`` call per ``cell_groups`` group; ``elements`` is a
     list of (cell ids, stacked VemElement).
     """
-    dofmap = build_dof_map(mesh, k)
+    k = dofmap.k
     elements = []
     rows, cols, vals = [], [], []
     b = np.zeros(dofmap.total)
@@ -427,7 +446,7 @@ def build_local_system(mesh: PolygonalMesh, k: int, K=None, f=None):
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    return dofmap, elements, rows, cols, vals, b
+    return elements, rows, cols, vals, b
 
 
 def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
@@ -439,7 +458,8 @@ def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
     """
     if dirichlet is None:
         raise MeshError("boundary data missing: a Dirichlet callable is required")
-    dofmap, elements, rows, cols, vals, b = build_local_system(mesh, k, K, f)
+    dofmap = build_dof_map(mesh, k)
+    elements, rows, cols, vals, b = build_local_system(mesh, dofmap, K, f)
     A = sps.coo_matrix(
         (vals, (rows, cols)), shape=(dofmap.total, dofmap.total)
     ).tocsr()
@@ -497,7 +517,7 @@ def condition_estimate(system_or_matrix, tol=1e-6, max_iter=5000) -> CondEstimat
         factor = system_or_matrix.factor()
     else:
         A = sps.csc_matrix(system_or_matrix)
-        factor = spla.splu(A)
+        factor = _factor_spd(A)
     n = A.shape[0]
     if n == 0:
         return CondEstimate(1.0, 0.0, 0.0, True, 0)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import polyagg.agglomerate as agg
-from polyagg import _kernels, geometry
+from polyagg import _kernels, geometry, vem
 from polyagg.geometry import COLLINEAR_TOL
 from polyagg.mesh import build_mesh, make_cell
+from polyagg.quadrature import gauss_lobatto_points
 
 
 def square_cell(side=1.0):
@@ -740,6 +741,69 @@ def ref_minimize(mesh, config, maxflow=ref_maxflow):
         if total_delta == 0:
             break
     return np.array(labels, dtype=np.int64), history
+
+
+# Reference DOF layer: the per-cell, per-edge and per-DOF loops that the
+# grouped array versions replaced, kept verbatim (an edge's slot range is
+# written out where the loops called ``DofMap.edge_slots``).  The array
+# versions must give the same ids, positions and roots bit for bit.
+
+def ref_build_dof_map(mesh, k):
+    nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
+    km1 = k - 1
+    nmom = k * (k - 1) // 2
+    edge_base = nv
+    moment_base = nv + ne * km1
+    total = moment_base + nc * nmom
+    cell_dofs = []
+    for ci, ids in enumerate(mesh.cells):
+        m = len(ids)
+        g = np.empty(m * k + nmom, dtype=np.int64)
+        g[:m] = ids
+        if k > 1:
+            for i in range(m):
+                u, v = int(ids[i]), int(ids[(i + 1) % m])
+                key = (u, v) if u < v else (v, u)
+                e = mesh.edge_index[key]
+                base = edge_base + e * km1
+                slots = np.arange(base, base + km1)
+                if u > v:
+                    slots = slots[::-1]
+                g[m + i * km1: m + (i + 1) * km1] = slots
+        if nmom:
+            g[m * k:] = moment_base + ci * nmom + np.arange(nmom)
+        cell_dofs.append(g)
+    return vem.DofMap(k, nv, ne, nc, total, cell_dofs, edge_base, moment_base)
+
+
+def ref_dof_positions(mesh, dofmap):
+    pos = np.empty((dofmap.total, 2))
+    pos[: mesh.n_vertices] = mesh.points
+    if dofmap.k > 1:
+        km1 = dofmap.k - 1
+        for e, (u, v) in enumerate(mesh.edges):
+            gl, _ = gauss_lobatto_points(dofmap.k, mesh.points[u], mesh.points[v])
+            pos[dofmap.edge_base + e * km1: dofmap.edge_base + (e + 1) * km1] = gl
+    nmom = dofmap.k * (dofmap.k - 1) // 2
+    if nmom:
+        for ci in range(mesh.n_cells):
+            pos[dofmap.moment_base + ci * nmom: dofmap.moment_base + (ci + 1) * nmom] = (
+                mesh.cell_centroid[ci]
+            )
+    return pos
+
+
+def ref_forest_roots(parent):
+    """Root of every node by one path-compressing ``find`` per node (on a copy)."""
+    parent = parent.copy()
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    return np.array([find(i) for i in range(len(parent))], dtype=np.int64)
 
 
 @pytest.fixture

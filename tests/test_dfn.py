@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from polyagg import vem
+from polyagg import dfn, vem
 from polyagg.agglomerate import AgglomerationConfig, agglomerate
 from polyagg.dfn import (
     NetworkError,
@@ -38,7 +38,13 @@ from polyagg.dfn import (
 from polyagg.mesh import MeshFormatError, build_mesh
 from polyagg.solutions import CATALOG
 
-from conftest import FUZZ_SETTINGS, mutated_file
+from conftest import (
+    FUZZ_SETTINGS,
+    mutated_file,
+    ref_build_dof_map,
+    ref_dof_positions,
+    ref_forest_roots,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +361,63 @@ def test_stitch_conforming_dof_identification(k):
 # assembly and solve
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def network1_discs():
+    """network1 at area 2e-2, triangulated (lambda=0) and agglomerated (1)."""
+    case = network1()
+    return case, {lam: discretize_network(case, max_area=2e-2, lam=lam) for lam in (0.0, 1.0)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_dof_layer_matches_scalar_reference(monkeypatch, network1_discs, lam, k):
+    """Per-fracture DOF ids and positions and the union-find roots of the
+    trace identification equal the scalar loops' bit for bit."""
+    case, discs = network1_discs
+    disc = discs[lam]
+    calls = []
+    forest_roots = dfn._forest_roots
+
+    def recording(parent):
+        calls.append(parent.copy())
+        return forest_roots(parent)
+
+    monkeypatch.setattr(dfn, "_forest_roots", recording)
+    gmap = build_global_dofmap(disc.meshes, case.network, disc.matches, k)
+    (parent,) = calls
+    roots = ref_forest_roots(parent)
+    assert (roots != np.arange(len(roots))).any()  # the traces identify DOFs
+    _, inv = np.unique(roots, return_inverse=True)
+    for fid, mesh in disc.meshes.items():
+        dm, ref = gmap.locals[fid], ref_build_dof_map(mesh, k)
+        assert dm.total == ref.total
+        for got, want in zip(dm.cell_dofs, ref.cell_dofs, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        lo = gmap.offsets[fid]
+        assert np.array_equal(gmap.g[fid], inv[lo: lo + dm.total])
+        pos = vem.dof_positions(mesh, dm)
+        assert pos.tobytes() == ref_dof_positions(mesh, ref).tobytes()
+
+
+def test_forest_roots_matches_find_on_deep_forests(rng):
+    """Pointer jumping finds the roots a per-node ``find`` does, also on
+    chains as deep as the forest is large."""
+    for n in (0, 1, 2, 100, 1000):
+        chain = np.maximum(np.arange(n) - 1, 0)
+        random = np.array([rng.integers(0, i + 1) for i in range(n)], dtype=np.int64)
+        for parent in (chain, random):
+            assert np.array_equal(dfn._forest_roots(parent), ref_forest_roots(parent))
+
+
+def test_n1_k3_condition_estimate_matches_reference():
+    """The k=3 condition estimate on network1 at area 1e-2, lambda=0 (the
+    benchmark's n1-k3 run) equals the estimate through the COLAMD-ordered
+    factor used before the symmetric ordering, to 1e-6 relative."""
+    disc = discretize_network(network1(), max_area=1e-2, lam=0.0)
+    rep = solve_discretized(disc, 3)
+    assert rep.cond == pytest.approx(1.9420142434251862e11, rel=1e-6)
+
+
 def test_single_fracture_matches_single_mesh():
     fr = make_fracture(
         [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], fid=0,
@@ -366,7 +429,7 @@ def test_single_fracture_matches_single_mesh():
                        {0: FractureSolution(ms.u, ms.grad, ms.f)})
     mesh = triangulate_fracture(fr, max_area=0.03)
     gmap = build_global_dofmap({0: mesh}, network, {}, 2)
-    system, _ = assemble_network(network, {0: mesh}, gmap, 2,
+    system, _ = assemble_network(network, {0: mesh}, gmap,
                                  sources=case.sources(),
                                  dirichlet_values=case.dirichlet_values())
     ref, _ = vem.assemble(mesh, 2, f=ms.f, dirichlet=ms.u)

@@ -188,7 +188,8 @@ def test_maxflow_matches_networkx_residual_cut(rng):
 
 def test_packed_maxflow_matches_reference(rng):
     """The packed enumeration gives the five-array enumeration's cut and
-    value on graphs of 1-12 nodes with parallel, reversed and zero edges."""
+    value on graphs of 1 to ``ENUM_MAX_NODES`` nodes with parallel,
+    reversed and zero edges."""
     for trial in range(240):
         n = trial % _kernels.ENUM_MAX_NODES + 1
         cap_s = rng.integers(0, 6, n)

@@ -20,7 +20,13 @@ from polyagg.vem import (
     solve_spd,
 )
 
-from conftest import grid_mesh, mixed_region_mesh, tri_grid_mesh
+from conftest import (
+    grid_mesh,
+    mixed_region_mesh,
+    ref_build_dof_map,
+    ref_dof_positions,
+    tri_grid_mesh,
+)
 
 SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
 TRIANGLE = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
@@ -147,6 +153,21 @@ def test_shared_edge_dofs_identical():
     assert len(shared) == 2 + 2  # two shared vertices + two edge slots
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dof_layer_matches_scalar_reference(mixed_mesh, k):
+    """Grouped DOF ids and positions equal the per-cell and per-edge loops'
+    bit for bit on cells of 3 to 9+ vertices, each of which runs some edges
+    from the lower vertex id up and others down, so that some but not all of
+    its edge slots are reversed."""
+    m = mixed_mesh
+    assert all(0 < (np.roll(ids, -1) > ids).sum() < len(ids) for ids in m.cells)
+    dm, ref = build_dof_map(m, k), ref_build_dof_map(m, k)
+    assert (dm.total, dm.edge_base, dm.moment_base) == (ref.total, ref.edge_base, ref.moment_base)
+    for got, want in zip(dm.cell_dofs, ref.cell_dofs, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert vem.dof_positions(m, dm).tobytes() == ref_dof_positions(m, ref).tobytes()
+
+
 def test_assemble_patch_empty_interior():
     m = build_mesh(
         [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]
@@ -260,6 +281,76 @@ def test_solve_spd_rejects_nan_residual():
     )
     with pytest.raises(SolverError, match="residual nan"):
         solve_spd(system)
+
+
+def _all_free(A, b=None):
+    """System whose whole operator ``A`` is free: no Dirichlet DOF."""
+    A = sps.csr_matrix(A)
+    n = A.shape[0]
+    b = np.ones(n) if b is None else b
+    return vem.SparseSpdSystem(A, b, np.array([], dtype=np.int64), np.array([]),
+                               np.arange(n), None)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_spd_rejects_singular_reduced_matrix(k):
+    """Without Dirichlet DOFs the stiffness matrix is singular (constants
+    span its kernel): the factorization or the residual check fails."""
+    ms = CATALOG["sinsin"]
+    system, _ = assemble(grid_mesh(4, 4), k, f=ms.f, dirichlet=ms.u)
+    with pytest.raises(SolverError):
+        solve_spd(_all_free(system.A, system.b))
+
+
+def test_solve_spd_rejects_exactly_singular_matrix():
+    with pytest.raises(SolverError, match="exactly singular"):
+        solve_spd(_all_free(np.array([[1.0, -1.0], [-1.0, 1.0]])))
+
+
+@pytest.mark.parametrize("A", [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+    sps.csc_matrix(([0.0, 1.0, 1.0, 0.0], ([0, 1, 0, 1], [0, 0, 1, 1]))),
+], ids=["zero-diagonal", "zero-diagonal-3", "stored-zero-diagonal"])
+def test_indefinite_matrix_raises_without_fallback(monkeypatch, A):
+    """Indefinite matrices whose first pivot is zero in any symmetric order:
+    SuperLU would solve them accurately by pivoting off the diagonal, but the
+    SPD factorization refuses them after one factorization, with no retry."""
+    calls = []
+    splu = vem.spla.splu
+    monkeypatch.setattr(vem.spla, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
+    with pytest.raises(SolverError, match="zero pivot"):
+        solve_spd(_all_free(A))
+    with pytest.raises(SolverError, match="zero pivot"):
+        condition_estimate(A)
+    assert len(calls) == 2
+
+
+def test_condition_estimate_factors_once_through_spd_helper(monkeypatch):
+    """A bare matrix is factored once, by the SPD helper with the symmetric
+    ordering; a solved system's cached factor is reused."""
+    helper, splu = vem._factor_spd, vem.spla.splu
+    calls = {"helper": 0, "splu": []}
+
+    def counting_helper(A):
+        calls["helper"] += 1
+        return helper(A)
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"].append(kwargs["permc_spec"])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(vem, "_factor_spd", counting_helper)
+    monkeypatch.setattr(vem.spla, "splu", counting_splu)
+    n = 10
+    A = sps.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsc()
+    condition_estimate(A)
+    assert calls == {"helper": 1, "splu": ["MMD_AT_PLUS_A"]}
+    ms = CATALOG["sinsin"]
+    system, _ = assemble(grid_mesh(4, 4), 2, f=ms.f, dirichlet=ms.u)
+    solve_spd(system)
+    condition_estimate(system)
+    assert calls["helper"] == 2 and len(calls["splu"]) == 2
 
 
 def test_condition_identity_and_diag():
