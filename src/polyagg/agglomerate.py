@@ -16,11 +16,11 @@ import numpy as np
 from . import _kernels, quality
 from .geometry import COLLINEAR_TOL
 from .mesh import (
-    MergeError,
     PolygonalMesh,
-    _union_loop,
+    _components,
+    _drop_aligned_vertices,
+    _union_loops,
     build_mesh,
-    simplify_aligned_edges,
 )
 
 SC_MODES = ("literal", "potts")
@@ -128,13 +128,9 @@ def _union_rhos(mesh: PolygonalMesh, pairs, tol=COLLINEAR_TOL) -> list:
     The unions are simplified and scored by vertex count, one
     ``quality_scores`` call per count.
     """
-    loops, scored = [], []
-    for k, pair in enumerate(pairs):
-        try:
-            loops.append(_union_loop(mesh, pair))
-        except MergeError:
-            continue
-        scored.append(k)
+    loops, errors = _union_loops(mesh, pairs)
+    scored = [k for k, err in enumerate(errors) if err is None]
+    loops = [loops[k] for k in scored]
     rhos = [None] * len(pairs)
     for idx, ids in _simplified_loop_groups(mesh, loops, tol):
         r = _kernels.quality_scores(mesh.points[ids], tol, quality.KERNEL_REL_TOL)
@@ -411,52 +407,40 @@ def apply_labeling(mesh: PolygonalMesh, labels) -> PolygonalMesh:
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != mesh.n_cells:
         raise ValueError("labeling length does not match the cell count")
-    classes = {}
-    for c in range(mesh.n_cells):
-        classes.setdefault(int(labels[c]), []).append(c)
+    # components ordered by label, then by their lowest cell
+    n = mesh.n_cells
+    a, b = mesh.adjacent_cells()
+    same = labels[a] == labels[b]
+    roots = _components(n, a[same], b[same])
+    order = np.lexsort((np.arange(n), roots, labels))
+    bounds = np.flatnonzero(roots[order][1:] != roots[order][:-1]) + 1
+    bounds = [0, *bounds.tolist(), n] if n else []
+    cells = order.tolist()
+    comps = [cells[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    unions = [comp for comp in comps if len(comp) > 1]
+    loops, errors = _union_loops(mesh, unions)
+    merges = iter(zip(loops, errors))
 
     new_cells = []
-    for lab in sorted(classes):
-        members = classes[lab]
-        member_set = set(members)
-        seen = set()
-        for c in members:
-            if c in seen:
-                continue
-            comp = [c]
-            seen.add(c)
-            stack = [c]
-            while stack:
-                x = stack.pop()
-                for nb in mesh.neighbors[x]:
-                    nb = int(nb)
-                    if nb in member_set and nb not in seen:
-                        seen.add(nb)
-                        comp.append(nb)
-                        stack.append(nb)
-            if len(comp) == 1:
-                new_cells.append(mesh.cells[comp[0]])
-                continue
-            comp.sort()
-            try:
-                loop = _union_loop(mesh, comp)
-                new_cells.append(np.asarray(loop, dtype=np.int64))
-            except MergeError as err:
-                warnings.warn(
-                    f"label {lab}: merge of cells {comp} skipped ({err})",
-                    RuntimeWarning,
-                )
-                for x in comp:
-                    new_cells.append(mesh.cells[x])
+    for comp in comps:
+        if len(comp) == 1:
+            new_cells.append(mesh.cells[comp[0]])
+            continue
+        loop, err = next(merges)
+        if err is None:
+            new_cells.append(loop)
+            continue
+        warnings.warn(
+            f"label {labels[comp[0]]}: merge of cells {comp} skipped ({err})",
+            RuntimeWarning,
+        )
+        new_cells.extend(mesh.cells[c] for c in comp)
 
-    merged = build_mesh(
-        mesh.points,
-        new_cells,
-        mesh.constrained_edge_pairs(),
-        np.nonzero(mesh.vertex_constrained)[0],
-        compact=True,
-    )
-    return simplify_aligned_edges(merged)
+    # aligned vertices are dropped before the one build of the merged mesh
+    cons = mesh.constrained_edge_pairs()
+    cvs = np.flatnonzero(mesh.vertex_constrained)
+    new_cells = _drop_aligned_vertices(mesh.points, new_cells, cons, cvs)
+    return build_mesh(mesh.points, new_cells, cons, cvs, compact=True)
 
 
 @dataclass

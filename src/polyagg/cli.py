@@ -149,11 +149,11 @@ def cmd_dfn(args) -> int:
             frs = {f.fid: f for f in case.network.fractures}
             for fid, mesh in disc.meshes.items():
                 xloc = rep.solution[gmap.g[fid]]
-                uh_cell = []
-                dm = gmap.locals[fid]
-                for ci in range(mesh.n_cells):
-                    # vertex mean is a cheap per-cell sample of the solution
-                    uh_cell.append(float(np.mean(xloc[dm.cell_dofs[ci][: len(mesh.cells[ci])]])))
+                # vertex mean is a cheap per-cell sample of the solution;
+                # a vertex's DOF id is its vertex id
+                sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
+                uh_cell = np.add.reduceat(xloc[np.concatenate(mesh.cells)],
+                                          np.cumsum(sizes) - sizes) / sizes
                 rhos = [s.rho for s in quality.mesh_quality_report(mesh).scores]
                 vtkio.write_mesh_vtk(
                     out / f"{mesh_id.replace('=', '_')}_lambda_{lam}_fracture_{fid}.vtk",

@@ -8,6 +8,8 @@ tangential frame.
 """
 
 import ast
+import bisect
+import itertools
 import math
 import operator
 import os
@@ -18,8 +20,8 @@ import scipy.sparse as sps
 
 from . import geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate
-from .mesh import (MeshError, MeshFormatError, PolygonalMesh, build_mesh,
-                   parse_count, parse_tokens)
+from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _forest_roots,
+                   build_mesh, parse_count, parse_tokens)
 from .vem import SparseSpdSystem, build_dof_map, gauss_lobatto_points
 
 
@@ -455,20 +457,28 @@ def _triangulate_once(fracture: Fracture, max_area, n_cells, jitter) -> Polygona
 # ---------------------------------------------------------------------------
 
 class _MutableMesh:
+    """A mesh edited in place by cutting and stitching: a growing vertex
+    table, cells as vertex lists, an edge -> cells map, the constrained
+    edges and vertices, and a snap-grid pool that finds a vertex by
+    position.  ``to_mesh`` rebuilds a PolygonalMesh."""
+
     def __init__(self, mesh: PolygonalMesh, snap: float):
-        self.points = [p.copy() for p in mesh.points]
-        self.cells = [list(map(int, ids)) for ids in mesh.cells]
-        self.con_edges = set(
-            (min(u, v), max(u, v)) for (u, v) in mesh.constrained_edge_pairs()
-        )
-        self.con_verts = set(map(int, np.nonzero(mesh.vertex_constrained)[0]))
+        self._points = mesh.points.copy()
+        self.n_points = mesh.n_vertices
+        self.cells = [ids.tolist() for ids in mesh.cells]
+        self.con_edges = set(mesh.constrained_edge_pairs())
+        self.con_verts = set(np.flatnonzero(mesh.vertex_constrained).tolist())
         self.snap = snap
-        self.pool = {}
-        for i, p in enumerate(self.points):
-            self.pool[self._key(p)] = i
-        self.edge_map = {}
-        for cid, loop in enumerate(self.cells):
-            self._register(cid, loop)
+        # the keys of ``_key``: rint rounds half to even, as round does
+        keys = np.rint(mesh.points / snap).astype(np.int64).tolist()
+        self.pool = dict(zip(map(tuple, keys), range(mesh.n_vertices)))
+        # mesh edges are numbered by first use, so the map lists them in the
+        # order that registering the cells one by one would
+        self.edge_map = dict(zip(mesh.edges, map(list, mesh.edge_cells)))
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._points[: self.n_points]
 
     def _key(self, p):
         return (round(p[0] / self.snap), round(p[1] / self.snap))
@@ -496,7 +506,7 @@ class _MutableMesh:
             for dy in (-1, 0, 1):
                 vid = self.pool.get((kx + dx, ky + dy))
                 if vid is not None and np.hypot(
-                    *(self.points[vid] - p)
+                    *(self._points[vid] - p)
                 ) <= self.snap:
                     return vid
         return None
@@ -505,8 +515,13 @@ class _MutableMesh:
         vid = self.find_vertex(p)
         if vid is not None:
             return vid
-        vid = len(self.points)
-        self.points.append(np.asarray(p, dtype=float))
+        vid = self.n_points
+        if vid == len(self._points):
+            grown = np.empty((2 * vid + 16, 2))
+            grown[:vid] = self._points
+            self._points = grown
+        self._points[vid] = p
+        self.n_points += 1
         self.pool[self._key(p)] = vid
         return vid
 
@@ -547,7 +562,7 @@ class _MutableMesh:
 
     def to_mesh(self) -> PolygonalMesh:
         return build_mesh(
-            np.vstack(self.points),
+            self.points.copy(),
             self.cells,
             sorted(self.con_edges),
             sorted(self.con_verts),
@@ -567,7 +582,50 @@ def _point_in_some_cell(mm: _MutableMesh, p):
     return False
 
 
+def _cell_starts(cells):
+    """The cells' vertex ids end to end and the position where each starts."""
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    flat = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64,
+                       count=int(sizes.sum()))
+    return flat, np.cumsum(sizes) - sizes
+
+
+def _edge_ends(mm: _MutableMesh):
+    """The edges of ``mm`` in map order and their (ne, 2) end vertex ids."""
+    edges = list(mm.edge_map)
+    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
+                       count=2 * len(edges))
+    return edges, ends.reshape(-1, 2)
+
+
+def _host_edge(mm: _MutableMesh, pe, tol):
+    """First edge in map order with ``pe`` in its interior, or None."""
+    edges, ends = _edge_ends(mm)
+    pu, pv = mm.points[ends[:, 0]], mm.points[ends[:, 1]]
+    e = pv - pu
+    ln = np.hypot(e[:, 0], e[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cr = np.abs(e[:, 0] * (pe[1] - pu[:, 1]) - e[:, 1] * (pe[0] - pu[:, 0])) / ln
+        t = ((pe[0] - pu[:, 0]) * e[:, 0] + (pe[1] - pu[:, 1]) * e[:, 1]) / (ln * ln)
+        # t differs from the dot product below by round-off, so the interval
+        # is widened here and each candidate is tested exactly, in map order
+        near = (ln > tol) & (cr <= tol) & (t > tol / ln - 1e-9) & (t < 1.0 + 1e-9 - tol / ln)
+    for k in np.flatnonzero(near).tolist():
+        t = ((pe - pu[k]) @ e[k]) / (ln[k] * ln[k])
+        if tol / ln[k] < t < 1.0 - tol / ln[k]:
+            return edges[k]
+    return None
+
+
 def _cut_one_segment(mm: _MutableMesh, a2, b2, tol):
+    """Split every cell the segment's supporting line crosses, constrain the
+    chord where it lies on the segment, put the segment's endpoints on the
+    mesh and constrain the edges that run along it.
+
+    One signed-distance array over the vertices picks the crossed cells; a
+    vertex inserted while cutting lies on the line, so it changes no cell's
+    side test, and only the crossed cells are visited one by one.
+    """
     d = np.asarray(b2, dtype=float) - np.asarray(a2, dtype=float)
     L = float(np.hypot(*d))
     if L <= tol:
@@ -576,18 +634,18 @@ def _cut_one_segment(mm: _MutableMesh, a2, b2, tol):
     a2 = np.asarray(a2, dtype=float)
 
     def sdist(p):
-        return dn[0] * (p[1] - a2[1]) - dn[1] * (p[0] - a2[0])
+        return dn[0] * (p[..., 1] - a2[1]) - dn[1] * (p[..., 0] - a2[0])
 
     def tpar(p):
-        return dn[0] * (p[0] - a2[0]) + dn[1] * (p[1] - a2[1])
+        return dn[0] * (p[..., 0] - a2[0]) + dn[1] * (p[..., 1] - a2[1])
 
-    n_start = len(mm.cells)
-    for cid in range(n_start):
+    flat, starts = _cell_starts(mm.cells)
+    s = sdist(mm.points)[flat]
+    crossed = (np.maximum.reduceat(s, starts) > tol) & (np.minimum.reduceat(s, starts) < -tol)
+    for cid in np.flatnonzero(crossed).tolist():
         loop = mm.cells[cid]
-        pts = [mm.points[v] for v in loop]
-        s = [sdist(p) for p in pts]
-        if max(s) <= tol or min(s) >= -tol:
-            continue
+        pts = mm.points[loop]
+        s = sdist(pts).tolist()
         n = len(loop)
         events = []
         for k in range(n):
@@ -665,35 +723,22 @@ def _cut_one_segment(mm: _MutableMesh, a2, b2, tol):
         if vid is not None:
             mm.con_verts.add(vid)
             continue
-        placed = False
-        for (u, v) in list(mm.edge_map.keys()):
-            pu, pv = mm.points[u], mm.points[v]
-            e = pv - pu
-            ln = np.hypot(*e)
-            if ln <= tol:
-                continue
-            cr = abs(e[0] * (pe[1] - pu[1]) - e[1] * (pe[0] - pu[0])) / ln
-            if cr > tol:
-                continue
-            t = ((pe - pu) @ e) / (ln * ln)
-            if tol / ln < t < 1.0 - tol / ln:
-                vid = mm.add_vertex(pe)
-                mm.split_edge(u, v, vid)
-                mm.con_verts.add(vid)
-                placed = True
-                break
-        if not placed and _point_in_some_cell(mm, pe):
+        host = _host_edge(mm, pe, tol)
+        if host is not None:
+            vid = mm.add_vertex(pe)
+            mm.split_edge(*host, vid)
+            mm.con_verts.add(vid)
+        elif _point_in_some_cell(mm, pe):
             raise MeshError(
                 "trace endpoint inside a cell survived the cutting pass"
             )
 
     # existing edges running along the segment become constrained
-    for (u, v) in list(mm.edge_map.keys()):
-        pu, pv = mm.points[u], mm.points[v]
-        if abs(sdist(pu)) <= tol and abs(sdist(pv)) <= tol:
-            tu, tv = tpar(pu), tpar(pv)
-            if min(tu, tv) >= -tol and max(tu, tv) <= L + tol:
-                mm.con_edges.add((min(u, v), max(u, v)))
+    edges, ends = _edge_ends(mm)
+    near = np.abs(sdist(mm.points)) <= tol
+    t = tpar(mm.points)[ends]
+    along = near[ends].all(axis=1) & (t.min(axis=1) >= -tol) & (t.max(axis=1) <= L + tol)
+    mm.con_edges.update(edges[k] for k in np.flatnonzero(along).tolist())
 
 
 def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=1e-9) -> PolygonalMesh:
@@ -722,14 +767,13 @@ def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=1e-9) -> PolygonalMesh:
 # ---------------------------------------------------------------------------
 
 def _on_trace_vertices(mm: _MutableMesh, a2, dn, L, tol):
-    out = []
-    for vid, p in enumerate(mm.points):
-        t = dn[0] * (p[0] - a2[0]) + dn[1] * (p[1] - a2[1])
-        s = dn[0] * (p[1] - a2[1]) - dn[1] * (p[0] - a2[0])
-        if abs(s) <= tol and -tol <= t <= L + tol:
-            out.append((float(t), vid))
-    out.sort()
-    return out
+    """(t, vertex id) of every vertex on the trace, ascending."""
+    p = mm.points
+    t = dn[0] * (p[:, 0] - a2[0]) + dn[1] * (p[:, 1] - a2[1])
+    s = dn[0] * (p[:, 1] - a2[1]) - dn[1] * (p[:, 0] - a2[0])
+    on = np.flatnonzero((np.abs(s) <= tol) & (-tol <= t) & (t <= L + tol))
+    on = on[np.lexsort((on, t[on]))]
+    return list(zip(t[on].tolist(), on.tolist()))
 
 
 def stitch_meshes(meshes: dict, network: FractureNetwork, tol_rel=1e-9):
@@ -766,8 +810,9 @@ def stitch_meshes(meshes: dict, network: FractureNetwork, tol_rel=1e-9):
         for fid in (tr.frac_i, tr.frac_j):
             mm = mms[fid]
             have = nodes[fid]
+            at = [q for q, _ in have]
             for t in union:
-                k = np.searchsorted([q for q, _ in have], t)
+                k = bisect.bisect_left(at, t)
                 if (k < len(have) and abs(have[k][0] - t) <= tol) or (
                     k > 0 and abs(have[k - 1][0] - t) <= tol
                 ):
@@ -785,6 +830,7 @@ def stitch_meshes(meshes: dict, network: FractureNetwork, tol_rel=1e-9):
                 mm.split_edge(v0, v1, vid)
                 mm.con_verts.add(vid)
                 have.insert(k, (t, vid))
+                at.insert(k, t)
         matches[tr.tid] = {fid: list(nodes[fid]) for fid in nodes}
     # matches hold _MutableMesh ids; they stay valid because the rebuild
     # compacts (renumbers) only when a vertex is unused
@@ -806,18 +852,6 @@ class GlobalDofMap:
 
     def map_cell_dofs(self, fid, ci):
         return self.g[fid][self.locals[fid].cell_dofs[ci]]
-
-
-def _forest_roots(parent) -> np.ndarray:
-    """Root of every node of the union-find forest ``parent``, by pointer
-    jumping: each pass replaces every pointer by its pointer's pointer, so
-    the passes grow with the logarithm of the deepest path."""
-    roots = parent
-    while True:
-        up = roots[roots]
-        if np.array_equal(up, roots):
-            return roots
-        roots = up
 
 
 def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,

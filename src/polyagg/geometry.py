@@ -88,6 +88,14 @@ def _within_span(px, py, ax, ay, bx, by):
 
 
 @functools.cache
+def _vertex_pairs(n):
+    """Vertex index pairs (i, j), i < j, of an n-gon."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False  # shared by every caller
+    return i, j
+
+
+@functools.cache
 def _crossing_pairs(n):
     """Edge index pairs (i, j), i < j, of the non-adjacent edges of an n-gon;
     edge i joins vertex i to vertex i+1."""
@@ -138,7 +146,7 @@ def _simple_block(pts, diam, eps):
     n = pts.shape[1]
     snap = (1e-12 * diam)[:, None]
     ok = diam > 0.0
-    i, j = np.triu_indices(n, 1)
+    i, j = _vertex_pairs(n)
     d = pts[:, i] - pts[:, j]
     ok &= ~((np.abs(d[..., 0]) <= snap) & (np.abs(d[..., 1]) <= snap)).any(axis=1)
 
@@ -327,63 +335,58 @@ def collinear_edge_runs(pts, tol=COLLINEAR_TOL):
 
 
 def ear_clip(pts) -> np.ndarray:
-    """Triangulate a simple CCW polygon by ear clipping.
+    """Triangulate a simple CCW polygon (n, 2), or each polygon of a stack
+    (..., n, 2), by ear clipping.
 
-    Returns (t, 3) vertex indices into ``pts``.  Straight (collinear)
-    vertices are dropped without emitting a degenerate triangle.
+    Each step drops the first straight (collinear) vertex without emitting
+    a degenerate triangle or, when there is none, clips the first convex ear
+    that holds no other vertex.  A polygon gives its (t, 3) triangles as
+    vertex indices; a stack gives (..., n - 2, 3), one row per step in
+    clipping order and the last three vertices last, with -1 in the rows of
+    dropped vertices.  The polygons of a stack are clipped step by step
+    together, each as it would be alone.
     """
-    pts = as_points(pts)
-    n = len(pts)
-    diam = polygon_diameter(pts)
-    eps = 1e-12 * diam * diam
-    idx = list(range(n))
-    tris = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * n * n + 16:
-            raise GeometryError("ear clipping failed to make progress")
-        m = len(idx)
-        clipped = False
-        # pass 1: drop a straight vertex if any (exact hanging nodes)
-        for k in range(m):
-            p = pts[idx[k - 1]]
-            q = pts[idx[k]]
-            r = pts[idx[(k + 1) % m]]
-            cr = _orient(p[0], p[1], q[0], q[1], r[0], r[1])
-            if abs(cr) <= eps and (q - p) @ (r - q) > 0.0:
-                idx.pop(k)
-                clipped = True
-                break
-        if clipped:
-            continue
-        # pass 2: proper convex ear containing no other vertex
-        for k in range(m):
-            ia, ib, ic = idx[k - 1], idx[k], idx[(k + 1) % m]
-            a, b, c = pts[ia], pts[ib], pts[ic]
-            if _orient(a[0], a[1], b[0], b[1], c[0], c[1]) <= eps:
-                continue
-            blocked = False
-            for other in idx:
-                if other in (ia, ib, ic):
-                    continue
-                o = pts[other]
-                if (
-                    _orient(a[0], a[1], b[0], b[1], o[0], o[1]) > eps
-                    and _orient(b[0], b[1], c[0], c[1], o[0], o[1]) > eps
-                    and _orient(c[0], c[1], a[0], a[1], o[0], o[1]) > eps
-                ):
-                    blocked = True
-                    break
-            if not blocked:
-                tris.append((ia, ib, ic))
-                idx.pop(k)
-                clipped = True
-                break
-        if not clipped:
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim < 2 or pts.shape[-1] != 2 or pts.shape[-2] < 3:
+        raise GeometryError(f"expected (..., n >= 3, 2) coordinates, got shape {pts.shape}")
+    lead, n = pts.shape[:-2], pts.shape[-2]
+    flat = pts.reshape((math.prod(lead), n, 2))
+    m = len(flat)
+    tris = np.full((m, n - 2, 3), -1, dtype=np.int64)
+    idx = np.broadcast_to(np.arange(n), (m, n))
+    if n > 3:
+        diam = polygon_diameter(flat)
+        eps = (1e-12 * diam * diam)[:, None]
+        rows = np.arange(m)
+    for step in range(n - 3):
+        r = n - step
+        # vertex k of each polygon with its predecessor a and successor c
+        q = flat[rows[:, None], idx]
+        a, c = np.roll(q, 1, axis=1), np.roll(q, -1, axis=1)
+        (ax, ay), (qx, qy), (cx, cy) = (np.moveaxis(v, -1, 0) for v in (a, q, c))
+        turn = _orient(ax, ay, qx, qy, cx, cy)
+        ahead = (qx - ax) * (cx - qx) + (qy - ay) * (cy - qy) > 0.0
+        straight = (np.abs(turn) <= eps) & ahead
+        # the ear at k holds vertex j when j is strictly left of all 3 edges;
+        # it never holds its own corners, whose turn on two edges is 0
+        e3 = eps[..., None]
+        ox, oy = qx[:, None, :], qy[:, None, :]
+        ax, ay, qx, qy, cx, cy = (v[..., None] for v in (ax, ay, qx, qy, cx, cy))
+        holds = ((_orient(ax, ay, qx, qy, ox, oy) > e3) & (_orient(qx, qy, cx, cy, ox, oy) > e3)
+                 & (_orient(cx, cy, ax, ay, ox, oy) > e3))
+        ear = (turn > eps) & ~holds.any(axis=-1)
+        drop = straight.any(axis=1)
+        if not (drop | ear.any(axis=1)).all():
             raise GeometryError("no ear found; polygon may be non-simple")
-    tris.append(tuple(idx))
-    return np.asarray(tris, dtype=np.int64)
+        k = np.where(drop, straight.argmax(axis=1), ear.argmax(axis=1))
+        clip = ~drop
+        tris[clip, step] = np.stack([idx[rows, k - 1], idx[rows, k], idx[rows, (k + 1) % r]],
+                                    axis=1)[clip]
+        idx = idx[np.arange(r) != k[:, None]].reshape(m, r - 1)
+    tris[:, -1] = idx
+    if lead:
+        return tris.reshape(lead + (n - 2, 3))
+    return tris[0][tris[0, :, 0] >= 0]
 
 
 def convex_clip(subject, clip) -> np.ndarray:

@@ -5,6 +5,7 @@ constraint flags and the cell adjacency map (keyed by shared *unconstrained*
 edges) are derived at build time; mutating operations return new meshes.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +158,14 @@ class PolygonalMesh:
             self._cell_cache[i] = c
         return c
 
+    def adjacent_cells(self):
+        """(a, b) int64 arrays of the adjacent cell pairs, a < b, ascending."""
+        n = self.n_cells
+        counts = np.fromiter(map(len, self.neighbors), dtype=np.int64, count=n)
+        a = np.repeat(np.arange(n), counts)
+        b = np.concatenate(self.neighbors) if n else a
+        return a[b > a], b[b > a]
+
     def boundary_edge_ids(self) -> np.ndarray:
         n_cells = np.fromiter(map(len, self.edge_cells), dtype=np.int64,
                               count=len(self.edge_cells))
@@ -164,12 +173,8 @@ class PolygonalMesh:
 
     def adjacency_pairs(self) -> list:
         """Unordered adjacent cell pairs (i, j), i < j, ascending."""
-        pairs = set()
-        for e, cs in enumerate(self.edge_cells):
-            if len(cs) == 2 and not self.edge_constrained[e]:
-                a, b = cs
-                pairs.add((min(a, b), max(a, b)))
-        return sorted(pairs)
+        a, b = self.adjacent_cells()
+        return list(zip(a.tolist(), b.tolist()))
 
     def constrained_edge_pairs(self) -> list:
         return [self.edges[e] for e in np.nonzero(self.edge_constrained)[0]]
@@ -417,53 +422,161 @@ def _edge_table(tail, head, owner, nv):
 # merging
 # ---------------------------------------------------------------------------
 
-def _union_loop(mesh: PolygonalMesh, cell_ids):
-    """Outer vertex loop of the boolean union of the given cells.
+def _forest_roots(parent) -> np.ndarray:
+    """Root of every node of the union-find forest ``parent``, by pointer
+    jumping: each pass replaces every pointer by its pointer's pointer, so
+    the passes grow with the logarithm of the deepest path."""
+    roots = parent
+    while True:
+        up = roots[roots]
+        if np.array_equal(up, roots):
+            return roots
+        roots = up
 
-    Raises MergeHoleError / MergeNonSimpleError / MergeConstraintError when
-    the union is not a simple polygon without holes, or would delete a
-    constrained edge.
+
+def _components(n, a, b) -> np.ndarray:
+    """Lowest node of the connected component of each of n nodes joined by
+    the edges (a, b): every pass hooks the larger root of each edge under the
+    smaller one, then jumps pointers to the roots."""
+    roots = np.arange(n)
+    while True:
+        ra, rb = roots[a], roots[b]
+        if np.array_equal(ra, rb):
+            return roots
+        low = np.minimum(ra, rb)
+        np.minimum.at(roots, ra, low)
+        np.minimum.at(roots, rb, low)
+        roots = _forest_roots(roots)
+
+
+def _loop_edges(cells):
+    """Every directed edge (tail, head) of the int64 vertex loops ``cells``,
+    loop by loop, and each loop's length."""
+    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    tail = np.concatenate(cells) if len(cells) else np.zeros(0, dtype=np.int64)
+    nxt = np.arange(1, len(tail) + 1)
+    nxt[np.cumsum(lengths) - 1] = np.cumsum(lengths) - lengths
+    return tail, tail[nxt], lengths
+
+
+# union loop failures in the order the per-set trace checks them: the first
+# three are raised at a directed edge (the earliest in traversal order, then
+# the lowest here), the others after all edges passed
+_UNION_ERRORS = (
+    (MergeNonSimpleError, "duplicated directed edge in union"),
+    (MergeConstraintError, "union would remove a constrained edge"),
+    (MergeNonSimpleError, "union touches itself at a vertex"),
+    (MergeNonSimpleError, "union has no boundary"),
+    (MergeNonSimpleError, "open boundary chain in union"),
+    (MergeHoleError, "union encloses a hole"),
+    (MergeNonSimpleError, "union boundary degenerate"),
+)
+
+
+def _union_loops(mesh: PolygonalMesh, cell_sets):
+    """Outer vertex loop of the boolean union of each set of cells.
+
+    Returns (loops, errors): per set either its CCW boundary loop, an int64
+    array that starts at its lowest vertex id, and None, or None and the
+    ``MergeError`` that makes the union not a simple hole-free polygon or
+    that would delete a constrained edge.
+
+    The directed edges of all sets are taken cell by cell in the order each
+    set lists its cells.  One sort by (set, edge, direction) groups the uses
+    of each directed edge.  A directed edge used twice is an error; one whose
+    reverse is used too is interior, an error when constrained; a boundary
+    edge leaving a vertex that an earlier boundary edge leaves is an error.
+    Each of these errors sits at its edge's first use, and a set fails with
+    its earliest one.  The boundaries of the other sets are then walked all
+    at once, from each set's lowest vertex.
     """
-    directed = {}
-    for ci in cell_ids:
-        ids = mesh.cells[ci]
-        m = len(ids)
-        for k in range(m):
-            u, v = int(ids[k]), int(ids[(k + 1) % m])
-            directed[(u, v)] = directed.get((u, v), 0) + 1
+    nv = mesh.n_vertices
+    sizes = np.fromiter(map(len, cell_sets), dtype=np.int64, count=len(cell_sets))
+    n_sets = len(sizes)
+    members = np.fromiter(itertools.chain.from_iterable(cell_sets), dtype=np.int64,
+                          count=int(sizes.sum()))
+    # every directed edge (tail, head) of every member cell, in traversal order
+    tail, head, lengths = _loop_edges(mesh.cells)
+    uses = lengths[members]
+    first_use = np.cumsum(uses) - uses
+    cell_start = np.cumsum(lengths) - lengths
+    at = np.arange(int(uses.sum())) + np.repeat(cell_start[members] - first_use, uses)
+    tail, head = tail[at], head[at]
+    owner = np.repeat(np.repeat(np.arange(n_sets), sizes), uses)
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    key = ((owner * nv + lo) * nv + hi) * 2 + (tail > head)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    # one item per directed edge of a set: its first use, its use count and
+    # whether the reverse edge is used too
+    item = order[starts]
+    ikey = key[starts]
+    count = np.diff(starts, append=len(key))
+    follows = np.zeros(len(ikey), dtype=bool)
+    follows[1:] = (ikey[1:] == ikey[:-1] + 1) & (ikey[1:] % 2 == 1)
+    twin = follows.copy()
+    twin[:-1] |= follows[1:]
+    isets = owner[item]
 
-    boundary = {}
-    for (u, v), cnt in directed.items():
-        if cnt > 1:
-            raise MergeNonSimpleError("duplicated directed edge in union")
-        if (v, u) in directed:
-            key = (u, v) if u < v else (v, u)
-            e = mesh.edge_index.get(key)
-            if e is not None and mesh.edge_constrained[e]:
-                raise MergeConstraintError(
-                    "union would remove a constrained edge"
-                )
-            continue
-        if u in boundary:
-            raise MergeNonSimpleError("union touches itself at a vertex")
-        boundary[u] = v
+    # first failing edge per set, as use position * 8 + error kind
+    worst = len(tail) * 8
+    failed = np.full(n_sets, worst, dtype=np.int64)
+    cons = np.array(mesh.constrained_edge_pairs(), dtype=np.int64).reshape(-1, 2)
+    constrained = twin & np.isin(lo[item] * nv + hi[item], cons[:, 0] * nv + cons[:, 1])
+    out_key = isets * nv + tail[item]
+    free = np.flatnonzero(~twin)
+    free = free[np.lexsort((item[free], out_key[free]))]  # by (set, tail), first use
+    second = free[1:][out_key[free[1:]] == out_key[free[:-1]]]
+    for kind, bad in enumerate((count > 1, constrained, second)):
+        np.minimum.at(failed, isets[bad], item[bad] * 8 + kind)
+    kind = np.where(failed < worst, failed % 8, -1)
 
-    if not boundary:
-        raise MergeNonSimpleError("union has no boundary")
-    start = min(boundary)
-    loop = [start]
-    v = boundary.pop(start)
-    while v != start:
-        loop.append(v)
-        nxt = boundary.pop(v, None)
-        if nxt is None:
-            raise MergeNonSimpleError("open boundary chain in union")
-        v = nxt
-    if boundary:
-        raise MergeHoleError("union encloses a hole")
-    if len(loop) < 3:
-        raise MergeNonSimpleError("union boundary degenerate")
-    return loop
+    # walk the boundary of the sets without an edge error
+    free = free[failed[isets[free]] == worst]
+    free_key = out_key[free]  # ascending: each set's lowest vertex first
+    n_bound = np.bincount(isets[free], minlength=n_sets)
+    kind[(kind < 0) & (n_bound == 0)] = 3
+    found = np.minimum(np.searchsorted(free_key, isets[free] * nv + head[item[free]]),
+                       max(len(free) - 1, 0))
+    succ = np.where(free_key[found] == isets[free] * nv + head[item[free]], found, -1)
+    first = np.searchsorted(free_key, np.arange(n_sets) * nv)
+    walking = np.flatnonzero(n_bound > 0)
+    cur = first[walking]
+    loop_len = np.zeros(n_sets, dtype=np.int64)
+    steps = []  # (sets, tails) visited at each step
+    step = 0
+    while len(walking):
+        steps.append((walking, tail[item[free[cur]]]))
+        step += 1
+        cur = succ[cur]
+        closed = cur == first[walking]
+        stuck = ~closed & ((cur < 0) | (step >= n_bound[walking]))
+        loop_len[walking[closed]] = step
+        kind[walking[stuck]] = 4
+        going = ~(closed | stuck)
+        walking, cur = walking[going], cur[going]
+    closed = kind < 0
+    kind[closed & (loop_len < n_bound)] = 5
+    kind[closed & (loop_len == n_bound) & (loop_len < 3)] = 6
+
+    loops = [None] * n_sets
+    errors = [None] * n_sets
+    ok = kind < 0
+    if steps:
+        sets = np.concatenate([s for s, _ in steps])
+        tails = np.concatenate([t for _, t in steps])
+        keep = ok[sets]
+        tails = tails[keep][np.argsort(sets[keep], kind="stable")]
+        bounds = np.cumsum(loop_len[ok]).tolist()
+        for s, a, b in zip(np.flatnonzero(ok).tolist(), [0] + bounds[:-1], bounds):
+            loops[s] = tails[a:b]
+    for s, k in zip(np.flatnonzero(~ok).tolist(), kind[~ok].tolist()):
+        cls, message = _UNION_ERRORS[k]
+        errors[s] = cls(message)
+    return loops, errors
 
 
 def merge_cells(mesh: PolygonalMesh, cell_ids) -> Cell:
@@ -493,7 +606,9 @@ def merge_cells(mesh: PolygonalMesh, cell_ids) -> Cell:
                 stack.append(nb)
     if seen != members:
         raise MergeDisconnectedError("cell set is not edge-connected")
-    loop = _union_loop(mesh, ids)
+    (loop,), (err,) = _union_loops(mesh, [ids])
+    if err is not None:
+        raise err
     cell = make_cell(mesh.points[loop], vertex_ids=loop)
     if not np.isclose(
         cell.area, float(mesh.cell_area[ids].sum()), rtol=1e-12, atol=0.0
@@ -506,53 +621,74 @@ def merge_cells(mesh: PolygonalMesh, cell_ids) -> Cell:
 # aligned-edge simplification
 # ---------------------------------------------------------------------------
 
+def _removable_vertices(points, cells, constrained_edges, constrained_vertices,
+                        tol=COLLINEAR_TOL) -> np.ndarray:
+    """Mask of the vertices ``simplify_aligned_edges`` removes from the mesh
+    that ``points``, the int64 vertex loops ``cells`` and these constraints
+    would build."""
+    nv = len(points)
+    tail, head, _ = _loop_edges(cells)
+    keys = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head))
+    cons = np.array(constrained_edges, dtype=np.int64).reshape(-1, 2)
+    edge_constrained = np.isin(keys, cons.min(axis=1) * nv + cons.max(axis=1))
+    ends = np.column_stack([keys // nv, keys % nv]).reshape(-1)
+    vertex_constrained = np.zeros(nv, dtype=bool)
+    vertex_constrained[np.asarray(constrained_vertices, dtype=np.int64)] = True
+    vertex_constrained[ends.reshape(-1, 2)[edge_constrained]] = True
+    # the two edges at a candidate vertex; which one comes first does not
+    # change the test below
+    by_vertex = np.argsort(ends, kind="stable")
+    degree = np.bincount(ends, minlength=nv)
+    first = np.cumsum(degree) - degree
+    v = np.flatnonzero((degree == 2) & ~vertex_constrained)
+    at1, at2 = by_vertex[first[v]], by_vertex[first[v] + 1]  # v's places in ``ends``
+    free = ~(edge_constrained[at1 // 2] | edge_constrained[at2 // 2])
+    v, at1, at2 = v[free], at1[free], at2[free]
+    a, b = ends[at1 ^ 1], ends[at2 ^ 1]  # the other end of each edge
+    u1 = points[v] - points[a]
+    u2 = points[b] - points[v]
+    denom = np.hypot(u1[:, 0], u1[:, 1]) * np.hypot(u2[:, 0], u2[:, 1])
+    cr = u1[:, 0] * u2[:, 1] - u1[:, 1] * u2[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aligned = (denom != 0.0) & (np.abs(cr) / denom < tol)
+    ahead = u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1] > 0.0
+    removable = np.zeros(nv, dtype=bool)
+    removable[v[aligned & ahead]] = True
+    return removable
+
+
+def _drop_aligned_vertices(points, cells, constrained_edges, constrained_vertices,
+                           tol=COLLINEAR_TOL) -> list:
+    """``cells`` without the vertices ``simplify_aligned_edges`` removes,
+    swept again until none is left; ``cells`` itself when there is none."""
+    while True:
+        removable = _removable_vertices(points, cells, constrained_edges,
+                                        constrained_vertices, tol)
+        if not removable.any():
+            return cells
+        new_cells = []
+        for ids in cells:
+            kept = ids[~removable[ids]]
+            # safety: never collapse a cell below a triangle
+            new_cells.append(kept if len(kept) >= 3 else ids)
+        cells = new_cells
+
+
 def simplify_aligned_edges(mesh: PolygonalMesh, tol=COLLINEAR_TOL) -> PolygonalMesh:
     """Remove unconstrained hanging nodes interior to straight boundary runs.
 
     A vertex goes away only when it is unconstrained, lies on exactly two
     mesh edges, neither edge is constrained, and the two edges are aligned
-    within ``tol``.  Cell areas are preserved to machine precision because
+    within ``tol``; chains of nearly aligned vertices are swept until none
+    is left.  Cell areas are preserved to machine precision because
     candidates are interior to collinear runs.
     """
-    pts = mesh.points
-    incident = [[] for _ in range(mesh.n_vertices)]
-    for e, (u, v) in enumerate(mesh.edges):
-        incident[u].append(e)
-        incident[v].append(e)
-
-    removable = np.zeros(mesh.n_vertices, dtype=bool)
-    for v in range(mesh.n_vertices):
-        if mesh.vertex_constrained[v] or len(incident[v]) != 2:
-            continue
-        e1, e2 = incident[v]
-        if mesh.edge_constrained[e1] or mesh.edge_constrained[e2]:
-            continue
-        a = mesh.edges[e1][0] if mesh.edges[e1][1] == v else mesh.edges[e1][1]
-        b = mesh.edges[e2][0] if mesh.edges[e2][1] == v else mesh.edges[e2][1]
-        u1 = pts[v] - pts[a]
-        u2 = pts[b] - pts[v]
-        denom = np.hypot(*u1) * np.hypot(*u2)
-        if denom == 0.0:
-            continue
-        cr = u1[0] * u2[1] - u1[1] * u2[0]
-        if abs(cr) / denom < tol and (u1 @ u2) > 0.0:
-            removable[v] = True
-
-    if not removable.any():
+    cons = mesh.constrained_edge_pairs()
+    cvs = np.flatnonzero(mesh.vertex_constrained)
+    cells = _drop_aligned_vertices(mesh.points, mesh.cells, cons, cvs, tol)
+    if cells is mesh.cells:
         return mesh
-
-    new_cells = []
-    for ids in mesh.cells:
-        kept = ids[~removable[ids]]
-        if len(kept) < 3:
-            # safety: never collapse a cell below a triangle
-            kept = ids
-        new_cells.append(kept)
-    constrained_pairs = mesh.constrained_edge_pairs()
-    cvs = np.nonzero(mesh.vertex_constrained)[0]
-    out = build_mesh(pts, new_cells, constrained_pairs, cvs, compact=True)
-    # chains of nearly-aligned vertices may need another sweep
-    return simplify_aligned_edges(out, tol)
+    return build_mesh(mesh.points, cells, cons, cvs, compact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -413,13 +413,15 @@ def cell_groups(mesh: PolygonalMesh):
     Straight vertices yield no triangle, so the cells of one group share
     one quadrature layout and stack without padding.
     """
-    groups = {}
-    for ci, ids in enumerate(mesh.cells):
-        tris = geometry.ear_clip(mesh.points[ids])
-        groups.setdefault((len(ids), len(tris)), []).append((ci, ids, tris))
-    for key in sorted(groups):
-        cids, verts, tris = zip(*groups[key])
-        yield np.array(cids, dtype=np.int64), np.stack(verts), np.stack(tris)
+    sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
+    for n in np.unique(sizes).tolist():
+        cids = np.flatnonzero(sizes == n)
+        verts = np.stack([mesh.cells[c] for c in cids])
+        tris = geometry.ear_clip(mesh.points[verts])  # -1 rows: dropped vertices
+        counts = (tris[..., 0] >= 0).sum(axis=1)
+        for t in np.unique(counts).tolist():
+            sel = counts == t
+            yield cids[sel], verts[sel], tris[sel][tris[sel][..., 0] >= 0].reshape(-1, t, 3)
 
 
 def build_local_system(mesh: PolygonalMesh, dofmap: DofMap, K=None, f=None):
@@ -527,16 +529,19 @@ def condition_estimate(system_or_matrix, tol=1e-6, max_iter=5000) -> CondEstimat
     rng = np.random.default_rng(0)
 
     def iterate(op):
+        # op(v) of the Rayleigh quotient is the next iterate's w, so each
+        # iteration applies op once
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
+        w = op(v)
         lam = 0.0
         for it in range(1, max_iter + 1):
-            w = op(v)
             nw = np.linalg.norm(w)
             if nw == 0.0:
                 return 0.0, it, True
             v = w / nw
-            new = float(v @ op(v))
+            w = op(v)
+            new = float(v @ w)
             if abs(new - lam) <= tol * abs(new):
                 return new, it, True
             lam = new

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import polyagg.agglomerate as agg
-from polyagg import _kernels, geometry, vem
+from polyagg import _kernels, dfn, geometry, vem
 from polyagg.geometry import COLLINEAR_TOL
-from polyagg.mesh import build_mesh, make_cell
+from polyagg.mesh import (
+    MergeConstraintError,
+    MergeHoleError,
+    MergeNonSimpleError,
+    MeshError,
+    build_mesh,
+    make_cell,
+)
 from polyagg.quadrature import gauss_lobatto_points
 
 
@@ -804,6 +811,375 @@ def ref_forest_roots(parent):
         return x
 
     return np.array([find(i) for i in range(len(parent))], dtype=np.int64)
+
+
+# Reference mesh surgery: the per-edge and per-cell loops that the array
+# versions in ``mesh``, ``agglomerate`` and ``dfn`` replaced, kept verbatim as
+# oracles.  The array versions must give the same loops, errors, meshes and
+# trace matches bit for bit.
+
+def ref_union_loop(mesh, cell_ids):
+    """Outer vertex loop of the union of the cells; raises the MergeError."""
+    directed = {}
+    for ci in cell_ids:
+        ids = mesh.cells[ci]
+        m = len(ids)
+        for k in range(m):
+            u, v = int(ids[k]), int(ids[(k + 1) % m])
+            directed[(u, v)] = directed.get((u, v), 0) + 1
+
+    boundary = {}
+    for (u, v), cnt in directed.items():
+        if cnt > 1:
+            raise MergeNonSimpleError("duplicated directed edge in union")
+        if (v, u) in directed:
+            key = (u, v) if u < v else (v, u)
+            e = mesh.edge_index.get(key)
+            if e is not None and mesh.edge_constrained[e]:
+                raise MergeConstraintError(
+                    "union would remove a constrained edge"
+                )
+            continue
+        if u in boundary:
+            raise MergeNonSimpleError("union touches itself at a vertex")
+        boundary[u] = v
+
+    if not boundary:
+        raise MergeNonSimpleError("union has no boundary")
+    start = min(boundary)
+    loop = [start]
+    v = boundary.pop(start)
+    while v != start:
+        loop.append(v)
+        nxt = boundary.pop(v, None)
+        if nxt is None:
+            raise MergeNonSimpleError("open boundary chain in union")
+        v = nxt
+    if boundary:
+        raise MergeHoleError("union encloses a hole")
+    if len(loop) < 3:
+        raise MergeNonSimpleError("union boundary degenerate")
+    return loop
+
+
+def ref_label_components(mesh, labels):
+    """(label, sorted cells) of every edge-connected component of each label
+    class, in the order apply_labeling emits them, by a depth-first search."""
+    classes = {}
+    for c in range(mesh.n_cells):
+        classes.setdefault(int(labels[c]), []).append(c)
+    out = []
+    for lab in sorted(classes):
+        members = classes[lab]
+        member_set = set(members)
+        seen = set()
+        for c in members:
+            if c in seen:
+                continue
+            comp = [c]
+            seen.add(c)
+            stack = [c]
+            while stack:
+                x = stack.pop()
+                for nb in mesh.neighbors[x]:
+                    nb = int(nb)
+                    if nb in member_set and nb not in seen:
+                        seen.add(nb)
+                        comp.append(nb)
+                        stack.append(nb)
+            out.append((lab, sorted(comp)))
+    return out
+
+
+def ref_removable_vertices(mesh, tol=COLLINEAR_TOL):
+    """The vertices simplify_aligned_edges drops, by one loop per vertex."""
+    pts = mesh.points
+    incident = [[] for _ in range(mesh.n_vertices)]
+    for e, (u, v) in enumerate(mesh.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+
+    removable = np.zeros(mesh.n_vertices, dtype=bool)
+    for v in range(mesh.n_vertices):
+        if mesh.vertex_constrained[v] or len(incident[v]) != 2:
+            continue
+        e1, e2 = incident[v]
+        if mesh.edge_constrained[e1] or mesh.edge_constrained[e2]:
+            continue
+        a = mesh.edges[e1][0] if mesh.edges[e1][1] == v else mesh.edges[e1][1]
+        b = mesh.edges[e2][0] if mesh.edges[e2][1] == v else mesh.edges[e2][1]
+        u1 = pts[v] - pts[a]
+        u2 = pts[b] - pts[v]
+        denom = np.hypot(*u1) * np.hypot(*u2)
+        if denom == 0.0:
+            continue
+        cr = u1[0] * u2[1] - u1[1] * u2[0]
+        if abs(cr) / denom < tol and (u1 @ u2) > 0.0:
+            removable[v] = True
+    return removable
+
+
+def ref_mutable_state(mesh, snap):
+    """(points, cells, snap pool, edge map) of a mutable mesh seeded by
+    registering one vertex and one cell at a time."""
+    points = [p.copy() for p in mesh.points]
+    cells = [list(map(int, ids)) for ids in mesh.cells]
+    pool = {}
+    for i, p in enumerate(points):
+        pool[(round(p[0] / snap), round(p[1] / snap))] = i
+    edge_map = {}
+    for cid, loop in enumerate(cells):
+        n = len(loop)
+        for k in range(n):
+            u, v = loop[k], loop[(k + 1) % n]
+            key = (u, v) if u < v else (v, u)
+            edge_map.setdefault(key, []).append(cid)
+    return points, cells, pool, edge_map
+
+
+def ref_cut_one_segment(mm, a2, b2, tol):
+    """The cut of one segment visiting every cell and every edge."""
+    d = np.asarray(b2, dtype=float) - np.asarray(a2, dtype=float)
+    L = float(np.hypot(*d))
+    if L <= tol:
+        return
+    dn = d / L
+    a2 = np.asarray(a2, dtype=float)
+
+    def sdist(p):
+        return dn[0] * (p[1] - a2[1]) - dn[1] * (p[0] - a2[0])
+
+    def tpar(p):
+        return dn[0] * (p[0] - a2[0]) + dn[1] * (p[1] - a2[1])
+
+    n_start = len(mm.cells)
+    for cid in range(n_start):
+        loop = mm.cells[cid]
+        pts = [mm.points[v] for v in loop]
+        s = [sdist(p) for p in pts]
+        if max(s) <= tol or min(s) >= -tol:
+            continue
+        n = len(loop)
+        events = []
+        for k in range(n):
+            if abs(s[k]) <= tol:
+                events.append((tpar(pts[k]), "v", loop[k], None))
+        for k in range(n):
+            j = (k + 1) % n
+            if (s[k] > tol and s[j] < -tol) or (s[k] < -tol and s[j] > tol):
+                t = s[k] / (s[k] - s[j])
+                p = pts[k] + t * (pts[j] - pts[k])
+                events.append((tpar(p), "e", (loop[k], loop[j]), p))
+        events.sort(key=lambda e: e[0])
+        merged = []
+        for ev in events:
+            if merged and abs(ev[0] - merged[-1][0]) <= tol:
+                continue
+            merged.append(ev)
+        if len(merged) != 2:
+            raise MeshError(
+                f"cell {cid}: ambiguous line crossing ({len(merged)} events)"
+            )
+        t1, t2 = merged[0][0], merged[1][0]
+        if min(t2, L) - max(t1, 0.0) <= tol:
+            continue
+
+        chord = []
+        for ev in merged:
+            if ev[1] == "v":
+                chord.append((ev[0], ev[2]))
+            else:
+                (u, v), p = ev[2], ev[3]
+                vid = mm.find_vertex(p)
+                if vid is None:
+                    vid = mm.add_vertex(p)
+                    mm.split_edge(u, v, vid)
+                elif vid not in (u, v) and vid not in mm.cells[cid]:
+                    mm.split_edge(u, v, vid)
+                chord.append((ev[0], vid))
+        (ta, va), (tb, vb) = chord
+
+        inner = []
+        for te, pe in ((0.0, a2), (L, a2 + L * dn)):
+            if ta + tol < te < tb - tol:
+                vid = mm.add_vertex(pe)
+                mm.con_verts.add(vid)
+                inner.append((te, vid))
+        inner.sort()
+
+        loop = mm.cells[cid]
+        ia = loop.index(va)
+        ib = loop.index(vb)
+        if ia < ib:
+            chain1 = loop[ia: ib + 1]
+            chain2 = loop[ib:] + loop[: ia + 1]
+        else:
+            chain1 = loop[ia:] + loop[: ib + 1]
+            chain2 = loop[ib: ia + 1]
+        inner_ids = [v for (_, v) in inner]
+        piece1 = chain1 + inner_ids[::-1]
+        piece2 = chain2 + inner_ids
+        if len(piece1) < 3 or len(piece2) < 3:
+            raise MeshError(f"cell {cid}: degenerate split")
+        mm.replace_cell(cid, piece1)
+        mm.append_cell(piece2)
+
+        seq = [(ta, va)] + inner + [(tb, vb)]
+        for (q0, v0), (q1, v1) in zip(seq, seq[1:]):
+            if q0 >= -tol and q1 <= L + tol:
+                mm.con_edges.add((min(v0, v1), max(v0, v1)))
+
+    for pe in (a2, a2 + L * dn):
+        vid = mm.find_vertex(pe)
+        if vid is not None:
+            mm.con_verts.add(vid)
+            continue
+        placed = False
+        for (u, v) in list(mm.edge_map.keys()):
+            pu, pv = mm.points[u], mm.points[v]
+            e = pv - pu
+            ln = np.hypot(*e)
+            if ln <= tol:
+                continue
+            cr = abs(e[0] * (pe[1] - pu[1]) - e[1] * (pe[0] - pu[0])) / ln
+            if cr > tol:
+                continue
+            t = ((pe - pu) @ e) / (ln * ln)
+            if tol / ln < t < 1.0 - tol / ln:
+                vid = mm.add_vertex(pe)
+                mm.split_edge(u, v, vid)
+                mm.con_verts.add(vid)
+                placed = True
+                break
+        if not placed and dfn._point_in_some_cell(mm, pe):
+            raise MeshError(
+                "trace endpoint inside a cell survived the cutting pass"
+            )
+
+    for (u, v) in list(mm.edge_map.keys()):
+        pu, pv = mm.points[u], mm.points[v]
+        if abs(sdist(pu)) <= tol and abs(sdist(pv)) <= tol:
+            tu, tv = tpar(pu), tpar(pv)
+            if min(tu, tv) >= -tol and max(tu, tv) <= L + tol:
+                mm.con_edges.add((min(u, v), max(u, v)))
+
+
+def ref_on_trace_vertices(mm, a2, dn, L, tol):
+    out = []
+    for vid, p in enumerate(mm.points):
+        t = dn[0] * (p[0] - a2[0]) + dn[1] * (p[1] - a2[1])
+        s = dn[0] * (p[1] - a2[1]) - dn[1] * (p[0] - a2[0])
+        if abs(s) <= tol and -tol <= t <= L + tol:
+            out.append((float(t), vid))
+    out.sort()
+    return out
+
+
+def ref_ear_clip(pts):
+    """Ear clipping of one polygon, one vertex and one candidate ear at a time."""
+    pts = geometry.as_points(pts)
+    n = len(pts)
+    diam = geometry.polygon_diameter(pts)
+    eps = 1e-12 * diam * diam
+    orient = geometry._orient
+    idx = list(range(n))
+    tris = []
+    guard = 0
+    while len(idx) > 3:
+        guard += 1
+        if guard > 4 * n * n + 16:
+            raise geometry.GeometryError("ear clipping failed to make progress")
+        m = len(idx)
+        clipped = False
+        for k in range(m):
+            p = pts[idx[k - 1]]
+            q = pts[idx[k]]
+            r = pts[idx[(k + 1) % m]]
+            cr = orient(p[0], p[1], q[0], q[1], r[0], r[1])
+            if abs(cr) <= eps and (q - p) @ (r - q) > 0.0:
+                idx.pop(k)
+                clipped = True
+                break
+        if clipped:
+            continue
+        for k in range(m):
+            ia, ib, ic = idx[k - 1], idx[k], idx[(k + 1) % m]
+            a, b, c = pts[ia], pts[ib], pts[ic]
+            if orient(a[0], a[1], b[0], b[1], c[0], c[1]) <= eps:
+                continue
+            blocked = False
+            for other in idx:
+                if other in (ia, ib, ic):
+                    continue
+                o = pts[other]
+                if (
+                    orient(a[0], a[1], b[0], b[1], o[0], o[1]) > eps
+                    and orient(b[0], b[1], c[0], c[1], o[0], o[1]) > eps
+                    and orient(c[0], c[1], a[0], a[1], o[0], o[1]) > eps
+                ):
+                    blocked = True
+                    break
+            if not blocked:
+                tris.append((ia, ib, ic))
+                idx.pop(k)
+                clipped = True
+                break
+        if not clipped:
+            raise geometry.GeometryError("no ear found; polygon may be non-simple")
+    tris.append(tuple(idx))
+    return np.asarray(tris, dtype=np.int64)
+
+
+def ref_cell_groups(mesh):
+    """vem.cell_groups by one ear clipping per cell."""
+    groups = {}
+    for ci, ids in enumerate(mesh.cells):
+        tris = ref_ear_clip(mesh.points[ids])
+        groups.setdefault((len(ids), len(tris)), []).append((ci, ids, tris))
+    for key in sorted(groups):
+        cids, verts, tris = zip(*groups[key])
+        yield np.array(cids, dtype=np.int64), np.stack(verts), np.stack(tris)
+
+
+def ref_condition_estimate(A, factor, tol=1e-6, max_iter=5000):
+    """The power and inverse iterations applying the operator twice per step."""
+    n = A.shape[0]
+    rng = np.random.default_rng(0)
+
+    def iterate(op):
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        lam = 0.0
+        for it in range(1, max_iter + 1):
+            w = op(v)
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                return 0.0, it, True
+            v = w / nw
+            new = float(v @ op(v))
+            if abs(new - lam) <= tol * abs(new):
+                return new, it, True
+            lam = new
+        return lam, max_iter, False
+
+    lam_max, it1, ok1 = iterate(lambda v: A @ v)
+    inv_lam, it2, ok2 = iterate(factor.solve)
+    lam_min = 1.0 / inv_lam if inv_lam != 0.0 else np.inf
+    cond = lam_max / lam_min if lam_min > 0 else np.inf
+    return vem.CondEstimate(float(cond), float(lam_max), float(lam_min),
+                            ok1 and ok2, it1 + it2)
+
+
+def mesh_fields(mesh):
+    """Every PolygonalMesh field, as comparable Python values and bytes."""
+    arrays = ("points", "vertex_constrained", "edge_constrained", "cell_area",
+              "cell_centroid", "cell_diameter")
+    return (
+        [(name, getattr(mesh, name).dtype.str, getattr(mesh, name).tobytes()) for name in arrays],
+        [(c.dtype.str, c.tobytes()) for c in mesh.cells],
+        [(nb.dtype.str, nb.tobytes()) for nb in mesh.neighbors],
+        mesh.edges, list(mesh.edge_index.items()), mesh.edge_cells, mesh.h,
+    )
 
 
 @pytest.fixture

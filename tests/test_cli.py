@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from polyagg import vem
+from polyagg import dfn, vem
 from polyagg.cli import main
 from polyagg.dfn import cut_by_traces
 from polyagg.mesh import load_mesh, save_mesh
@@ -170,6 +170,31 @@ def test_dfn_solve_builtin(tmp_path):
     assert int(rows[0]["dofs"]) > 0
     vtks = sorted(out.glob("*.vtk"))
     assert len(vtks) == 3  # one per fracture
+
+
+def vtk_scalars(path, name):
+    lines = path.read_text().splitlines()
+    n = int(next(line for line in lines if line.startswith("CELL_DATA")).split()[1])
+    at = lines.index(f"SCALARS {name} double 1") + 2  # after the lookup table line
+    return np.array([float(v) for v in lines[at: at + n]])
+
+
+def test_dfn_vtk_cell_sample_is_vertex_mean(tmp_path):
+    """The VTK ``u`` of each cell is the mean of the solution at its vertex
+    DOFs, as the per-cell ``np.mean`` over ``cell_dofs`` gave it (1e-14)."""
+    out = tmp_path / "out"
+    assert run(["--out", out, "dfn-solve", "--network", "builtin:network1",
+                "--area", "0.05", "--lambda", "1", "--order", "2"]) == 0
+    disc = dfn.discretize_network(dfn.network1(), max_area=0.05, lam=1.0)
+    rep = dfn.solve_discretized(disc, 2)
+    for fid, mesh in disc.meshes.items():
+        xloc = rep.solution[rep.gmap.g[fid]]
+        dm = rep.gmap.locals[fid]
+        want = [np.mean(xloc[dm.cell_dofs[ci][: len(mesh.cells[ci])]])
+                for ci in range(mesh.n_cells)]
+        (path,) = out.glob(f"*_fracture_{fid}.vtk")
+        np.testing.assert_allclose(vtk_scalars(path, "u"), want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(xloc).max())
 
 
 def test_dfn_solve_json_format(tmp_path):

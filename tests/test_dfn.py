@@ -40,10 +40,14 @@ from polyagg.solutions import CATALOG
 
 from conftest import (
     FUZZ_SETTINGS,
+    mesh_fields,
     mutated_file,
     ref_build_dof_map,
+    ref_cut_one_segment,
     ref_dof_positions,
     ref_forest_roots,
+    ref_mutable_state,
+    ref_on_trace_vertices,
 )
 
 
@@ -291,6 +295,57 @@ def test_agglomerate_fracture_keeps_trace_conforming(lam):
         assert s.min() > -1e-9 or s.max() < 1e-9
 
 
+def _cut_cases():
+    """(mesh, segments) of every cut above, plus each network1 fracture at
+    area 2e-2 with its traces."""
+    square = build_mesh([[0, 0], [2, 0], [2, 2], [0, 2]], [[0, 1, 2, 3]])
+    cases = [
+        (build_mesh([[0, 0], [2, 0], [0, 2]], [[0, 1, 2]]), [((-1.0, 0.5), (3.0, 0.5))]),
+        (square, [((0.0, 1.0), (1.0, 1.0))]),
+        (triangulate_fracture(square_fracture(2.0), max_area=0.11),
+         [((0.17, 0.0), (1.73, 2.0)), ((0.0, 1.03), (2.0, 0.91))]),
+        (build_mesh([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]],
+                    [[0, 1, 4, 5], [1, 2, 3, 4]]), [((1.0, 0.0), (1.0, 1.0))]),
+        (triangulate_fracture(square_fracture(2.0), max_area=0.09),
+         [((0.13, 0.0), (1.87, 2.0))]),
+    ]
+    case = network1()
+    for fr in case.network.fractures:
+        cases.append((triangulate_fracture(fr, max_area=2e-2),
+                      [t.local_segment(fr) for t in case.network.fracture_traces(fr.fid)]))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def cut_cases():
+    return _cut_cases()
+
+
+def test_mutable_mesh_seed_matches_scalar_registration(cut_cases):
+    """The array-seeded mutable mesh holds the points, cells, snap pool and
+    edge map (in insertion order, which picks an endpoint's host edge) that
+    registering one vertex and one cell at a time builds."""
+    for mesh, segs in cut_cases:
+        for m in (mesh, cut_by_traces(mesh, segs)):
+            snap = 0.5e-9 * m.h
+            mm = dfn._MutableMesh(m, snap)
+            points, cells, pool, edge_map = ref_mutable_state(m, snap)
+            assert mm.points.tobytes() == np.array(points).tobytes()
+            assert mm.cells == cells
+            assert list(mm.pool.items()) == list(pool.items())
+            assert list(mm.edge_map.items()) == list(edge_map.items())
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_cut_matches_scalar_reference(monkeypatch, cut_cases, k):
+    """Each cut above and each network1 fracture at area 2e-2 cuts into the
+    mesh the per-cell, per-edge loop makes, bit for bit."""
+    mesh, segs = cut_cases[k]
+    got = cut_by_traces(mesh, segs)
+    monkeypatch.setattr(dfn, "_cut_one_segment", ref_cut_one_segment)
+    assert mesh_fields(got) == mesh_fields(cut_by_traces(mesh, segs))
+
+
 # ---------------------------------------------------------------------------
 # stitching
 # ---------------------------------------------------------------------------
@@ -355,6 +410,66 @@ def test_stitch_conforming_dof_identification(k):
     n_edges = 3
     shared = n_nodes + (k - 1) * n_edges
     assert gmap.n_global == t_total - shared
+
+
+def _stitch_both_ways(monkeypatch, meshes, network):
+    got = stitch_meshes(meshes, network)
+    with monkeypatch.context() as patch:
+        patch.setattr(dfn, "_on_trace_vertices", ref_on_trace_vertices)
+        want = stitch_meshes(meshes, network)
+    return got, want
+
+
+def _assert_same_stitch(got, want):
+    (out, matches), (ref_out, ref_matches) = got, want
+    assert sorted(out) == sorted(ref_out)
+    for fid in out:
+        assert mesh_fields(out[fid]) == mesh_fields(ref_out[fid])
+    assert matches == ref_matches
+
+
+def test_on_trace_vertices_matches_scalar_scan(rng):
+    """The on-trace vertices come out as the per-vertex scan sorts them: by
+    parameter, then by id where two vertices share one (here pairs on either
+    side of the trace, within the tolerance)."""
+    tol = 1e-6
+    t = rng.uniform(-0.2, 1.2, 60)
+    s = rng.choice([-2 * tol, -0.5 * tol, 0.0, 0.5 * tol], 60)
+    t[30:] = t[:30]
+    pts = np.column_stack([t, s])[rng.permutation(60)]
+    mm = dfn._MutableMesh(build_mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]), 0.5 * tol)
+    mm._points, mm.n_points = pts, len(pts)
+    a2, dn = np.zeros(2), np.array([1.0, 0.0])
+    got = dfn._on_trace_vertices(mm, a2, dn, 1.0, tol)
+    assert got == ref_on_trace_vertices(mm, a2, dn, 1.0, tol)
+    assert any(p == q for (p, _), (q, _) in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("pa, pb", [([0.5], [0.3]), ([0.25, 0.5], [0.25, 0.5]), ([], [0.1, 0.7])])
+def test_stitch_matches_scalar_reference(monkeypatch, pa, pb):
+    network = two_plane_network()
+    meshes = {0: mesh_with_trace_nodes(pa), 1: mesh_with_trace_nodes(pb)}
+    _assert_same_stitch(*_stitch_both_ways(monkeypatch, meshes, network))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_network1_stitch_matches_scalar_reference(monkeypatch, lam):
+    """network1 at area 2e-2 stitches into the meshes and trace matches of
+    the per-vertex scan, bit for bit."""
+    case = network1()
+    captured = {}
+    stitch = dfn.stitch_meshes
+
+    def capture(meshes, network):
+        captured["args"] = (meshes, network)
+        return stitch(meshes, network)
+
+    monkeypatch.setattr(dfn, "stitch_meshes", capture)
+    disc = discretize_network(case, max_area=2e-2, lam=lam)
+    monkeypatch.undo()
+    got, want = _stitch_both_ways(monkeypatch, *captured["args"])
+    _assert_same_stitch(got, want)
+    _assert_same_stitch(got, (disc.meshes, disc.matches))
 
 
 # ---------------------------------------------------------------------------

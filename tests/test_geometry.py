@@ -10,6 +10,7 @@ from conftest import (
     kernel_sampling_oracle,
     quality_cases,
     random_polygon,
+    ref_ear_clip,
     ref_is_simple_polygon,
     ref_kernel_clip,
     ref_polygon_area_centroid,
@@ -139,6 +140,46 @@ def test_triangulate_with_hanging_nodes():
     tris = triangulate_cell(c)
     total = sum(abs(geometry.polygon_area(t)) for t in tris)
     assert total == pytest.approx(1.0, rel=1e-12)
+
+
+def test_ear_clip_triangle_needs_no_diameter(monkeypatch):
+    """A triangle is its own ear: ear_clip returns it before it measures the
+    polygon."""
+
+    def no_diameter(pts):
+        raise AssertionError("polygon_diameter called for a triangle")
+
+    monkeypatch.setattr(geometry, "polygon_diameter", no_diameter)
+    tris = geometry.ear_clip([[0, 0], [1, 0], [0, 1]])
+    assert tris.dtype == np.int64 and tris.tolist() == [[0, 1, 2]]
+
+
+def test_stacked_ear_clip_matches_per_polygon_reference(rng):
+    """Each polygon of a stack is clipped into the triangles, in the order,
+    that clipping it alone one vertex at a time gives; the rows of dropped
+    straight vertices are -1.  A polygon the reference cannot clip makes
+    its stack raise."""
+    cells = quality_cases(rng) + [random_polygon(rng, kind=t % 4) for t in range(200)]
+    by_n = {}
+    for poly in cells:
+        poly = geometry.ensure_ccw(poly)
+        try:
+            want = ref_ear_clip(poly)
+        except geometry.GeometryError:
+            with pytest.raises(geometry.GeometryError):
+                geometry.ear_clip(poly)
+            continue
+        by_n.setdefault(len(poly), []).append((poly, want))
+    dropped = 0
+    for n, cases in by_n.items():
+        got = geometry.ear_clip(np.stack([poly for poly, _ in cases]))
+        assert got.shape == (len(cases), n - 2, 3)
+        for tris, (poly, want) in zip(got, cases):
+            kept = tris[..., 0] >= 0
+            assert (tris[~kept] == -1).all() and np.array_equal(tris[kept], want)
+            assert np.array_equal(geometry.ear_clip(poly), want)
+            dropped += int((~kept).sum())
+    assert dropped > 0 and len(by_n) > 10
 
 
 def test_triangulate_random_polygons(rng):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -19,17 +20,22 @@ from polyagg.agglomerate import (
 )
 from polyagg.dfn import cut_by_traces, network1, triangulate_fracture
 from polyagg.geometry import COLLINEAR_TOL
-from polyagg.mesh import MergeError, _union_loop, build_mesh
+import polyagg.mesh as mesh_mod
+from polyagg.mesh import MergeError, build_mesh, simplify_aligned_edges
 from polyagg.quality import KERNEL_REL_TOL
 
 import polyagg.agglomerate as agg
 from conftest import (
     grid_mesh,
     mixed_region_mesh,
+    mesh_fields,
+    ref_label_components,
     ref_maxflow,
     ref_minimize,
     ref_quality_scores,
+    ref_removable_vertices,
     ref_simplified_union_points,
+    ref_union_loop,
     tri_grid_mesh,
 )
 
@@ -248,10 +254,124 @@ def _union_loops(mesh):
     out = []
     for pair in mesh.adjacency_pairs():
         try:
-            out.append((pair, _union_loop(mesh, pair)))
+            out.append((pair, ref_union_loop(mesh, pair)))
         except MergeError:
             out.append((pair, None))
     return out
+
+
+def _ref_union(mesh, cells):
+    """(loop, None) or (None, (error class, message)) by the scalar trace."""
+    try:
+        return ref_union_loop(mesh, cells), None
+    except MergeError as err:
+        return None, (type(err), str(err))
+
+
+def _assert_union_loops_match(mesh, cell_sets):
+    loops, errors = mesh_mod._union_loops(mesh, cell_sets)
+    assert len(loops) == len(errors) == len(cell_sets)
+    for cells, loop, err in zip(cell_sets, loops, errors):
+        want, want_err = _ref_union(mesh, cells)
+        if want_err is None:
+            assert err is None and loop.dtype == np.int64 and loop.tolist() == want
+        else:
+            assert loop is None and (type(err), str(err)) == want_err
+
+
+@pytest.fixture(scope="module")
+def union_labels(union_meshes):
+    """A lambda=1 labeling of each union mesh, for apply_labeling components."""
+    return {which: minimize(mesh, AgglomerationConfig(lam=1.0))[0]
+            for which, mesh in union_meshes.items()}
+
+
+@pytest.mark.parametrize("which", ["cut", "lambda1", "mixed", "bent"])
+def test_union_loops_match_scalar_reference(union_meshes, union_labels, which):
+    """The batched union loops equal the scalar trace's loops, and its
+    errors' classes and messages, on every adjacent pair (both cell orders)
+    and on every component that apply_labeling merges."""
+    mesh = union_meshes[which]
+    pairs = mesh.adjacency_pairs()
+    comps = [c for _, c in ref_label_components(mesh, union_labels[which]) if len(c) > 1]
+    assert comps
+    _assert_union_loops_match(mesh, pairs + [(q, p) for p, q in pairs] + comps)
+
+
+def _squares(nx, ny, constrained=()):
+    return grid_mesh(nx, ny, constrained_edges=constrained)
+
+
+@pytest.mark.parametrize("cells, error", [
+    ([0, 0], mesh_mod.MergeNonSimpleError),      # a cell listed twice
+    ([0, 4], mesh_mod.MergeNonSimpleError),      # diagonal cells touch at a vertex
+    ([0, 1, 2, 3, 5, 6, 7, 8], mesh_mod.MergeHoleError),  # ring around the centre
+    ([], mesh_mod.MergeNonSimpleError),          # nothing to trace
+    ([3, 4], mesh_mod.MergeConstraintError),     # shared edge constrained
+    ([1, 0, 2, 3, 5, 8, 7, 6], mesh_mod.MergeHoleError),  # same ring, other order
+    ([0, 4, 8, 8], mesh_mod.MergeNonSimpleError),  # a touch before a repeat
+    ([8, 8, 0, 4], mesh_mod.MergeNonSimpleError),  # a repeat before a touch
+])
+def test_union_loops_errors_match_scalar_reference(cells, error):
+    """Each MergeError the union trace raises has the scalar trace's class and
+    message, also when a set has several faults (the first in traversal order
+    wins).  The 3x3 grid's edge between cells 3 and 4 is constrained."""
+    mesh = _squares(3, 3)
+    u, v = sorted(set(mesh.cells[3].tolist()) & set(mesh.cells[4].tolist()))
+    mesh = _squares(3, 3, constrained=[(u, v)])
+    (loop,), (err,) = mesh_mod._union_loops(mesh, [cells])
+    assert loop is None and type(err) is error
+    _assert_union_loops_match(mesh, [cells, [1, 2], [4, 5, 7, 8]])
+
+
+def test_merge_cells_raises_each_merge_error():
+    """merge_cells raises the union trace's errors; the 3x3 grid's edge
+    between cells 1 and 4 is constrained, cells 2 and 5 join the pair."""
+    mesh = _squares(3, 3, constrained=[(5, 6)])
+    for cells, error in (([0, 2], mesh_mod.MergeDisconnectedError),
+                         ([0, 1, 2, 3, 5, 6, 7, 8], mesh_mod.MergeHoleError),
+                         ([1, 2, 4, 5], mesh_mod.MergeConstraintError)):
+        with pytest.raises(error):
+            mesh_mod.merge_cells(mesh, cells)
+
+
+@pytest.mark.parametrize("which", ["cut", "lambda1", "mixed", "bent"])
+def test_apply_labeling_matches_scalar_reference(union_meshes, union_labels, which):
+    """apply_labeling merges the components the scalar search finds, in its
+    order, into the scalar trace's loops, warns for the same failed merges,
+    and its simplification drops the scalar mask's vertices."""
+    mesh, labels = union_meshes[which], union_labels[which]
+    new_cells, skipped = [], []
+    for lab, comp in ref_label_components(mesh, labels):
+        loop, err = _ref_union(mesh, comp) if len(comp) > 1 else (mesh.cells[comp[0]], None)
+        if err is None:
+            new_cells.append(np.asarray(loop, dtype=np.int64))
+        else:
+            skipped.append(f"label {lab}: merge of cells {comp} skipped ({err[1]})")
+            new_cells.extend(mesh.cells[c] for c in comp)
+    merged = build_mesh(mesh.points, new_cells, mesh.constrained_edge_pairs(),
+                        np.nonzero(mesh.vertex_constrained)[0])
+    removable = ref_removable_vertices(merged)
+    got = mesh_mod._removable_vertices(merged.points, merged.cells, merged.constrained_edge_pairs(),
+                                      np.flatnonzero(merged.vertex_constrained))
+    assert removable.any() and np.array_equal(got, removable)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = apply_labeling(mesh, labels)
+    assert [str(w.message) for w in caught] == skipped
+    assert mesh_fields(out) == mesh_fields(simplify_aligned_edges(merged))
+
+
+def test_apply_labeling_skip_warning_names_merge_of_cells():
+    """A skipped merge warns with "merge of cells" in a RuntimeWarning: the
+    benchmark counts ``agglomerate.merges_skipped`` from that text."""
+    m = grid_mesh(3, 3)
+    labels = np.where(np.arange(9) == 4, 4, 0)
+    with pytest.warns(RuntimeWarning) as caught:
+        apply_labeling(m, labels)
+    assert [str(w.message) for w in caught] == [
+        "label 0: merge of cells [0, 1, 2, 3, 5, 6, 7, 8] skipped (union encloses a hole)"
+    ]
 
 
 @pytest.mark.parametrize("which", ["cut", "lambda1", "mixed", "bent"])

@@ -47,6 +47,30 @@ def test_benchmark_patch_targets_exist():
     assert callable(vem.SparseSpdSystem.factor)
 
 
+def test_benchmark_traced_functions_are_called_by_module_global_name(tmp_path, monkeypatch):
+    """A dfn-solve run reaches every function the benchmark tracer patches
+    through the module attribute it patches, so no span misses its calls.
+    ``polyagg.agglomerate.agglomerate`` is the exception: the pipeline calls
+    it by the name ``dfn`` imports, which the tracer patches as well."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    called = set()
+    for module, attr, _, _ in spans.TRACED:
+        mod = importlib.import_module(module)
+
+        def recorded(*args, _target=(module, attr), _fn=getattr(mod, attr), **kwargs):
+            called.add(_target)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, recorded)
+    cli = importlib.import_module("polyagg.cli")
+    assert cli.main(["--out", str(tmp_path), "dfn-solve", "--network", "builtin:network1",
+                     "--area", "0.05", "--lambda", "1", "--order", "2"]) == 0
+    expected = {(module, attr) for module, attr, _, _ in spans.TRACED}
+    assert called == expected - {("polyagg.agglomerate", "agglomerate")}
+
+
 def test_submodules_are_modules():
     """No package-level name shadows a submodule."""
     import polyagg.agglomerate as agglomerate

@@ -24,6 +24,8 @@ from conftest import (
     grid_mesh,
     mixed_region_mesh,
     ref_build_dof_map,
+    ref_cell_groups,
+    ref_condition_estimate,
     ref_dof_positions,
     tri_grid_mesh,
 )
@@ -351,6 +353,48 @@ def test_condition_estimate_factors_once_through_spd_helper(monkeypatch):
     solve_spd(system)
     condition_estimate(system)
     assert calls["helper"] == 2 and len(calls["splu"]) == 2
+
+
+def test_cell_groups_match_per_cell_reference():
+    """Cells are grouped, ordered and ear-clipped as clipping each cell
+    alone groups them, on triangles and on agglomerated cells with
+    straight vertices."""
+    agglomerated = agglomerate(tri_grid_mesh(8, 8), AgglomerationConfig(lam=1.0)).mesh
+    for mesh in (mixed_region_mesh(), tri_grid_mesh(3, 3), agglomerated):
+        got, want = list(vem.cell_groups(mesh)), list(ref_cell_groups(mesh))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(g, w, strict=True))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_condition_estimate_applies_the_operator_once_per_iteration(monkeypatch, k):
+    """The estimate equals the one of the loops that applied the operator
+    twice per iteration, bit for bit, with one product or solve per
+    iteration plus one to start each of the two iterations."""
+    ms = CATALOG["sinsin"]
+    system, _ = assemble(grid_mesh(6, 6, jitter=0.3), k, f=ms.f, dirichlet=ms.u)
+    A, factor = system.reduced_matrix(), system.factor()
+    calls = []
+
+    class CountedMatrix:
+        shape = A.shape
+
+        def __matmul__(self, v):
+            calls.append("A")
+            return A @ v
+
+    class CountedFactor:
+        def solve(self, v):
+            calls.append("solve")
+            return factor.solve(v)
+
+    monkeypatch.setattr(system, "reduced_matrix", CountedMatrix)
+    monkeypatch.setattr(system, "factor", CountedFactor)
+    est = condition_estimate(system)
+    assert est == ref_condition_estimate(A, factor)
+    assert est.converged and len(calls) == est.iterations + 2
+    assert calls.index("solve") > 1 and "A" not in calls[calls.index("solve"):]
 
 
 def test_condition_identity_and_diag():
