@@ -3,8 +3,8 @@
 The energy over labelings is  sum_P dc(P, l_P) + lambda * sum_{adjacent P,P'}
 sc(l_P, l_P'),  where dc scores the quality of the union of P with the
 *initial* cell indexed by its label and sc charges adjacent cells carrying
-distinct labels.  Costs are integerized by ``cost_scale`` (the cell count by
-default) so every swap move is one exact integer min cut.
+distinct labels.  Costs are integerized by the cell count, so every swap move
+is one exact integer min cut.
 """
 
 import csv
@@ -31,7 +31,6 @@ class AgglomerationConfig:
     lam: float
     sc_mode: str = "potts"
     max_cycles: int = 50
-    cost_scale: int | None = None  # None: use the mesh cell count
     dc_power: int = 2              # union penalty 1 - rho**dc_power
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class AgglomerationConfig:
             raise ValueError(f"sc_mode must be one of {SC_MODES}")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be positive")
-        if self.cost_scale is not None and self.cost_scale < 1:
-            raise ValueError("cost_scale must be positive")
         if self.dc_power not in (1, 2):
             raise ValueError("dc_power must be 1 or 2")
 
@@ -51,7 +48,7 @@ class AgglomerationConfig:
 class EnergyBreakdown:
     data_term: int
     smooth_term: int   # number of smoothness-active adjacency pairs
-    total: int         # data_term + round(lambda*cost_scale) * smooth_term
+    total: int         # data_term + round(lambda*n_cells) * smooth_term
     iterations: int = 0
 
 
@@ -63,14 +60,14 @@ def _round_half_away(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def _droppable(mesh, ids, constrained_keys, tol):
+def _droppable(mesh, ids, tol):
     """(g, n) mask of the unconstrained straight vertices of union loops (g, n):
-    neither the vertex nor either mesh edge at it is constrained, and its two
-    loop edges point the same way within ``tol``."""
-    nv = mesh.n_vertices
+    neither the vertex nor either loop edge at it is a constrained mesh edge,
+    and its two loop edges point the same way within ``tol``."""
 
     def constrained_edge(a, b):
-        return np.isin(np.minimum(a, b) * nv + np.maximum(a, b), constrained_keys)
+        e = mesh.edge_ids(a, b)  # -1 for a chord left by a dropped vertex
+        return (e >= 0) & mesh.edge_constrained[e]
 
     prv = np.roll(ids, 1, axis=1)
     nxt = np.roll(ids, -1, axis=1)
@@ -97,8 +94,6 @@ def _simplified_loop_groups(mesh, loops, tol=COLLINEAR_TOL):
     vertices dropped are those of a scan that restarts after every drop.
     Loops of 3 vertices or fewer are kept as they are.
     """
-    edges = np.array(mesh.edges, dtype=np.int64).reshape(-1, 2)[mesh.edge_constrained]
-    constrained_keys = edges[:, 0] * mesh.n_vertices + edges[:, 1]
     by_count = {}
     for k, loop in enumerate(loops):
         by_count.setdefault(len(loop), []).append(k)
@@ -111,7 +106,7 @@ def _simplified_loop_groups(mesh, loops, tol=COLLINEAR_TOL):
         idx = np.concatenate([i for i, _ in parts])
         ids = np.concatenate([v for _, v in parts])
         if n > 3:
-            drop = _droppable(mesh, ids, constrained_keys, tol)
+            drop = _droppable(mesh, ids, tol)
             hit = drop.any(axis=1)
             if hit.any():
                 keep = np.arange(n) != drop[hit].argmax(axis=1)[:, None]
@@ -145,13 +140,7 @@ class _Problem:
     def __init__(self, mesh: PolygonalMesh, config: AgglomerationConfig):
         self.mesh = mesh
         self.config = config
-        n = mesh.n_cells
-        scale = config.cost_scale if config.cost_scale is not None else n
-        if scale < n:
-            raise ValueError(
-                f"cost_scale {scale} is below the cell count {n}"
-            )
-        self.scale = int(scale)
+        n = self.scale = mesh.n_cells
         self.w = _round_half_away(config.lam * self.scale)
         self.potts = config.sc_mode == "potts"
         self.adj_pairs = mesh.adjacency_pairs()

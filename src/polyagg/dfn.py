@@ -20,7 +20,7 @@ import scipy.sparse as sps
 
 from . import geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate
-from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _forest_roots,
+from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _components, _LineTokens,
                    build_mesh, parse_count, parse_tokens)
 from .vem import SparseSpdSystem, build_dof_map, gauss_lobatto_points
 
@@ -474,7 +474,8 @@ class _MutableMesh:
         self.pool = dict(zip(map(tuple, keys), range(mesh.n_vertices)))
         # mesh edges are numbered by first use, so the map lists them in the
         # order that registering the cells one by one would
-        self.edge_map = dict(zip(mesh.edges, map(list, mesh.edge_cells)))
+        self.edge_map = {(u, v): [a] if b < 0 else [a, b] for (u, v), (a, b)
+                         in zip(mesh.edges.tolist(), mesh.edge_cells.tolist())}
 
     @property
     def points(self) -> np.ndarray:
@@ -850,9 +851,6 @@ class GlobalDofMap:
     g: dict                   # fid -> (local_total,) global dof ids
     n_global: int
 
-    def map_cell_dofs(self, fid, ci):
-        return self.g[fid][self.locals[fid].cell_dofs[ci]]
-
 
 def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
                         tol_rel=1e-9) -> GlobalDofMap:
@@ -863,25 +861,10 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
     for fid in fids:
         offsets[fid] = total
         total += locals_[fid].total
-    parent = np.arange(total, dtype=np.int64)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if ra < rb:
-            parent[rb] = ra
-        else:
-            parent[ra] = rb
 
     frs = {f.fid: f for f in network.fractures}
     tol = tol_rel * network.scale
+    same_a, same_b = [], []  # pairs of identified DOFs, numbered before identification
     for tr in network.traces:
         mi = matches[tr.tid]
         fid_a, fid_b = tr.frac_i, tr.frac_j
@@ -891,18 +874,17 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
         for (ta, va), (tb, vb) in zip(la, lb):
             if abs(ta - tb) > 1e-12 * max(1.0, tr.length):
                 raise MeshError(f"trace {tr.tid}: node parameters disagree")
-            union(offsets[fid_a] + va, offsets[fid_b] + vb)
+            same_a.append(offsets[fid_a] + va)
+            same_b.append(offsets[fid_b] + vb)
         if k > 1:
             mesh_a, mesh_b = meshes[fid_a], meshes[fid_b]
             dm_a, dm_b = locals_[fid_a], locals_[fid_b]
-            for p in range(len(la) - 1):
-                ea = mesh_a.edge_index.get(
-                    (min(la[p][1], la[p + 1][1]), max(la[p][1], la[p + 1][1]))
-                )
-                eb = mesh_b.edge_index.get(
-                    (min(lb[p][1], lb[p + 1][1]), max(lb[p][1], lb[p + 1][1]))
-                )
-                if ea is None or eb is None:
+            nodes_a = np.array([v for _, v in la], dtype=np.int64)
+            nodes_b = np.array([v for _, v in lb], dtype=np.int64)
+            eas = mesh_a.edge_ids(nodes_a[:-1], nodes_a[1:]).tolist()
+            ebs = mesh_b.edge_ids(nodes_b[:-1], nodes_b[1:]).tolist()
+            for ea, eb in zip(eas, ebs):
+                if ea < 0 or eb < 0:
                     raise MeshError(f"trace {tr.tid}: covering edge missing")
                 ua, va_ = mesh_a.edges[ea]
                 ub, vb_ = mesh_b.edges[eb]
@@ -921,12 +903,12 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
                         raise MeshError(
                             f"trace {tr.tid}: edge DOF match failed ({dist[s2]})"
                         )
-                    union(
-                        offsets[fid_a] + dm_a.edge_slot(ea, s),
-                        offsets[fid_b] + dm_b.edge_slot(eb, s2),
-                    )
+                    same_a.append(offsets[fid_a] + dm_a.edge_slot(ea, s))
+                    same_b.append(offsets[fid_b] + dm_b.edge_slot(eb, s2))
 
-    uniq, inv = np.unique(_forest_roots(parent), return_inverse=True)
+    roots = _components(total, np.array(same_a, dtype=np.int64),
+                        np.array(same_b, dtype=np.int64))
+    uniq, inv = np.unique(roots, return_inverse=True)
     g = {}
     for fid in fids:
         lo = offsets[fid]
@@ -1452,28 +1434,8 @@ def load_network(path) -> NetworkCase:
     ``dirichlet a b c d <value>`` where the plane is a*x+b*y+c*z+d=0 and the
     value is an expression in x, y, z (grammar in ``_parse_bc_value``).
     """
-    with open(path) as fh:
-        raw = fh.readlines()
-    tokens = []
-    for ln, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            tokens.append((ln, body.split()))
-    pos = 0
-
-    def take(what):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MeshFormatError(f"unexpected end of file, expected {what}",
-                                  line=len(raw))
-        t = tokens[pos]
-        pos += 1
-        return t
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    ln, tok = take("F header")
+    tokens = _LineTokens(path)
+    ln, tok = tokens.take("F header")
     if tok[0] != "F" or len(tok) != 2:
         raise MeshFormatError("expected 'F n' header", line=ln)
     nf = parse_count(tok[1], "fracture count", ln)
@@ -1482,21 +1444,20 @@ def load_network(path) -> NetworkCase:
     fractures = []
     frac_lines = []  # first line of each fracture's block
     for fid in range(nf):
-        ln, tok = take("vertex count")
+        ln, tok = tokens.take("vertex count")
         frac_lines.append(ln)
         if len(tok) != 1:
             raise MeshFormatError("expected a fracture vertex count", line=ln)
         m = parse_count(tok[0], "fracture vertex count", ln)
         verts = []
         for _ in range(m):
-            ln, tok = take("fracture vertex")
+            ln, tok = tokens.take("fracture vertex")
             if len(tok) != 3:
                 raise MeshFormatError("fracture vertex must be 'x y z'", line=ln)
             verts.append(parse_tokens(float, tok, "fracture vertex", ln))
         K = None
-        nxt = peek()
-        if nxt is not None and nxt[1][0] == "K":
-            ln, tok = take("K line")
+        if tokens.peek() == "K":
+            ln, tok = tokens.take("K line")
             if len(tok) != 4:
                 raise MeshFormatError("K line must be 'K kxx kxy kyy'", line=ln)
             kxx, kxy, kyy = parse_tokens(float, tok[1:], "transmissivity", ln)
@@ -1507,15 +1468,14 @@ def load_network(path) -> NetworkCase:
             raise MeshFormatError(str(err), line=ln) from err
 
     traces = None
-    nxt = peek()
-    if nxt is not None and nxt[1][0] == "T":
-        ln, tok = take("T header")
+    if tokens.peek() == "T":
+        ln, tok = tokens.take("T header")
         if len(tok) != 2:
             raise MeshFormatError("expected 'T m' header", line=ln)
         nt = parse_count(tok[1], "trace count", ln)
         traces = []
         for tid in range(nt):
-            ln, tok = take("trace line")
+            ln, tok = tokens.take("trace line")
             if len(tok) != 8:
                 raise MeshFormatError(
                     "trace line must be 'i j ax ay az bx by bz'", line=ln
@@ -1529,23 +1489,20 @@ def load_network(path) -> NetworkCase:
             traces.append(TraceSegment(tid, a3, b3, i, j))
 
     bcs = []
-    nxt = peek()
-    if nxt is not None and nxt[1][0] == "BC":
-        ln, tok = take("BC header")
+    if tokens.peek() == "BC":
+        ln, tok = tokens.take("BC header")
         if len(tok) != 2:
             raise MeshFormatError("expected 'BC m' header", line=ln)
         nb = parse_count(tok[1], "BC count", ln)
         for _ in range(nb):
-            ln, tok = take("BC line")
+            ln, tok = tokens.take("BC line")
             if tok[0] != "dirichlet" or len(tok) < 6:
                 raise MeshFormatError(
                     "BC line must be 'dirichlet a b c d <value>'", line=ln
                 )
             plane = np.array(parse_tokens(float, tok[1:5], "plane coefficient", ln))
             bcs.append(BCSpec(plane, _parse_bc_value(" ".join(tok[5:]), ln)))
-    if pos < len(tokens):
-        ln, _ = tokens[pos]
-        raise MeshFormatError("trailing content", line=ln)
+    tokens.finish()
     try:
         if traces is None:
             traces = compute_traces(fractures)

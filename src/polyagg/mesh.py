@@ -46,10 +46,6 @@ class MergeError(MeshError):
     """Base class for invalid cell merges."""
 
 
-class MergeDisconnectedError(MergeError):
-    pass
-
-
 class MergeHoleError(MergeError):
     pass
 
@@ -62,71 +58,21 @@ class MergeConstraintError(MergeError):
     """The union would erase a constrained edge shared by two cells."""
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One polygonal cell: CCW boundary coordinates plus cached geometry."""
-
-    points: np.ndarray
-    area: float
-    centroid: np.ndarray
-    diameter: float
-    vertex_ids: np.ndarray | None = None
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.points)
-
-
-def make_cell(points, vertex_ids=None, cell_id=None) -> Cell:
-    pts = geometry.as_points(points)
-    area, cx, cy = geometry.polygon_area_centroid(pts)
-    if area <= 0.0 or not np.isfinite(area):
-        name = "" if cell_id is None else f" {cell_id}"
-        raise MeshError(f"degenerate or negatively oriented cell{name} (area {area})")
-    diam = float(geometry.polygon_diameter(pts))
-    ids = None if vertex_ids is None else np.asarray(vertex_ids, dtype=np.int64)
-    return Cell(pts, float(area), np.array([cx, cy]), diam, ids)
-
-
-def cell_geometry(cell: Cell):
-    """Area, centroid, diameter of a cell (recomputed, validating the cache)."""
-    area, cx, cy = geometry.polygon_area_centroid(cell.points)
-    if area <= 0.0:
-        raise MeshError("degenerate cell in cell_geometry")
-    return float(area), np.array([cx, cy]), float(geometry.polygon_diameter(cell.points))
-
-
-def polygon_kernel(cell: Cell) -> np.ndarray:
-    """Kernel polygon of the cell; shape (0, 2) when not star-shaped."""
-    return geometry.polygon_kernel_points(cell.points)
-
-
-def collinear_runs(cell: Cell, tol=COLLINEAR_TOL):
-    """Maximal chains of consecutive aligned boundary edges of one cell."""
-    return geometry.collinear_edge_runs(cell.points, tol)
-
-
-def triangulate_cell(cell: Cell) -> np.ndarray:
-    """Ear-clipping triangulation, returned as (t, 3, 2) coordinates."""
-    tris = geometry.ear_clip(cell.points)
-    return cell.points[tris]
-
-
 @dataclass
 class PolygonalMesh:
     points: np.ndarray                 # (nv, 2)
     vertex_constrained: np.ndarray     # (nv,) bool
     cells: list                        # list of int64 arrays, CCW loops
-    edges: list                        # list of (u, v) with u < v
-    edge_index: dict                   # (u, v) -> edge id
+    edges: np.ndarray                  # (ne, 2) int64 (u, v), u < v, by first use
     edge_constrained: np.ndarray       # (ne,) bool
-    edge_cells: list                   # list of tuples of incident cell ids
+    edge_cells: np.ndarray             # (ne, 2) int64 first and second cell, -1 for none
     cell_area: np.ndarray
     cell_centroid: np.ndarray
     cell_diameter: np.ndarray
     neighbors: list                    # per cell, sorted adjacent cell ids
     h: float
-    _cell_cache: dict = field(default_factory=dict, repr=False)
+    _edge_keys: np.ndarray = field(repr=False)  # see _edge_lookup
+    _edge_key_ids: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -144,19 +90,10 @@ class PolygonalMesh:
     def total_area(self) -> float:
         return float(self.cell_area.sum())
 
-    def cell(self, i) -> Cell:
-        c = self._cell_cache.get(i)
-        if c is None:
-            ids = self.cells[i]
-            c = Cell(
-                self.points[ids],
-                float(self.cell_area[i]),
-                self.cell_centroid[i].copy(),
-                float(self.cell_diameter[i]),
-                ids.copy(),
-            )
-            self._cell_cache[i] = c
-        return c
+    def edge_ids(self, u, v) -> np.ndarray:
+        """Id of the edge joining each vertex pair (u, v), in either order;
+        -1 for a pair that is not an edge."""
+        return _edge_lookup(self._edge_keys, self._edge_key_ids, self.n_vertices, u, v)
 
     def adjacent_cells(self):
         """(a, b) int64 arrays of the adjacent cell pairs, a < b, ascending."""
@@ -167,9 +104,7 @@ class PolygonalMesh:
         return a[b > a], b[b > a]
 
     def boundary_edge_ids(self) -> np.ndarray:
-        n_cells = np.fromiter(map(len, self.edge_cells), dtype=np.int64,
-                              count=len(self.edge_cells))
-        return np.flatnonzero(n_cells == 1)
+        return np.flatnonzero(self.edge_cells[:, 1] < 0)
 
     def adjacency_pairs(self) -> list:
         """Unordered adjacent cell pairs (i, j), i < j, ascending."""
@@ -177,7 +112,7 @@ class PolygonalMesh:
         return list(zip(a.tolist(), b.tolist()))
 
     def constrained_edge_pairs(self) -> list:
-        return [self.edges[e] for e in np.nonzero(self.edge_constrained)[0]]
+        return list(map(tuple, self.edges[self.edge_constrained].tolist()))
 
 
 def build_mesh(
@@ -262,32 +197,29 @@ def build_mesh(
         cell_diameter[idx] = geometry.polygon_diameter(loops)
     cell_arrays = [tail[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
-    edges, first, second = _edge_table(tail, head, owner, nv)
-    edge_index = dict(zip(edges, range(len(edges))))
-    ne = len(edges)
-    edge_constrained = np.zeros(ne, dtype=bool)
-    for i, (u, v) in enumerate(constrained_edges):
-        key = (int(u), int(v)) if u < v else (int(v), int(u))
-        e = edge_index.get(key)
-        if e is None:
-            raise ConstraintError(i, f"{key} is not a mesh edge")
-        edge_constrained[e] = True
+    edges, edge_cells, keys, key_ids = _edge_table(tail, head, owner, nv)
+    cons = [(int(u), int(v)) if u < v else (int(v), int(u)) for u, v in constrained_edges]
+    # a vertex id outside the mesh, however large, names no edge
+    ends = np.array([p if p[0] >= 0 and p[1] < nv else (-1, -1) for p in cons],
+                    dtype=np.int64).reshape(-1, 2)
+    cons_ids = _edge_lookup(keys, key_ids, nv, ends[:, 0], ends[:, 1])
+    missing = np.flatnonzero(cons_ids < 0)
+    if len(missing):
+        raise ConstraintError(int(missing[0]), f"{cons[missing[0]]} is not a mesh edge")
+    edge_constrained = np.zeros(len(edges), dtype=bool)
+    edge_constrained[cons_ids] = True
 
     vertex_constrained = np.zeros(nv, dtype=bool)
-    for v in constrained_vertices:
-        vertex_constrained[int(v)] = True
-    for e in np.nonzero(edge_constrained)[0]:
-        u, v = edges[e]
-        vertex_constrained[u] = True
-        vertex_constrained[v] = True
+    vertex_constrained[np.asarray(constrained_vertices, dtype=np.int64)] = True
+    vertex_constrained[edges[edge_constrained]] = True
 
     degenerate = np.flatnonzero(cell_area <= 0.0)
     if len(degenerate):
         raise CellError(int(degenerate[0]), "has zero area")
 
     # adjacency across shared unconstrained edges, both ways, each pair once
-    inner = (second >= 0) & ~edge_constrained
-    a, b = first[inner], second[inner]
+    inner = (edge_cells[:, 1] >= 0) & ~edge_constrained
+    a, b = edge_cells[inner, 0], edge_cells[inner, 1]
     span = max(nc, 1)
     pairs = np.unique(np.concatenate([a * span + b, b * span + a]))
     bounds = np.searchsorted(pairs // span, np.arange(nc + 1)).tolist()
@@ -299,15 +231,15 @@ def build_mesh(
         vertex_constrained=vertex_constrained,
         cells=cell_arrays,
         edges=edges,
-        edge_index=edge_index,
         edge_constrained=edge_constrained,
-        edge_cells=[(a,) if b < 0 else (a, b)
-                    for a, b in zip(first.tolist(), second.tolist())],
+        edge_cells=edge_cells,
         cell_area=cell_area,
         cell_centroid=cell_centroid,
         cell_diameter=cell_diameter,
         neighbors=neighbors,
         h=float(cell_diameter.max()) if nc else 0.0,
+        _edge_keys=keys,
+        _edge_key_ids=key_ids,
     )
 
 
@@ -382,8 +314,9 @@ def _cell_failures(ids, pts):
 
 
 def _edge_table(tail, head, owner, nv):
-    """Undirected edges (u, v), u < v, numbered by first occurrence, with the
-    cell that uses each edge first and the second one (-1 for none).
+    """Undirected edges (ne, 2), u < v, numbered by first occurrence; the
+    cell that uses each edge first and the second one (-1 for none), (ne, 2);
+    and the lookup table of ``_edge_lookup``.
 
     One stable sort of the directed edges by vertex pair puts the uses of
     each edge together in traversal order.  A third use of an edge, or a
@@ -414,8 +347,23 @@ def _edge_table(tail, head, owner, nv):
     second[shared] = owner[order[starts[shared] + 1]]
     by_use = np.argsort(order[starts])  # edges in first-occurrence order
     first = order[starts][by_use]
-    edges = list(zip(lo[first].tolist(), hi[first].tolist()))
-    return edges, owner[first], second[by_use]
+    edges = np.column_stack([lo[first], hi[first]])
+    edge_cells = np.column_stack([owner[first], second[by_use]])
+    # the sorted keys end in a sentinel above every key, whose id is -1
+    keys = np.append(key[starts], np.iinfo(np.int64).max)
+    key_ids = np.full(len(keys), -1, dtype=np.int64)
+    key_ids[by_use] = np.arange(len(by_use))
+    return edges, edge_cells, keys, key_ids
+
+
+def _edge_lookup(keys, key_ids, nv, u, v):
+    """Edge id of each vertex pair (u, v), -1 where it is not an edge, from
+    the ascending keys ``u * nv + v`` (u < v) of a mesh's edges, followed by
+    a sentinel, and the edge id of each key."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = np.where((lo >= 0) & (hi < nv), lo * nv + hi, -1)
+    at = np.searchsorted(keys, key)
+    return np.where(keys[at] == key, key_ids[at], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +472,7 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
     # first failing edge per set, as use position * 8 + error kind
     worst = len(tail) * 8
     failed = np.full(n_sets, worst, dtype=np.int64)
-    cons = np.array(mesh.constrained_edge_pairs(), dtype=np.int64).reshape(-1, 2)
-    constrained = twin & np.isin(lo[item] * nv + hi[item], cons[:, 0] * nv + cons[:, 1])
+    constrained = twin & mesh.edge_constrained[mesh.edge_ids(lo[item], hi[item])]
     out_key = isets * nv + tail[item]
     free = np.flatnonzero(~twin)
     free = free[np.lexsort((item[free], out_key[free]))]  # by (set, tail), first use
@@ -577,44 +524,6 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
         cls, message = _UNION_ERRORS[k]
         errors[s] = cls(message)
     return loops, errors
-
-
-def merge_cells(mesh: PolygonalMesh, cell_ids) -> Cell:
-    """Boolean union of an edge-connected set of cells, as a single cell.
-
-    Interior shared edges are deleted and the outer loop traced; vertices on
-    the union boundary (hanging nodes included) are retained.
-    """
-    ids = sorted(set(int(c) for c in cell_ids))
-    if not ids:
-        raise MergeError("empty cell set")
-    for c in ids:
-        if c < 0 or c >= mesh.n_cells:
-            raise MergeError(f"cell {c} not in mesh")
-    if len(ids) == 1:
-        return mesh.cell(ids[0])
-    # connectivity in the adjacency graph (constrained edges do not connect)
-    seen = {ids[0]}
-    stack = [ids[0]]
-    members = set(ids)
-    while stack:
-        c = stack.pop()
-        for nb in mesh.neighbors[c]:
-            nb = int(nb)
-            if nb in members and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if seen != members:
-        raise MergeDisconnectedError("cell set is not edge-connected")
-    (loop,), (err,) = _union_loops(mesh, [ids])
-    if err is not None:
-        raise err
-    cell = make_cell(mesh.points[loop], vertex_ids=loop)
-    if not np.isclose(
-        cell.area, float(mesh.cell_area[ids].sum()), rtol=1e-12, atol=0.0
-    ):
-        raise MergeNonSimpleError("union area does not match the summed areas")
-    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -711,34 +620,51 @@ def parse_count(token, what, line) -> int:
     return n
 
 
+class _LineTokens:
+    """The whitespace tokens of each non-blank line of a text file, after
+    ``#`` comments are stripped, read in order as (line number, tokens)."""
+
+    def __init__(self, path):
+        with open(path) as fh:
+            raw = fh.readlines()
+        self.n_lines = len(raw)
+        self.lines = []
+        for ln, line in enumerate(raw, start=1):
+            body = line.split("#", 1)[0].strip()
+            if body:
+                self.lines.append((ln, body.split()))
+        self.pos = 0
+
+    def take(self, what):
+        """The next line; at the end of the file a MeshFormatError naming
+        ``what`` at the last line."""
+        if self.pos >= len(self.lines):
+            raise MeshFormatError(f"unexpected end of file, expected {what}",
+                                  line=self.n_lines)
+        self.pos += 1
+        return self.lines[self.pos - 1]
+
+    def peek(self):
+        """First token of the next line, None at the end of the file."""
+        return self.lines[self.pos][1][0] if self.pos < len(self.lines) else None
+
+    def finish(self):
+        """A MeshFormatError at the first line not read, if there is one."""
+        if self.pos < len(self.lines):
+            raise MeshFormatError("trailing content", line=self.lines[self.pos][0])
+
+
 def load_mesh(path) -> PolygonalMesh:
     """Read the whitespace text format: V/C blocks plus optional E block."""
-    with open(path) as fh:
-        raw = fh.readlines()
-    tokens = []
-    for ln, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            tokens.append((ln, body.split()))
-    pos = 0
-
-    def take(what):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MeshFormatError(f"unexpected end of file, expected {what}",
-                                  line=raw and len(raw) or 0)
-        t = tokens[pos]
-        pos += 1
-        return t
-
-    ln, tok = take("V header")
+    tokens = _LineTokens(path)
+    ln, tok = tokens.take("V header")
     if tok[0] != "V" or len(tok) != 2:
         raise MeshFormatError("expected 'V n' header", line=ln)
     nv = parse_count(tok[1], "vertex count", ln)
     pts = []
     vflags = []
     for i in range(nv):
-        ln, tok = take("vertex line")
+        ln, tok = tokens.take("vertex line")
         if len(tok) not in (2, 3):
             raise MeshFormatError("vertex line must be 'x y [c]'", line=ln)
         pts.append(parse_tokens(float, tok[:2], "vertex coordinate", ln))
@@ -747,7 +673,7 @@ def load_mesh(path) -> PolygonalMesh:
         if len(tok) == 3 and tok[2] == "1":
             vflags.append(i)
 
-    ln, tok = take("C header")
+    ln, tok = tokens.take("C header")
     if tok[0] != "C" or len(tok) != 2:
         raise MeshFormatError("expected 'C m' header", line=ln)
     nc = parse_count(tok[1], "cell count", ln)
@@ -756,25 +682,23 @@ def load_mesh(path) -> PolygonalMesh:
     cells = []
     cell_lines = []
     for _ in range(nc):
-        ln, tok = take("cell line")
+        ln, tok = tokens.take("cell line")
         cells.append(parse_tokens(int, tok, "cell index", ln))
         cell_lines.append(ln)
 
     cons = []
     edge_lines = []
-    if pos < len(tokens):
-        ln, tok = take("E header")
+    if tokens.peek() is not None:
+        ln, tok = tokens.take("E header")
         if tok[0] != "E" or len(tok) != 2:
             raise MeshFormatError("expected 'E k' header", line=ln)
         for _ in range(parse_count(tok[1], "edge count", ln)):
-            ln, tok = take("edge line")
+            ln, tok = tokens.take("edge line")
             if len(tok) != 2:
                 raise MeshFormatError("edge line must be 'i j'", line=ln)
             cons.append(parse_tokens(int, tok, "edge index", ln))
             edge_lines.append(ln)
-    if pos < len(tokens):
-        ln, _ = tokens[pos]
-        raise MeshFormatError("trailing content", line=ln)
+    tokens.finish()
     try:
         return build_mesh(np.reshape(pts, (nv, 2)), cells, cons, vflags, compact=False)
     except CellError as err:

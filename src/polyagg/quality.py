@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels, geometry
 from .geometry import COLLINEAR_TOL
-from .mesh import Cell, PolygonalMesh
+from .mesh import PolygonalMesh
 
 KERNEL_REL_TOL = 1e-14  # kernels below this relative area count as empty
 
@@ -33,31 +33,6 @@ class QualityScores:
 def scores_from_points(points, tol=COLLINEAR_TOL) -> QualityScores:
     pts = geometry.as_points(points)
     return QualityScores(*_kernels.quality_scores(pts, tol, KERNEL_REL_TOL).tolist())
-
-
-def rho1(cell: Cell) -> float:
-    """Kernel area over cell area; 1 convex, 0 when not star-shaped."""
-    return scores_from_points(cell.points).rho1
-
-
-def rho2(cell: Cell) -> float:
-    """min(sqrt(area), shortest edge) / diameter."""
-    return scores_from_points(cell.points).rho2
-
-
-def rho3(cell: Cell) -> float:
-    """3 / number of boundary edges."""
-    return 3.0 / cell.n_vertices
-
-
-def rho4(cell: Cell) -> float:
-    """Worst shortest/longest edge ratio over maximal aligned edge runs."""
-    return scores_from_points(cell.points).rho4
-
-
-def rho(cell: Cell) -> QualityScores:
-    """All indicators plus the combined score for one cell."""
-    return scores_from_points(cell.points)
 
 
 @dataclass

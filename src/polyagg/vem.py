@@ -302,11 +302,6 @@ def build_dof_map(mesh: PolygonalMesh, k: int) -> DofMap:
     edge_base = nv
     moment_base = nv + ne * km1
     total = moment_base + nc * nmom
-    if k > 1:
-        ends = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)
-        edge_keys = ends[:, 0] * nv + ends[:, 1]
-        by_key = np.argsort(edge_keys)
-        sorted_keys = edge_keys[by_key]
     sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=nc)
     cell_dofs = [None] * nc
     for n in np.unique(sizes).tolist():
@@ -316,8 +311,7 @@ def build_dof_map(mesh: PolygonalMesh, k: int) -> DofMap:
         g[:, :n] = ids
         if k > 1:
             nxt = np.roll(ids, -1, axis=1)
-            keys = np.minimum(ids, nxt) * nv + np.maximum(ids, nxt)
-            e = by_key[np.searchsorted(sorted_keys, keys)]
+            e = mesh.edge_ids(ids, nxt)
             slots = edge_base + e[..., None] * km1 + np.arange(km1)
             reverse = ids > nxt
             slots[reverse] = slots[reverse, ::-1]
@@ -334,8 +328,8 @@ def dof_positions(mesh: PolygonalMesh, dofmap: DofMap) -> np.ndarray:
     pos = np.empty((dofmap.total, 2))
     pos[: mesh.n_vertices] = mesh.points
     if dofmap.k > 1:
-        ends = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)
-        gl, _ = gauss_lobatto_points(dofmap.k, mesh.points[ends[:, 0]], mesh.points[ends[:, 1]])
+        ends = mesh.points[mesh.edges]
+        gl, _ = gauss_lobatto_points(dofmap.k, ends[:, 0], ends[:, 1])
         pos[dofmap.edge_base: dofmap.moment_base] = gl.reshape(-1, 2)
     nmom = dofmap.k * (dofmap.k - 1) // 2
     if nmom:
@@ -348,7 +342,7 @@ def boundary_dofs(mesh: PolygonalMesh, dofmap: DofMap, edge_ids=None) -> np.ndar
     if edge_ids is None:
         edge_ids = mesh.boundary_edge_ids()
     e = np.asarray(edge_ids, dtype=np.int64)
-    ends = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)[e]
+    ends = mesh.edges[e]
     km1 = dofmap.k - 1
     slots = dofmap.edge_base + e[:, None] * km1 + np.arange(km1)
     return np.unique(np.concatenate([ends.ravel(), slots.ravel()]))

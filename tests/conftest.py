@@ -13,22 +13,21 @@ from polyagg.mesh import (
     MergeNonSimpleError,
     MeshError,
     build_mesh,
-    make_cell,
 )
 from polyagg.quadrature import gauss_lobatto_points
 
 
 def square_cell(side=1.0):
-    return make_cell([[0, 0], [side, 0], [side, side], [0, side]])
+    return np.array([[0, 0], [side, 0], [side, side], [0, side]], dtype=float)
 
 
 def unit_triangle_cell():
-    return make_cell([[0, 0], [1, 0], [0, 1]])
+    return np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
 
 
 def equilateral_cell(side=1.0):
     h = side * np.sqrt(3) / 2
-    return make_cell([[0, 0], [side, 0], [side / 2, h]])
+    return np.array([[0, 0], [side, 0], [side / 2, h]])
 
 
 def grid_mesh(nx, ny, lx=1.0, ly=1.0, constrained_edges=(), jitter=0.0, seed=0):
@@ -562,6 +561,7 @@ def ref_quality_scores(pts, collinear_tol, kernel_rel_tol):
 
 def ref_simplified_union_points(mesh, loop, tol=COLLINEAR_TOL):
     """Union loop with unconstrained straight vertices dropped."""
+    constrained = set(mesh.constrained_edge_pairs())
     ids = list(loop)
     while True:
         pts = mesh.points[ids]
@@ -575,11 +575,8 @@ def ref_simplified_union_points(mesh, loop, tol=COLLINEAR_TOL):
                 continue
             a = ids[k - 1]
             b = ids[(k + 1) % n]
-            e1 = mesh.edge_index.get((min(a, v), max(a, v)))
-            e2 = mesh.edge_index.get((min(v, b), max(v, b)))
-            if (e1 is not None and mesh.edge_constrained[e1]) or (
-                e2 is not None and mesh.edge_constrained[e2]
-            ):
+            if ((min(a, v), max(a, v)) in constrained
+                    or (min(v, b), max(v, b)) in constrained):
                 continue
             u1 = pts[k] - pts[k - 1]
             u2 = pts[(k + 1) % n] - pts[k]
@@ -629,13 +626,7 @@ class RefProblem:
     def __init__(self, mesh, config):
         self.mesh = mesh
         self.config = config
-        n = mesh.n_cells
-        scale = config.cost_scale if config.cost_scale is not None else n
-        if scale < n:
-            raise ValueError(
-                f"cost_scale {scale} is below the cell count {n}"
-            )
-        self.scale = int(scale)
+        self.scale = mesh.n_cells
         self.w = agg._round_half_away(config.lam * self.scale)
         self.potts = config.sc_mode == "potts"
         self.adj_pairs = mesh.adjacency_pairs()
@@ -762,6 +753,7 @@ def ref_build_dof_map(mesh, k):
     edge_base = nv
     moment_base = nv + ne * km1
     total = moment_base + nc * nmom
+    edge_index = ref_edge_index(mesh)
     cell_dofs = []
     for ci, ids in enumerate(mesh.cells):
         m = len(ids)
@@ -771,7 +763,7 @@ def ref_build_dof_map(mesh, k):
             for i in range(m):
                 u, v = int(ids[i]), int(ids[(i + 1) % m])
                 key = (u, v) if u < v else (v, u)
-                e = mesh.edge_index[key]
+                e = edge_index[key]
                 base = edge_base + e * km1
                 slots = np.arange(base, base + km1)
                 if u > v:
@@ -813,6 +805,75 @@ def ref_forest_roots(parent):
     return np.array([find(i) for i in range(len(parent))], dtype=np.int64)
 
 
+def ref_edge_index(mesh):
+    """(u, v) -> edge id of every mesh edge, as a dict."""
+    return {(u, v): e for e, (u, v) in enumerate(mesh.edges.tolist())}
+
+
+def ref_global_dof_ids(meshes, network, matches, k, tol_rel=1e-9):
+    """(g, n_global) of ``dfn.build_global_dofmap`` by one union-find call
+    per identified DOF pair: a path-halving ``find`` and a ``union`` that
+    hangs the higher root under the lower one."""
+    fids = sorted(meshes)
+    locals_ = {fid: ref_build_dof_map(meshes[fid], k) for fid in fids}
+    offsets = {}
+    total = 0
+    for fid in fids:
+        offsets[fid] = total
+        total += locals_[fid].total
+    parent = np.arange(total, dtype=np.int64)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return
+        if ra < rb:
+            parent[rb] = ra
+        else:
+            parent[ra] = rb
+
+    frs = {f.fid: f for f in network.fractures}
+    tol = tol_rel * network.scale
+    for tr in network.traces:
+        mi = matches[tr.tid]
+        fid_a, fid_b = tr.frac_i, tr.frac_j
+        la, lb = mi[fid_a], mi[fid_b]
+        assert len(la) == len(lb)
+        for (ta, va), (tb, vb) in zip(la, lb):
+            assert abs(ta - tb) <= 1e-12 * max(1.0, tr.length)
+            union(offsets[fid_a] + va, offsets[fid_b] + vb)
+        if k > 1:
+            mesh_a, mesh_b = meshes[fid_a], meshes[fid_b]
+            index_a, index_b = ref_edge_index(mesh_a), ref_edge_index(mesh_b)
+            dm_a, dm_b = locals_[fid_a], locals_[fid_b]
+            for p in range(len(la) - 1):
+                ea = index_a[(min(la[p][1], la[p + 1][1]), max(la[p][1], la[p + 1][1]))]
+                eb = index_b[(min(lb[p][1], lb[p + 1][1]), max(lb[p][1], lb[p + 1][1]))]
+                ua, va_ = mesh_a.edges[ea]
+                ub, vb_ = mesh_b.edges[eb]
+                pa, _ = gauss_lobatto_points(k, mesh_a.points[ua], mesh_a.points[va_])
+                pb, _ = gauss_lobatto_points(k, mesh_b.points[ub], mesh_b.points[vb_])
+                pa3 = frs[fid_a].to_global(pa)
+                pb3 = frs[fid_b].to_global(pb)
+                for s in range(k - 1):
+                    dist = np.linalg.norm(pb3 - pa3[s], axis=1)
+                    s2 = int(np.argmin(dist))
+                    assert dist[s2] <= tol
+                    union(offsets[fid_a] + dm_a.edge_slot(ea, s),
+                          offsets[fid_b] + dm_b.edge_slot(eb, s2))
+
+    uniq, inv = np.unique(ref_forest_roots(parent), return_inverse=True)
+    g = {fid: inv[offsets[fid]: offsets[fid] + locals_[fid].total].astype(np.int64)
+         for fid in fids}
+    return g, int(len(uniq))
+
+
 # Reference mesh surgery: the per-edge and per-cell loops that the array
 # versions in ``mesh``, ``agglomerate`` and ``dfn`` replaced, kept verbatim as
 # oracles.  The array versions must give the same loops, errors, meshes and
@@ -820,6 +881,7 @@ def ref_forest_roots(parent):
 
 def ref_union_loop(mesh, cell_ids):
     """Outer vertex loop of the union of the cells; raises the MergeError."""
+    constrained = set(mesh.constrained_edge_pairs())
     directed = {}
     for ci in cell_ids:
         ids = mesh.cells[ci]
@@ -834,8 +896,7 @@ def ref_union_loop(mesh, cell_ids):
             raise MergeNonSimpleError("duplicated directed edge in union")
         if (v, u) in directed:
             key = (u, v) if u < v else (v, u)
-            e = mesh.edge_index.get(key)
-            if e is not None and mesh.edge_constrained[e]:
+            if key in constrained:
                 raise MergeConstraintError(
                     "union would remove a constrained edge"
                 )
@@ -1172,13 +1233,14 @@ def ref_condition_estimate(A, factor, tol=1e-6, max_iter=5000):
 
 def mesh_fields(mesh):
     """Every PolygonalMesh field, as comparable Python values and bytes."""
-    arrays = ("points", "vertex_constrained", "edge_constrained", "cell_area",
-              "cell_centroid", "cell_diameter")
+    arrays = ("points", "vertex_constrained", "edges", "edge_constrained", "edge_cells",
+              "cell_area", "cell_centroid", "cell_diameter", "_edge_keys", "_edge_key_ids")
     return (
-        [(name, getattr(mesh, name).dtype.str, getattr(mesh, name).tobytes()) for name in arrays],
+        [(name, getattr(mesh, name).dtype.str, getattr(mesh, name).shape,
+          getattr(mesh, name).tobytes()) for name in arrays],
         [(c.dtype.str, c.tobytes()) for c in mesh.cells],
         [(nb.dtype.str, nb.tobytes()) for nb in mesh.neighbors],
-        mesh.edges, list(mesh.edge_index.items()), mesh.edge_cells, mesh.h,
+        mesh.h,
     )
 
 

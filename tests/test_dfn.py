@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from polyagg import dfn, vem
+from polyagg import dfn, mesh as mesh_mod, vem
 from polyagg.agglomerate import AgglomerationConfig, agglomerate
 from polyagg.dfn import (
     NetworkError,
@@ -46,6 +46,7 @@ from conftest import (
     ref_cut_one_segment,
     ref_dof_positions,
     ref_forest_roots,
+    ref_global_dof_ids,
     ref_mutable_state,
     ref_on_trace_vertices,
 )
@@ -240,11 +241,9 @@ def test_cut_along_existing_edges_flags_constraints():
     )
     out = cut_by_traces(m, [((1.0, 0.0), (1.0, 1.0))])
     assert out.n_cells == 2
-    e = out.edge_index.get(tuple(sorted(
-        [int(np.argmin(np.linalg.norm(out.points - [1, 0], axis=1))),
-         int(np.argmin(np.linalg.norm(out.points - [1, 1], axis=1)))]
-    )))
-    assert out.edge_constrained[e]
+    e = out.edge_ids(np.argmin(np.linalg.norm(out.points - [1, 0], axis=1)),
+                     np.argmin(np.linalg.norm(out.points - [1, 1], axis=1)))
+    assert e >= 0 and out.edge_constrained[e]
     assert out.adjacency_pairs() == []
 
 
@@ -268,8 +267,8 @@ def trace_is_covered(mesh, a2, b2):
     if len(nodes) < 2:
         return False
     for (t0, v0), (t1, v1) in zip(nodes, nodes[1:]):
-        e = mesh.edge_index.get((min(v0, v1), max(v0, v1)))
-        if e is None or not mesh.edge_constrained[e]:
+        e = mesh.edge_ids(v0, v1)
+        if e < 0 or not mesh.edge_constrained[e]:
             return False
     return True
 
@@ -485,33 +484,31 @@ def network1_discs():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("lam", [0.0, 1.0])
-def test_dof_layer_matches_scalar_reference(monkeypatch, network1_discs, lam, k):
-    """Per-fracture DOF ids and positions and the union-find roots of the
-    trace identification equal the scalar loops' bit for bit."""
+def test_dof_layer_matches_scalar_reference(network1_discs, lam, k):
+    """Per-fracture DOF ids and positions equal the scalar loops' bit for bit."""
     case, discs = network1_discs
     disc = discs[lam]
-    calls = []
-    forest_roots = dfn._forest_roots
-
-    def recording(parent):
-        calls.append(parent.copy())
-        return forest_roots(parent)
-
-    monkeypatch.setattr(dfn, "_forest_roots", recording)
     gmap = build_global_dofmap(disc.meshes, case.network, disc.matches, k)
-    (parent,) = calls
-    roots = ref_forest_roots(parent)
-    assert (roots != np.arange(len(roots))).any()  # the traces identify DOFs
-    _, inv = np.unique(roots, return_inverse=True)
     for fid, mesh in disc.meshes.items():
         dm, ref = gmap.locals[fid], ref_build_dof_map(mesh, k)
         assert dm.total == ref.total
         for got, want in zip(dm.cell_dofs, ref.cell_dofs, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        lo = gmap.offsets[fid]
-        assert np.array_equal(gmap.g[fid], inv[lo: lo + dm.total])
         pos = vem.dof_positions(mesh, dm)
         assert pos.tobytes() == ref_dof_positions(mesh, ref).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_global_dofmap_matches_union_find_reference(network1_discs, k):
+    """The global ids of the one components pass over the identified DOF
+    pairs equal those of the per-pair union-find, at both lambdas."""
+    case, discs = network1_discs
+    for disc in discs.values():
+        gmap = build_global_dofmap(disc.meshes, case.network, disc.matches, k)
+        g, n_global = ref_global_dof_ids(disc.meshes, case.network, disc.matches, k)
+        assert n_global == gmap.n_global < sum(dm.total for dm in gmap.locals.values())
+        for fid in disc.meshes:
+            assert gmap.g[fid].dtype == np.int64 and np.array_equal(gmap.g[fid], g[fid])
 
 
 def test_forest_roots_matches_find_on_deep_forests(rng):
@@ -521,7 +518,7 @@ def test_forest_roots_matches_find_on_deep_forests(rng):
         chain = np.maximum(np.arange(n) - 1, 0)
         random = np.array([rng.integers(0, i + 1) for i in range(n)], dtype=np.int64)
         for parent in (chain, random):
-            assert np.array_equal(dfn._forest_roots(parent), ref_forest_roots(parent))
+            assert np.array_equal(mesh_mod._forest_roots(parent), ref_forest_roots(parent))
 
 
 def test_n1_k3_condition_estimate_matches_reference():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from polyagg import geometry
-from polyagg.mesh import Cell, cell_geometry, collinear_runs, make_cell, polygon_kernel, triangulate_cell
-from polyagg.mesh import MeshError
+from polyagg.mesh import CellError, build_mesh
 
 from conftest import (
     NON_STAR_POLY,
@@ -20,32 +19,32 @@ from conftest import (
 
 
 def test_cell_geometry_unit_square():
-    c = make_cell([[0, 0], [1, 0], [1, 1], [0, 1]])
-    area, centroid, diam = cell_geometry(c)
+    pts = geometry.as_points([[0, 0], [1, 0], [1, 1], [0, 1]])
+    area, cx, cy = geometry.polygon_area_centroid(pts)
     assert area == pytest.approx(1.0, abs=1e-15)
-    assert centroid == pytest.approx([0.5, 0.5], abs=1e-15)
-    assert diam == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    assert [cx, cy] == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert geometry.polygon_diameter(pts) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def test_cell_geometry_triangle():
-    c = make_cell([[0, 0], [1, 0], [0, 1]])
-    area, centroid, diam = cell_geometry(c)
+    pts = geometry.as_points([[0, 0], [1, 0], [0, 1]])
+    area, cx, cy = geometry.polygon_area_centroid(pts)
     assert area == pytest.approx(0.5)
-    assert centroid == pytest.approx([1 / 3, 1 / 3])
-    assert diam == pytest.approx(np.sqrt(2.0))
+    assert [cx, cy] == pytest.approx([1 / 3, 1 / 3])
+    assert geometry.polygon_diameter(pts) == pytest.approx(np.sqrt(2.0))
 
 
 def test_cell_geometry_rectangle():
-    c = make_cell([[0, 0], [2, 0], [2, 1], [0, 1]])
-    area, centroid, diam = cell_geometry(c)
+    pts = geometry.as_points([[0, 0], [2, 0], [2, 1], [0, 1]])
+    area, cx, cy = geometry.polygon_area_centroid(pts)
     assert area == pytest.approx(2.0)
-    assert centroid == pytest.approx([1.0, 0.5])
-    assert diam == pytest.approx(np.sqrt(5.0))
+    assert [cx, cy] == pytest.approx([1.0, 0.5])
+    assert geometry.polygon_diameter(pts) == pytest.approx(np.sqrt(5.0))
 
 
 def test_degenerate_cell_rejected():
-    with pytest.raises(MeshError):
-        make_cell([[0, 0], [1, 0], [2, 0]], cell_id=7)
+    with pytest.raises(CellError, match="^cell 0 is not a simple polygon$"):
+        build_mesh([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
 
 
 def test_cw_input_becomes_ccw():
@@ -54,9 +53,9 @@ def test_cw_input_becomes_ccw():
 
 
 def test_kernel_convex_is_whole_polygon():
-    c = make_cell([[0, 0], [3, 0], [4, 2], [1, 3], [-1, 1]])
-    kern = polygon_kernel(c)
-    assert abs(geometry.polygon_area(kern)) == pytest.approx(c.area, rel=1e-12)
+    poly = np.array([[0, 0], [3, 0], [4, 2], [1, 3], [-1, 1]], dtype=float)
+    kern = geometry.polygon_kernel_points(poly)
+    assert abs(geometry.polygon_area(kern)) == pytest.approx(geometry.polygon_area(poly), rel=1e-12)
 
 
 def test_kernel_non_star_shaped_empty():
@@ -67,13 +66,12 @@ def test_kernel_non_star_shaped_empty():
 
 def test_kernel_concave_quad():
     poly = np.array([[0, 0], [2, 0], [2, 2], [1, 0.5]], dtype=float)
-    c = make_cell(poly)
-    kern = polygon_kernel(c)
+    kern = geometry.polygon_kernel_points(poly)
     ka = abs(geometry.polygon_area(kern))
-    assert 0.0 < ka < c.area
+    assert 0.0 < ka < geometry.polygon_area(poly)
     assert kernel_sampling_oracle(poly)
     # every kernel vertex must see every polygon vertex
-    eps = 1e-9 * c.diameter
+    eps = 1e-9 * geometry.polygon_diameter(poly)
     centroid = kern.mean(axis=0)
     assert sees_all_vertices(poly, centroid, eps)
 
@@ -90,18 +88,18 @@ def test_kernel_contained_in_polygon(rng):
 
 
 def test_collinear_runs_square():
-    runs = collinear_runs(make_cell([[0, 0], [1, 0], [1, 1], [0, 1]]))
+    runs = geometry.collinear_edge_runs(geometry.as_points([[0, 0], [1, 0], [1, 1], [0, 1]]))
     assert sorted(len(r) for r in runs) == [1, 1, 1, 1]
 
 
 def test_collinear_runs_triangle():
-    runs = collinear_runs(make_cell([[0, 0], [1, 0], [0, 1]]))
+    runs = geometry.collinear_edge_runs(geometry.as_points([[0, 0], [1, 0], [0, 1]]))
     assert sorted(len(r) for r in runs) == [1, 1, 1]
 
 
 def test_collinear_runs_hanging_node():
-    c = make_cell([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]])
-    runs = collinear_runs(c)
+    runs = geometry.collinear_edge_runs(
+        geometry.as_points([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]]))
     lens = sorted(len(r) for r in runs)
     assert lens == [1, 1, 1, 2]
     # the 2-run must be the two bottom edges
@@ -110,34 +108,33 @@ def test_collinear_runs_hanging_node():
 
 
 def test_triangulate_triangle_identity():
-    c = make_cell([[0, 0], [1, 0], [0, 1]])
-    tris = triangulate_cell(c)
+    poly = geometry.as_points([[0, 0], [1, 0], [0, 1]])
+    tris = poly[geometry.ear_clip(poly)]
     assert tris.shape == (1, 3, 2)
 
 
 def test_triangulate_pentagon_area():
-    c = make_cell([[0, 0], [2, 0], [2.5, 1.5], [1, 3], [-0.5, 1.5]])
-    tris = triangulate_cell(c)
+    poly = geometry.as_points([[0, 0], [2, 0], [2.5, 1.5], [1, 3], [-0.5, 1.5]])
+    tris = poly[geometry.ear_clip(poly)]
     assert len(tris) == 3
     total = sum(abs(geometry.polygon_area(t)) for t in tris)
-    assert total == pytest.approx(c.area, rel=1e-12)
+    assert total == pytest.approx(geometry.polygon_area(poly), rel=1e-12)
 
 
 def test_triangulate_concave_quad_inside():
     poly = np.array([[0, 0], [2, 0], [2, 2], [1, 0.5]], dtype=float)
-    c = make_cell(poly)
-    tris = triangulate_cell(c)
+    tris = poly[geometry.ear_clip(poly)]
     assert len(tris) == 2
     for t in tris:
         centroid = t.mean(axis=0)
         assert geometry.point_in_polygon(poly, centroid) == 1
     total = sum(abs(geometry.polygon_area(t)) for t in tris)
-    assert total == pytest.approx(c.area, rel=1e-12)
+    assert total == pytest.approx(geometry.polygon_area(poly), rel=1e-12)
 
 
 def test_triangulate_with_hanging_nodes():
-    c = make_cell([[0, 0], [0.3, 0], [1, 0], [1, 1], [0.4, 1], [0, 1]])
-    tris = triangulate_cell(c)
+    poly = geometry.as_points([[0, 0], [0.3, 0], [1, 0], [1, 1], [0.4, 1], [0, 1]])
+    tris = poly[geometry.ear_clip(poly)]
     total = sum(abs(geometry.polygon_area(t)) for t in tris)
     assert total == pytest.approx(1.0, rel=1e-12)
 

@@ -324,17 +324,6 @@ def test_union_loops_errors_match_scalar_reference(cells, error):
     _assert_union_loops_match(mesh, [cells, [1, 2], [4, 5, 7, 8]])
 
 
-def test_merge_cells_raises_each_merge_error():
-    """merge_cells raises the union trace's errors; the 3x3 grid's edge
-    between cells 1 and 4 is constrained, cells 2 and 5 join the pair."""
-    mesh = _squares(3, 3, constrained=[(5, 6)])
-    for cells, error in (([0, 2], mesh_mod.MergeDisconnectedError),
-                         ([0, 1, 2, 3, 5, 6, 7, 8], mesh_mod.MergeHoleError),
-                         ([1, 2, 4, 5], mesh_mod.MergeConstraintError)):
-        with pytest.raises(error):
-            mesh_mod.merge_cells(mesh, cells)
-
-
 @pytest.mark.parametrize("which", ["cut", "lambda1", "mixed", "bent"])
 def test_apply_labeling_matches_scalar_reference(union_meshes, union_labels, which):
     """apply_labeling merges the components the scalar search finds, in its

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from polyagg import geometry
 from polyagg.mesh import (
     CellError,
-    MergeDisconnectedError,
+    MergeConstraintError,
+    MergeError,
     MergeHoleError,
     MeshError,
     MeshFormatError,
+    _union_loops,
     build_mesh,
     load_mesh,
-    merge_cells,
     save_mesh,
     simplify_aligned_edges,
 )
@@ -84,43 +86,51 @@ def test_tiling_total_area():
     assert m.total_area == pytest.approx(2.0, rel=1e-12)
 
 
+def union_loop(mesh, cells):
+    """The union loop of one cell set; raises its MergeError."""
+    (loop,), (err,) = _union_loops(mesh, [cells])
+    if err is not None:
+        raise err
+    return loop
+
+
 def test_merge_two_squares():
     m = build_mesh(**TWO_SQUARES)
-    cell = merge_cells(m, [0, 1])
-    assert cell.n_vertices == 6  # midside nodes retained
-    assert cell.area == pytest.approx(2.0, rel=1e-12)
+    loop = union_loop(m, [0, 1])
+    assert loop.tolist() == [0, 1, 2, 3, 4, 5]  # midside nodes retained
+    assert geometry.polygon_area(m.points[loop]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_merge_singleton_identity():
     m = build_mesh(**TWO_SQUARES)
-    cell = merge_cells(m, [0])
-    assert cell.n_vertices == 4
-    assert cell.area == pytest.approx(1.0)
+    assert union_loop(m, [1]).tolist() == [1, 2, 3, 4]
+    assert geometry.polygon_area(m.points[union_loop(m, [0])]) == pytest.approx(1.0)
 
 
 def test_merge_disconnected_raises():
     m = grid_mesh(3, 1)
-    with pytest.raises(MergeDisconnectedError):
-        merge_cells(m, [0, 2])
+    with pytest.raises(MergeError):
+        union_loop(m, [0, 2])
 
 
 def test_merge_ring_hole_raises():
     m = grid_mesh(3, 3)
     ring = [0, 1, 2, 3, 5, 6, 7, 8]  # all but the center cell
     with pytest.raises(MergeHoleError):
-        merge_cells(m, ring)
+        union_loop(m, ring)
 
 
 def test_merge_not_connected_across_constraint():
     m = build_mesh(**TWO_SQUARES, constrained_edges=[(1, 4)])
-    with pytest.raises(MergeDisconnectedError):
-        merge_cells(m, [0, 1])
+    with pytest.raises(MergeConstraintError):
+        union_loop(m, [0, 1])
 
 
 def test_merge_area_additivity():
     m = grid_mesh(3, 2)
-    cell = merge_cells(m, [0, 1, 3, 4])
-    assert cell.area == pytest.approx(float(m.cell_area[[0, 1, 3, 4]].sum()), rel=1e-12)
+    loop = union_loop(m, [0, 1, 3, 4])
+    area = geometry.polygon_area(m.points[loop])
+    assert area == pytest.approx(float(m.cell_area[[0, 1, 3, 4]].sum()), rel=1e-12)
 
 
 def test_simplify_removes_unshared_midside():
@@ -221,14 +231,28 @@ MIXED = dict(
 
 def test_edges_numbered_by_first_occurrence():
     m = build_mesh(**MIXED)
-    assert m.edges == [(0, 1), (1, 4), (4, 5), (0, 5), (2, 6), (3, 6), (2, 3), (1, 2),
-                       (3, 4), (4, 7), (7, 8), (5, 8)]
-    assert m.edge_cells == [(0,), (0, 2), (0, 3), (0,), (1,), (1,), (1, 2), (2,),
-                            (2,), (3,), (3,), (3,)]
-    assert m.edge_index == {e: i for i, e in enumerate(m.edges)}
+    assert m.edges.dtype == np.int64 and m.edge_cells.dtype == np.int64
+    assert m.edges.tolist() == [[0, 1], [1, 4], [4, 5], [0, 5], [2, 6], [3, 6], [2, 3],
+                                [1, 2], [3, 4], [4, 7], [7, 8], [5, 8]]
+    assert m.edge_cells.tolist() == [[0, -1], [0, 2], [0, 3], [0, -1], [1, -1], [1, -1],
+                                     [1, 2], [2, -1], [2, -1], [3, -1], [3, -1], [3, -1]]
     assert [list(nb) for nb in m.neighbors] == [[2, 3], [2], [0, 1], [0]]
     assert all(nb.dtype == np.int64 for nb in m.neighbors)
     assert [list(c) for c in m.cells] == MIXED["cells"]
+
+
+def test_edge_ids_find_every_edge_and_no_other_pair():
+    """Each edge is found from both vertex orders; cell diagonals, a vertex
+    paired with itself and pairs with an id outside the mesh are no edge,
+    also where their key u * nv + v equals an edge's: (1, 12) that of (2, 3)
+    and (-1, 10) that of (0, 1)."""
+    m = build_mesh(**MIXED)
+    u, v = m.edges[:, 0], m.edges[:, 1]
+    ids = np.arange(m.n_edges)
+    assert np.array_equal(m.edge_ids(u, v), ids)
+    assert np.array_equal(m.edge_ids(v, u), ids)
+    assert m.edge_ids([0, 1, 4, 1, -1], [4, 3, 4, 12, 10]).tolist() == [-1] * 5
+    assert m.edge_ids(4, 1) == 1
 
 
 def test_lowest_failing_cell_is_reported():
@@ -331,5 +355,7 @@ def test_build_mesh_matches_per_cell_reference(cells, compact):
     m = build_mesh(MIXED["points"], cells, compact=compact)
     ref_cells, ref_edges, ref_edge_cells = ref
     assert [c.tolist() for c in m.cells] == [c.tolist() for c in ref_cells]
-    assert m.edges == ref_edges
-    assert m.edge_cells == ref_edge_cells
+    assert m.edges.dtype == m.edge_cells.dtype == np.int64
+    assert m.edges.shape == m.edge_cells.shape == (len(ref_edges), 2)
+    assert m.edges.tolist() == [list(e) for e in ref_edges]
+    assert m.edge_cells.tolist() == [list(cs) + [-1] * (2 - len(cs)) for cs in ref_edge_cells]

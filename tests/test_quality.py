@@ -3,17 +3,7 @@ import pytest
 
 from polyagg import _kernels
 from polyagg.geometry import COLLINEAR_TOL
-from polyagg.mesh import make_cell
-from polyagg.quality import (
-    KERNEL_REL_TOL,
-    mesh_quality_report,
-    rho,
-    rho1,
-    rho2,
-    rho3,
-    rho4,
-    scores_from_points,
-)
+from polyagg.quality import KERNEL_REL_TOL, mesh_quality_report, scores_from_points
 
 from conftest import (
     NON_STAR_POLY,
@@ -36,80 +26,76 @@ def combined(r1, r2, r3, r4):
 
 
 def test_rho1_square():
-    assert rho1(square_cell()) == pytest.approx(1.0, abs=1e-12)
+    assert scores_from_points(square_cell()).rho1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho1_non_star_shaped_zero():
-    c = make_cell(NON_STAR_POLY)
-    assert rho1(c) == 0.0
+    assert scores_from_points(NON_STAR_POLY).rho1 == 0.0
     assert not kernel_sampling_oracle(NON_STAR_POLY)
 
 
 def test_rho1_concave_quad():
-    c = make_cell([[0, 0], [2, 0], [2, 2], [1, 0.5]])
-    v = rho1(c)
+    v = scores_from_points([[0, 0], [2, 0], [2, 2], [1, 0.5]]).rho1
     # kernel area 5/6 by half-plane clipping, cell area 3/2
     assert 0.0 < v < 1.0
     assert v == pytest.approx((5.0 / 6.0) / 1.5, rel=1e-9)
 
 
 def test_rho2_square():
-    assert rho2(square_cell()) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert scores_from_points(square_cell()).rho2 == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
 
 def test_rho2_equilateral():
     expected = np.sqrt(np.sqrt(3.0) / 4.0)  # sqrt(area), below the unit edge
-    assert rho2(equilateral_cell()) == pytest.approx(expected, abs=1e-12)
+    assert scores_from_points(equilateral_cell()).rho2 == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.65804, abs=5e-6)
 
 
 def test_rho2_square_with_midside_node():
-    c = make_cell([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]])
-    assert rho2(c) == pytest.approx(0.5 / np.sqrt(2.0), abs=1e-12)
-    assert rho2(c) == pytest.approx(0.35355, abs=5e-6)
+    r2 = scores_from_points([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]]).rho2
+    assert r2 == pytest.approx(0.5 / np.sqrt(2.0), abs=1e-12)
+    assert r2 == pytest.approx(0.35355, abs=5e-6)
 
 
 def test_rho3_values():
-    assert rho3(unit_triangle_cell()) == 1.0
-    assert rho3(square_cell()) == 0.75
-    hexagon = make_cell(
-        [[np.cos(t), np.sin(t)] for t in np.linspace(0, 2 * np.pi, 7)[:-1]]
-    )
-    assert rho3(hexagon) == 0.5
+    assert scores_from_points(unit_triangle_cell()).rho3 == 1.0
+    assert scores_from_points(square_cell()).rho3 == 0.75
+    hexagon = [[np.cos(t), np.sin(t)] for t in np.linspace(0, 2 * np.pi, 7)[:-1]]
+    assert scores_from_points(hexagon).rho3 == 0.5
 
 
 def test_rho4_square_and_triangle():
-    assert rho4(square_cell()) == 1.0
-    assert rho4(unit_triangle_cell()) == 1.0
+    assert scores_from_points(square_cell()).rho4 == 1.0
+    assert scores_from_points(unit_triangle_cell()).rho4 == 1.0
 
 
 def test_rho4_split_edge():
-    c = make_cell([[0, 0], [0.25, 0], [2, 0], [2, 1], [0, 1]])
-    assert rho4(c) == pytest.approx(0.25 / 1.75, rel=1e-12)
-    assert rho4(c) == pytest.approx(1.0 / 7.0, rel=1e-9)
+    r4 = scores_from_points([[0, 0], [0.25, 0], [2, 0], [2, 1], [0, 1]]).rho4
+    assert r4 == pytest.approx(0.25 / 1.75, rel=1e-12)
+    assert r4 == pytest.approx(1.0 / 7.0, rel=1e-9)
 
 
 def test_rho_square():
-    s = rho(square_cell())
+    s = scores_from_points(square_cell())
     assert s.rho == pytest.approx(combined(1, 1 / np.sqrt(2), 0.75, 1), abs=1e-12)
     assert s.rho == pytest.approx(0.905006, abs=1e-6)
 
 
 def test_rho_equilateral():
-    s = rho(equilateral_cell())
+    s = scores_from_points(equilateral_cell())
     r2 = np.sqrt(np.sqrt(3.0) / 4.0)
     assert s.rho == pytest.approx(combined(1, r2, 1, 1), abs=1e-12)
     assert s.rho == pytest.approx(0.941282, abs=1e-6)
 
 
 def test_rho_zero_iff_not_star_shaped():
-    s = rho(make_cell(NON_STAR_POLY))
+    s = scores_from_points(NON_STAR_POLY)
     assert s.rho == 0.0 and s.rho1 == 0.0
 
 
 def test_monotone_hanging_node():
-    base = rho(square_cell())
-    split = rho(make_cell([[0, 0], [0.3, 0], [1, 0], [1, 1], [0, 1]]))
+    base = scores_from_points(square_cell())
+    split = scores_from_points([[0, 0], [0.3, 0], [1, 0], [1, 1], [0, 1]])
     assert split.rho2 < base.rho2
     assert split.rho3 < base.rho3
     assert split.rho4 < base.rho4
