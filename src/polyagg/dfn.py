@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sps
 
 from . import geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate
@@ -852,6 +851,13 @@ class GlobalDofMap:
     n_global: int
 
 
+def _edge_dof_points(fracture, mesh, edges, k):
+    """Global positions (E, k-1, 3) of the internal DOF points of mesh edges."""
+    ends = mesh.points[mesh.edges[edges]]
+    pts, _ = gauss_lobatto_points(k, ends[:, 0], ends[:, 1])
+    return fracture.to_global(pts.reshape(-1, 2)).reshape(len(edges), k - 1, 3)
+
+
 def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
                         tol_rel=1e-9) -> GlobalDofMap:
     fids = sorted(meshes)
@@ -864,50 +870,44 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
 
     frs = {f.fid: f for f in network.fractures}
     tol = tol_rel * network.scale
-    same_a, same_b = [], []  # pairs of identified DOFs, numbered before identification
+    # pairs of identified DOFs, numbered before identification
+    same_a, same_b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for tr in network.traces:
         mi = matches[tr.tid]
         fid_a, fid_b = tr.frac_i, tr.frac_j
         la, lb = mi[fid_a], mi[fid_b]
         if len(la) != len(lb):
             raise MeshError(f"trace {tr.tid}: node partitions differ across the pair")
-        for (ta, va), (tb, vb) in zip(la, lb):
-            if abs(ta - tb) > 1e-12 * max(1.0, tr.length):
-                raise MeshError(f"trace {tr.tid}: node parameters disagree")
-            same_a.append(offsets[fid_a] + va)
-            same_b.append(offsets[fid_b] + vb)
+        na, nb = (np.array(nodes, dtype=float).reshape(-1, 2) for nodes in (la, lb))
+        if (np.abs(na[:, 0] - nb[:, 0]) > 1e-12 * max(1.0, tr.length)).any():
+            raise MeshError(f"trace {tr.tid}: node parameters disagree")
+        nodes_a, nodes_b = na[:, 1].astype(np.int64), nb[:, 1].astype(np.int64)
+        same_a.append(offsets[fid_a] + nodes_a)
+        same_b.append(offsets[fid_b] + nodes_b)
         if k > 1:
-            mesh_a, mesh_b = meshes[fid_a], meshes[fid_b]
-            dm_a, dm_b = locals_[fid_a], locals_[fid_b]
-            nodes_a = np.array([v for _, v in la], dtype=np.int64)
-            nodes_b = np.array([v for _, v in lb], dtype=np.int64)
-            eas = mesh_a.edge_ids(nodes_a[:-1], nodes_a[1:]).tolist()
-            ebs = mesh_b.edge_ids(nodes_b[:-1], nodes_b[1:]).tolist()
-            for ea, eb in zip(eas, ebs):
-                if ea < 0 or eb < 0:
-                    raise MeshError(f"trace {tr.tid}: covering edge missing")
-                ua, va_ = mesh_a.edges[ea]
-                ub, vb_ = mesh_b.edges[eb]
-                pa, _ = gauss_lobatto_points(
-                    k, mesh_a.points[ua], mesh_a.points[va_]
-                )
-                pb, _ = gauss_lobatto_points(
-                    k, mesh_b.points[ub], mesh_b.points[vb_]
-                )
-                pa3 = frs[fid_a].to_global(pa)
-                pb3 = frs[fid_b].to_global(pb)
-                for s in range(k - 1):
-                    dist = np.linalg.norm(pb3 - pa3[s], axis=1)
-                    s2 = int(np.argmin(dist))
-                    if dist[s2] > tol:
-                        raise MeshError(
-                            f"trace {tr.tid}: edge DOF match failed ({dist[s2]})"
-                        )
-                    same_a.append(offsets[fid_a] + dm_a.edge_slot(ea, s))
-                    same_b.append(offsets[fid_b] + dm_b.edge_slot(eb, s2))
+            # the k-1 edge slots of each covering edge pair, matched by
+            # position; a failed match ahead of a missing edge is reported first
+            ea = meshes[fid_a].edge_ids(nodes_a[:-1], nodes_a[1:])
+            eb = meshes[fid_b].edge_ids(nodes_b[:-1], nodes_b[1:])
+            missing = np.flatnonzero((ea < 0) | (eb < 0))
+            stop = missing[0] if len(missing) else len(ea)
+            ea, eb = ea[:stop], eb[:stop]
+            pa3, pb3 = (_edge_dof_points(frs[fid], meshes[fid], e, k)
+                        for fid, e in ((fid_a, ea), (fid_b, eb)))
+            dist = np.linalg.norm(pb3[:, None, :, :] - pa3[:, :, None, :], axis=-1)
+            s2 = dist.argmin(axis=-1)
+            best = np.take_along_axis(dist, s2[..., None], axis=-1).ravel()
+            if (best > tol).any():
+                raise MeshError(f"trace {tr.tid}: edge DOF match failed "
+                                f"({best[np.argmax(best > tol)]})")
+            if len(missing):
+                raise MeshError(f"trace {tr.tid}: covering edge missing")
+            same_a.append(offsets[fid_a] + locals_[fid_a].edge_base
+                          + (ea[:, None] * (k - 1) + np.arange(k - 1)).ravel())
+            same_b.append(offsets[fid_b] + locals_[fid_b].edge_base
+                          + (eb[:, None] * (k - 1) + s2).ravel())
 
-    roots = _components(total, np.array(same_a, dtype=np.int64),
-                        np.array(same_b, dtype=np.int64))
+    roots = _components(total, np.concatenate(same_a), np.concatenate(same_b))
     uniq, inv = np.unique(roots, return_inverse=True)
     g = {}
     for fid in fids:
@@ -920,40 +920,27 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
 # boundary classification and network assembly
 # ---------------------------------------------------------------------------
 
-def _edge_on_any_trace(points2, traces_local, tol):
-    """True when both endpoints and the midpoint lie on one trace segment."""
-    pa, pb = points2
-    mid = 0.5 * (pa + pb)
-    for (a2, dn, L) in traces_local:
-        ok = True
-        for p in (pa, pb, mid):
-            t = dn @ (p - a2)
-            s = dn[0] * (p[1] - a2[1]) - dn[1] * (p[0] - a2[0])
-            if abs(s) > tol or t < -tol or t > L + tol:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def dirichlet_boundary_edges(mesh: PolygonalMesh, fracture: Fracture,
                              traces, tol_rel=1e-9, scale=None):
-    """Boundary edge ids not covered by traces (trace overlaps stay coupled)."""
+    """Boundary edge ids not covered by traces (trace overlaps stay coupled):
+    an edge is covered when both endpoints and its midpoint lie on one trace
+    segment."""
     if scale is None:
         scale = fracture.diameter
     tol = tol_rel * scale
-    tl = []
+    edges = mesh.boundary_edge_ids()
+    ends = mesh.points[mesh.edges[edges]]
+    pts = np.concatenate([ends, 0.5 * (ends[:, :1] + ends[:, 1:])], axis=1)
+    covered = np.zeros(len(edges), dtype=bool)
     for tr in traces:
-        a2, b2 = tr.local_segment(fracture)
+        a2, b2 = (np.asarray(p) for p in tr.local_segment(fracture))
         L = tr.length
-        tl.append((np.asarray(a2), (np.asarray(b2) - np.asarray(a2)) / L, L))
-    out = []
-    for e in mesh.boundary_edge_ids():
-        u, v = mesh.edges[int(e)]
-        if not _edge_on_any_trace((mesh.points[u], mesh.points[v]), tl, tol):
-            out.append(int(e))
-    return np.array(out, dtype=np.int64)
+        dn = (b2 - a2) / L
+        dx, dy = pts[..., 0] - a2[0], pts[..., 1] - a2[1]
+        t = dn[0] * dx + dn[1] * dy
+        s = dn[0] * dy - dn[1] * dx
+        covered |= ((np.abs(s) <= tol) & (t >= -tol) & (t <= L + tol)).all(axis=1)
+    return edges[~covered]
 
 
 def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
@@ -963,58 +950,37 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
     ``sources`` and ``dirichlet_values`` map fid to callables on local 2D
     coordinates; identified trace DOFs share one global unknown.  Boundary
     edges covered by a trace are interface, not Dirichlet.  Returns
-    (system, element groups by fid).
+    (system, element groups); the cells of the groups are numbered fracture
+    after fracture, in fid order.
     """
     frs = {f.fid: f for f in network.fractures}
     fids = sorted(meshes)
-    rows_all, cols_all, vals_all = [], [], []
-    b = np.zeros(gmap.n_global)
-    elements = {}
-    for fid in fids:
-        f_loc = sources.get(fid) if sources else None
-        els, rows, cols, vals, bl = vem.build_local_system(
-            meshes[fid], gmap.locals[fid], frs[fid].K, f_loc
-        )
-        elements[fid] = els
-        gm = gmap.g[fid]
-        rows_all.append(gm[rows])
-        cols_all.append(gm[cols])
-        vals_all.append(vals)
-        np.add.at(b, gm, bl)
-    A = sps.coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(gmap.n_global, gmap.n_global),
-    ).tocsr()
-    A = ((A + A.T) * 0.5).tocsr()
+    parts = [vem.Part(meshes[fid], gmap.locals[fid], gmap.g[fid], frs[fid].K,
+                      sources.get(fid) if sources else None) for fid in fids]
+    groups, A, b = vem.build_local_system(parts, gmap.n_global)
 
-    dir_val = {}
-    scale = network.scale
+    ids, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for fid in fids:
-        mesh = meshes[fid]
-        fr = frs[fid]
-        dm = gmap.locals[fid]
+        mesh, dm = meshes[fid], gmap.locals[fid]
         edges = dirichlet_boundary_edges(
-            mesh, fr, network.fracture_traces(fid), scale=scale
+            mesh, frs[fid], network.fracture_traces(fid), scale=network.scale
         )
-        if len(edges) == 0:
-            continue
         gfn = dirichlet_values.get(fid) if dirichlet_values else None
-        if gfn is None:
+        if len(edges) == 0 or gfn is None:
             continue
         loc = vem.boundary_dofs(mesh, dm, edges)
-        pos = vem.dof_positions(mesh, dm)[loc]
-        vals = np.asarray(gfn(pos), dtype=float)
-        gm = gmap.g[fid]
-        for d, val in zip(loc, vals):
-            if np.isfinite(val):  # NaN: no plane matched, homogeneous Neumann
-                dir_val[int(gm[d])] = float(val)
-    if not dir_val:
+        val = np.asarray(gfn(vem.dof_positions(mesh, dm)[loc]), dtype=float)
+        keep = np.isfinite(val)  # NaN: no plane matched, homogeneous Neumann
+        ids.append(gmap.g[fid][loc[keep]])
+        vals.append(val[keep])
+    # a DOF on the boundary of several fractures takes the last one's value
+    dir_idx, last = np.unique(np.concatenate(ids)[::-1], return_index=True)
+    if not len(dir_idx):
         raise NetworkError("no Dirichlet boundary found (|Gamma_D| must be positive)")
-    dir_idx = np.array(sorted(dir_val), dtype=np.int64)
-    dvals = np.array([dir_val[i] for i in dir_idx])
+    dvals = np.concatenate(vals)[::-1][last]
     free = np.setdiff1d(np.arange(gmap.n_global), dir_idx)
     system = SparseSpdSystem(A, b, dir_idx, dvals, free, gmap)
-    return system, elements
+    return system, groups
 
 
 # ---------------------------------------------------------------------------
@@ -1303,35 +1269,21 @@ def solve_discretized(disc: NetworkDiscretization, k: int,
     case = disc.case
     network = case.network
     gmap = build_global_dofmap(disc.meshes, network, disc.matches, k)
-    system, elements = assemble_network(
+    system, groups = assemble_network(
         network, disc.meshes, gmap,
         sources=case.sources(),
         dirichlet_values=case.dirichlet_values(),
     )
     x = vem.solve_spd(system)
 
+    projected = vem.projected_solution(groups, x)
+    sol_l2, sol_h1 = vem.solution_norms(groups, projected)
     err_l2 = err_h1 = None
-    sol_l2 = sol_h1 = 0.0
-    l2a = h1a = 0.0
-    pin_max = pi0_max = 0.0
-    for fid in sorted(disc.meshes):
-        mesh = disc.meshes[fid]
-        dm = gmap.locals[fid]
-        xloc = x[gmap.g[fid]]
-        s2, sh = vem.solution_norms(mesh, k, elements[fid], dm, xloc)
-        sol_l2 += s2 * s2
-        sol_h1 += sh * sh
-        if case.exact is not None:
-            sol = case.exact[fid]
-            e2, eh = vem.error_norms(mesh, k, elements[fid], dm, xloc, sol.u, sol.grad)
-            l2a += e2 * e2
-            h1a += eh * eh
-        dn, d0 = vem.projection_discrepancy(mesh, k, elements[fid])
-        pin_max = max(pin_max, float(dn.max()))
-        pi0_max = max(pi0_max, float(d0.max()))
     if case.exact is not None:
-        err_l2 = float(np.sqrt(l2a))
-        err_h1 = float(np.sqrt(h1a))
+        exact = [case.exact[fid] for fid in sorted(disc.meshes)]
+        err_l2, err_h1 = vem.error_norms(groups, projected, [sol.u for sol in exact],
+                                         [sol.grad for sol in exact])
+    dn, d0 = vem.projection_discrepancy(groups)
     cond = float("nan")
     if estimate_condition:
         cond = vem.condition_estimate(system).cond
@@ -1350,10 +1302,10 @@ def solve_discretized(disc: NetworkDiscretization, k: int,
         cond=cond,
         err_l2=err_l2,
         err_h1=err_h1,
-        sol_l2=float(np.sqrt(sol_l2)),
-        sol_h1=float(np.sqrt(sol_h1)),
-        max_pi_nabla=pin_max,
-        max_pi_0=pi0_max,
+        sol_l2=sol_l2,
+        sol_h1=sol_h1,
+        max_pi_nabla=float(dn.max()),
+        max_pi_0=float(d0.max()),
         energy_initial=e1,
         energy_final=e2_,
         energy_saved=0.0 if e1 == 0 else (e1 - e2_) / e1,

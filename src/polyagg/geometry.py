@@ -110,7 +110,7 @@ def _crossing_pairs(n):
 _SIMPLE_BLOCK = 1 << 16
 
 
-def is_simple_polygon(pts, eps=None):
+def is_simple_polygon(pts, eps=None, diameter=None):
     """Simplicity of a polygon (n, 2), as a bool, or of each polygon of a
     stack (..., n, 2), as a bool array.
 
@@ -120,14 +120,16 @@ def is_simple_polygon(pts, eps=None):
     non-adjacent edges cross or overlap collinearly, no vertex lies within
     the orientation tolerance of the open interior of a non-adjacent edge (a
     pinch), and no two adjacent edges fold back onto each other (a spike).
-    ``eps`` is the orientation tolerance, 1e-12 * diameter**2 by default.
+    ``eps`` is the orientation tolerance, 1e-12 * diameter**2 by default;
+    ``diameter`` gives the polygons' ``polygon_diameter`` when the caller
+    has it already.
     """
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim < 2 or pts.shape[-1] != 2:
         raise GeometryError(f"expected (..., n, 2) coordinates, got shape {pts.shape}")
     lead, n = pts.shape[:-2], pts.shape[-2]
     flat = pts.reshape((math.prod(lead), n, 2))
-    diam = polygon_diameter(flat)
+    diam = polygon_diameter(flat) if diameter is None else np.reshape(diameter, -1)
     eps = 1e-12 * diam * diam if eps is None else np.broadcast_to(eps, lead).reshape(-1)
     if n < 3:
         ok = np.zeros(len(flat), dtype=bool)

@@ -142,7 +142,7 @@ def build_mesh(
     cells = list(cells)
     nc = len(cells)
     sizes = np.array([_length(raw) for raw in cells], dtype=np.int64)
-    groups = []  # (cell indices, (m, n) vertex ids, (m, n, 2) CCW loops)
+    groups = []  # (cell indices, (m, n) vertex ids, (m, n, 2) CCW loops, (m,) diameters)
     failures = []  # (cell, message) candidates; the lowest cell is raised
     for n in np.unique(sizes).tolist():
         idx, ids, failure = _group_ids(cells, np.flatnonzero(sizes == n), n)
@@ -150,23 +150,23 @@ def build_mesh(
             failures.append(failure)
         if not len(idx):
             continue
-        failed, loops = _cell_failures(ids, pts)
+        failed, loops, diameter = _cell_failures(ids, pts)
         bad = np.flatnonzero(failed < len(_CELL_CHECKS))
         if len(bad):
             failures.append((int(idx[bad[0]]), _CELL_CHECKS[failed[bad[0]]]))
-        groups.append((idx, ids, loops))
+        groups.append((idx, ids, loops, diameter))
     if failures:
         raise CellError(*min(failures))
 
     if compact:
         used = np.zeros(nv, dtype=bool)
-        for _, ids, _ in groups:
+        for _, ids, _, _ in groups:
             used[ids] = True
         if not used.all():
             remap = -np.ones(nv, dtype=np.int64)
             remap[used] = np.arange(int(used.sum()))
             pts = pts[used]
-            groups = [(idx, remap[ids], loops) for idx, ids, loops in groups]
+            groups = [(idx, remap[ids], loops, diameter) for idx, ids, loops, diameter in groups]
             constrained_edges = [
                 (remap[u], remap[v])
                 for (u, v) in constrained_edges
@@ -185,7 +185,7 @@ def build_mesh(
     cell_area = np.empty(nc)
     cell_centroid = np.empty((nc, 2))
     cell_diameter = np.empty(nc)
-    for idx, ids, loops in groups:
+    for idx, ids, loops, diameter in groups:
         at = offsets[idx][:, None] + np.arange(ids.shape[1])
         tail[at] = ids
         head[at] = np.roll(ids, -1, axis=1)
@@ -194,7 +194,7 @@ def build_mesh(
         cell_area[idx] = area
         cell_centroid[idx, 0] = cx
         cell_centroid[idx, 1] = cy
-        cell_diameter[idx] = geometry.polygon_diameter(loops)
+        cell_diameter[idx] = diameter
     cell_arrays = [tail[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
     edges, edge_cells, keys, key_ids = _edge_table(tail, head, owner, nv)
@@ -296,8 +296,9 @@ def _group_ids(cells, idx, n):
 
 def _cell_failures(ids, pts):
     """Index into ``_CELL_CHECKS`` of the first check each cell of a group
-    fails, ``len(_CELL_CHECKS)`` when it passes all, and the cells' vertex
-    loops.  Clockwise cells are reversed in place, in ``ids`` too."""
+    fails, ``len(_CELL_CHECKS)`` when it passes all, the cells' vertex loops
+    and their diameters.  Clockwise cells are reversed in place, in ``ids``
+    too."""
     checks = [
         (ids.min(axis=1) < 0) | (ids.max(axis=1) >= len(pts)),
         (ids == np.roll(ids, 1, axis=1)).any(axis=1),
@@ -308,9 +309,10 @@ def _cell_failures(ids, pts):
     cw = geometry.polygon_area(loops) < 0.0
     ids[cw] = ids[cw, ::-1]
     loops[cw] = loops[cw, ::-1]
-    checks.append(~geometry.is_simple_polygon(loops))
+    diameter = geometry.polygon_diameter(loops)
+    checks.append(~geometry.is_simple_polygon(loops, diameter=diameter))
     checks.append(np.ones(len(ids), dtype=bool))  # passed all: len(_CELL_CHECKS)
-    return np.argmax(checks, axis=0), loops
+    return np.argmax(checks, axis=0), loops, diameter
 
 
 def _edge_table(tail, head, owner, nv):
@@ -414,6 +416,7 @@ _UNION_ERRORS = (
     (MergeNonSimpleError, "duplicated directed edge in union"),
     (MergeConstraintError, "union would remove a constrained edge"),
     (MergeNonSimpleError, "union touches itself at a vertex"),
+    (MergeNonSimpleError, "union is not edge-connected"),
     (MergeNonSimpleError, "union has no boundary"),
     (MergeNonSimpleError, "open boundary chain in union"),
     (MergeHoleError, "union encloses a hole"),
@@ -435,8 +438,9 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
     reverse is used too is interior, an error when constrained; a boundary
     edge leaving a vertex that an earlier boundary edge leaves is an error.
     Each of these errors sits at its edge's first use, and a set fails with
-    its earliest one.  The boundaries of the other sets are then walked all
-    at once, from each set's lowest vertex.
+    its earliest one.  A set whose cells its interior edges do not join
+    into one piece fails next.  The boundaries of the other sets are then
+    walked all at once, from each set's lowest vertex.
     """
     nv = mesh.n_vertices
     sizes = np.fromiter(map(len, cell_sets), dtype=np.int64, count=len(cell_sets))
@@ -481,11 +485,20 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
         np.minimum.at(failed, isets[bad], item[bad] * 8 + kind)
     kind = np.where(failed < worst, failed % 8, -1)
 
-    # walk the boundary of the sets without an edge error
-    free = free[failed[isets[free]] == worst]
+    # the cells of a set, numbered by their position in ``members``, joined
+    # by the set's interior edges: item i and the one before it when follows[i]
+    inner = np.flatnonzero(follows)
+    member_of = np.repeat(np.arange(len(members)), uses)
+    roots = _components(len(members), member_of[item[inner - 1]], member_of[item[inner]])
+    member_set = np.repeat(np.arange(n_sets), sizes)
+    split = roots != (np.cumsum(sizes) - sizes)[member_set]
+    kind[(kind < 0) & (np.bincount(member_set[split], minlength=n_sets) > 0)] = 3
+
+    # walk the boundary of the sets without an error
+    free = free[kind[isets[free]] < 0]
     free_key = out_key[free]  # ascending: each set's lowest vertex first
     n_bound = np.bincount(isets[free], minlength=n_sets)
-    kind[(kind < 0) & (n_bound == 0)] = 3
+    kind[(kind < 0) & (n_bound == 0)] = 4
     found = np.minimum(np.searchsorted(free_key, isets[free] * nv + head[item[free]]),
                        max(len(free) - 1, 0))
     succ = np.where(free_key[found] == isets[free] * nv + head[item[free]], found, -1)
@@ -502,12 +515,12 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
         closed = cur == first[walking]
         stuck = ~closed & ((cur < 0) | (step >= n_bound[walking]))
         loop_len[walking[closed]] = step
-        kind[walking[stuck]] = 4
+        kind[walking[stuck]] = 5
         going = ~(closed | stuck)
         walking, cur = walking[going], cur[going]
     closed = kind < 0
-    kind[closed & (loop_len < n_bound)] = 5
-    kind[closed & (loop_len == n_bound) & (loop_len < 3)] = 6
+    kind[closed & (loop_len < n_bound)] = 6
+    kind[closed & (loop_len == n_bound) & (loop_len < 3)] = 7
 
     loops = [None] * n_sets
     errors = [None] * n_sets

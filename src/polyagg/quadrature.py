@@ -87,22 +87,22 @@ def triangle_quadrature(tri, degree: int):
     return pts, w * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
 
 
-def polygon_quadrature(points, degree: int, triangles=None):
+def polygon_quadrature(points, degree: int):
     """Rule exact to ``degree`` on simple CCW polygons (n, 2) or (..., n, 2).
 
     Maps a triangle rule of matching degree onto each ear-clip triangle;
-    weights sum to the polygon area.  ``triangles`` (..., t, 3) holds the
-    ear clipping of each polygon; when omitted every polygon is clipped
-    here (stacked polygons must then clip into equally many triangles).
-    Returns (..., t * q, 2) points and (..., t * q) weights.
+    weights sum to the polygon area.  The polygons are ear-clipped as one
+    stack; a straight vertex, which clipping drops, leaves the zero-area
+    triangle (0, 0, 0), whose weights are exactly 0, so every polygon has
+    n - 2 triangles.  Returns (..., (n - 2) * q, 2) points and
+    (..., (n - 2) * q) weights.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     pts = np.asarray(points, dtype=float)
     lead, n = pts.shape[:-2], pts.shape[-2]
     flat = pts.reshape(-1, n, 2)
-    if triangles is None:
-        triangles = np.stack([geometry.ear_clip(p) for p in flat])
-    tris = np.asarray(triangles).reshape(len(flat), -1, 3)
+    tris = geometry.ear_clip(flat)
+    tris[tris[..., 0] < 0] = 0
     p, w = triangle_quadrature(flat[np.arange(len(flat))[:, None, None], tris], degree)
     return p.reshape(lead + (-1, 2)), w.reshape(lead + (-1,))

@@ -5,12 +5,14 @@ freedom are vertex values, internal Gauss-Lobatto edge values (k > 1) and
 normalized interior moments against the degree k-2 monomials.  The local
 bilinear form couples the L2 projection of gradients with a dofi-dofi
 stabilization scaled by the transmissivity norm.  Element matrices are
-built for whole stacks of cells at once: a mesh is split by ``cell_groups``
-and every array of a ``VemElement`` then carries the stack axis.
+built for whole stacks of cells at once: the cells of all meshes of a
+discretization are split by vertex count (``cell_groups``) and every array
+of a ``VemElement`` then carries the stack axis.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
@@ -39,27 +41,38 @@ def monomial_dim(k: int) -> int:
     return (k + 1) * (k + 2) // 2 if k >= 0 else 0
 
 
-def eval_monomials(exps, pts, center, h) -> np.ndarray:
-    """Scaled monomials at (..., p, 2) points of cells with (..., 2) centers
-    and (...) diameters; returns (..., p, len(exps))."""
-    X, Y = _scaled_coords(pts, center, h)
-    return np.stack([X ** a * Y ** b for a, b in exps], axis=-1)
+def eval_monomials(k: int, pts, center, h) -> np.ndarray:
+    """Scaled monomials of degree <= k at (..., p, 2) points of cells with
+    (..., 2) centers and (...) diameters; returns (..., p, monomial_dim(k)),
+    a view of a table whose monomial axis is outermost in memory."""
+    return np.moveaxis(_products(*_powers(k, pts, center, h)), 0, -1)
 
 
-def eval_monomial_grads(exps, pts, center, h):
-    """x and y derivatives of the scaled monomials, each (..., p, len(exps))."""
-    X, Y = _scaled_coords(pts, center, h)
-    h = np.asarray(h)[..., None]
-    zero = np.zeros_like(X)
-    gx = [a / h * X ** (a - 1) * Y ** b if a > 0 else zero for a, b in exps]
-    gy = [b / h * X ** a * Y ** (b - 1) if b > 0 else zero for a, b in exps]
-    return np.stack(gx, axis=-1), np.stack(gy, axis=-1)
-
-
-def _scaled_coords(pts, center, h):
+def _powers(k, pts, center, h):
+    """Powers 0..k of the scaled coordinates (x - cx) / h and (y - cy) / h,
+    each a (k + 1, ..., p) table."""
     center = np.asarray(center)[..., None, :]
     h = np.asarray(h)[..., None]
-    return (pts[..., 0] - center[..., 0]) / h, (pts[..., 1] - center[..., 1]) / h
+    P = np.empty((2, k + 1) + pts.shape[:-1])
+    P[:, 0] = 1.0
+    if k:
+        np.divide(pts[..., 0] - center[..., 0], h, out=P[0, 1])
+        np.divide(pts[..., 1] - center[..., 1], h, out=P[1, 1])
+    for e in range(2, k + 1):
+        np.multiply(P[:, e - 1], P[:, 1], out=P[:, e])
+    return P[0], P[1]
+
+
+def _products(X, Y):
+    """The monomials of degree <= k from the power tables of ``_powers``, as
+    a (monomial_dim(k), ..., p) table; degree d holds x^d, x^(d-1) y, ...,
+    y^d, one product of two power-table views."""
+    k = len(X) - 1
+    M = np.empty((monomial_dim(k),) + X.shape[1:])
+    for d in range(k + 1):
+        lo = d * (d + 1) // 2
+        np.multiply(X[d::-1], Y[:d + 1], out=M[lo:lo + d + 1])
+    return M
 
 
 def _monomial_index(a: int, b: int) -> int:
@@ -91,7 +104,6 @@ class VemElement:
     count: every array then carries the stack's leading axes."""
 
     k: int
-    points: np.ndarray
     area: float
     centroid: np.ndarray
     diameter: float
@@ -104,16 +116,11 @@ class VemElement:
     H: np.ndarray            # monomial mass matrix
     qp: np.ndarray
     qw: np.ndarray
-    Mq: np.ndarray           # monomials at quadrature points
 
 
-def build_element(points, k: int, cell_id=None, triangles=None) -> VemElement:
+def build_element(points, k: int, cell_id=None) -> VemElement:
     """All local projector matrices of one polygonal cell (n, 2), or of a
-    stack of cells (..., n, 2) with one vertex count, built in one pass.
-
-    ``triangles`` (..., t, 3) is the ear clipping of each cell; when
-    omitted, ``polygon_quadrature`` clips the cells itself.
-    """
+    stack of cells (..., n, 2) with one vertex count, built in one pass."""
     pts = np.asarray(points, dtype=float)
     lead, n = pts.shape[:-2], pts.shape[-2]
     area, cx, cy = geometry.polygon_area_centroid(pts)
@@ -129,35 +136,40 @@ def build_element(points, k: int, cell_id=None, triangles=None) -> VemElement:
     ndof = n_local_dofs(k, n)
     mom_base = n * k
 
-    qp, qw = polygon_quadrature(pts, 2 * k + 2, triangles)
-    Mq = eval_monomials(exps, qp, center, h)
+    qp, qw = polygon_quadrature(pts, 2 * k + 2)
+    Mq = eval_monomials(k, qp, center, h)
     H = Mq.swapaxes(-1, -2) @ (qw[..., None] * Mq)
 
-    # dof positions: vertices, then k-1 internal Lobatto points per edge;
-    # edge i runs from vertex i to vertex i+1
+    # the (k+1)-point Lobatto rule of edge i, from vertex i to vertex i+1,
+    # starts at vertex i and holds the edge's k-1 internal dof points
     nxt = np.roll(pts, -1, axis=-2)
-    gl, _ = gauss_lobatto_points(k, pts, nxt)
+    e = nxt - pts
+    elen = np.hypot(e[..., 0], e[..., 1])
+    ep, ew = edge_lobatto_quadrature(k, pts, nxt)
+    X, Y = _powers(k, ep.reshape(lead + (-1, 2)), center, h)
+    M = _products(X, Y)
+    a, b = exps.T
+    at = np.moveaxis(M, 0, -1).reshape(lead + (n, k + 1, -1))
     D = np.concatenate([
-        eval_monomials(exps, pts, center, h),
-        eval_monomials(exps, gl.reshape(lead + (-1, 2)), center, h),
+        at[..., 0, :],
+        at[..., 1:k, :].reshape(lead + (-1, len(exps))),
         H[..., :nmom, :] / area[..., None, None],
     ], axis=-2)
 
     # B: rows (grad m_r, grad phi_j) by parts; row 0 fixes the projector
     # constant.  Edge terms are summed per Lobatto point, then scattered to
     # the dofs.
-    e = nxt - pts
-    elen = np.hypot(e[..., 0], e[..., 1])
-    ep, ew = edge_lobatto_quadrature(k, pts, nxt)
-    ep = ep.reshape(lead + (-1, 2))
-    wnx = (ew * (e[..., 1] / elen)[..., None]).reshape(lead + (-1, 1))
-    wny = (ew * (-e[..., 0] / elen)[..., None]).reshape(lead + (-1, 1))
-    gx, gy = eval_monomial_grads(exps, ep, center, h)
-    Me = eval_monomials(exps, ep, center, h)[..., :nk1]
+    wnx = (ew * (e[..., 1] / elen)[..., None]).reshape(lead + (-1,))
+    wny = (ew * (-e[..., 0] / elen)[..., None]).reshape(lead + (-1,))
+    # d/dx of monomial (a, b) is a / h * x^(a-1) * y^b
+    hq = np.asarray(h)[..., None]
+    fa, fb = (f.reshape((-1,) + (1,) * hq.ndim) / hq for f in (a, b))
+    gx = fa * X[np.maximum(a - 1, 0)] * Y[b]
+    gy = fb * X[a] * Y[np.maximum(b - 1, 0)]
     S = _edge_scatter(n, k)
-    B = (wnx * gx + wny * gy).swapaxes(-1, -2) @ S
-    Ex = (wnx * Me).swapaxes(-1, -2) @ S
-    Ey = (wny * Me).swapaxes(-1, -2) @ S
+    B = np.moveaxis(wnx * gx + wny * gy, 0, -2) @ S
+    Ex = np.moveaxis(M[:nk1] * wnx, 0, -2) @ S
+    Ey = np.moveaxis(M[:nk1] * wny, 0, -2) @ S
     if nmom:
         for r, (a_, b_) in enumerate(exps):
             if a_ >= 2:
@@ -190,18 +202,12 @@ def build_element(points, k: int, cell_id=None, triangles=None) -> VemElement:
     C[(...,) + moments] = area[..., None]
     pi0s = np.linalg.solve(H, C)
 
-    H1 = H[..., :nk1, :nk1]
-    C = H[..., :nk1, :] @ pins
-    C[..., :nmom, :] = 0.0
-    C[(...,) + moments] = area[..., None]
-    pi0km1s = np.linalg.solve(H1, C)
-
-    pgx = np.linalg.solve(H1, Ex)
-    pgy = np.linalg.solve(H1, Ey)
+    # P_{k-1} projectors: one inverse of the small mass matrix serves all
+    # three, and the first nk1 rows of C are their right-hand side
+    H1inv = np.linalg.inv(H[..., :nk1, :nk1])
 
     return VemElement(
         k=k,
-        points=pts,
         area=area[()],
         centroid=center,
         diameter=h[()],
@@ -209,43 +215,44 @@ def build_element(points, k: int, cell_id=None, triangles=None) -> VemElement:
         D=D,
         pins=pins,
         pi0s=pi0s,
-        pi0km1s=pi0km1s,
-        pigrad=(pgx, pgy),
+        pi0km1s=H1inv @ C[..., :nk1, :],
+        pigrad=(H1inv @ Ex, H1inv @ Ey),
         H=H,
         qp=qp,
         qw=qw,
-        Mq=Mq,
     )
 
 
 def local_stiffness(element: VemElement, K=None) -> np.ndarray:
-    """Consistency term on projected gradients plus dofi-dofi stabilization."""
-    if K is None:
-        K = np.eye(2)
-    K = np.asarray(K, dtype=float)
-    if K.shape != (2, 2) or not np.allclose(K, K.T, rtol=1e-12, atol=1e-14):
+    """Consistency term on projected gradients plus dofi-dofi stabilization.
+
+    ``K`` is a symmetric positive definite 2x2 matrix (default: identity) or
+    a stack of them that broadcasts against the element's cells.
+    """
+    K = np.eye(2) if K is None else np.asarray(K, dtype=float)
+    if K.shape[-2:] != (2, 2) or not np.allclose(K, K.swapaxes(-1, -2),
+                                                 rtol=1e-12, atol=1e-14):
         raise ValueError("K must be a symmetric 2x2 matrix")
     ev = np.linalg.eigvalsh(K)
-    if ev[0] <= 0.0:
+    if (ev[..., 0] <= 0.0).any():
         raise ValueError("K must be positive definite")
     nk1 = monomial_dim(element.k - 1)
     H1 = element.H[..., :nk1, :nk1]
-    g = element.pigrad
-    A = np.zeros(element.D.shape[:-2] + (element.ndof, element.ndof))
-    for c in range(2):
-        for d in range(2):
-            if K[c, d] != 0.0:
-                A += K[c, d] * (g[c].swapaxes(-1, -2) @ H1 @ g[d])
+    # the gradient projections against K (x) H1, the mass matrix of P_{k-1}^2
+    KH = K[..., :, None, :, None] * H1[..., None, :, None, :]
+    KH = KH.reshape(KH.shape[:-4] + (2 * nk1, 2 * nk1))
+    G = np.concatenate(element.pigrad, axis=-2)
+    A = G.swapaxes(-1, -2) @ KH @ G
     S = np.eye(element.ndof) - element.D @ element.pins
-    A += np.linalg.norm(K, 2) * (S.swapaxes(-1, -2) @ S)
+    A += ev[..., -1, None, None] * (S.swapaxes(-1, -2) @ S)
     return 0.5 * (A + A.swapaxes(-1, -2))
 
 
-def local_load(element: VemElement, f) -> np.ndarray:
-    """(f, Pi0_{k-1} phi_j) over the cell via the stored quadrature."""
-    nk1 = monomial_dim(element.k - 1)
-    fv = _at_points(f, element.qp)
-    fm = np.einsum("...pr,...p->...r", element.Mq[..., :nk1], element.qw * fv)
+def local_load(element: VemElement, fq) -> np.ndarray:
+    """(f, Pi0_{k-1} phi_j) over each cell from the source values ``fq`` at
+    the element's quadrature points."""
+    Mq = eval_monomials(element.k - 1, element.qp, element.centroid, element.diameter)
+    fm = np.einsum("...pr,...p->...r", Mq, element.qw * fq)
     return np.einsum("...rj,...r->...j", element.pi0km1s, fm)
 
 
@@ -256,10 +263,12 @@ def _at_points(fn, pts) -> np.ndarray:
 
 
 def projector_discrepancies(element: VemElement):
-    """Spectral norms of Pi_nabla*D - I and Pi0*D - I (one per stacked cell)."""
-    eye = np.eye(element.D.shape[-1])
-    dn = np.linalg.norm(element.pins @ element.D - eye, 2, axis=(-2, -1))
-    d0 = np.linalg.norm(element.pi0s @ element.D - eye, 2, axis=(-2, -1))
+    """Spectral norms of Pi_nabla*D - I and Pi0*D - I (one per stacked cell),
+    from the largest eigenvalue of R^T R for both residuals R at once."""
+    R = np.stack([element.pins @ element.D, element.pi0s @ element.D])
+    R -= np.eye(element.D.shape[-1])
+    lam = np.linalg.eigvalsh(R.swapaxes(-1, -2) @ R)[..., -1]
+    dn, d0 = np.sqrt(np.maximum(lam, 0.0))
     return dn[()], d0[()]
 
 
@@ -274,25 +283,18 @@ class DofMap:
     n_edges: int
     n_cells: int
     total: int
-    cell_dofs: list          # per cell, local -> global
+    groups: dict             # vertex count -> (cell ids, (m, ndof) local -> global)
     edge_base: int
     moment_base: int
-
-    def edge_slot(self, edge_id: int, s: int) -> int:
-        return self.edge_base + edge_id * (self.k - 1) + s
-
-    def group_dofs(self, cell_ids) -> np.ndarray:
-        """(m, ndof) local-to-global ids of cells with one vertex count."""
-        return np.stack([self.cell_dofs[c] for c in cell_ids])
 
 
 def build_dof_map(mesh: PolygonalMesh, k: int) -> DofMap:
     """Local-to-global DOF ids of every cell: its vertices, then k-1 slots
     per edge in the cell's traversal direction, then its moments.
 
-    Cells are handled one vertex-count group at a time; an edge's slots run
-    from its lower to its higher vertex id and are reversed for a cell that
-    traverses the edge the other way.
+    Cells are handled one vertex-count group at a time, ascending, and keep
+    that grouping; an edge's slots run from its lower to its higher vertex
+    id and are reversed for a cell that traverses the edge the other way.
     """
     if k not in (1, 2, 3):
         raise ValueError("order k must be 1, 2 or 3")
@@ -303,7 +305,7 @@ def build_dof_map(mesh: PolygonalMesh, k: int) -> DofMap:
     moment_base = nv + ne * km1
     total = moment_base + nc * nmom
     sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=nc)
-    cell_dofs = [None] * nc
+    groups = {}
     for n in np.unique(sizes).tolist():
         cids = np.flatnonzero(sizes == n)
         ids = np.stack([mesh.cells[c] for c in cids])
@@ -318,9 +320,8 @@ def build_dof_map(mesh: PolygonalMesh, k: int) -> DofMap:
             g[:, n: n * k] = slots.reshape(len(cids), n * km1)
         if nmom:
             g[:, n * k:] = moment_base + cids[:, None] * nmom + np.arange(nmom)
-        for c, row in zip(cids.tolist(), g):
-            cell_dofs[c] = row
-    return DofMap(k, nv, ne, nc, total, cell_dofs, edge_base, moment_base)
+        groups[n] = (cids, g)
+    return DofMap(k, nv, ne, nc, total, groups, edge_base, moment_base)
 
 
 def dof_positions(mesh: PolygonalMesh, dofmap: DofMap) -> np.ndarray:
@@ -400,49 +401,88 @@ def _factor_spd(A):
     return lu
 
 
-def cell_groups(mesh: PolygonalMesh):
-    """Cells grouped by (vertex count, ear-clip triangle count), keys ascending.
+class Part(NamedTuple):
+    """One mesh of a discretization with what its cells contribute."""
 
-    Yields (cell ids, (m, n) vertex ids, (m, t, 3) ear-clip triangles).
-    Straight vertices yield no triangle, so the cells of one group share
-    one quadrature layout and stack without padding.
+    mesh: PolygonalMesh
+    dofmap: DofMap
+    gids: np.ndarray         # global id of each DOF of ``dofmap``
+    K: object = None         # 2x2 transmissivity, identity when None
+    f: object = None         # source on mesh coordinates, no load when None
+
+
+class ElementGroup(NamedTuple):
+    """The cells of all parts that have one vertex count."""
+
+    cells: np.ndarray        # (m,) cell ids, each part's after the previous parts'
+    part: np.ndarray         # (m,) part index of each cell
+    dofs: np.ndarray         # (m, ndof) global DOF ids
+    element: VemElement
+
+
+def cell_groups(parts):
+    """The cells of all ``parts`` grouped by vertex count, ascending.
+
+    Yields (cells, part, dofs, (m, n, 2) vertex coordinates) as in
+    ``ElementGroup``, parts in order and each part's cells ascending; the
+    first n DOF ids of a cell are its vertex ids.
     """
-    sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
-    for n in np.unique(sizes).tolist():
-        cids = np.flatnonzero(sizes == n)
-        verts = np.stack([mesh.cells[c] for c in cids])
-        tris = geometry.ear_clip(mesh.points[verts])  # -1 rows: dropped vertices
-        counts = (tris[..., 0] >= 0).sum(axis=1)
-        for t in np.unique(counts).tolist():
-            sel = counts == t
-            yield cids[sel], verts[sel], tris[sel][tris[sel][..., 0] >= 0].reshape(-1, t, 3)
+    base = np.cumsum([0] + [p.mesh.n_cells for p in parts])
+    for n in sorted(set().union(*(p.dofmap.groups for p in parts))):
+        have = [(i, *p.dofmap.groups[n]) for i, p in enumerate(parts) if n in p.dofmap.groups]
+        yield (np.concatenate([base[i] + cids for i, cids, _ in have]),
+               np.concatenate([np.full(len(cids), i) for i, cids, _ in have]),
+               np.concatenate([parts[i].gids[ids] for i, _, ids in have]),
+               np.concatenate([parts[i].mesh.points[ids[:, :n]] for i, _, ids in have]))
 
 
-def build_local_system(mesh: PolygonalMesh, dofmap: DofMap, K=None, f=None):
-    """Element groups plus COO triplets and load vector in the mesh-local DOF
-    ids of ``dofmap``, which fixes the order k.
+def _part_values(fns, part, pts):
+    """``fns[p]`` at the stacked (m, q, 2) points of the cells of each part p;
+    zero for a part whose function is None, and None when every cell's is."""
+    out = None
+    for p, fn in enumerate(fns):
+        rows = np.flatnonzero(part == p)
+        if fn is None or not len(rows):
+            continue
+        val = _at_points(fn, pts[rows])
+        if out is None:
+            out = np.zeros(pts.shape[:-1] + val.shape[pts.ndim - 1:])
+        out[rows] = val
+    return out
 
-    One ``build_element`` call per ``cell_groups`` group; ``elements`` is a
-    list of (cell ids, stacked VemElement).
+
+def build_local_system(parts, n_global: int):
+    """Element groups, global matrix and load vector in global DOF ids.
+
+    One ``build_element`` and one ``local_stiffness`` call per vertex count
+    over all parts, with each cell's K; a part's source is evaluated on its
+    own cells.  ``groups`` is a list of ``ElementGroup``.
+
+    Every element matrix is exactly symmetric, but the sparse conversion
+    sums the contributions to (i, j) and to (j, i) in orders of its own, so
+    where three or more cells meet (the trace DOFs of a network) the sums
+    can differ in the last bit; averaging with the transpose makes the
+    matrix exactly symmetric.
     """
-    k = dofmap.k
-    elements = []
+    k = parts[0].dofmap.k
+    Ks = np.stack([np.eye(2) if p.K is None else np.asarray(p.K, dtype=float) for p in parts])
+    sources = [p.f for p in parts]
+    groups = []
     rows, cols, vals = [], [], []
-    b = np.zeros(dofmap.total)
-    for cids, verts, tris in cell_groups(mesh):
-        el = build_element(mesh.points[verts], k, cell_id=cids, triangles=tris)
-        elements.append((cids, el))
-        Ke = local_stiffness(el, K)
-        g = dofmap.group_dofs(cids)
-        rows.append(np.broadcast_to(g[:, :, None], Ke.shape).ravel())
-        cols.append(np.broadcast_to(g[:, None, :], Ke.shape).ravel())
+    b = np.zeros(n_global)
+    for cells, part, dofs, pts in cell_groups(parts):
+        el = build_element(pts, k, cell_id=cells)
+        groups.append(ElementGroup(cells, part, dofs, el))
+        Ke = local_stiffness(el, Ks[part])
+        rows.append(np.broadcast_to(dofs[:, :, None], Ke.shape).ravel())
+        cols.append(np.broadcast_to(dofs[:, None, :], Ke.shape).ravel())
         vals.append(Ke.ravel())
-        if f is not None:
-            np.add.at(b, g, local_load(el, f))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return elements, rows, cols, vals, b
+        fq = _part_values(sources, part, el.qp)
+        if fq is not None:
+            np.add.at(b, dofs, local_load(el, fq))
+    A = sps.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n_global, n_global)).tocsr()
+    return groups, ((A + A.T) * 0.5).tocsr(), b
 
 
 def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
@@ -455,17 +495,14 @@ def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
     if dirichlet is None:
         raise MeshError("boundary data missing: a Dirichlet callable is required")
     dofmap = build_dof_map(mesh, k)
-    elements, rows, cols, vals, b = build_local_system(mesh, dofmap, K, f)
-    A = sps.coo_matrix(
-        (vals, (rows, cols)), shape=(dofmap.total, dofmap.total)
-    ).tocsr()
-    A = ((A + A.T) * 0.5).tocsr()
+    part = Part(mesh, dofmap, np.arange(dofmap.total), K, f)
+    groups, A, b = build_local_system([part], dofmap.total)
     dir_idx = boundary_dofs(mesh, dofmap)
     pos = dof_positions(mesh, dofmap)
     dir_val = np.asarray(dirichlet(pos[dir_idx]), dtype=float)
     free = np.setdiff1d(np.arange(dofmap.total), dir_idx)
     system = SparseSpdSystem(A, b, dir_idx, dir_val, free, dofmap)
-    return system, elements
+    return system, groups
 
 
 def solve_spd(system: SparseSpdSystem) -> np.ndarray:
@@ -549,47 +586,63 @@ def condition_estimate(system_or_matrix, tol=1e-6, max_iter=5000) -> CondEstimat
                         ok1 and ok2, it1 + it2)
 
 
-def _projected_solution(k, element, u_loc):
-    """Pi0_k u_h and the projected gradient at each cell's quadrature points."""
-    nk1 = monomial_dim(k - 1)
+def projected_solution(groups, solution):
+    """Monomial coefficients of Pi0_k u_h and of its projected gradient
+    (x, y) on each group's cells, one triple per group."""
+    out = []
+    for g in groups:
+        u = solution[g.dofs][..., None]
+        el = g.element
+        out.append(((el.pi0s @ u)[..., 0], (el.pigrad[0] @ u)[..., 0],
+                    (el.pigrad[1] @ u)[..., 0]))
+    return out
 
-    def at_qp(P, Mq):
-        return np.einsum("...pr,...r->...p", Mq,
-                         np.einsum("...rj,...j->...r", P, u_loc))
 
-    Mq1 = element.Mq[..., :nk1]
-    return (at_qp(element.pi0s, element.Mq),
-            at_qp(element.pigrad[0], Mq1), at_qp(element.pigrad[1], Mq1))
+def error_norms(groups, projected, exact_u, exact_grad):
+    """Global L2 error against Pi0_k u_h and H1 seminorm error on gradients.
 
-
-def error_norms(mesh, k, elements, dofmap, solution, exact_u, exact_grad):
-    """Global L2 error against Pi0_k u_h and H1 seminorm error on gradients."""
+    ``projected`` is ``projected_solution`` of the groups; ``exact_u`` and
+    ``exact_grad`` hold one callable per part.
+    """
     l2 = 0.0
     h1 = 0.0
-    for cids, el in elements:
-        uh, gxh, gyh = _projected_solution(k, el, solution[dofmap.group_dofs(cids)])
-        ue = _at_points(exact_u, el.qp)
-        ge = _at_points(exact_grad, el.qp)
-        l2 += float(np.sum(el.qw * (ue - uh) ** 2))
-        h1 += float(np.sum(el.qw * ((ge[..., 0] - gxh) ** 2 + (ge[..., 1] - gyh) ** 2)))
-    return np.sqrt(l2), np.sqrt(h1)
+    for g, (c, cx, cy) in zip(groups, projected, strict=True):
+        el = g.element
+        for p, (u, grad) in enumerate(zip(exact_u, exact_grad)):
+            rows = np.flatnonzero(g.part == p)
+            if not len(rows):
+                continue
+            # one part's cells at a time keeps the temporaries small
+            qp, qw = el.qp[rows], el.qw[rows]
+            Mq = eval_monomials(el.k, qp, el.centroid[rows], el.diameter[rows])
+            Mq1 = Mq[..., :cx.shape[-1]]
+            uh, gxh, gyh = (np.einsum("...pr,...r->...p", M, a[rows])
+                            for M, a in ((Mq, c), (Mq1, cx), (Mq1, cy)))
+            l2 += float(np.sum(qw * (_at_points(u, qp) - uh) ** 2))
+            ge = _at_points(grad, qp)
+            h1 += float(np.sum(qw * ((ge[..., 0] - gxh) ** 2 + (ge[..., 1] - gyh) ** 2)))
+    return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
-def solution_norms(mesh, k, elements, dofmap, solution):
-    """L2 norm and H1 seminorm of the projected discrete solution."""
+def solution_norms(groups, projected):
+    """L2 norm and H1 seminorm of the projected discrete solution, as
+    quadratic forms of the monomial mass matrix."""
     l2 = 0.0
     h1 = 0.0
-    for cids, el in elements:
-        uh, gxh, gyh = _projected_solution(k, el, solution[dofmap.group_dofs(cids)])
-        l2 += float(np.sum(el.qw * uh**2))
-        h1 += float(np.sum(el.qw * (gxh**2 + gyh**2)))
-    return np.sqrt(l2), np.sqrt(h1)
+    for g, (c, cx, cy) in zip(groups, projected, strict=True):
+        H = g.element.H
+        H1 = H[..., :cx.shape[-1], :cx.shape[-1]]
+        l2 += float(np.einsum("...r,...rs,...s->...", c, H, c).sum())
+        h1 += float(np.einsum("...r,...rs,...s->...", cx, H1, cx).sum()
+                    + np.einsum("...r,...rs,...s->...", cy, H1, cy).sum())
+    return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
-def projection_discrepancy(mesh: PolygonalMesh, k: int, elements):
+def projection_discrepancy(groups):
     """Per-cell spectral norms of the two projector identities, in cell order."""
-    dn = np.empty(mesh.n_cells)
-    d0 = np.empty(mesh.n_cells)
-    for cids, el in elements:
-        dn[cids], d0[cids] = projector_discrepancies(el)
+    n = sum(len(g.cells) for g in groups)
+    dn = np.empty(n)
+    d0 = np.empty(n)
+    for g in groups:
+        dn[g.cells], d0[g.cells] = projector_discrepancies(g.element)
     return dn, d0

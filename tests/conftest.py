@@ -742,9 +742,11 @@ def ref_minimize(mesh, config, maxflow=ref_maxflow):
 
 
 # Reference DOF layer: the per-cell, per-edge and per-DOF loops that the
-# grouped array versions replaced, kept verbatim (an edge's slot range is
-# written out where the loops called ``DofMap.edge_slots``).  The array
-# versions must give the same ids, positions and roots bit for bit.
+# grouped array versions replaced, kept verbatim (an edge's slots are
+# written out where the loops called ``DofMap.edge_slots`` and
+# ``DofMap.edge_slot``; the per-cell rows are grouped by vertex count at the
+# end, as ``DofMap.groups`` holds them).  The array versions must give the
+# same ids, positions and roots bit for bit.
 
 def ref_build_dof_map(mesh, k):
     nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
@@ -772,7 +774,30 @@ def ref_build_dof_map(mesh, k):
         if nmom:
             g[m * k:] = moment_base + ci * nmom + np.arange(nmom)
         cell_dofs.append(g)
-    return vem.DofMap(k, nv, ne, nc, total, cell_dofs, edge_base, moment_base)
+    by_size = {}
+    for ci, g in enumerate(cell_dofs):
+        by_size.setdefault(len(mesh.cells[ci]), []).append((ci, g))
+    groups = {n: (np.array([ci for ci, _ in rows], dtype=np.int64), np.stack([g for _, g in rows]))
+              for n, rows in sorted(by_size.items())}
+    return vem.DofMap(k, nv, ne, nc, total, groups, edge_base, moment_base)
+
+
+def cell_dofs(dofmap):
+    """The DOF ids of each cell of a ``vem.DofMap``, in cell order."""
+    rows = [None] * dofmap.n_cells
+    for cids, ids in dofmap.groups.values():
+        for c, row in zip(cids.tolist(), ids):
+            rows[c] = row
+    return rows
+
+
+def dof_maps_equal(got, want):
+    """Same counts, bases and per vertex count the same cell ids and DOF ids, dtypes included."""
+    fields = ("k", "n_vertices", "n_edges", "n_cells", "total", "edge_base", "moment_base")
+    return (all(getattr(got, f) == getattr(want, f) for f in fields)
+            and list(got.groups) == list(want.groups)
+            and all(a.dtype == b.dtype and np.array_equal(a, b)
+                    for n in got.groups for a, b in zip(got.groups[n], want.groups[n])))
 
 
 def ref_dof_positions(mesh, dofmap):
@@ -865,8 +890,8 @@ def ref_global_dof_ids(meshes, network, matches, k, tol_rel=1e-9):
                     dist = np.linalg.norm(pb3 - pa3[s], axis=1)
                     s2 = int(np.argmin(dist))
                     assert dist[s2] <= tol
-                    union(offsets[fid_a] + dm_a.edge_slot(ea, s),
-                          offsets[fid_b] + dm_b.edge_slot(eb, s2))
+                    union(offsets[fid_a] + dm_a.edge_base + ea * (k - 1) + s,
+                          offsets[fid_b] + dm_b.edge_base + eb * (k - 1) + s2)
 
     uniq, inv = np.unique(ref_forest_roots(parent), return_inverse=True)
     g = {fid: inv[offsets[fid]: offsets[fid] + locals_[fid].total].astype(np.int64)
@@ -883,12 +908,14 @@ def ref_union_loop(mesh, cell_ids):
     """Outer vertex loop of the union of the cells; raises the MergeError."""
     constrained = set(mesh.constrained_edge_pairs())
     directed = {}
-    for ci in cell_ids:
+    owner = {}  # directed edge -> position of its cell in cell_ids
+    for pos, ci in enumerate(cell_ids):
         ids = mesh.cells[ci]
         m = len(ids)
         for k in range(m):
             u, v = int(ids[k]), int(ids[(k + 1) % m])
             directed[(u, v)] = directed.get((u, v), 0) + 1
+            owner[(u, v)] = pos
 
     boundary = {}
     for (u, v), cnt in directed.items():
@@ -905,6 +932,15 @@ def ref_union_loop(mesh, cell_ids):
             raise MergeNonSimpleError("union touches itself at a vertex")
         boundary[u] = v
 
+    reached, stack = {0}, [0]
+    while stack:
+        pos = stack.pop()
+        for (u, v), p in owner.items():
+            if p == pos and owner.get((v, u), pos) not in reached:
+                reached.add(owner[(v, u)])
+                stack.append(owner[(v, u)])
+    if cell_ids and len(reached) < len(cell_ids):
+        raise MergeNonSimpleError("union is not edge-connected")
     if not boundary:
         raise MergeNonSimpleError("union has no boundary")
     start = min(boundary)
@@ -1191,15 +1227,31 @@ def ref_ear_clip(pts):
     return np.asarray(tris, dtype=np.int64)
 
 
-def ref_cell_groups(mesh):
-    """vem.cell_groups by one ear clipping per cell."""
+def ref_cell_groups(parts):
+    """vem.cell_groups by one pass over the cells of each part."""
     groups = {}
-    for ci, ids in enumerate(mesh.cells):
-        tris = ref_ear_clip(mesh.points[ids])
-        groups.setdefault((len(ids), len(tris)), []).append((ci, ids, tris))
-    for key in sorted(groups):
-        cids, verts, tris = zip(*groups[key])
-        yield np.array(cids, dtype=np.int64), np.stack(verts), np.stack(tris)
+    base = 0
+    for i, part in enumerate(parts):
+        rows = cell_dofs(ref_build_dof_map(part.mesh, part.dofmap.k))
+        for ci, ids in enumerate(part.mesh.cells):
+            groups.setdefault(len(ids), []).append(
+                (base + ci, i, part.gids[rows[ci]], part.mesh.points[ids]))
+        base += part.mesh.n_cells
+    for n in sorted(groups):
+        cells, part, dofs, pts = zip(*groups[n])
+        yield (np.array(cells, dtype=np.int64), np.array(part, dtype=np.int64),
+               np.stack(dofs), np.stack(pts))
+
+
+def network_parts(meshes, k):
+    """A ``vem.Part`` per mesh, with no K or source, whose DOFs follow the
+    previous meshes' as if none were shared; and the DOF count."""
+    parts, base = [], 0
+    for mesh in meshes:
+        dm = vem.build_dof_map(mesh, k)
+        parts.append(vem.Part(mesh, dm, base + np.arange(dm.total)))
+        base += dm.total
+    return parts, base
 
 
 def ref_condition_estimate(A, factor, tol=1e-6, max_iter=5000):

@@ -1,9 +1,11 @@
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given
 
 from polyagg import dfn, mesh as mesh_mod, vem
@@ -35,11 +37,13 @@ from polyagg.dfn import (
     NetworkCase,
     FractureSolution,
 )
-from polyagg.mesh import MeshFormatError, build_mesh
+from polyagg.mesh import MeshError, MeshFormatError, build_mesh
 from polyagg.solutions import CATALOG
 
 from conftest import (
     FUZZ_SETTINGS,
+    cell_dofs,
+    dof_maps_equal,
     mesh_fields,
     mutated_file,
     ref_build_dof_map,
@@ -491,9 +495,7 @@ def test_dof_layer_matches_scalar_reference(network1_discs, lam, k):
     gmap = build_global_dofmap(disc.meshes, case.network, disc.matches, k)
     for fid, mesh in disc.meshes.items():
         dm, ref = gmap.locals[fid], ref_build_dof_map(mesh, k)
-        assert dm.total == ref.total
-        for got, want in zip(dm.cell_dofs, ref.cell_dofs, strict=True):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert dof_maps_equal(dm, ref)
         pos = vem.dof_positions(mesh, dm)
         assert pos.tobytes() == ref_dof_positions(mesh, ref).tobytes()
 
@@ -509,6 +511,87 @@ def test_global_dofmap_matches_union_find_reference(network1_discs, k):
         assert n_global == gmap.n_global < sum(dm.total for dm in gmap.locals.values())
         for fid in disc.meshes:
             assert gmap.g[fid].dtype == np.int64 and np.array_equal(gmap.g[fid], g[fid])
+
+
+def test_global_dofmap_edge_slot_errors(network1_discs):
+    """A moved trace vertex fails the edge DOF match, a trace node that ends
+    no mesh edge with its neighbours fails as a missing covering edge, and
+    with both on one trace the earlier edge pair's failure is reported."""
+    case, discs = network1_discs
+    disc = discs[0.0]
+    tr = case.network.traces[0]
+    fb = tr.frac_j
+    nodes = disc.matches[tr.tid][fb]
+    assert len(nodes) >= 4
+    mesh_b = disc.meshes[fb]
+    moved = mesh_b.points.copy()
+    (_, v1), (_, v2) = nodes[1], nodes[2]
+    moved[v1] += 0.3 * (moved[v2] - moved[v1])  # internal points of edge pairs 0, 1 move
+    meshes = {**disc.meshes, fb: dataclasses.replace(mesh_b, points=moved)}
+    t, v = nodes[-2]
+    far = int(np.argmax(np.linalg.norm(mesh_b.points - mesh_b.points[v], axis=1)))
+    broken = {**disc.matches,
+              tr.tid: {**disc.matches[tr.tid], fb: nodes[:-2] + [(t, far), nodes[-1]]}}
+    for k in (2, 3):
+        with pytest.raises(MeshError, match=rf"trace {tr.tid}: edge DOF match failed \(0\.\d+"):
+            build_global_dofmap(meshes, case.network, disc.matches, k)
+        with pytest.raises(MeshError, match=f"trace {tr.tid}: covering edge missing"):
+            build_global_dofmap(disc.meshes, case.network, broken, k)
+        with pytest.raises(MeshError, match="edge DOF match failed"):
+            build_global_dofmap(meshes, case.network, broken, k)
+    build_global_dofmap(meshes, case.network, broken, 1)  # no edge slots at k=1
+
+
+def _per_cell_system(network, meshes, gmap, sources):
+    """The matrix, load and projector discrepancies of building each cell
+    of each fracture alone, with its fracture's K and source."""
+    frs = {f.fid: f for f in network.fractures}
+    rows, cols, vals, dn, d0 = [], [], [], [], []
+    b = np.zeros(gmap.n_global)
+    for fid in sorted(meshes):
+        mesh, f = meshes[fid], sources.get(fid)
+        for ids, loc in zip(mesh.cells, cell_dofs(gmap.locals[fid]), strict=True):
+            el = vem.build_element(mesh.points[ids], gmap.k)
+            d = gmap.g[fid][loc]
+            rows.append(np.repeat(d, len(d)))
+            cols.append(np.tile(d, len(d)))
+            vals.append(vem.local_stiffness(el, frs[fid].K).ravel())
+            if f is not None:
+                np.add.at(b, d, vem.local_load(el, f(el.qp)))
+            dn.append(vem.projector_discrepancies(el)[0])
+            d0.append(vem.projector_discrepancies(el)[1])
+    A = sps.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(gmap.n_global, gmap.n_global)).tocsr()
+    return A, b, np.array(dn), np.array(d0)
+
+
+def _check_network_groups(case, disc, k):
+    """One assembly over network-wide groups against the per-cell one:
+    the matrix is exactly symmetric, matrix and load agree to 1e-12
+    relative and the per-cell discrepancies to round-off."""
+    network = case.network
+    gmap = build_global_dofmap(disc.meshes, network, disc.matches, k)
+    sources = case.sources()
+    system, groups = assemble_network(network, disc.meshes, gmap, sources=sources,
+                                      dirichlet_values=case.dirichlet_values())
+    assert (system.A != system.A.T).nnz == 0
+    A, b, dn, d0 = _per_cell_system(network, disc.meshes, gmap, sources)
+    assert abs(system.A - A).max() <= 1e-12 * abs(A).max()
+    assert np.abs(system.b - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+    got_dn, got_d0 = vem.projection_discrepancy(groups)
+    # the discrepancies are round-off themselves (up to 6e-8 at k=3); the
+    # two builds differ in summation order only (measured up to 2e-11)
+    assert np.abs(got_dn - dn).max() <= 1e-9 and np.abs(got_d0 - d0).max() <= 1e-9
+    return system, b
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_network_groups_match_per_cell_assembly(network1_discs, lam, k):
+    """network1: every fracture's cells in one group per vertex count give
+    the system of building and scattering each cell alone."""
+    case, discs = network1_discs
+    _check_network_groups(case, discs[lam], k)
 
 
 def test_forest_roots_matches_find_on_deep_forests(rng):
@@ -659,6 +742,20 @@ def test_non_finite_bc_value_on_its_plane_is_an_error(tmp_path):
     disc = discretize_network(load_network(path), max_area=0.05)
     with pytest.raises(NetworkError, match="dirichlet plane 0 0 -1 1: value nan"):
         solve_discretized(disc, 1, estimate_condition=False)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_file_network_groups_with_fracture_k_match_per_cell_assembly(tmp_path, k):
+    """Two file fractures with different K and no source: the network-wide
+    groups give each cell its fracture's K, and the load stays zero."""
+    path = tmp_path / "net.dfn"
+    path.write_text(TWO_FRACTURES.replace("K 1.0 0.0 1.0", "K 3.0 0.5 1.5"))
+    case = load_network(path)
+    K0, K1 = (fr.K for fr in case.network.fractures)
+    assert not np.array_equal(K0, K1)
+    disc = discretize_network(case, max_area=0.05)
+    system, b = _check_network_groups(case, disc, k)
+    assert not system.b.any() and not b.any()
 
 
 def test_load_network_bad_file(tmp_path):

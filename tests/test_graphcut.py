@@ -311,6 +311,9 @@ def _squares(nx, ny, constrained=()):
     ([1, 0, 2, 3, 5, 8, 7, 6], mesh_mod.MergeHoleError),  # same ring, other order
     ([0, 4, 8, 8], mesh_mod.MergeNonSimpleError),  # a touch before a repeat
     ([8, 8, 0, 4], mesh_mod.MergeNonSimpleError),  # a repeat before a touch
+    ([0, 2], mesh_mod.MergeNonSimpleError),      # two cells apart
+    ([0, 1, 6, 7], mesh_mod.MergeNonSimpleError),  # two pieces, each connected
+    ([2, 0, 4], mesh_mod.MergeNonSimpleError),   # a touch before the pieces
 ])
 def test_union_loops_errors_match_scalar_reference(cells, error):
     """Each MergeError the union trace raises has the scalar trace's class and

@@ -5,8 +5,8 @@ from polyagg import geometry
 from polyagg.mesh import (
     CellError,
     MergeConstraintError,
-    MergeError,
     MergeHoleError,
+    MergeNonSimpleError,
     MeshError,
     MeshFormatError,
     _union_loops,
@@ -109,7 +109,7 @@ def test_merge_singleton_identity():
 
 def test_merge_disconnected_raises():
     m = grid_mesh(3, 1)
-    with pytest.raises(MergeError):
+    with pytest.raises(MergeNonSimpleError, match="union is not edge-connected"):
         union_loop(m, [0, 2])
 
 

@@ -4,6 +4,7 @@ import scipy.sparse as sps
 
 from polyagg.agglomerate import AgglomerationConfig, agglomerate
 from polyagg.mesh import build_mesh
+from polyagg.quadrature import triangle_quadrature
 from polyagg.solutions import CATALOG, polynomial_of_degree
 from polyagg import vem
 from polyagg.vem import (
@@ -21,12 +22,16 @@ from polyagg.vem import (
 )
 
 from conftest import (
+    cell_dofs,
+    network_parts,
+    dof_maps_equal,
     grid_mesh,
     mixed_region_mesh,
     ref_build_dof_map,
     ref_cell_groups,
     ref_condition_estimate,
     ref_dof_positions,
+    ref_ear_clip,
     tri_grid_mesh,
 )
 
@@ -132,7 +137,7 @@ def test_stiffness_rejects_non_spd():
 
 def test_local_load_constant():
     el = build_element(SQUARE, 1)
-    b = local_load(el, lambda p: np.ones(len(p)))
+    b = local_load(el, np.ones(el.qw.shape))
     # (1, Pi0_0 phi_j) = mean of phi_j times area; row sums to the area
     assert b.sum() == pytest.approx(el.area, rel=1e-12)
 
@@ -143,15 +148,16 @@ def test_dof_map_counts():
         dm = build_dof_map(m, k)
         expected = m.n_vertices + m.n_edges * (k - 1) + m.n_cells * nmom
         assert dm.total == expected
-        for ci, ids in enumerate(m.cells):
-            assert len(dm.cell_dofs[ci]) == len(ids) * k + nmom
+        for ids, row in zip(m.cells, cell_dofs(dm), strict=True):
+            assert len(row) == len(ids) * k + nmom
 
 
 def test_shared_edge_dofs_identical():
     m = grid_mesh(2, 1)
     dm = build_dof_map(m, 3)
     # the shared vertical edge contributes the same two global slots to both cells
-    shared = set(dm.cell_dofs[0]) & set(dm.cell_dofs[1])
+    rows = cell_dofs(dm)
+    shared = set(rows[0].tolist()) & set(rows[1].tolist())
     assert len(shared) == 2 + 2  # two shared vertices + two edge slots
 
 
@@ -164,9 +170,7 @@ def test_dof_layer_matches_scalar_reference(mixed_mesh, k):
     m = mixed_mesh
     assert all(0 < (np.roll(ids, -1) > ids).sum() < len(ids) for ids in m.cells)
     dm, ref = build_dof_map(m, k), ref_build_dof_map(m, k)
-    assert (dm.total, dm.edge_base, dm.moment_base) == (ref.total, ref.edge_base, ref.moment_base)
-    for got, want in zip(dm.cell_dofs, ref.cell_dofs, strict=True):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert dof_maps_equal(dm, ref)
     assert vem.dof_positions(m, dm).tobytes() == ref_dof_positions(m, ref).tobytes()
 
 
@@ -202,9 +206,9 @@ def test_assemble_symmetry_and_nnz():
 def test_patch_test_distorted_mesh(k):
     m = grid_mesh(4, 4, jitter=0.35, seed=11)
     ms = polynomial_of_degree(k)
-    system, elements = assemble(m, k, f=ms.f, dirichlet=ms.u)
+    system, groups = assemble(m, k, f=ms.f, dirichlet=ms.u)
     x = solve_spd(system)
-    l2, h1 = error_norms(m, k, elements, system.dofmap, x, ms.u, ms.grad)
+    l2, h1 = error_norms(groups, vem.projected_solution(groups, x), [ms.u], [ms.grad])
     assert l2 <= 1e-10
     assert h1 <= 1e-10
 
@@ -216,9 +220,9 @@ def test_patch_test_agglomerated_mesh(k):
     m = res.mesh
     assert m.n_cells < base.n_cells
     ms = polynomial_of_degree(k)
-    system, elements = assemble(m, k, f=ms.f, dirichlet=ms.u)
+    system, groups = assemble(m, k, f=ms.f, dirichlet=ms.u)
     x = solve_spd(system)
-    l2, h1 = error_norms(m, k, elements, system.dofmap, x, ms.u, ms.grad)
+    l2, h1 = error_norms(groups, vem.projected_solution(groups, x), [ms.u], [ms.grad])
     assert l2 <= 1e-9
     assert h1 <= 1e-9
 
@@ -226,9 +230,9 @@ def test_patch_test_agglomerated_mesh(k):
 def _solve_sin(n, k):
     m = grid_mesh(n, n)
     ms = CATALOG["sinsin"]
-    system, elements = assemble(m, k, f=ms.f, dirichlet=ms.u)
+    system, groups = assemble(m, k, f=ms.f, dirichlet=ms.u)
     x = solve_spd(system)
-    return error_norms(m, k, elements, system.dofmap, x, ms.u, ms.grad)
+    return error_norms(groups, vem.projected_solution(groups, x), [ms.u], [ms.grad])
 
 
 def test_convergence_rates_k1():
@@ -356,15 +360,20 @@ def test_condition_estimate_factors_once_through_spd_helper(monkeypatch):
 
 
 def test_cell_groups_match_per_cell_reference():
-    """Cells are grouped, ordered and ear-clipped as clipping each cell
-    alone groups them, on triangles and on agglomerated cells with
-    straight vertices."""
+    """The cells of several meshes are grouped by vertex count over all of
+    them, mesh after mesh and each mesh's cells ascending, with their DOF
+    ids and coordinates, as one pass over each mesh's cells groups them; on
+    triangles and on agglomerated cells with straight vertices."""
     agglomerated = agglomerate(tri_grid_mesh(8, 8), AgglomerationConfig(lam=1.0)).mesh
-    for mesh in (mixed_region_mesh(), tri_grid_mesh(3, 3), agglomerated):
-        got, want = list(vem.cell_groups(mesh)), list(ref_cell_groups(mesh))
+    meshes = (mixed_region_mesh(), tri_grid_mesh(3, 3), agglomerated)
+    for k in (1, 3):
+        parts, _ = network_parts(meshes, k)
+        got, want = list(vem.cell_groups(parts)), list(ref_cell_groups(parts))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(g, w, strict=True))
+        sizes = [len(ids) for mesh in meshes for ids in mesh.cells]
+        assert [len(pts[0]) for _, _, _, pts in got] == sorted(set(sizes))
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -436,32 +445,107 @@ def mixed_mesh():
     return mixed_region_mesh()
 
 
+def _has_straight_vertex(pts):
+    return (np.abs(_turns(pts)) <= 1e-12).any()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stacked_build_matches_single_cells(mixed_mesh, k):
-    m = mixed_mesh
-    groups = list(vem.cell_groups(m))
-    counts = [len(ids) for ids in m.cells]
+    """Each cell of a network-wide group (two meshes with different K and
+    sources) gets the stiffness, load and projector discrepancies of
+    building it alone, with its own mesh's K and source."""
+    agglomerated = agglomerate(tri_grid_mesh(6, 6), AgglomerationConfig(lam=1.0)).mesh
+    meshes = (mixed_mesh, agglomerated)
+    counts = [len(ids) for ids in mixed_mesh.cells]
     assert min(counts) == 3 and max(counts) >= 9
-    assert any((_turns(m.points[ids]) < 0).any() for ids in m.cells)  # non-convex
-    assert any(t.shape[1] < v.shape[1] - 2 for _, v, t in groups)  # straight vertices
-    assert any(len(cids) == 1 for cids, _, _ in groups)
-    assert any(len(cids) > 1 for cids, _, _ in groups)
-    K = np.array([[2.0, 0.3], [0.3, 1.0]])
+    assert any((_turns(mixed_mesh.points[ids]) < 0).any() for ids in mixed_mesh.cells)
+    assert any(_has_straight_vertex(m.points[ids]) for m in meshes for ids in m.cells)
+    Ks = [np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([[0.5, 0.0], [0.0, 4.0]])]
 
-    def f(p):
+    def f0(p):
         return np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2
 
+    def f1(p):
+        return np.cos(2.0 * p[:, 1]) - p[:, 0]
+
+    fs = [f0, f1]
+    parts, _ = network_parts(meshes, k)
+    groups = list(vem.cell_groups(parts))
+    assert any(len(cells) == 1 for cells, _, _, _ in groups)
+    assert any(len(set(part.tolist())) == 2 for _, part, _, _ in groups)
+    base = np.cumsum([0] + [m.n_cells for m in meshes])
     seen = []
-    for cids, verts, tris in groups:
-        el = build_element(m.points[verts], k, cell_id=cids, triangles=tris)
-        A, b = local_stiffness(el, K), local_load(el, f)
+    for cells, part, dofs, pts in groups:
+        el = build_element(pts, k, cell_id=cells)
+        A = local_stiffness(el, np.stack(Ks)[part])
+        fq = np.stack([fs[p](q) for p, q in zip(part, el.qp)])
+        b = local_load(el, fq)
         dn, d0 = projector_discrepancies(el)
-        for j, c in enumerate(cids):
-            one = build_element(m.points[m.cells[c]], k)
-            A1, b1 = local_stiffness(one, K), local_load(one, f)
+        for j, (c, p) in enumerate(zip(cells.tolist(), part.tolist())):
+            m = meshes[p]
+            one = build_element(m.points[m.cells[c - base[p]]], k)
+            A1 = local_stiffness(one, Ks[p])
+            b1 = local_load(one, fs[p](one.qp))
             assert np.abs(A[j] - A1).max() <= 1e-12 * np.abs(A1).max()
             assert np.abs(b[j] - b1).max() <= 1e-12 * np.abs(b1).max()
             dn1, d01 = projector_discrepancies(one)
             assert abs(dn[j] - dn1) <= 1e-10 and abs(d0[j] - d01) <= 1e-10
             seen.append(c)
-    assert sorted(seen) == list(range(m.n_cells))
+    assert sorted(seen) == list(range(base[-1]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_zero_area_padding_keeps_quadrature_sums(k):
+    """On cells with straight vertices, the padded group rule (a zero-area
+    triangle per dropped vertex) gives the mass matrix and load of the
+    unpadded rule on each cell's own ear clipping, and the error and
+    solution norms equal the sums of that unpadded rule over all cells."""
+    mesh = agglomerate(tri_grid_mesh(8, 8), AgglomerationConfig(lam=1.0)).mesh
+    ms = CATALOG["sinsin"]
+    parts, total = network_parts([mesh], k)
+    u = np.random.default_rng(3).standard_normal(total)
+    nk1 = monomial_dim(k - 1)
+    groups, padded, ref = [], 0, np.zeros(4)
+    for cells, part, dofs, pts in vem.cell_groups(parts):
+        el = build_element(pts, k, cell_id=cells)
+        groups.append(vem.ElementGroup(cells, part, dofs, el))
+        b = local_load(el, ms.f(el.qp.reshape(-1, 2)).reshape(el.qw.shape))
+        for j in range(len(cells)):
+            tris = ref_ear_clip(pts[j])
+            qp, qw = triangle_quadrature(pts[j][tris], 2 * k + 2)
+            qp, qw = qp.reshape(-1, 2), qw.ravel()
+            Mq = vem.eval_monomials(k, qp, el.centroid[j], el.diameter[j])
+            uh, gxh, gyh = (M @ (P[j] @ u[dofs[j]]) for M, P in
+                            ((Mq, el.pi0s), (Mq[:, :nk1], el.pigrad[0]), (Mq[:, :nk1], el.pigrad[1])))
+            ge = ms.grad(qp)
+            ref += [qw @ (ms.u(qp) - uh) ** 2, qw @ ((ge[:, 0] - gxh) ** 2 + (ge[:, 1] - gyh) ** 2),
+                    qw @ uh ** 2, qw @ (gxh ** 2 + gyh ** 2)]
+            if len(tris) == len(pts[j]) - 2:
+                continue
+            padded += 1
+            assert (el.qw[j] == 0.0).sum() > 0
+            H = Mq.T @ (qw[:, None] * Mq)
+            assert np.abs(el.H[j] - H).max() <= 1e-12 * np.abs(H).max()
+            b1 = el.pi0km1s[j].T @ (Mq[:, :nk1].T @ (qw * ms.f(qp)))
+            assert np.abs(b[j] - b1).max() <= 1e-12 * np.abs(b1).max()
+    assert padded > 0
+    projected = vem.projected_solution(groups, u)
+    got = vem.error_norms(groups, projected, [ms.u], [ms.grad]) + vem.solution_norms(groups, projected)
+    assert np.allclose(got, np.sqrt(ref), rtol=1e-12, atol=0.0)
+
+
+def test_stiffness_with_a_k_stack_equals_single_k_calls():
+    """local_stiffness with one K per cell equals a call per distinct K."""
+    mesh = grid_mesh(3, 2, jitter=0.3, seed=2)
+    pts = np.stack([mesh.points[ids] for ids in mesh.cells])
+    Ks = np.array([[[2.0, 0.3], [0.3, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.5, -0.2], [-0.2, 3.0]]])
+    which = np.arange(len(pts)) % 3
+    for k in (1, 2, 3):
+        el = build_element(pts, k)
+        A = local_stiffness(el, Ks[which])
+        for i, K in enumerate(Ks):
+            assert np.array_equal(A[which == i], local_stiffness(el, K)[which == i])
+    bad = Ks.copy()
+    bad[1] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(ValueError, match="positive definite"):
+        local_stiffness(el, bad[which])
