@@ -3,7 +3,7 @@
 Both are plain Python/NumPy.  Callers reach them as ``_kernels.quality_scores``
 and ``_kernels.maxflow`` so that a tracer can replace the module attribute.
 ``maxflow`` scores every cut of a graph with at most ``ENUM_MAX_NODES`` nodes
-and runs Dinic above that; both return the same canonical cut.
+and runs augmenting paths above that; both return the same canonical cut.
 """
 
 import functools
@@ -92,15 +92,11 @@ def _scores_block(pts, collinear_tol, kernel_rel_tol):
 # s-t min cut on terminal + pairwise capacities
 # ---------------------------------------------------------------------------
 
-# graphs up to this many nodes are solved by enumerating all 2**n cuts; at
-# 12 nodes the block enumeration already costs more than Dinic
-ENUM_MAX_NODES = 11
-
-# graphs up to this many nodes score their cuts with one product against a
-# cached cut matrix; larger ones score one block of 2**_ENUM_DENSE_NODES cuts
-# at a time, with the columns of their weighted pairs only, so that no cut
-# matrix above 2**_ENUM_DENSE_NODES rows is built or held
-_ENUM_DENSE_NODES = 8
+# graphs up to this many nodes score all 2**n cuts with one product against a
+# cached cut matrix; larger ones run augmenting paths.  On network1's swap
+# graphs the product is the faster of the two up to 10 nodes, and from 11
+# nodes the slower
+ENUM_MAX_NODES = 10
 
 
 @functools.cache
@@ -111,17 +107,12 @@ def pair_offsets(n):
     return tuple(i * (2 * n - i - 3) // 2 - 1 for i in range(n))
 
 
-def _cut_bits(cuts, n):
-    """(..., n) int64 bits of each cut index (1: node on the source side)."""
-    return (np.asarray(cuts)[..., None] >> np.arange(n)) & 1
-
-
 @functools.cache
 def _cut_matrix(n):
     """(2**n, n + n(n-1)/2) int64 matrix scoring every cut of an n-node
-    graph: row r holds the bits of r, then, per node pair, 1 where cut r
-    separates the pair."""
-    bits = _cut_bits(np.arange(1 << n), n)
+    graph: row r holds the bits of r (1: node on the source side), then, per
+    node pair, 1 where cut r separates the pair."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     i, j = np.triu_indices(n, 1)
     return np.concatenate([bits, bits[:, i] ^ bits[:, j]], axis=1)
 
@@ -137,155 +128,61 @@ def maxflow(unary, pair_w):
     the source arcs.  Returns (value, mask): the minimum energy, and mask[i]
     True when node i lies on the source side of the canonical minimum cut:
     the smallest optimal source set, which is the set reachable from the
-    source in the residual graph of a maximum flow.
+    source in the residual graph of any maximum flow.
 
-    Up to ``ENUM_MAX_NODES`` nodes every cut is scored, by one product of the
-    cut matrix with the packed weights (unary, then pair_w) up to
-    ``_ENUM_DENSE_NODES`` nodes, and the mask is the intersection of all
-    optimal cuts (min cuts are closed under intersection); larger graphs
-    run Dinic.  Both give the same cut.
+    Up to ``ENUM_MAX_NODES`` nodes every cut is scored by one product of the
+    cut matrix with the packed weights (unary, then pair_w); larger graphs
+    run ``_augmenting_paths``.  Both give the same cut.
     """
     n = len(unary)
-    # the smallest optimal source set is a subset of every other optimal set,
-    # so it is the optimal row with the lowest index: the first argmin
-    if n <= min(_ENUM_DENSE_NODES, ENUM_MAX_NODES):
-        m = _cut_matrix(n)
-        cost = m @ np.concatenate((unary, pair_w))
-        best = cost.argmin()
-        return cost[best], m[best, :n] != 0
-    nz = np.flatnonzero(pair_w)
-    i, j = np.triu_indices(n, 1)
-    i, j, w = i[nz], j[nz], pair_w[nz]
     if n > ENUM_MAX_NODES:
-        cap_s = np.maximum(-unary, 0)
-        flow, mask = _dinic(cap_s, np.maximum(unary, 0), i, j, w)
-        return flow - cap_s.sum(), mask
-    step = 1 << _ENUM_DENSE_NODES
-    blocks = (_cut_bits(np.arange(r, r + step), n) for r in range(0, 1 << n, step))
-    cost = np.concatenate([b @ unary + (b[:, i] ^ b[:, j]) @ w for b in blocks])
+        return _augmenting_paths(unary, pair_w)
+    m = _cut_matrix(n)
+    cost = m @ np.concatenate((unary, pair_w))
+    # min cuts are closed under intersection, so the smallest optimal source
+    # set is a subset of every other optimal set and has the lowest row
+    # index among them: the first argmin
     best = cost.argmin()
-    return cost[best], _cut_bits(best, n) != 0
+    return cost[best], m[best, :n] != 0
 
 
-def _dinic(cap_s, cap_t, edge_u, edge_v, edge_cap):
-    """Max flow by Dinic's algorithm on int64 terminal arcs cap_s (source to
-    node) and cap_t (node to sink) and symmetric arcs edge_cap between
-    edge_u[k] and edge_v[k]; returns (flow, mask), mask the residual
-    reachability from the source."""
-    n = cap_s.shape[0]
-    m = edge_u.shape[0]
-    nn = n + 2
-    s = n
-    t = n + 1
-    n_arcs = 2 * m + 4 * n
-    head = np.full(nn, -1, np.int64)
-    nxt = np.empty(n_arcs, np.int64)
-    to = np.empty(n_arcs, np.int64)
-    cap = np.empty(n_arcs, np.int64)
-    cnt = 0
-    for i in range(n):
-        # s -> i
-        to[cnt] = i
-        cap[cnt] = cap_s[i]
-        nxt[cnt] = head[s]
-        head[s] = cnt
-        cnt += 1
-        to[cnt] = s
-        cap[cnt] = 0
-        nxt[cnt] = head[i]
-        head[i] = cnt
-        cnt += 1
-        # i -> t
-        to[cnt] = t
-        cap[cnt] = cap_t[i]
-        nxt[cnt] = head[i]
-        head[i] = cnt
-        cnt += 1
-        to[cnt] = i
-        cap[cnt] = 0
-        nxt[cnt] = head[t]
-        head[t] = cnt
-        cnt += 1
-    for k in range(m):
-        u = edge_u[k]
-        v = edge_v[k]
-        c = edge_cap[k]
-        to[cnt] = v
-        cap[cnt] = c
-        nxt[cnt] = head[u]
-        head[u] = cnt
-        cnt += 1
-        to[cnt] = u
-        cap[cnt] = c
-        nxt[cnt] = head[v]
-        head[v] = cnt
-        cnt += 1
-
-    level = np.empty(nn, np.int64)
-    work = np.empty(nn, np.int64)
-    queue = np.empty(nn, np.int64)
-    path = np.empty(nn, np.int64)
-    flow = np.int64(0)
-    big = np.int64(1) << 62
+def _augmenting_paths(unary, pair_w):
+    """``maxflow`` by shortest augmenting paths (Edmonds-Karp) on dict
+    residual adjacency and Python ints, which cannot overflow."""
+    n = len(unary)
+    s, t = n, n + 1
+    res = [{} for _ in range(n + 2)]  # res[u][v]: residual capacity of u -> v
+    offset = 0  # less the source arcs, then plus the flow
+    for v, c in enumerate(unary.tolist()):
+        if c < 0:
+            res[s][v], res[v][s] = -c, 0
+            offset += c
+        elif c > 0:
+            res[v][t], res[t][v] = c, 0
+    i, j = np.triu_indices(n, 1)
+    nz = np.flatnonzero(pair_w)
+    for u, v, c in zip(i[nz].tolist(), j[nz].tolist(), pair_w[nz].tolist()):
+        res[u][v] = res[v][u] = c
     while True:
-        for i in range(nn):
-            level[i] = -1
-        level[s] = 0
-        queue[0] = s
-        qh = 0
-        qt = 1
-        while qh < qt:
-            u = queue[qh]
-            qh += 1
-            a = head[u]
-            while a != -1:
-                v = to[a]
-                if cap[a] > 0 and level[v] == -1:
-                    level[v] = level[u] + 1
-                    queue[qt] = v
-                    qt += 1
-                a = nxt[a]
-        if level[t] == -1:
-            break
-        for i in range(nn):
-            work[i] = head[i]
-        top = 0
-        u = s
-        while True:
-            if u == t:
-                bott = big
-                for i in range(top):
-                    if cap[path[i]] < bott:
-                        bott = cap[path[i]]
-                for i in range(top):
-                    a = path[i]
-                    cap[a] -= bott
-                    cap[a ^ 1] += bott
-                flow += bott
-                top = 0
-                u = s
-                continue
-            a = work[u]
-            advanced = False
-            while a != -1:
-                v = to[a]
-                if cap[a] > 0 and level[v] == level[u] + 1:
-                    path[top] = a
-                    top += 1
-                    u = v
-                    advanced = True
-                    break
-                a = nxt[a]
-                work[u] = a
-            if not advanced:
-                if u == s:
-                    break
-                level[u] = -1
-                top -= 1
-                a = path[top]
-                u = to[a ^ 1]
-                work[u] = nxt[a]
-    mask = np.empty(n, np.bool_)
-    for i in range(n):
-        mask[i] = level[i] != -1
-    return flow, mask
+        # breadth-first search; parent holds every node reached so far
+        parent = {s: s}
+        queue = [s]
+        for u in queue:
+            for v, c in res[u].items():
+                if c and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if t in parent:
+                break
+        else:
+            # t unreachable: parent is the residual source set
+            return offset, np.array([v in parent for v in range(n)], dtype=bool)
+        path = [t]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        arcs = list(zip(path[1:], path))
+        push = min(res[u][v] for u, v in arcs)
+        for u, v in arcs:
+            res[u][v] -= push
+            res[v][u] += push
+        offset += push

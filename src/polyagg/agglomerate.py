@@ -154,31 +154,6 @@ class _Problem:
             self.costs[p][q] = self.costs[q][p] = _round_half_away(self.scale * cost)
 
 
-def data_cost(mesh: PolygonalMesh, p: int, label: int, power: int = 1) -> float:
-    """Cost in [0, 1] of giving cell p the label of an initial-mesh cell.
-
-    Zero for its own index, 1 - rho(union)**power for an adjacent cell (union
-    taken after aligned-edge simplification; unions that fail, e.g. by
-    enclosing a hole or erasing a constrained edge, cost 1), and 1 otherwise.
-    The optimizer defaults to power 2: the harsher penalty on mediocre
-    unions is what keeps moderate lambda values conservative.  Power 1 is
-    the plain indicator penalty.
-    """
-    if label == p:
-        return 0.0
-    if label not in mesh.neighbors[p]:
-        return 1.0
-    r, = _union_rhos(mesh, [(p, label)])
-    return 1.0 if r is None else 1.0 - r**power
-
-
-def smoothness_cost(mesh: PolygonalMesh, l1: int, l2: int) -> int:
-    """1 when the cells indexed by the two labels are adjacent and distinct."""
-    if l1 == l2:
-        return 0
-    return 1 if l2 in mesh.neighbors[l1] else 0
-
-
 def _energy(problem: _Problem, labels: list, iterations=0) -> EnergyBreakdown:
     scale = problem.scale
     data = sum(cost.get(lab, scale) for cost, lab in zip(problem.costs, labels))
@@ -194,50 +169,6 @@ def _energy(problem: _Problem, labels: list, iterations=0) -> EnergyBreakdown:
 def energy(mesh: PolygonalMesh, labels, config: AgglomerationConfig) -> EnergyBreakdown:
     """Integerized energy of a labeling (data plus weighted smoothness)."""
     return _energy(_Problem(mesh, config), np.asarray(labels, dtype=np.int64).tolist())
-
-
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; ValueError unless every entry is an integer."""
-    a = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        out = a.astype(np.int64)
-    if not np.array_equal(out, a):
-        raise ValueError(f"{what} must be integers")
-    return out
-
-
-def min_cut(cap_source, cap_sink, pair_edges, pair_caps):
-    """Exact s-t minimum cut; returns (cut value, source-side mask).
-
-    ``cap_source``/``cap_sink`` are per-node terminal capacities and
-    ``pair_edges``/``pair_caps`` symmetric pairwise capacities; all must be
-    nonnegative integers, and edge endpoints node indices.  The source side
-    is the canonical cut, the smallest optimal source set (residual
-    reachability), which makes ties deterministic.  ``_kernels.maxflow``
-    finds it by enumerating all cuts up to ``_kernels.ENUM_MAX_NODES`` nodes
-    and by Dinic above; it takes the pair capacities as one entry per node
-    pair, so memory grows with the square of the node count.
-    """
-    cs = _integers(cap_source, "capacities").reshape(-1)
-    ct = _integers(cap_sink, "capacities").reshape(-1)
-    pe = _integers(pair_edges, "edge endpoints").reshape(-1, 2)
-    pc = _integers(pair_caps, "capacities").reshape(-1)
-    n = len(cs)
-    if len(ct) != n:
-        raise ValueError("cap_source and cap_sink differ in length")
-    if len(pc) != len(pe):
-        raise ValueError("pair_caps and pair_edges differ in length")
-    if min(cs.min(initial=0), ct.min(initial=0), pc.min(initial=0)) < 0:
-        raise ValueError("capacities must be nonnegative")
-    if pe.min(initial=0) < 0 or pe.max(initial=0) >= n:
-        raise ValueError(f"edge endpoints must lie in [0, {n})")
-    u, v = pe.min(axis=1), pe.max(axis=1)
-    loop = u == v  # a self loop is never cut
-    pair_w = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-    offsets = np.array(_kernels.pair_offsets(n), dtype=np.int64)
-    np.add.at(pair_w, offsets[u[~loop]] + v[~loop], pc[~loop])
-    value, mask = _kernels.maxflow(ct - cs, pair_w)
-    return int(cs.sum() + value), mask
 
 
 def _swap(problem: _Problem, labels: list, members: dict, alpha: int, beta: int):

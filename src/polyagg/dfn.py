@@ -184,11 +184,11 @@ def _polygon_plane_section(fr: Fracture, normal, offset, tol):
     return a, b
 
 
-def compute_traces(fractures, tol_rel=1e-10) -> list:
+def compute_traces(fractures) -> list:
     """Pairwise intersection segments between convex planar fractures."""
     allv = np.vstack([f.vertices3 for f in fractures])
     scale = float(np.linalg.norm(allv.max(0) - allv.min(0)))
-    tol = tol_rel * max(scale, 1e-300)
+    tol = 1e-10 * max(scale, 1e-300)
     traces = []
     for i in range(len(fractures)):
         for j in range(i + 1, len(fractures)):
@@ -329,26 +329,27 @@ def _grid_counts(w, h, max_area=None, n_cells=None):
     return best
 
 
-def triangulate_fracture(fracture: Fracture, max_area=None, n_cells=None,
-                         jitter=0.22) -> PolygonalMesh:
+# interior grid vertex jitter of the triangulation, a fraction of the pitch
+JITTER = 0.22
+
+
+def triangulate_fracture(fracture: Fracture, max_area=None, n_cells=None) -> PolygonalMesh:
     """Grid-based triangular mesh of the fracture in its local frame.
 
     A uniform grid over the bounding box is clipped to the (convex) polygon
     and every full quad is split into two triangles.  Interior grid vertices
-    are perturbed by a deterministic jitter (fraction of the pitch, seeded by
-    the fracture id) so that element shapes vary like in a generic unstructured
-    triangulation; jitter=0 gives the exact structured grid.  In area mode
-    all triangle areas stay at or below ``max_area``: the pitch is shrunk to
-    absorb the jitter and the jitter is halved on a rare bound violation.
+    are perturbed by a deterministic jitter (``JITTER`` times the pitch,
+    seeded by the fracture id) so that element shapes vary like in a generic
+    unstructured triangulation.  In area mode all triangle areas stay at or
+    below ``max_area``: the pitch is shrunk to absorb the jitter, and the
+    jitter is halved, then halved again, then dropped (the exact structured
+    grid) on a rare bound violation.
     """
-    last_err = None
     for factor in (1.0, 0.5, 0.25, 0.0):
         try:
-            return _triangulate_once(fracture, max_area, n_cells, jitter * factor)
+            return _triangulate_once(fracture, max_area, n_cells, JITTER * factor)
         except (MeshError, NetworkError) as err:
             last_err = err
-            if jitter * factor == 0.0:
-                break
     raise last_err
 
 
@@ -455,6 +456,11 @@ def _triangulate_once(fracture: Fracture, max_area, n_cells, jitter) -> Polygona
 # mutable mesh for cutting and stitching
 # ---------------------------------------------------------------------------
 
+# relative tolerance of cutting, stitching, DOF matching and boundary
+# classification, times each step's length scale
+TOL_REL = 1e-9
+
+
 class _MutableMesh:
     """A mesh edited in place by cutting and stitching: a growing vertex
     table, cells as vertex lists, an edge -> cells map, the constrained
@@ -528,12 +534,11 @@ class _MutableMesh:
     def split_edge(self, u, v, vid):
         """Insert vid between u and v in every cell using that edge."""
         key = (u, v) if u < v else (v, u)
-        cells = list(self.edge_map.get(key, ()))
+        cells = self.edge_map.pop(key, None)
         if not cells:
             raise MeshError(f"edge {key} not present")
         for cid in cells:
             loop = self.cells[cid]
-            self._unregister(cid, loop)
             n = len(loop)
             for k in range(n):
                 a, b = loop[k], loop[(k + 1) % n]
@@ -542,7 +547,9 @@ class _MutableMesh:
                     break
             else:
                 raise MeshError("edge not found in its cell")
-            self._register(cid, loop)
+        # only the split edge changes: its two halves take its cells
+        for a, b in ((u, vid), (vid, v)):
+            self.edge_map.setdefault((a, b) if a < b else (b, a), []).extend(cells)
         if key in self.con_edges:
             self.con_edges.discard(key)
             for a, b in ((u, vid), (vid, v)):
@@ -741,7 +748,7 @@ def _cut_one_segment(mm: _MutableMesh, a2, b2, tol):
     mm.con_edges.update(edges[k] for k in np.flatnonzero(along).tolist())
 
 
-def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=1e-9) -> PolygonalMesh:
+def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=TOL_REL) -> PolygonalMesh:
     """Split cells along trace segments and flag the covered edges constrained.
 
     Every crossed cell is split by the supporting line; a segment endpoint
@@ -776,14 +783,13 @@ def _on_trace_vertices(mm: _MutableMesh, a2, dn, L, tol):
     return list(zip(t[on].tolist(), on.tolist()))
 
 
-def stitch_meshes(meshes: dict, network: FractureNetwork, tol_rel=1e-9):
+def stitch_meshes(meshes: dict, network: FractureNetwork):
     """Unify trace node sets across fracture pairs by hanging-node insertion.
 
     Returns ({fid: mesh}, matches) where matches[tid][fid] is the sorted
     (param, vertex_id) list along the trace, identical across the pair.
     """
-    scale = network.scale
-    tol = tol_rel * scale
+    tol = TOL_REL * network.scale
     frs = {f.fid: f for f in network.fractures}
     mms = {fid: _MutableMesh(m, snap=0.5 * tol) for fid, m in meshes.items()}
     matches = {}
@@ -858,8 +864,7 @@ def _edge_dof_points(fracture, mesh, edges, k):
     return fracture.to_global(pts.reshape(-1, 2)).reshape(len(edges), k - 1, 3)
 
 
-def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
-                        tol_rel=1e-9) -> GlobalDofMap:
+def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k) -> GlobalDofMap:
     fids = sorted(meshes)
     locals_ = {fid: build_dof_map(meshes[fid], k) for fid in fids}
     offsets = {}
@@ -869,7 +874,7 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
         total += locals_[fid].total
 
     frs = {f.fid: f for f in network.fractures}
-    tol = tol_rel * network.scale
+    tol = TOL_REL * network.scale
     # pairs of identified DOFs, numbered before identification
     same_a, same_b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for tr in network.traces:
@@ -920,14 +925,11 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k,
 # boundary classification and network assembly
 # ---------------------------------------------------------------------------
 
-def dirichlet_boundary_edges(mesh: PolygonalMesh, fracture: Fracture,
-                             traces, tol_rel=1e-9, scale=None):
+def dirichlet_boundary_edges(mesh: PolygonalMesh, fracture: Fracture, traces, scale):
     """Boundary edge ids not covered by traces (trace overlaps stay coupled):
     an edge is covered when both endpoints and its midpoint lie on one trace
-    segment."""
-    if scale is None:
-        scale = fracture.diameter
-    tol = tol_rel * scale
+    segment, within ``TOL_REL`` times ``scale``."""
+    tol = TOL_REL * scale
     edges = mesh.boundary_edge_ids()
     ends = mesh.points[mesh.edges[edges]]
     pts = np.concatenate([ends, 0.5 * (ends[:, :1] + ends[:, 1:])], axis=1)
@@ -1168,13 +1170,10 @@ class NetworkDiscretization:
     matches: dict
     info: dict                 # fid -> FracturePipelineInfo
     h: float
-    max_area: float | None = None
-    n_cells_target: int | None = None
 
 
 def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
-                       lam=0.0, sc_mode="potts", dc_power=2, max_cycles=50,
-                       jitter=0.22) -> NetworkDiscretization:
+                       lam=0.0, sc_mode="potts", dc_power=2, max_cycles=50) -> NetworkDiscretization:
     """triangulate + cut + agglomerate per fracture, then stitch globally."""
     network = case.network
     frs = {f.fid: f for f in network.fractures}
@@ -1186,10 +1185,9 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
     infos = {}
     for fid in sorted(frs):
         fr = frs[fid]
-        tri = triangulate_fracture(fr, max_area=max_area, n_cells=n_cells,
-                                   jitter=jitter)
+        tri = triangulate_fracture(fr, max_area=max_area, n_cells=n_cells)
         segs = [tr.local_segment(fr) for tr in network.fracture_traces(fid)]
-        cut = cut_by_traces(tri, segs, tol_rel=1e-9 * scale / max(fr.diameter, 1e-300))
+        cut = cut_by_traces(tri, segs, tol_rel=TOL_REL * scale / max(fr.diameter, 1e-300))
         # trace edges and endpoints are constrained in ``cut``, so no merge
         # crosses a trace and the fractures stay conforming
         result = agglomerate(cut, config)
@@ -1214,9 +1212,7 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
     # the refinement parameter is the triangulation size h: agglomeration
     # reuses the same subscript and must not distort rate fits
     h = max(i.h_triangulation for i in infos.values())
-    return NetworkDiscretization(
-        case, lam, stitched, matches, infos, h, max_area, n_cells
-    )
+    return NetworkDiscretization(case, lam, stitched, matches, infos, h)
 
 
 def mesh_discretization(mesh: PolygonalMesh, exact, name="mesh") -> NetworkDiscretization:

@@ -307,35 +307,6 @@ def point_in_polygon(pts, point, eps=None) -> int:
     return 1 if inside else -1
 
 
-def collinear_mask(pts, tol=COLLINEAR_TOL) -> np.ndarray:
-    """mask[i] is True when vertex i is a straight (non-corner) vertex."""
-    pts = as_points(pts)
-    u = pts - np.roll(pts, 1, axis=0)
-    v = np.roll(pts, -1, axis=0) - pts
-    cr = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-    denom = np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
-    denom[denom == 0.0] = np.inf
-    return np.abs(cr) / denom < tol
-
-
-def collinear_edge_runs(pts, tol=COLLINEAR_TOL):
-    """Partition boundary edges into maximal runs of consecutive aligned edges.
-
-    Edge i joins vertex i to vertex i+1 (cyclic).  Returns a list of runs,
-    each a list of edge indices in traversal order; runs may wrap around.
-    """
-    pts = as_points(pts)
-    n = len(pts)
-    straight = collinear_mask(pts, tol)
-    corners = [i for i in range(n) if not straight[i]]
-    if not corners:
-        return [list(range(n))]
-    runs = []
-    for a, b in zip(corners, corners[1:] + [corners[0] + n]):
-        runs.append([(i % n) for i in range(a, b)])
-    return runs
-
-
 def ear_clip(pts) -> np.ndarray:
     """Triangulate a simple CCW polygon (n, 2), or each polygon of a stack
     (..., n, 2), by ear clipping.

@@ -1,5 +1,6 @@
 import functools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -606,10 +607,12 @@ def ref_cut_table(n):
 def ref_maxflow(cap_s, cap_t, edge_u, edge_v, edge_cap):
     """Canonical s-t min cut (flow, source mask) of terminal arcs cap_s/cap_t
     and symmetric pair arcs: every cut scored up to ``REF_ENUM_MAX_NODES``
-    nodes, ``_kernels._dinic`` above."""
+    nodes, networkx's max flow above."""
     n = cap_s.shape[0]
     if n > REF_ENUM_MAX_NODES:
-        return _kernels._dinic(cap_s, cap_t, edge_u, edge_v, edge_cap)
+        value, reach = ref_residual_source_set(
+            n, cap_s, cap_t, list(zip(edge_u.tolist(), edge_v.tolist())), edge_cap.tolist())
+        return value, np.array(reach, dtype=bool)
     table = ref_cut_table(n)
     # a source-side node pays its sink arc, a sink-side node its source arc
     cost = table @ (cap_t - cap_s) + cap_s.sum()
@@ -618,6 +621,55 @@ def ref_maxflow(cap_s, cap_t, edge_u, edge_v, edge_cap):
     # so it is the optimal row with the lowest index: the first argmin
     best = cost.argmin()
     return cost[best], table[best].copy()
+
+
+def ref_residual_source_set(n, cap_s, cap_t, edges, caps):
+    """networkx max flow value and the nodes reachable from s in its residual."""
+    g = nx.DiGraph()
+    g.add_nodes_from(["s", "t", *range(n)])
+
+    def add(u, v, c):
+        if g.has_edge(u, v):
+            g[u][v]["capacity"] += c
+        else:
+            g.add_edge(u, v, capacity=c)
+
+    for i in range(n):
+        add("s", i, int(cap_s[i]))
+        add(i, "t", int(cap_t[i]))
+    for (u, v), c in zip(edges, caps):
+        add(u, v, c)
+        add(v, u, c)
+    value, flow = nx.maximum_flow(g, "s", "t")
+
+    def residual(u, v):
+        fwd = g[u][v]["capacity"] - flow[u][v] if g.has_edge(u, v) else 0
+        return fwd + (flow[v][u] if g.has_edge(v, u) else 0)
+
+    seen = {"s"}
+    stack = ["s"]
+    while stack:
+        u = stack.pop()
+        for v in set(g.successors(u)) | set(g.predecessors(u)):
+            if v not in seen and residual(u, v) > 0:
+                seen.add(v)
+                stack.append(v)
+    return value, [i in seen for i in range(n)]
+
+
+def packed_min_cut(cap_s, cap_t, edges, caps, solver=None):
+    """s-t min cut (flow, source mask) of terminal capacities cap_s/cap_t and
+    symmetric pair capacities caps on node pairs ``edges``, through
+    ``_kernels.maxflow`` (or ``solver``) in its packed form: unary
+    cap_t - cap_s, one weight per node pair, flow = energy + sum(cap_s)."""
+    cap_s = np.asarray(cap_s, dtype=np.int64)
+    n = len(cap_s)
+    pair_w = np.zeros(n * (n - 1) // 2, dtype=np.int64)
+    offsets = _kernels.pair_offsets(n)
+    for (u, v), c in zip(edges, caps):
+        pair_w[offsets[min(u, v)] + max(u, v)] += c
+    value, mask = (solver or _kernels.maxflow)(np.asarray(cap_t, dtype=np.int64) - cap_s, pair_w)
+    return value + cap_s.sum(), mask
 
 
 class RefProblem:

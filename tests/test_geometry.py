@@ -87,26 +87,6 @@ def test_kernel_contained_in_polygon(rng):
             assert geometry.point_in_polygon(poly, p) >= 0
 
 
-def test_collinear_runs_square():
-    runs = geometry.collinear_edge_runs(geometry.as_points([[0, 0], [1, 0], [1, 1], [0, 1]]))
-    assert sorted(len(r) for r in runs) == [1, 1, 1, 1]
-
-
-def test_collinear_runs_triangle():
-    runs = geometry.collinear_edge_runs(geometry.as_points([[0, 0], [1, 0], [0, 1]]))
-    assert sorted(len(r) for r in runs) == [1, 1, 1]
-
-
-def test_collinear_runs_hanging_node():
-    runs = geometry.collinear_edge_runs(
-        geometry.as_points([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]]))
-    lens = sorted(len(r) for r in runs)
-    assert lens == [1, 1, 1, 2]
-    # the 2-run must be the two bottom edges
-    two = [r for r in runs if len(r) == 2][0]
-    assert sorted(two) == [0, 1]
-
-
 def test_triangulate_triangle_identity():
     poly = geometry.as_points([[0, 0], [1, 0], [0, 1]])
     tris = poly[geometry.ear_clip(poly)]

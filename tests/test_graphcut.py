@@ -1,7 +1,6 @@
 import itertools
 import warnings
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -10,11 +9,8 @@ from polyagg.agglomerate import (
     AgglomerationConfig,
     agglomerate,
     apply_labeling,
-    data_cost,
     energy,
-    min_cut,
     minimize,
-    smoothness_cost,
     swap_move,
     trivial_labeling,
 )
@@ -29,11 +25,13 @@ from conftest import (
     grid_mesh,
     mixed_region_mesh,
     mesh_fields,
+    packed_min_cut,
     ref_label_components,
     ref_maxflow,
     ref_minimize,
     ref_quality_scores,
     ref_removable_vertices,
+    ref_residual_source_set,
     ref_simplified_union_points,
     ref_union_loop,
     tri_grid_mesh,
@@ -60,45 +58,20 @@ def brute_force_cut(cap_s, cap_t, edges, caps):
 
 
 def test_min_cut_two_nodes():
-    value, mask = min_cut([5, 2], [3, 4], np.empty((0, 2)), [])
+    value, mask = packed_min_cut([5, 2], [3, 4], [], [])
     assert value == 5
     assert mask.tolist() == [True, False]
 
 
 def test_min_cut_single_node():
-    value, mask = min_cut([7], [2], np.empty((0, 2)), [])
+    value, mask = packed_min_cut([7], [2], [], [])
     assert value == 2 and mask.tolist() == [True]
 
 
 def test_min_cut_path_large_pairs():
-    value, mask = min_cut([5, 1, 3], [2, 2, 8], [[0, 1], [1, 2]], [100, 100])
+    value, mask = packed_min_cut([5, 1, 3], [2, 2, 8], [(0, 1), (1, 2)], [100, 100])
     assert value == min(5 + 1 + 3, 2 + 2 + 8)
     assert mask.tolist() == [False] * 3  # all on the sink side is the unique optimum
-
-
-def test_min_cut_rejects_negative():
-    with pytest.raises(ValueError):
-        min_cut([-1], [2], np.empty((0, 2)), [])
-
-
-@pytest.mark.parametrize("args, match", [
-    (([1, 2], [3], np.empty((0, 2)), []), "differ in length"),
-    (([5.7, 0], [0, 5], [(0, 1)], [3.9]), "integers"),
-    (([5, 0], [0, 5], [(0, 1)], [3.9]), "integers"),
-    (([5, 0], [0, 5], [(0, 0.5)], [3]), "integers"),
-    (([5, 0], [0, 5], [(0, -1)], [3]), r"\[0, 2\)"),
-    (([5, 0], [0, 5], [(0, 2)], [3]), r"\[0, 2\)"),
-    (([5, 0], [0, 5], [(0, 1)], [3, 4]), "differ in length"),
-], ids=["terminal-lengths", "float-capacities", "float-pair-capacity", "float-endpoint",
-        "negative-endpoint", "endpoint-past-n", "pair-cap-count"])
-def test_min_cut_rejects_malformed_input(args, match):
-    with pytest.raises(ValueError, match=match):
-        min_cut(*args)
-
-
-def test_min_cut_accepts_integral_floats_and_self_loops():
-    value, mask = min_cut([5.0, 0], [0, 5.0], [(0, 1), (1, 1)], [3, 7])
-    assert value == 3 and mask.tolist() == [True, False]
 
 
 def test_min_cut_matches_bruteforce(rng):
@@ -114,7 +87,7 @@ def test_min_cut_matches_bruteforce(rng):
             if u != v:
                 edges.append((int(u), int(v)))
                 caps.append(int(rng.integers(0, 20)))
-        value, mask = min_cut(cap_s, cap_t, np.asarray(edges).reshape(-1, 2), caps)
+        value, mask = packed_min_cut(cap_s, cap_t, edges, caps)
         assert value == brute_force_cut(list(cap_s), list(cap_t), edges, caps)
         # reported side must realize the reported value
         cost = sum(
@@ -126,42 +99,9 @@ def test_min_cut_matches_bruteforce(rng):
         assert cost == value
 
 
-def _residual_source_set(n, cap_s, cap_t, edges, caps):
-    """networkx max flow value and the nodes reachable from s in its residual."""
-    g = nx.DiGraph()
-    g.add_nodes_from(["s", "t", *range(n)])
-
-    def add(u, v, c):
-        if g.has_edge(u, v):
-            g[u][v]["capacity"] += c
-        else:
-            g.add_edge(u, v, capacity=c)
-
-    for i in range(n):
-        add("s", i, int(cap_s[i]))
-        add(i, "t", int(cap_t[i]))
-    for (u, v), c in zip(edges, caps):
-        add(u, v, c)
-        add(v, u, c)
-    value, flow = nx.maximum_flow(g, "s", "t")
-
-    def residual(u, v):
-        fwd = g[u][v]["capacity"] - flow[u][v] if g.has_edge(u, v) else 0
-        return fwd + (flow[v][u] if g.has_edge(v, u) else 0)
-
-    seen = {"s"}
-    stack = ["s"]
-    while stack:
-        u = stack.pop()
-        for v in set(g.successors(u)) | set(g.predecessors(u)):
-            if v not in seen and residual(u, v) > 0:
-                seen.add(v)
-                stack.append(v)
-    return value, [i in seen for i in range(n)]
-
-
 def test_maxflow_matches_networkx_residual_cut(rng):
-    """Enumeration and Dinic give networkx's value and the residual source set."""
+    """Enumeration and augmenting paths give networkx's value and the
+    residual source set."""
     sizes = []
     for trial in range(300):
         n = trial % 16 + 1
@@ -175,19 +115,13 @@ def test_maxflow_matches_networkx_residual_cut(rng):
                 if rng.random() < 0.2:
                     edges.append((v, u) if rng.random() < 0.5 else (u, v))
         caps = [int(c) for c in rng.integers(0, 4, len(edges))]
-        flow, mask = min_cut(cap_s, cap_t, np.array(edges).reshape(-1, 2), caps)
-        value, reach = _residual_source_set(n, cap_s, cap_t, edges, caps)
+        flow, mask = packed_min_cut(cap_s, cap_t, edges, caps)
+        value, reach = ref_residual_source_set(n, cap_s, cap_t, edges, caps)
         assert flow == value
         assert mask.tolist() == reach
-        d_flow, d_mask = _kernels._dinic(
-            np.asarray(cap_s, dtype=np.int64),
-            np.asarray(cap_t, dtype=np.int64),
-            np.array([u for u, _ in edges], dtype=np.int64),
-            np.array([v for _, v in edges], dtype=np.int64),
-            np.array(caps, dtype=np.int64),
-        )
-        assert d_flow == flow
-        assert np.array_equal(d_mask, mask)
+        a_flow, a_mask = packed_min_cut(cap_s, cap_t, edges, caps, _kernels._augmenting_paths)
+        assert a_flow == flow
+        assert np.array_equal(a_mask, mask)
         sizes.append(n)
     assert min(sizes) <= _kernels.ENUM_MAX_NODES < max(sizes)
 
@@ -210,12 +144,8 @@ def test_packed_maxflow_matches_reference(rng):
             np.array([v for _, v in edges], dtype=np.int64),
             caps,
         )
-        pair_w = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-        offsets = _kernels.pair_offsets(n)
-        for (u, v), c in zip(edges, caps):
-            pair_w[offsets[min(u, v)] + max(u, v)] += c
-        value, mask = _kernels.maxflow(cap_t - cap_s, pair_w)
-        assert value + cap_s.sum() == ref_flow
+        value, mask = packed_min_cut(cap_s, cap_t, edges, caps)
+        assert value == ref_flow
         assert np.array_equal(mask, ref_mask)
 
 
@@ -415,13 +345,14 @@ def test_problem_costs_match_per_pair_reference(monkeypatch, union_meshes, which
     if which == "mixed":
         assert None in rhos and 0.0 in rhos  # failed unions and non-star unions
     for (p, q), r in list(zip(mesh.adjacency_pairs(), rhos))[:40]:
-        want = 1.0 if r is None else 1.0 - r**config.dc_power
-        assert data_cost(mesh, q, p, power=config.dc_power) == want
+        assert agg._union_rhos(mesh, [(q, p)]) == [r]
 
 
 @pytest.mark.parametrize("sc_mode", ["literal", "potts"])
 @pytest.mark.parametrize("lam", [0.25, 1.0])
 def test_minimize_enumeration_matches_dinic(monkeypatch, cut_fracture, lam, sc_mode):
+    """Enumeration and augmenting paths on every swap give the same minimum
+    (the name keeps the max flow solver that augmenting paths replaced)."""
     config = AgglomerationConfig(lam=lam, sc_mode=sc_mode)
     labels, history = minimize(cut_fracture, config)
     monkeypatch.setattr(_kernels, "ENUM_MAX_NODES", 0)
@@ -459,7 +390,7 @@ def test_minimize_matches_reference(monkeypatch, network1_fractures, reference_m
     """Labels and energy histories equal the reference solver's (every pair
     swapped every cycle, five-array graphs, cut enumeration) on 3 fractures
     x 2 lambdas x 2 smoothness modes, with the packed enumeration and with
-    Dinic on every swap."""
+    augmenting paths on every swap (the "dinic" id)."""
     monkeypatch.setattr(_kernels, "ENUM_MAX_NODES", enum_max)
     for f, mesh in enumerate(network1_fractures[area]):
         for lam in (0.25, 1.0):
@@ -518,28 +449,34 @@ def test_minimize_checks_energy_against_swap_deltas(monkeypatch):
 
 def test_data_cost_self_zero():
     m = build_mesh(**TWO_SQUARES)
-    assert data_cost(m, 0, 0) == 0.0
+    assert energy(m, [0, 1], AgglomerationConfig(lam=0.0)).data_term == 0
 
 
 def test_data_cost_non_adjacent_one():
     m = grid_mesh(3, 1)
-    assert data_cost(m, 0, 2) == 1.0
+    # cell 0 takes the label of cell 2, which it does not touch: cost 1,
+    # integerized by the cell count
+    assert energy(m, [2, 1, 2], AgglomerationConfig(lam=0.0)).data_term == m.n_cells
 
 
 def test_data_cost_two_squares():
     m = build_mesh(**TWO_SQUARES)
     rho_rect = np.sqrt((1 / np.sqrt(5) + 0.75 + 1.0) / 3.0)
-    assert data_cost(m, 0, 1) == pytest.approx(1.0 - rho_rect, abs=1e-12)
-    assert data_cost(m, 0, 1) == pytest.approx(0.14419, abs=1e-5)
-    assert data_cost(m, 1, 0) == data_cost(m, 0, 1)
+    r01, r10 = agg._union_rhos(m, [(0, 1), (1, 0)])
+    assert 1.0 - r01 == pytest.approx(1.0 - rho_rect, abs=1e-12)
+    assert 1.0 - r01 == pytest.approx(0.14419, abs=1e-5)
+    assert r10 == r01
 
 
 def test_smoothness_cost():
     m = build_mesh(**TWO_SQUARES)
-    assert smoothness_cost(m, 0, 0) == 0
-    assert smoothness_cost(m, 0, 1) == 1
+    config = AgglomerationConfig(lam=1.0)
+    assert energy(m, [0, 0], config).smooth_term == 0
+    assert energy(m, [0, 1], config).smooth_term == 1
+    # the literal term charges distinct labels only when their cells touch
     m2 = grid_mesh(3, 1)
-    assert smoothness_cost(m2, 0, 2) == 0
+    assert energy(m2, [0, 2, 2], AgglomerationConfig(lam=1.0, sc_mode="literal")).smooth_term == 0
+    assert energy(m2, [0, 2, 2], config).smooth_term == 1
 
 
 def test_energy_trivial_labeling():
@@ -563,7 +500,8 @@ def test_energy_lambda_zero_data_only():
     for power in (1, 2):
         e = energy(m, [1, 1], AgglomerationConfig(lam=0.0, dc_power=power))
         assert e.total == e.data_term
-        assert e.data_term == round(2 * data_cost(m, 0, 1, power=power))
+        r, = agg._union_rhos(m, [(0, 1)])
+        assert e.data_term == round(2 * (1.0 - r**power))
 
 
 def test_swap_move_no_carriers():

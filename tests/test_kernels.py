@@ -6,29 +6,27 @@ from pathlib import Path
 import numpy as np
 
 from polyagg import _kernels
-from polyagg.agglomerate import min_cut
+from conftest import packed_min_cut
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def test_maxflow_int64_saturation_safe():
     big = np.int64(1) << 40
-    flow, mask = min_cut([big], [big + 5], np.empty((0, 2), dtype=np.int64), [])
+    flow, mask = packed_min_cut([big], [big + 5], [], [])
     assert flow == big
     assert mask.tolist() == [False]
 
 
 def test_maxflow_int64_saturation_safe_above_enumeration():
-    n = _kernels.ENUM_MAX_NODES + 1  # solved by Dinic
+    n = _kernels.ENUM_MAX_NODES + 1  # solved by augmenting paths
     big = np.int64(1) << 40
     cap_s = np.zeros(n, dtype=np.int64)
     cap_t = np.zeros(n, dtype=np.int64)
     cap_s[0] = big
     cap_t[-1] = big + 5
-    chain = np.arange(n - 1, dtype=np.int64)
-    flow, mask = min_cut(
-        cap_s, cap_t, np.stack([chain, chain + 1], axis=1), np.full(n - 1, big << 1, dtype=np.int64)
-    )
+    chain = [(i, i + 1) for i in range(n - 1)]
+    flow, mask = packed_min_cut(cap_s, cap_t, chain, [big << 1] * (n - 1))
     assert flow == big
     assert mask.tolist() == [False] * n
 
