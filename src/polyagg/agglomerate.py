@@ -317,12 +317,14 @@ def minimize(mesh: PolygonalMesh, config: AgglomerationConfig,
     return np.array(labels, dtype=np.int64), history
 
 
-def apply_labeling(mesh: PolygonalMesh, labels) -> PolygonalMesh:
+def apply_labeling(mesh: PolygonalMesh, labels, skipped=None) -> PolygonalMesh:
     """Merge every edge-connected component of each label class.
 
     Components whose union is not a simple hole-free polygon (or would erase
-    a constrained edge) fall back to their original cells with a warning.
+    a constrained edge) fall back to their original cells with a warning;
+    a list ``skipped`` gets one (label, cells, reason) per such component.
     Aligned edges are merged afterwards; constraints survive both steps.
+    ``mesh`` itself is returned when neither step changes a cell.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != mesh.n_cells:
@@ -350,17 +352,20 @@ def apply_labeling(mesh: PolygonalMesh, labels) -> PolygonalMesh:
         if err is None:
             new_cells.append(loop)
             continue
-        warnings.warn(
-            f"label {labels[comp[0]]}: merge of cells {comp} skipped ({err})",
-            RuntimeWarning,
-        )
+        label = int(labels[comp[0]])
+        warnings.warn(f"label {label}: merge of cells {comp} skipped ({err})", RuntimeWarning)
+        if skipped is not None:
+            skipped.append((label, comp, str(err)))
         new_cells.extend(mesh.cells[c] for c in comp)
 
     # aligned vertices are dropped before the one build of the merged mesh
     cons = mesh.constrained_edge_pairs()
     cvs = np.flatnonzero(mesh.vertex_constrained)
-    new_cells = _drop_aligned_vertices(mesh.points, new_cells, cons, cvs)
-    return build_mesh(mesh.points, new_cells, cons, cvs, compact=True)
+    kept = _drop_aligned_vertices(mesh.points, new_cells, cons, cvs)
+    if (not unions and kept is new_cells and (order == np.arange(n)).all()
+            and np.bincount(mesh.edges.ravel(), minlength=mesh.n_vertices).all()):
+        return mesh  # every cell and vertex kept, in order: a build would copy it
+    return build_mesh(mesh.points, kept, cons, cvs, compact=True)
 
 
 @dataclass
@@ -375,6 +380,7 @@ class ReductionStats:
     energy_final: int
     energy_saved: float
     cycles: int
+    merges_skipped: int    # label components left as their cells (see apply_labeling)
 
 
 @dataclass
@@ -399,7 +405,8 @@ def agglomerate(mesh: PolygonalMesh, config: AgglomerationConfig) -> Agglomerati
     else:
         problem = _Problem(mesh, config)
         labels, history = minimize(mesh, config, _problem=problem)
-    out = apply_labeling(mesh, labels)
+    skipped = []
+    out = apply_labeling(mesh, labels, skipped)
     e1 = history[0].total
     e2 = history[-1].total
     stats = ReductionStats(
@@ -413,6 +420,7 @@ def agglomerate(mesh: PolygonalMesh, config: AgglomerationConfig) -> Agglomerati
         energy_final=e2,
         energy_saved=0.0 if e1 == 0 else (e1 - e2) / e1,
         cycles=history[-1].iterations,
+        merges_skipped=len(skipped),
     )
     return AgglomerationResult(out, labels, history, stats)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dfn, quality, vtkio
+from . import _fork, dfn, quality, vtkio
 from .agglomerate import AgglomerationConfig, agglomerate, write_energy_csv
 from .mesh import MeshError, load_mesh, save_mesh
 from .solutions import CATALOG
@@ -127,6 +127,11 @@ def _report_from_run(rep, mesh_id):
     }
 
 
+def _rho_tables(meshes) -> list:
+    """The per-cell rho of each mesh."""
+    return [[s.rho for s in quality.mesh_quality_report(mesh).scores] for mesh in meshes]
+
+
 def cmd_dfn(args) -> int:
     case = _load_case(args.network)
     out = _outdir(args)
@@ -139,11 +144,16 @@ def cmd_dfn(args) -> int:
                 sc_mode=args.sc_mode,
             )
             mesh_id = f"area={target}" if target is not None else f"cells={cells}"
-            for k in args.order:
-                rep = dfn.solve_discretized(disc, k)
-                rows.append(_report_from_run(rep, mesh_id))
-                print(f"{mesh_id} lambda={lam} k={k} dofs={rep.dofs} "
-                      f"cells={rep.cells} err_l2={rep.err_l2} err_h1={rep.err_h1}")
+            # the rho tables of all fractures but the one with the fewest
+            # cells are computed in a forked child while the solves run
+            fids = sorted(disc.meshes, key=lambda fid: (disc.meshes[fid].n_cells, fid))
+            with _fork.Forked(_rho_tables, [disc.meshes[fid] for fid in fids[1:]]) as tables:
+                for k in args.order:
+                    rep = dfn.solve_discretized(disc, k)
+                    rows.append(_report_from_run(rep, mesh_id))
+                    print(f"{mesh_id} lambda={lam} k={k} dofs={rep.dofs} "
+                          f"cells={rep.cells} err_l2={rep.err_l2} err_h1={rep.err_h1}")
+                rhos = dict(zip(fids, _rho_tables([disc.meshes[fids[0]]]) + tables.result()))
             # per-fracture VTK for the last order solved
             gmap = rep.gmap
             frs = {f.fid: f for f in case.network.fractures}
@@ -154,11 +164,10 @@ def cmd_dfn(args) -> int:
                 sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
                 uh_cell = np.add.reduceat(xloc[np.concatenate(mesh.cells)],
                                           np.cumsum(sizes) - sizes) / sizes
-                rhos = [s.rho for s in quality.mesh_quality_report(mesh).scores]
                 vtkio.write_mesh_vtk(
                     out / f"{mesh_id.replace('=', '_')}_lambda_{lam}_fracture_{fid}.vtk",
                     mesh,
-                    {"u": uh_cell, "rho": rhos},
+                    {"u": uh_cell, "rho": rhos[fid]},
                     to_global=frs[fid].to_global,
                 )
     write_report(rows, out / f"dfn.{args.format}", args.format)

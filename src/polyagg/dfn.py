@@ -9,15 +9,17 @@ tangential frame.
 
 import ast
 import bisect
+import contextlib
 import itertools
 import math
 import operator
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, vem
+from . import _fork, geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate
 from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _components, _LineTokens,
                    build_mesh, parse_count, parse_tokens)
@@ -1159,6 +1161,7 @@ class FracturePipelineInfo:
     energy_final: int
     energy_saved: float
     cycles: int
+    merges_skipped: int
     history: list
 
 
@@ -1172,41 +1175,94 @@ class NetworkDiscretization:
     h: float
 
 
+def _fracture_pipeline(network: FractureNetwork, fid, max_area, n_cells, config):
+    """triangulate + cut + agglomerate fracture ``fid``: (mesh, info)."""
+    fr = next(f for f in network.fractures if f.fid == fid)
+    tri = triangulate_fracture(fr, max_area=max_area, n_cells=n_cells)
+    segs = [tr.local_segment(fr) for tr in network.fracture_traces(fid)]
+    cut = cut_by_traces(tri, segs, tol_rel=TOL_REL * network.scale / max(fr.diameter, 1e-300))
+    # trace edges and endpoints are constrained in ``cut``, so no merge
+    # crosses a trace and the fractures stay conforming
+    result = agglomerate(cut, config)
+    target = abs(geometry.polygon_area(fr.local_polygon))
+    if abs(result.mesh.total_area - target) > 1e-10 * target:
+        raise NetworkError(f"fracture {fid}: pipeline changed the covered area")
+    stats = result.stats
+    return result.mesh, FracturePipelineInfo(
+        fid=fid,
+        cells_triangulated=tri.n_cells,
+        cells_cut=cut.n_cells,
+        cells_final=result.mesh.n_cells,
+        h_triangulation=tri.h,
+        energy_initial=stats.energy_initial,
+        energy_final=stats.energy_final,
+        energy_saved=stats.energy_saved,
+        cycles=stats.cycles,
+        merges_skipped=stats.merges_skipped,
+        history=result.history,
+    )
+
+
+def _fracture_share(network: FractureNetwork, fids, max_area, n_cells, config) -> dict:
+    """fid -> (mesh, info, recorded warnings) of ``_fracture_pipeline`` on
+    each of ``fids`` in turn.  The first fracture that raises ends the
+    share; it and the fractures after it are left out."""
+    done = {}
+    for fid in fids:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                mesh, info = _fracture_pipeline(network, fid, max_area, n_cells, config)
+            except Exception:
+                break
+        done[fid] = (mesh, info, caught)
+    return done
+
+
+def _balanced_shares(weights: dict, n: int) -> list:
+    """The keys of ``weights`` in ``n`` lists of similar total weight: the
+    heaviest key first, each to the lightest list so far (the first on a
+    tie).  Each list is in ascending order."""
+    shares = [[] for _ in range(n)]
+    loads = [0.0] * n
+    for key in sorted(weights, key=lambda k: (-weights[k], k)):
+        i = loads.index(min(loads))
+        shares[i].append(key)
+        loads[i] += weights[key]
+    return [sorted(share) for share in shares]
+
+
 def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
                        lam=0.0, sc_mode="potts", dc_power=2, max_cycles=50) -> NetworkDiscretization:
-    """triangulate + cut + agglomerate per fracture, then stitch globally."""
+    """triangulate + cut + agglomerate per fracture, then stitch globally.
+
+    The fractures are split by area over one worker per available CPU: this
+    process runs the first share and a forked child each other one.  The
+    result, the warnings (re-emitted in fid order) and the error raised (that
+    of the lowest fid that fails, by running it again here) are those of one
+    fracture after another.
+    """
     network = case.network
-    frs = {f.fid: f for f in network.fractures}
-    scale = network.scale
     config = AgglomerationConfig(lam=lam, sc_mode=sc_mode, dc_power=dc_power,
                                  max_cycles=max_cycles)
+    areas = {f.fid: abs(geometry.polygon_area(f.local_polygon)) for f in network.fractures}
+    shares = _balanced_shares(areas, max(1, min(_fork.available_cpus(), len(areas))))
+    args = (max_area, n_cells, config)
+    with contextlib.ExitStack() as stack:
+        children = [stack.enter_context(_fork.Forked(_fracture_share, network, share, *args))
+                    for share in shares[1:]]
+        done = _fracture_share(network, shares[0], *args)
+        for child in children:
+            done.update(child.result())
 
     meshes = {}
     infos = {}
-    for fid in sorted(frs):
-        fr = frs[fid]
-        tri = triangulate_fracture(fr, max_area=max_area, n_cells=n_cells)
-        segs = [tr.local_segment(fr) for tr in network.fracture_traces(fid)]
-        cut = cut_by_traces(tri, segs, tol_rel=TOL_REL * scale / max(fr.diameter, 1e-300))
-        # trace edges and endpoints are constrained in ``cut``, so no merge
-        # crosses a trace and the fractures stay conforming
-        result = agglomerate(cut, config)
-        target = abs(geometry.polygon_area(fr.local_polygon))
-        if abs(result.mesh.total_area - target) > 1e-10 * target:
-            raise NetworkError(f"fracture {fid}: pipeline changed the covered area")
-        meshes[fid] = result.mesh
-        infos[fid] = FracturePipelineInfo(
-            fid=fid,
-            cells_triangulated=tri.n_cells,
-            cells_cut=cut.n_cells,
-            cells_final=result.mesh.n_cells,
-            h_triangulation=tri.h,
-            energy_initial=result.stats.energy_initial,
-            energy_final=result.stats.energy_final,
-            energy_saved=result.stats.energy_saved,
-            cycles=result.stats.cycles,
-            history=result.history,
-        )
+    for fid in sorted(areas):
+        if fid not in done:
+            meshes[fid], infos[fid] = _fracture_pipeline(network, fid, *args)
+            continue
+        meshes[fid], infos[fid], caught = done[fid]
+        _fork.replay(caught)
 
     stitched, matches = stitch_meshes(meshes, network)
     # the refinement parameter is the triangulation size h: agglomeration
@@ -1227,7 +1283,7 @@ def mesh_discretization(mesh: PolygonalMesh, exact, name="mesh") -> NetworkDiscr
                        frame=((0, 0, 0), (1, 0, 0), (0, 1, 0)))
     case = NetworkCase(name, FractureNetwork([fr], []), {0: exact})
     info = FracturePipelineInfo(0, mesh.n_cells, mesh.n_cells, mesh.n_cells,
-                                mesh.h, 0, 0, 0.0, 0, [])
+                                mesh.h, 0, 0, 0.0, 0, 0, [])
     return NetworkDiscretization(case, 0.0, {0: mesh}, {}, {0: info}, mesh.h)
 
 

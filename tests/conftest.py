@@ -1,4 +1,5 @@
 import functools
+import os
 
 import networkx as nx
 import numpy as np
@@ -1346,6 +1347,17 @@ def mesh_fields(mesh):
         [(nb.dtype.str, nb.tobytes()) for nb in mesh.neighbors],
         mesh.h,
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # this process has no child
+    pytest.fail(f"the test left a child process ({'running' if pid == 0 else pid})")
 
 
 @pytest.fixture

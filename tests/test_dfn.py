@@ -9,7 +9,7 @@ import scipy.sparse as sps
 from hypothesis import given
 
 from polyagg import dfn, mesh as mesh_mod, vem
-from polyagg.agglomerate import AgglomerationConfig, agglomerate
+from polyagg.agglomerate import AgglomerationConfig, agglomerate, apply_labeling, minimize
 from polyagg.dfn import (
     NetworkError,
     _f1,
@@ -347,6 +347,24 @@ def test_cut_matches_scalar_reference(monkeypatch, cut_cases, k):
     got = cut_by_traces(mesh, segs)
     monkeypatch.setattr(dfn, "_cut_one_segment", ref_cut_one_segment)
     assert mesh_fields(got) == mesh_fields(cut_by_traces(mesh, segs))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_apply_labeling_of_cut_meshes_is_a_rebuild_fixed_point(cut_cases, lam):
+    """On each cut mesh (network1 at area 2e-2 among them), apply_labeling
+    gives the mesh that rebuilding its cells and constraints gives; at
+    lambda = 0 that is the cut mesh itself."""
+    for mesh, segs in cut_cases:
+        cut = cut_by_traces(mesh, segs)
+        if lam == 0.0:
+            labels = np.arange(cut.n_cells)
+        else:
+            labels, _ = minimize(cut, AgglomerationConfig(lam=lam))
+        out = apply_labeling(cut, labels)
+        assert out is cut or lam > 0.0
+        rebuilt = build_mesh(out.points, out.cells, out.constrained_edge_pairs(),
+                             np.flatnonzero(out.vertex_constrained), compact=True)
+        assert mesh_fields(out) == mesh_fields(rebuilt)
 
 
 # ---------------------------------------------------------------------------

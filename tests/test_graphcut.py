@@ -593,10 +593,14 @@ def test_minimize_deterministic():
 
 
 def test_apply_labeling_trivial_keeps_cells():
+    """With every cell its own component, in order, the mesh itself comes
+    back; an unused vertex still makes a compacted rebuild."""
     m = grid_mesh(3, 2)
-    out = apply_labeling(m, trivial_labeling(m.n_cells))
-    assert out.n_cells == m.n_cells
-    assert out.total_area == pytest.approx(m.total_area, rel=1e-12)
+    assert apply_labeling(m, trivial_labeling(m.n_cells)) is m
+    spare = build_mesh([[0, 0], [1, 0], [0, 1], [5, 5]], [[0, 1, 2]], compact=False)
+    out = apply_labeling(spare, [0])
+    assert out is not spare and out.n_vertices == 3
+    assert out.total_area == pytest.approx(spare.total_area, rel=1e-12)
 
 
 def test_apply_labeling_merges_pair():
@@ -611,6 +615,8 @@ def test_apply_labeling_disconnected_class():
     m = grid_mesh(3, 1)
     out = apply_labeling(m, [5, 1, 5])
     assert out.n_cells == 3  # two components plus the middle cell
+    # components come by label: the rebuild puts the middle cell first
+    assert [c.tolist() for c in out.cells] == [m.cells[i].tolist() for i in (1, 0, 2)]
 
 
 def test_apply_labeling_hole_falls_back():
@@ -622,6 +628,23 @@ def test_apply_labeling_hole_falls_back():
         out = apply_labeling(m, labels)
     assert out.n_cells == 9
     assert out.total_area == pytest.approx(m.total_area, rel=1e-10)
+
+
+def test_skipped_merges_are_counted(monkeypatch):
+    """A merge that falls back to its cells is reported to ``skipped`` and
+    counted in the agglomeration's ``merges_skipped``."""
+    m = grid_mesh(3, 3)
+    labels = np.where(np.arange(9) == 4, 4, 0)
+    skipped = []
+    with pytest.warns(RuntimeWarning, match="merge of cells"):
+        apply_labeling(m, labels, skipped)
+    assert skipped == [(0, [0, 1, 2, 3, 5, 6, 7, 8], "union encloses a hole")]
+    monkeypatch.setattr(agg, "minimize", lambda mesh, config, _problem: (labels, [
+        agg.EnergyBreakdown(2, 0, 2, 0), agg.EnergyBreakdown(1, 0, 1, 1)]))
+    with pytest.warns(RuntimeWarning, match="merge of cells"):
+        stats = agglomerate(m, AgglomerationConfig(lam=1.0)).stats
+    assert stats.merges_skipped == 1
+    assert agglomerate(m, AgglomerationConfig(lam=0.0)).stats.merges_skipped == 0
 
 
 def test_agglomerate_lambda_zero_keeps_cell_count():
