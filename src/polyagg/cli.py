@@ -258,6 +258,21 @@ def _lambda(text) -> float:
     return lam
 
 
+def _positive(cast, what):
+    """argparse type of a positive finite ``cast`` value, else a usage error."""
+
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"{what} must be a positive number, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="polyagg")
     p.add_argument("--out", default="out", help="output directory")
@@ -285,27 +300,30 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dfn-solve", help="full DFN pipeline solve")
     d.add_argument("--network", required=True,
                    help="DFN file or builtin:network1")
-    d.add_argument("--area", type=float, nargs="*", default=[])
-    d.add_argument("--cells", type=int, default=None)
+    d.add_argument("--area", type=_positive(float, "area"), nargs="*", default=[])
+    d.add_argument("--cells", type=_positive(int, "cells"), default=None)
     d.add_argument("--lambda", dest="lam", type=_lambda, nargs="+", default=[0.0])
-    d.add_argument("--order", type=int, nargs="+", default=[1])
+    d.add_argument("--order", type=int, choices=(1, 2, 3), nargs="+", default=[1])
     d.add_argument("--sc-mode", choices=("literal", "potts"), default="potts")
     d.set_defaults(func=cmd_dfn)
 
     c = sub.add_parser("convergence", help="rate table over refinements")
     c.add_argument("--network", default=None)
-    c.add_argument("--area", type=float, nargs="*", default=[])
+    c.add_argument("--area", type=_positive(float, "area"), nargs="*", default=[])
     c.add_argument("--meshes", nargs="*", default=[])
     c.add_argument("--solution", default="sinsin")
     c.add_argument("--lambda", dest="lam", type=_lambda, nargs="+", default=[0.0])
-    c.add_argument("--order", type=int, nargs="+", default=[1])
+    c.add_argument("--order", type=int, choices=(1, 2, 3), nargs="+", default=[1])
     c.add_argument("--sc-mode", choices=("literal", "potts"), default="potts")
     c.set_defaults(func=cmd_convergence)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "dfn-solve" and not args.area and args.cells is None:
+        parser.error("dfn-solve needs --area or --cells")
     try:
         return args.func(args)
     except (MeshError, dfn.NetworkError, FileNotFoundError) as err:

@@ -187,7 +187,8 @@ def _polygon_plane_section(fr: Fracture, normal, offset, tol):
 
 
 def compute_traces(fractures) -> list:
-    """Pairwise intersection segments between convex planar fractures."""
+    """Pairwise intersection segments between convex planar fractures: the
+    overlap of the sections of each fracture by the other's plane."""
     allv = np.vstack([f.vertices3 for f in fractures])
     scale = float(np.linalg.norm(allv.max(0) - allv.min(0)))
     tol = 1e-10 * max(scale, 1e-300)
@@ -198,30 +199,27 @@ def compute_traces(fractures) -> list:
             di = fi.vertices3 @ fj.normal - fj.plane_offset()
             dj = fj.vertices3 @ fi.normal - fi.plane_offset()
             if np.abs(di).max() <= tol and np.abs(dj).max() <= tol:
-                inter = geometry.convex_clip(
-                    fi.to_local(fj.vertices3), fi.local_polygon
-                )
-                if len(inter) >= 3 and abs(geometry.polygon_area(inter)) > tol * tol:
+                poly = fi.local_polygon
+                eps = 1e-12 * max(geometry.polygon_diameter(poly), 1e-300)
+                inter, m = geometry.kernel_clip(poly, eps, start=fi.to_local(fj.vertices3))
+                if m >= 3 and abs(geometry.polygon_area(inter)) > tol * tol:
                     raise FractureError(
                         fj.fid, f"and fracture {fi.fid} are coplanar and overlap"
                     )
                 continue
             sec = _polygon_plane_section(fi, fj.normal, fj.plane_offset(), tol)
-            if sec is None:
+            other = _polygon_plane_section(fj, fi.normal, fi.plane_offset(), tol)
+            if sec is None or other is None:
                 continue
+            # both sections lie on the planes' common line: overlap their
+            # parameter intervals along the first one
             a3, b3 = sec
-            d3 = b3 - a3
-            length = np.linalg.norm(d3)
-            dirv = d3 / length
-            # clip against fracture j in its own plane
-            a2 = fj.to_local(a3[None, :])[0]
-            d2 = fj.to_local((a3 + dirv)[None, :])[0] - a2
-            clip = geometry.clip_segment_to_convex(
-                a2, d2, length, fj.local_polygon, tol
-            )
-            if clip is None:
+            length = np.linalg.norm(b3 - a3)
+            dirv = (b3 - a3) / length
+            ts = [float((p - a3) @ dirv) for p in other]
+            t0, t1 = max(0.0, min(ts)), min(length, max(ts))
+            if t1 - t0 <= tol:
                 continue
-            t0, t1 = clip
             pa = a3 + t0 * dirv
             pb = a3 + t1 * dirv
             if tuple(pb) < tuple(pa):
@@ -291,21 +289,6 @@ class BCSpec:
 # structured triangulation
 # ---------------------------------------------------------------------------
 
-def _inward_distance(poly, p) -> float:
-    """Distance of a point to the nearest edge line of a convex CCW polygon."""
-    best = np.inf
-    n = len(poly)
-    for e in range(n):
-        a, b = poly[e], poly[(e + 1) % n]
-        d = b - a
-        ln = np.hypot(*d)
-        if ln == 0.0:
-            continue
-        s = (d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0])) / ln
-        best = min(best, s)
-    return best
-
-
 def _grid_counts(w, h, max_area=None, n_cells=None):
     if max_area is not None:
         s = math.sqrt(max_area)
@@ -355,6 +338,40 @@ def triangulate_fracture(fracture: Fracture, max_area=None, n_cells=None) -> Pol
     raise last_err
 
 
+def _partial_fans(points, quads, pieces, m, parts, snap, min_area):
+    """Fan triangles of the clipped pieces ``parts`` of grid quads.
+
+    A piece's vertex is the first quad corner within ``snap`` of it, else a
+    new vertex, pooled by position in quad order.  Returns the new vertices
+    (e, 2), numbered on from ``points``, and quad -> (t, 3) vertex ids of
+    its fan triangles with an area above ``min_area``.
+    """
+    extra, pool, fans = [], {}, {}
+    for k in parts.tolist():
+        ids = []
+        for p in pieces[k, :m[k]]:
+            d = points[quads[k]] - p
+            near = np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) <= snap)
+            if len(near):
+                ids.append(int(quads[k, near[0]]))
+                continue
+            key = (round(p[0] / snap), round(p[1] / snap))
+            if key not in pool:
+                pool[key] = len(points) + len(extra)
+                extra.append(p)
+            ids.append(pool[key])
+        dedup = [v for i, v in enumerate(ids) if v != ids[i - 1]]
+        if len(dedup) >= 3 and dedup[0] == dedup[-1]:
+            dedup = dedup[:-1]
+        if len(dedup) < 3:
+            continue
+        fan = np.array([(dedup[0], dedup[t], dedup[t + 1]) for t in range(1, len(dedup) - 1)])
+        loops = np.array([points[v] if v < len(points) else extra[v - len(points)]
+                          for v in fan.ravel()]).reshape(-1, 3, 2)
+        fans[k] = fan[geometry.polygon_area(loops) > min_area]
+    return np.reshape(extra, (-1, 2)), fans
+
+
 def _triangulate_once(fracture: Fracture, max_area, n_cells, jitter) -> PolygonalMesh:
     poly = fracture.local_polygon
     xmin, ymin = poly.min(0)
@@ -369,78 +386,39 @@ def _triangulate_once(fracture: Fracture, max_area, n_cells, jitter) -> Polygona
     sx, sy = w / nx, h / ny
     quad_area = sx * sy
     diam = fracture.diameter
-    is_box = len(poly) == 4 and all(
-        min(np.hypot(*(poly[i] - c)) for i in range(4)) <= 1e-12 * diam
-        for c in (
-            (xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)
-        )
-    )
+    off = poly[:, None] - np.array([(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)])
+    is_box = len(poly) == 4 and bool((np.hypot(off[..., 0], off[..., 1]).min(axis=0)
+                                      <= 1e-12 * diam).all())
 
-    points = [np.array([x, y]) for y in ys for x in xs]
+    points = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     if jitter > 0.0:
         rng = np.random.default_rng(1811 + 7919 * fracture.fid)
-        margin = 1.5 * max(sx, sy)
-        for j in range(1, ny):
-            for i in range(1, nx):
-                dx = jitter * sx * (2.0 * rng.random() - 1.0)
-                dy = jitter * sy * (2.0 * rng.random() - 1.0)
-                v = j * (nx + 1) + i
-                if is_box or _inward_distance(poly, points[v]) >= margin:
-                    points[v] = points[v] + (dx, dy)
-    vid = lambda i, j: j * (nx + 1) + i
-    cells = []
-    extra_points = []
-    pool = {}
+        step = jitter * np.array([sx, sy]) * (2.0 * rng.random((ny - 1, nx - 1, 2)) - 1.0)
+        inner = points.reshape(ny + 1, nx + 1, 2)[1:-1, 1:-1]
+        # a box's interior vertices all move; otherwise only those at least
+        # 1.5 pitches inside every edge line
+        move = is_box | (geometry.inward_distance(poly, inner) >= 1.5 * max(sx, sy))
+        inner[move] += step[move]
 
-    def clip_vid(p):
-        key = (round(p[0] / (1e-9 * diam)), round(p[1] / (1e-9 * diam)))
-        if key in pool:
-            return pool[key]
-        k = len(points) + len(extra_points)
-        extra_points.append(np.asarray(p))
-        pool[key] = k
-        return k
+    # grid quads in row order, each as its corners' vertex ids in CCW order
+    q = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    quads = np.stack([q, q + 1, q + nx + 2, q + nx + 1], axis=1)
+    corners = points[quads]
+    qa = np.abs(geometry.polygon_area(corners))
+    eps = 1e-12 * max(geometry.polygon_diameter(poly), 1e-300)
+    pieces, m = geometry.kernel_clip(poly, eps, start=corners)
+    pa = np.abs(geometry.polygon_area(pieces))
+    kept = (m >= 3) & (pa > 1e-14 * quad_area)
+    full = kept & (np.abs(pa - qa) <= 1e-12 * qa)
 
-    for j in range(ny):
-        for i in range(nx):
-            q = [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-            if is_box:
-                cells.append([q[0], q[1], q[2]])
-                cells.append([q[0], q[2], q[3]])
-                continue
-            quad = np.array([points[v] for v in q])
-            qa = abs(geometry.polygon_area(quad))
-            piece = geometry.convex_clip(quad, poly)
-            if len(piece) < 3:
-                continue
-            pa = abs(geometry.polygon_area(piece))
-            if pa <= 1e-14 * quad_area:
-                continue
-            if abs(pa - qa) <= 1e-12 * qa:
-                cells.append([q[0], q[1], q[2]])
-                cells.append([q[0], q[2], q[3]])
-                continue
-            ids = []
-            for p in piece:
-                side = [
-                    v
-                    for v in q
-                    if np.hypot(*(points[v] - p)) <= 1e-9 * diam
-                ]
-                ids.append(side[0] if side else clip_vid(p))
-            dedup = [v for k, v in enumerate(ids) if v != ids[k - 1]]
-            if len(dedup) >= 3 and dedup[0] == dedup[-1]:
-                dedup = dedup[:-1]
-            if len(dedup) < 3:
-                continue
-            allpts = points + extra_points
-            for t in range(1, len(dedup) - 1):
-                tri = [dedup[0], dedup[t], dedup[t + 1]]
-                a = geometry.polygon_area(np.array([allpts[v] for v in tri]))
-                if a > 1e-14 * quad_area:
-                    cells.append(tri)
-
-    mesh = build_mesh(points + extra_points, cells, compact=True)
+    extra, fans = _partial_fans(points, quads, pieces, m, np.flatnonzero(kept & ~full),
+                                1e-9 * diam, 1e-14 * quad_area)
+    # full quads give two triangles each, partial ones their fans, in quad order
+    k = np.flatnonzero(full)
+    owner = np.concatenate([np.repeat(k, 2), *(np.full(len(f), quad) for quad, f in fans.items())])
+    cells = np.concatenate([quads[k][:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3), *fans.values()])
+    mesh = build_mesh(np.concatenate([points, extra]), cells[np.argsort(owner, kind="stable")],
+                      compact=True)
     target_area = abs(geometry.polygon_area(poly))
     if abs(mesh.total_area - target_area) > 1e-10 * target_area:
         raise NetworkError(
@@ -1233,7 +1211,7 @@ def _balanced_shares(weights: dict, n: int) -> list:
 
 
 def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
-                       lam=0.0, sc_mode="potts", dc_power=2, max_cycles=50) -> NetworkDiscretization:
+                       lam=0.0, sc_mode="potts") -> NetworkDiscretization:
     """triangulate + cut + agglomerate per fracture, then stitch globally.
 
     The fractures are split by area over one worker per available CPU: this
@@ -1243,8 +1221,7 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
     fracture after another.
     """
     network = case.network
-    config = AgglomerationConfig(lam=lam, sc_mode=sc_mode, dc_power=dc_power,
-                                 max_cycles=max_cycles)
+    config = AgglomerationConfig(lam=lam, sc_mode=sc_mode)
     areas = {f.fid: abs(geometry.polygon_area(f.local_polygon)) for f in network.fractures}
     shares = _balanced_shares(areas, max(1, min(_fork.available_cpus(), len(areas))))
     args = (max_area, n_cells, config)
@@ -1429,12 +1406,23 @@ def _parse_bc_value(text, line):
     return value
 
 
+def _on_fracture(fr: Fracture, pts3) -> bool:
+    """Whether all points (m, 3) lie on the fracture, within the coplanarity
+    tolerance of ``make_fracture`` of its plane and of its polygon."""
+    tol = 1e-10 * fr.diameter
+    with np.errstate(all="ignore"):  # a non-finite point is on no fracture
+        off = np.abs((pts3 - fr.origin) @ fr.normal)
+        inside = geometry.inward_distance(fr.local_polygon, fr.to_local(pts3))
+    return bool((off <= tol).all() and (inside >= -tol).all())
+
+
 def load_network(path) -> NetworkCase:
     """Read the DFN text format.
 
     ``F n`` then per fracture: a vertex count, that many ``x y z`` lines and
     an optional ``K kxx kxy kyy`` line; optional ``T m`` block with lines
-    ``i j ax ay az bx by bz``; optional ``BC m`` block with lines
+    ``i j ax ay az bx by bz``, whose endpoints must lie on both fractures;
+    optional ``BC m`` block with lines
     ``dirichlet a b c d <value>`` where the plane is a*x+b*y+c*z+d=0 and the
     value is an expression in x, y, z (grammar in ``_parse_bc_value``).
     """
@@ -1488,6 +1476,10 @@ def load_network(path) -> NetworkCase:
             if not (0 <= i < nf and 0 <= j < nf and i != j):
                 raise MeshFormatError("trace must join two listed fractures", line=ln)
             a3, b3 = np.reshape(parse_tokens(float, tok[2:], "trace point", ln), (2, 3))
+            for fid in (i, j):
+                if not _on_fracture(fractures[fid], np.array([a3, b3])):
+                    raise MeshFormatError(f"trace {tid} does not lie on fracture {fid}",
+                                          line=ln)
             if tuple(b3) < tuple(a3):
                 a3, b3 = b3, a3
             traces.append(TraceSegment(tid, a3, b3, i, j))

@@ -193,41 +193,55 @@ def _simple_block(pts, diam, eps):
     return ok
 
 
-def kernel_clip(pts, eps):
+def kernel_clip(pts, eps, start=None):
     """Kernel of a simple CCW polygon (n, 2), or of each polygon of a stack
     (..., n, 2) with one vertex count, by successive half-plane clipping.
 
-    Starts from the bounding box and clips against the inward (left)
-    half-plane of every boundary edge in turn, the whole stack at once.
+    Starts from the bounding box, or from the convex polygons ``start``
+    (..., s, 2), and clips against the inward (left) half-plane of every
+    boundary edge in turn, the whole stack at once.  The leading axes of
+    ``pts`` and ``start`` broadcast, so one convex polygon clips a stack of
+    start polygons to their overlaps with it (the Sutherland-Hodgman clip).
     Returns ``(buf, m)``: the kernel of a polygon is ``buf[..., :m, :]``, a
     convex polygon, empty (m = 0) when the polygon is not star-shaped.
-    ``buf`` has 2n + 8 rows and its rows past m repeat row 0 (all rows are
-    zero when m = 0), so the shoelace of a whole buffer adds exact zeros to
-    the kernel's.  ``eps`` is an absolute distance tolerance, one value or
-    one per polygon.
+    ``buf`` has 2n + 8 rows (s + n from a start) and its rows past m repeat
+    row 0 (all rows are zero when m = 0), so the shoelace of a whole buffer
+    adds exact zeros to the kernel's.  ``eps`` is an absolute distance
+    tolerance, one value or one per polygon.
     """
     pts = np.asarray(pts, dtype=np.float64)
-    lead, n = pts.shape[:-2], pts.shape[-2]
+    n = pts.shape[-2]
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        lead = np.broadcast_shapes(pts.shape[:-2], start.shape[:-2])
+        pts = np.broadcast_to(pts, lead + (n, 2))
+    lead = pts.shape[:-2]
     flat = pts.reshape((math.prod(lead), n, 2))
     g = len(flat)
     eps = np.broadcast_to(eps, lead).reshape(-1)
     cells = np.arange(g)
-    lo = flat[:, 0]
-    hi = flat[:, 0]
-    for i in range(1, n):
-        lo = np.where(flat[:, i] < lo, flat[:, i], lo)
-        hi = np.where(flat[:, i] > hi, flat[:, i], hi)
+    # kernel vertices as a (rows, cells, 2) array: a row of all cells is
+    # contiguous, so scans over the rows run across the whole stack
+    if start is None:
+        lo = flat[:, 0]
+        hi = flat[:, 0]
+        for i in range(1, n):
+            lo = np.where(flat[:, i] < lo, flat[:, i], lo)
+            hi = np.where(flat[:, i] > hi, flat[:, i], hi)
+        cur = np.stack((lo, hi, hi, lo))
+        cur[1, :, 1] = lo[:, 1]
+        cur[3, :, 1] = hi[:, 1]
+        cap = 2 * n + 8
+    else:
+        cur = np.broadcast_to(start, lead + start.shape[-2:]).reshape((g, -1, 2))
+        cur = cur.transpose(1, 0, 2)
+        cap = len(cur) + n
+    m = np.full(g, len(cur))
     # edge e of every polygon: start (ax, ay), unit direction (ux, uy), (n, g)
     ax, ay = flat[..., 0].T, flat[..., 1].T
     d = _successors(flat) - flat
     ln = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).T
     skip = ln <= 0.0  # a zero-length edge clips nothing
-    # kernel vertices as a (rows, cells, 2) array: a row of all cells is
-    # contiguous, so scans over the rows run across the whole stack
-    cur = np.stack((lo, hi, hi, lo))
-    cur[1, :, 1] = lo[:, 1]
-    cur[3, :, 1] = hi[:, 1]
-    m = np.full(g, 4)
     with np.errstate(divide="ignore", invalid="ignore"):
         ux = d[..., 0].T / ln
         uy = d[..., 1].T / ln
@@ -256,7 +270,7 @@ def kernel_clip(pts, eps):
             i = np.flatnonzero(np.arange(width)[:, None] >= m)
             cur[i] = cur[i % g]
             cur = cur.reshape(width, g, 2)
-    rows = np.arange(2 * n + 8)
+    rows = np.arange(cap)
     if len(cur) > len(rows):
         raise GeometryError(f"kernel of more than {len(rows)} vertices")
     rows[rows >= len(cur)] = 0
@@ -273,6 +287,20 @@ def polygon_kernel_points(pts) -> np.ndarray:
     if m >= 3 and abs(polygon_area(kern)) > 0.0:
         return kern
     return np.empty((0, 2))
+
+
+def inward_distance(poly, points) -> np.ndarray:
+    """Signed distance of each point (..., 2) to the nearest edge line of a
+    convex CCW polygon (n, 2): positive inside, negative outside, inf when
+    every edge has zero length."""
+    poly = as_points(poly)
+    points = np.asarray(points, dtype=np.float64)[..., None, :]
+    d = _successors(poly) - poly
+    ln = np.hypot(d[:, 0], d[:, 1])
+    edge = ln != 0.0  # a zero-length edge has no line
+    a, d, ln = poly[edge], d[edge], ln[edge]
+    s = (d[:, 0] * (points[..., 1] - a[:, 1]) - d[:, 1] * (points[..., 0] - a[:, 0])) / ln
+    return s.min(axis=-1, initial=np.inf)
 
 
 def point_in_polygon(pts, point, eps=None) -> int:
@@ -360,70 +388,3 @@ def ear_clip(pts) -> np.ndarray:
     if lead:
         return tris.reshape(lead + (n - 2, 3))
     return tris[0][tris[0, :, 0] >= 0]
-
-
-def convex_clip(subject, clip) -> np.ndarray:
-    """Sutherland-Hodgman clip of ``subject`` against a convex CCW ``clip``."""
-    subject = as_points(subject)
-    clip = as_points(clip)
-    out = subject
-    m = len(clip)
-    scale = polygon_diameter(clip)
-    eps = 1e-12 * max(scale, 1e-300)
-    for e in range(m):
-        if len(out) == 0:
-            break
-        a = clip[e]
-        b = clip[(e + 1) % m]
-        d = b - a
-        ln = np.hypot(d[0], d[1])
-        if ln == 0.0:
-            continue
-        d = d / ln
-        sd = d[0] * (out[:, 1] - a[1]) - d[1] * (out[:, 0] - a[0])
-        res = []
-        k = len(out)
-        for i in range(k):
-            j = (i + 1) % k
-            si, sj = sd[i], sd[j]
-            if si >= -eps:
-                res.append(out[i])
-            if (si > eps and sj < -eps) or (si < -eps and sj > eps):
-                t = si / (si - sj)
-                res.append(out[i] + t * (out[j] - out[i]))
-        out = np.asarray(res).reshape(-1, 2)
-    return out
-
-
-def clip_segment_to_convex(a, d, tmax, poly, eps):
-    """Clip the segment a + t*d, t in [0, tmax] against a convex CCW polygon.
-
-    Returns (t0, t1) of the inside part, or None when the overlap is empty.
-    ``d`` must be a unit vector and eps an absolute distance tolerance.
-    """
-    poly = as_points(poly)
-    t0, t1 = 0.0, float(tmax)
-    n = len(poly)
-    for e in range(n):
-        p = poly[e]
-        q = poly[(e + 1) % n]
-        ex, ey = q - p
-        ln = np.hypot(ex, ey)
-        if ln == 0.0:
-            continue
-        # inward normal of a CCW edge
-        nx, ny = -ey / ln, ex / ln
-        num = nx * (p[0] - a[0]) + ny * (p[1] - a[1])
-        den = nx * d[0] + ny * d[1]
-        if abs(den) < 1e-15:
-            if -num < -eps:
-                return None
-            continue
-        tcross = num / den
-        if den > 0.0:
-            t0 = max(t0, tcross)
-        else:
-            t1 = min(t1, tcross)
-    if t1 - t0 <= eps:
-        return None
-    return t0, t1

@@ -564,9 +564,11 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
 
 def _removable_vertices(points, cells, constrained_edges, constrained_vertices,
                         tol=COLLINEAR_TOL) -> np.ndarray:
-    """Mask of the vertices ``simplify_aligned_edges`` removes from the mesh
-    that ``points``, the int64 vertex loops ``cells`` and these constraints
-    would build."""
+    """Mask of the removable vertices of the mesh that ``points``, the int64
+    vertex loops ``cells`` and these constraints would build: unconstrained
+    hanging nodes interior to straight runs.  Such a vertex lies on exactly
+    two mesh edges, neither constrained, aligned within ``tol``; dropping it
+    keeps every cell's area."""
     nv = len(points)
     tail, head, _ = _loop_edges(cells)
     keys = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head))
@@ -600,7 +602,7 @@ def _removable_vertices(points, cells, constrained_edges, constrained_vertices,
 
 def _drop_aligned_vertices(points, cells, constrained_edges, constrained_vertices,
                            tol=COLLINEAR_TOL) -> list:
-    """``cells`` without the vertices ``simplify_aligned_edges`` removes,
+    """``cells`` without their removable vertices (``_removable_vertices``),
     swept again until none is left; ``cells`` itself when there is none."""
     while True:
         removable = _removable_vertices(points, cells, constrained_edges,
@@ -613,23 +615,6 @@ def _drop_aligned_vertices(points, cells, constrained_edges, constrained_vertice
             # safety: never collapse a cell below a triangle
             new_cells.append(kept if len(kept) >= 3 else ids)
         cells = new_cells
-
-
-def simplify_aligned_edges(mesh: PolygonalMesh, tol=COLLINEAR_TOL) -> PolygonalMesh:
-    """Remove unconstrained hanging nodes interior to straight boundary runs.
-
-    A vertex goes away only when it is unconstrained, lies on exactly two
-    mesh edges, neither edge is constrained, and the two edges are aligned
-    within ``tol``; chains of nearly aligned vertices are swept until none
-    is left.  Cell areas are preserved to machine precision because
-    candidates are interior to collinear runs.
-    """
-    cons = mesh.constrained_edge_pairs()
-    cvs = np.flatnonzero(mesh.vertex_constrained)
-    cells = _drop_aligned_vertices(mesh.points, mesh.cells, cons, cvs, tol)
-    if cells is mesh.cells:
-        return mesh
-    return build_mesh(mesh.points, cells, cons, cvs, compact=True)
 
 
 # ---------------------------------------------------------------------------

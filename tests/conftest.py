@@ -1069,6 +1069,21 @@ def ref_removable_vertices(mesh, tol=COLLINEAR_TOL):
     return removable
 
 
+def ref_simplify_aligned_edges(mesh):
+    """The mesh without the vertices ``ref_removable_vertices`` finds, swept
+    again (one build per sweep) until none is left."""
+    while True:
+        removable = ref_removable_vertices(mesh)
+        if not removable.any():
+            return mesh
+        cells = []
+        for ids in mesh.cells:
+            kept = ids[~removable[ids]]
+            cells.append(kept if len(kept) >= 3 else ids)
+        mesh = build_mesh(mesh.points, cells, mesh.constrained_edge_pairs(),
+                          np.flatnonzero(mesh.vertex_constrained), compact=True)
+
+
 def ref_mutable_state(mesh, snap):
     """(points, cells, snap pool, edge map) of a mutable mesh seeded by
     registering one vertex and one cell at a time."""
@@ -1223,6 +1238,231 @@ def ref_on_trace_vertices(mm, a2, dn, L, tol):
             out.append((float(t), vid))
     out.sort()
     return out
+
+
+# Reference triangulation and traces: the per-polygon Sutherland-Hodgman
+# clip, the Cyrus-Beck segment clip and the per-quad triangulation loop with
+# its box-only path that the stacked ``kernel_clip`` path replaced, kept
+# verbatim.  The triangulations must match bit for bit.
+
+def ref_convex_clip(subject, clip):
+    """Sutherland-Hodgman clip of ``subject`` against a convex CCW ``clip``."""
+    subject = geometry.as_points(subject)
+    clip = geometry.as_points(clip)
+    out = subject
+    m = len(clip)
+    scale = geometry.polygon_diameter(clip)
+    eps = 1e-12 * max(scale, 1e-300)
+    for e in range(m):
+        if len(out) == 0:
+            break
+        a = clip[e]
+        b = clip[(e + 1) % m]
+        d = b - a
+        ln = np.hypot(d[0], d[1])
+        if ln == 0.0:
+            continue
+        d = d / ln
+        sd = d[0] * (out[:, 1] - a[1]) - d[1] * (out[:, 0] - a[0])
+        res = []
+        k = len(out)
+        for i in range(k):
+            j = (i + 1) % k
+            si, sj = sd[i], sd[j]
+            if si >= -eps:
+                res.append(out[i])
+            if (si > eps and sj < -eps) or (si < -eps and sj > eps):
+                t = si / (si - sj)
+                res.append(out[i] + t * (out[j] - out[i]))
+        out = np.asarray(res).reshape(-1, 2)
+    return out
+
+
+def ref_clip_segment_to_convex(a, d, tmax, poly, eps):
+    """Cyrus-Beck clip of the segment a + t*d, t in [0, tmax] against a
+    convex CCW polygon: (t0, t1) of the inside part, or None when the
+    overlap is empty.  ``d`` is a unit vector, eps a distance tolerance."""
+    poly = geometry.as_points(poly)
+    t0, t1 = 0.0, float(tmax)
+    n = len(poly)
+    for e in range(n):
+        p = poly[e]
+        q = poly[(e + 1) % n]
+        ex, ey = q - p
+        ln = np.hypot(ex, ey)
+        if ln == 0.0:
+            continue
+        # inward normal of a CCW edge
+        nx, ny = -ey / ln, ex / ln
+        num = nx * (p[0] - a[0]) + ny * (p[1] - a[1])
+        den = nx * d[0] + ny * d[1]
+        if abs(den) < 1e-15:
+            if -num < -eps:
+                return None
+            continue
+        tcross = num / den
+        if den > 0.0:
+            t0 = max(t0, tcross)
+        else:
+            t1 = min(t1, tcross)
+    if t1 - t0 <= eps:
+        return None
+    return t0, t1
+
+
+def ref_compute_traces(fractures):
+    """Pairwise traces: each section of one fracture by the other's plane,
+    clipped to the other fracture by Cyrus-Beck; (frac_i, frac_j, a3, b3)."""
+    allv = np.vstack([f.vertices3 for f in fractures])
+    scale = float(np.linalg.norm(allv.max(0) - allv.min(0)))
+    tol = 1e-10 * max(scale, 1e-300)
+    traces = []
+    for i in range(len(fractures)):
+        for j in range(i + 1, len(fractures)):
+            fi, fj = fractures[i], fractures[j]
+            di = fi.vertices3 @ fj.normal - fj.plane_offset()
+            dj = fj.vertices3 @ fi.normal - fi.plane_offset()
+            if np.abs(di).max() <= tol and np.abs(dj).max() <= tol:
+                inter = ref_convex_clip(fi.to_local(fj.vertices3), fi.local_polygon)
+                if len(inter) >= 3 and abs(geometry.polygon_area(inter)) > tol * tol:
+                    raise dfn.FractureError(
+                        fj.fid, f"and fracture {fi.fid} are coplanar and overlap"
+                    )
+                continue
+            sec = dfn._polygon_plane_section(fi, fj.normal, fj.plane_offset(), tol)
+            if sec is None:
+                continue
+            a3, b3 = sec
+            d3 = b3 - a3
+            length = np.linalg.norm(d3)
+            dirv = d3 / length
+            a2 = fj.to_local(a3[None, :])[0]
+            d2 = fj.to_local((a3 + dirv)[None, :])[0] - a2
+            clip = ref_clip_segment_to_convex(a2, d2, length, fj.local_polygon, tol)
+            if clip is None:
+                continue
+            t0, t1 = clip
+            pa = a3 + t0 * dirv
+            pb = a3 + t1 * dirv
+            if tuple(pb) < tuple(pa):
+                pa, pb = pb, pa
+            traces.append((fi.fid, fj.fid, pa, pb))
+    return traces
+
+
+def _ref_inward_distance(poly, p) -> float:
+    """Distance of a point to the nearest edge line of a convex CCW polygon."""
+    best = np.inf
+    n = len(poly)
+    for e in range(n):
+        a, b = poly[e], poly[(e + 1) % n]
+        d = b - a
+        ln = np.hypot(*d)
+        if ln == 0.0:
+            continue
+        s = (d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0])) / ln
+        best = min(best, s)
+    return best
+
+
+def ref_triangulate_once(fracture, max_area, n_cells, jitter):
+    """The triangulation of ``dfn._triangulate_once`` by one clip per quad."""
+    poly = fracture.local_polygon
+    xmin, ymin = poly.min(0)
+    xmax, ymax = poly.max(0)
+    w, h = xmax - xmin, ymax - ymin
+    if w <= 0 or h <= 0:
+        raise dfn.NetworkError(f"fracture {fracture.fid}: degenerate bounding box")
+    pitch_area = max_area if max_area is None or jitter == 0.0 else 0.9 * max_area
+    nx, ny = dfn._grid_counts(w, h, pitch_area, n_cells)
+    xs = np.linspace(xmin, xmax, nx + 1)
+    ys = np.linspace(ymin, ymax, ny + 1)
+    sx, sy = w / nx, h / ny
+    quad_area = sx * sy
+    diam = fracture.diameter
+    is_box = len(poly) == 4 and all(
+        min(np.hypot(*(poly[i] - c)) for i in range(4)) <= 1e-12 * diam
+        for c in (
+            (xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)
+        )
+    )
+
+    points = [np.array([x, y]) for y in ys for x in xs]
+    if jitter > 0.0:
+        rng = np.random.default_rng(1811 + 7919 * fracture.fid)
+        margin = 1.5 * max(sx, sy)
+        for j in range(1, ny):
+            for i in range(1, nx):
+                dx = jitter * sx * (2.0 * rng.random() - 1.0)
+                dy = jitter * sy * (2.0 * rng.random() - 1.0)
+                v = j * (nx + 1) + i
+                if is_box or _ref_inward_distance(poly, points[v]) >= margin:
+                    points[v] = points[v] + (dx, dy)
+    vid = lambda i, j: j * (nx + 1) + i
+    cells = []
+    extra_points = []
+    pool = {}
+
+    def clip_vid(p):
+        key = (round(p[0] / (1e-9 * diam)), round(p[1] / (1e-9 * diam)))
+        if key in pool:
+            return pool[key]
+        k = len(points) + len(extra_points)
+        extra_points.append(np.asarray(p))
+        pool[key] = k
+        return k
+
+    for j in range(ny):
+        for i in range(nx):
+            q = [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
+            if is_box:
+                cells.append([q[0], q[1], q[2]])
+                cells.append([q[0], q[2], q[3]])
+                continue
+            quad = np.array([points[v] for v in q])
+            qa = abs(geometry.polygon_area(quad))
+            piece = ref_convex_clip(quad, poly)
+            if len(piece) < 3:
+                continue
+            pa = abs(geometry.polygon_area(piece))
+            if pa <= 1e-14 * quad_area:
+                continue
+            if abs(pa - qa) <= 1e-12 * qa:
+                cells.append([q[0], q[1], q[2]])
+                cells.append([q[0], q[2], q[3]])
+                continue
+            ids = []
+            for p in piece:
+                side = [
+                    v
+                    for v in q
+                    if np.hypot(*(points[v] - p)) <= 1e-9 * diam
+                ]
+                ids.append(side[0] if side else clip_vid(p))
+            dedup = [v for k, v in enumerate(ids) if v != ids[k - 1]]
+            if len(dedup) >= 3 and dedup[0] == dedup[-1]:
+                dedup = dedup[:-1]
+            if len(dedup) < 3:
+                continue
+            allpts = points + extra_points
+            for t in range(1, len(dedup) - 1):
+                tri = [dedup[0], dedup[t], dedup[t + 1]]
+                a = geometry.polygon_area(np.array([allpts[v] for v in tri]))
+                if a > 1e-14 * quad_area:
+                    cells.append(tri)
+
+    mesh = build_mesh(points + extra_points, cells, compact=True)
+    target_area = abs(geometry.polygon_area(poly))
+    if abs(mesh.total_area - target_area) > 1e-10 * target_area:
+        raise dfn.NetworkError(
+            f"fracture {fracture.fid}: triangulation does not cover the polygon "
+            f"(target too coarse?)"
+        )
+    if max_area is not None and mesh.cell_area.max() > max_area * (1 + 1e-12):
+        raise dfn.NetworkError("triangle area bound violated")
+    if n_cells is not None and abs(mesh.n_cells - n_cells) > 0.2 * n_cells:
+        raise dfn.NetworkError("triangle count misses the target by more than 20%")
+    return mesh
 
 
 def ref_ear_clip(pts):

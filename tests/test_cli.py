@@ -82,6 +82,12 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
                  id="dfn-trace-fracture"),
     pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 1 0 0 0 1 0 nil\n", 13,
                  id="dfn-trace-point"),
+    pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 1 0 0 0.3 1 0 0.3\n", 13,
+                 id="dfn-trace-off-plane"),
+    pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 1 5 5 5 6 6 6\n", 13,
+                 id="dfn-trace-off-fractures"),
+    pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 1 0 0 0 2 0 0\n", 13,
+                 id="dfn-trace-outside-polygon"),
     pytest.param(".dfn", TWO_FRACTURES + "BC\n", 12, id="dfn-bc-header"),
     pytest.param(".dfn", TWO_FRACTURES + "BC 1\ndirichlet 0 0 one 1 10\n", 13,
                  id="dfn-bc-plane"),
@@ -112,6 +118,28 @@ def test_lambda_out_of_range_exit2(capsys, command, lam):
         run([*command, "--lambda", lam])
     assert exc.value.code == 2
     assert "lambda must be a number in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["dfn-solve", "--area", "0"], id="dfn-area-zero"),
+    pytest.param(["dfn-solve", "--area", "-1"], id="dfn-area-negative"),
+    pytest.param(["dfn-solve", "--area", "nan"], id="dfn-area-nan"),
+    pytest.param(["dfn-solve", "--area", "inf"], id="dfn-area-inf"),
+    pytest.param(["dfn-solve", "--cells", "-3"], id="dfn-cells-negative"),
+    pytest.param(["dfn-solve", "--cells", "0"], id="dfn-cells-zero"),
+    pytest.param(["dfn-solve"], id="dfn-no-area-or-cells"),
+    pytest.param(["dfn-solve", "--area", "0.1", "--order", "4"], id="dfn-order"),
+    pytest.param(["convergence", "--area", "0.1", "0.05", "0.02", "--order", "4"],
+                 id="convergence-order"),
+    pytest.param(["convergence", "--area", "0.1", "0", "0.05"], id="convergence-area-zero"),
+])
+def test_bad_arguments_exit2_with_usage(capsys, args):
+    command, *rest = args
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--network", "builtin:network1", *rest])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error:" in err and "Traceback" not in err
 
 
 def test_missing_file_exit2(tmp_path):

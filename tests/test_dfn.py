@@ -47,12 +47,14 @@ from conftest import (
     mesh_fields,
     mutated_file,
     ref_build_dof_map,
+    ref_compute_traces,
     ref_cut_one_segment,
     ref_dof_positions,
     ref_forest_roots,
     ref_global_dof_ids,
     ref_mutable_state,
     ref_on_trace_vertices,
+    ref_triangulate_once,
 )
 
 
@@ -95,6 +97,45 @@ def test_coplanar_overlap_rejected():
     fb = make_fracture([(1, 1, 0), (3, 1, 0), (3, 3, 0), (1, 3, 0)], fid=1)
     with pytest.raises(NetworkError, match="coplanar"):
         compute_traces([fa, fb])
+
+
+def random_rectangle_network(rng, n):
+    """``n`` random rectangles in the unit cube, in random orientations."""
+    fractures = []
+    for fid in range(n):
+        c = rng.random(3)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        v = rng.normal(size=3)
+        v -= (v @ u) * u
+        v /= np.linalg.norm(v)
+        a, b = 0.2 + 0.5 * rng.random(2)
+        fractures.append(make_fracture(
+            [c - a * u - b * v, c + a * u - b * v, c + a * u + b * v, c - a * u + b * v],
+            fid=fid))
+    return fractures
+
+
+def test_traces_match_segment_clip_reference(rng):
+    """The overlap of the two plane sections is the section of one fracture
+    clipped to the other (Cyrus-Beck), within 1e-12 x the network scale;
+    on network1 it is the same bit for bit."""
+    net = network1().network
+    want = ref_compute_traces(net.fractures)
+    assert [(t.frac_i, t.frac_j, t.a3.tobytes(), t.b3.tobytes()) for t in net.traces] == [
+        (i, j, a.tobytes(), b.tobytes()) for i, j, a, b in want]
+    count = 0
+    for _ in range(100):
+        fractures = random_rectangle_network(rng, 4)
+        got, want = compute_traces(fractures), ref_compute_traces(fractures)
+        assert [(t.frac_i, t.frac_j) for t in got] == [(i, j) for i, j, _, _ in want]
+        allv = np.vstack([f.vertices3 for f in fractures])
+        scale = np.linalg.norm(allv.max(0) - allv.min(0))
+        for t, (_, _, a, b) in zip(got, want):
+            np.testing.assert_allclose(t.a3, a, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(t.b3, b, rtol=0.0, atol=1e-12 * scale)
+        count += len(got)
+    assert count > 100
 
 
 def test_exact_solution_continuity_across_traces():
@@ -154,6 +195,16 @@ def square_fracture(side=2.0):
     )
 
 
+def pentagon_fracture():
+    return make_fracture(
+        [(0, 0, 0), (2, 0, 0), (3, 2, 0), (1.5, 3.5, 0), (-0.5, 2, 0)], fid=0
+    )
+
+
+def tilted_triangle_fracture():
+    return make_fracture([(0, 0, 0), (2, 0.3, 0.5), (0.4, 1.7, 0.9)], fid=1)
+
+
 def test_triangulate_area_mode():
     fr = square_fracture(2.0)
     m = triangulate_fracture(fr, max_area=0.1)
@@ -178,9 +229,7 @@ def test_triangulate_count_mode():
 
 
 def test_triangulate_convex_polygon():
-    fr = make_fracture(
-        [(0, 0, 0), (2, 0, 0), (3, 2, 0), (1.5, 3.5, 0), (-0.5, 2, 0)], fid=0
-    )
+    fr = pentagon_fracture()
     m = triangulate_fracture(fr, max_area=0.05)
     from polyagg.geometry import polygon_area
 
@@ -188,6 +237,38 @@ def test_triangulate_convex_polygon():
         abs(polygon_area(fr.local_polygon)), rel=1e-10
     )
     assert m.cell_area.max() <= 0.05 + 1e-12
+
+
+def _triangulation_or_error(triangulate, *args):
+    try:
+        return mesh_fields(triangulate(*args))
+    except NetworkError as err:
+        return type(err), str(err)
+
+
+TRIANGULATION_CASES = (
+    [pytest.param(fid, area, factor, id=f"network1-{fid}-{area}-{factor}")
+     for fid in range(3) for area in (1e-1, 2e-2, 5e-3, 1e-3) for factor in (1.0, 0.5, 0.25, 0.0)]
+    + [pytest.param(name, area, factor, id=f"{name}-{area}-{factor}")
+       for name in ("pentagon", "triangle") for area in (0.05, 0.01) for factor in (1.0, 0.0)]
+    + [pytest.param(name, None, factor, id=f"{name}-cells-{factor}")
+       for name in (0, "pentagon", "triangle") for factor in (1.0, 0.0)]
+)
+
+
+@pytest.mark.parametrize("which, area, factor", TRIANGULATION_CASES)
+def test_triangulation_matches_per_quad_reference(which, area, factor):
+    """One stacked clip of all grid quads gives the per-quad loop's mesh
+    (with its box-only path for network1) bit for bit, or its error."""
+    if which == "pentagon":
+        fr = pentagon_fracture()
+    elif which == "triangle":
+        fr = tilted_triangle_fracture()
+    else:
+        fr = network1().network.fractures[which]
+    args = (fr, area, None if area else 100, dfn.JITTER * factor)
+    got = _triangulation_or_error(dfn._triangulate_once, *args)
+    assert got == _triangulation_or_error(ref_triangulate_once, *args)
 
 
 # ---------------------------------------------------------------------------

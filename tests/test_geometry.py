@@ -9,6 +9,7 @@ from conftest import (
     kernel_sampling_oracle,
     quality_cases,
     random_polygon,
+    ref_convex_clip,
     ref_ear_clip,
     ref_is_simple_polygon,
     ref_kernel_clip,
@@ -181,8 +182,39 @@ def test_convex_clip_quad():
     # the line x + y = 3 removes a corner triangle of area 1/2 from the quad
     quad = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
     tri = np.array([[0, 0], [3, 0], [0, 3]], dtype=float)
-    out = geometry.convex_clip(quad, tri)
-    assert abs(geometry.polygon_area(out)) == pytest.approx(3.5)
+    buf, m = geometry.kernel_clip(tri, 1e-12 * 3 * np.sqrt(2), start=quad)
+    assert buf.shape == (7, 2) and m == 5
+    assert abs(geometry.polygon_area(buf[:m])) == pytest.approx(3.5)
+    assert geometry.polygon_area(buf) == geometry.polygon_area(buf[:m])
+
+
+def random_convex_polygon(rng, n):
+    """A random convex CCW n-gon: points on a circle, sheared, scaled and shifted."""
+    angles = np.sort(rng.random(n) * 2 * np.pi)
+    pts = np.column_stack([np.cos(angles), np.sin(angles)])
+    shear = np.array([[1.0 + rng.random(), rng.uniform(-0.5, 0.5)], [0.0, 0.5 + rng.random()]])
+    return pts @ shear.T + rng.uniform(-1, 1, 2)
+
+
+def test_kernel_clip_start_matches_convex_clip_reference(rng):
+    """One convex polygon clips a stack of convex start polygons as the
+    per-polygon Sutherland-Hodgman loop does, within 1e-12 x diameter."""
+    partial = empty = 0
+    for _ in range(40):
+        clip = random_convex_polygon(rng, int(rng.integers(3, 9)))
+        starts = np.array([random_convex_polygon(rng, 5) for _ in range(30)])
+        eps = 1e-12 * geometry.polygon_diameter(clip)
+        buf, m = geometry.kernel_clip(clip, eps, start=starts)
+        assert buf.shape == (30, 5 + len(clip), 2) and m.shape == (30,)
+        for start, b, k in zip(starts, buf, m.tolist()):
+            ref = ref_convex_clip(start, clip)
+            assert k == len(ref)
+            np.testing.assert_allclose(b[:k], ref, rtol=0.0,
+                                       atol=1e-12 * geometry.polygon_diameter(start))
+            assert (b[k:] == (b[0] if k else 0.0)).all()
+            partial += 0 < k and k != 5
+            empty += k == 0
+    assert partial > 100 and empty > 10
 
 
 # non-simple cells of every kind the simplicity test rejects

@@ -17,7 +17,7 @@ from polyagg.agglomerate import (
 from polyagg.dfn import cut_by_traces, network1, triangulate_fracture
 from polyagg.geometry import COLLINEAR_TOL
 import polyagg.mesh as mesh_mod
-from polyagg.mesh import MergeError, build_mesh, simplify_aligned_edges
+from polyagg.mesh import MergeError, build_mesh
 from polyagg.quality import KERNEL_REL_TOL
 
 import polyagg.agglomerate as agg
@@ -33,6 +33,7 @@ from conftest import (
     ref_removable_vertices,
     ref_residual_source_set,
     ref_simplified_union_points,
+    ref_simplify_aligned_edges,
     ref_union_loop,
     tri_grid_mesh,
 )
@@ -281,7 +282,7 @@ def test_apply_labeling_matches_scalar_reference(union_meshes, union_labels, whi
         warnings.simplefilter("always")
         out = apply_labeling(mesh, labels)
     assert [str(w.message) for w in caught] == skipped
-    assert mesh_fields(out) == mesh_fields(simplify_aligned_edges(merged))
+    assert mesh_fields(out) == mesh_fields(ref_simplify_aligned_edges(merged))
 
 
 def test_apply_labeling_skip_warning_names_merge_of_cells():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyagg import geometry
+from polyagg.agglomerate import apply_labeling, trivial_labeling
 from polyagg.mesh import (
     CellError,
     MergeConstraintError,
@@ -13,7 +14,6 @@ from polyagg.mesh import (
     build_mesh,
     load_mesh,
     save_mesh,
-    simplify_aligned_edges,
 )
 
 from hypothesis import given, strategies as st
@@ -133,10 +133,16 @@ def test_merge_area_additivity():
     assert area == pytest.approx(float(m.cell_area[[0, 1, 3, 4]].sum()), rel=1e-12)
 
 
+def simplify(mesh):
+    """The mesh with its aligned hanging vertices dropped: one rebuild of
+    the cells as they are."""
+    return apply_labeling(mesh, trivial_labeling(mesh.n_cells))
+
+
 def test_simplify_removes_unshared_midside():
     pts = [[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]]
     m = build_mesh(pts, [[0, 1, 2, 3, 4, 5]])
-    out = simplify_aligned_edges(m)
+    out = simplify(m)
     assert out.n_vertices == 4
     assert out.total_area == pytest.approx(2.0, rel=1e-12)
 
@@ -145,29 +151,29 @@ def test_simplify_keeps_shared_midside():
     # vertex 1 is also used by the lower neighbor: three incident edges
     pts = [[0, 0], [1, 0], [2, 0], [2, 1], [0, 1], [1, -1]]
     m = build_mesh(pts, [[0, 1, 2, 3, 4], [0, 5, 1], [5, 2, 1]])
-    out = simplify_aligned_edges(m)
+    out = simplify(m)
     assert out.n_vertices == m.n_vertices
 
 
 def test_simplify_keeps_constrained_midside():
     pts = [[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]]
     m = build_mesh(pts, [[0, 1, 2, 3, 4]], constrained_edges=[(0, 1)])
-    out = simplify_aligned_edges(m)
+    out = simplify(m)
     assert out.n_vertices == 5
 
 
 def test_simplify_idempotent():
     pts = [[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]]
     m = build_mesh(pts, [[0, 1, 2, 3, 4, 5]])
-    once = simplify_aligned_edges(m)
-    twice = simplify_aligned_edges(once)
+    once = simplify(m)
+    twice = simplify(once)
     assert once.n_vertices == twice.n_vertices
     assert [list(c) for c in once.cells] == [list(c) for c in twice.cells]
 
 
 def test_simplify_preserves_area_on_grid():
     m = grid_mesh(4, 4, jitter=0.3, seed=3)
-    out = simplify_aligned_edges(m)
+    out = simplify(m)
     assert out.total_area == pytest.approx(m.total_area, rel=1e-10)
 
 
