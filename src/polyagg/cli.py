@@ -186,6 +186,9 @@ def cmd_convergence(args) -> int:
     out = _outdir(args)
     if args.network:
         case = _load_case(args.network)
+        if case.exact is None:
+            raise MeshError(f"{args.network} has no exact solution to measure "
+                            "convergence rates against")
         if len(args.area) < 3:
             raise MeshError("convergence needs at least 3 refinements")
         families = (  # lazily: one lambda's meshes in memory at a time

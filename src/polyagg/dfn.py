@@ -10,7 +10,6 @@ tangential frame.
 import ast
 import bisect
 import contextlib
-import itertools
 import math
 import operator
 import os
@@ -22,7 +21,7 @@ import numpy as np
 from . import _fork, geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate
 from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _components, _LineTokens,
-                   build_mesh, parse_count, parse_tokens)
+                   _loop_edges, build_mesh, parse_count, parse_tokens)
 from .vem import SparseSpdSystem, build_dof_map, gauss_lobatto_points
 
 
@@ -186,12 +185,16 @@ def _polygon_plane_section(fr: Fracture, normal, offset, tol):
     return a, b
 
 
+def _trace_tol(fractures) -> float:
+    """Length tolerance of traces: 1e-10 times the network's scale."""
+    allv = np.vstack([f.vertices3 for f in fractures])
+    return 1e-10 * max(float(np.linalg.norm(allv.max(0) - allv.min(0))), 1e-300)
+
+
 def compute_traces(fractures) -> list:
     """Pairwise intersection segments between convex planar fractures: the
     overlap of the sections of each fracture by the other's plane."""
-    allv = np.vstack([f.vertices3 for f in fractures])
-    scale = float(np.linalg.norm(allv.max(0) - allv.min(0)))
-    tol = 1e-10 * max(scale, 1e-300)
+    tol = _trace_tol(fractures)
     traces = []
     for i in range(len(fractures)):
         for j in range(i + 1, len(fractures)):
@@ -433,7 +436,7 @@ def _triangulate_once(fracture: Fracture, max_area, n_cells, jitter) -> Polygona
 
 
 # ---------------------------------------------------------------------------
-# mutable mesh for cutting and stitching
+# cutting and stitching
 # ---------------------------------------------------------------------------
 
 # relative tolerance of cutting, stitching, DOF matching and boundary
@@ -441,184 +444,59 @@ def _triangulate_once(fracture: Fracture, max_area, n_cells, jitter) -> Polygona
 TOL_REL = 1e-9
 
 
-class _MutableMesh:
-    """A mesh edited in place by cutting and stitching: a growing vertex
-    table, cells as vertex lists, an edge -> cells map, the constrained
-    edges and vertices, and a snap-grid pool that finds a vertex by
-    position.  ``to_mesh`` rebuilds a PolygonalMesh."""
-
-    def __init__(self, mesh: PolygonalMesh, snap: float):
-        self._points = mesh.points.copy()
-        self.n_points = mesh.n_vertices
-        self.cells = [ids.tolist() for ids in mesh.cells]
-        self.con_edges = set(mesh.constrained_edge_pairs())
-        self.con_verts = set(np.flatnonzero(mesh.vertex_constrained).tolist())
-        self.snap = snap
-        # the keys of ``_key``: rint rounds half to even, as round does
-        keys = np.rint(mesh.points / snap).astype(np.int64).tolist()
-        self.pool = dict(zip(map(tuple, keys), range(mesh.n_vertices)))
-        # mesh edges are numbered by first use, so the map lists them in the
-        # order that registering the cells one by one would
-        self.edge_map = {(u, v): [a] if b < 0 else [a, b] for (u, v), (a, b)
-                         in zip(mesh.edges.tolist(), mesh.edge_cells.tolist())}
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points[: self.n_points]
-
-    def _key(self, p):
-        return (round(p[0] / self.snap), round(p[1] / self.snap))
-
-    def _register(self, cid, loop):
-        n = len(loop)
-        for k in range(n):
-            u, v = loop[k], loop[(k + 1) % n]
-            key = (u, v) if u < v else (v, u)
-            self.edge_map.setdefault(key, []).append(cid)
-
-    def _unregister(self, cid, loop):
-        n = len(loop)
-        for k in range(n):
-            u, v = loop[k], loop[(k + 1) % n]
-            key = (u, v) if u < v else (v, u)
-            cs = self.edge_map[key]
-            cs.remove(cid)
-            if not cs:
-                del self.edge_map[key]
-
-    def find_vertex(self, p):
-        kx, ky = self._key(p)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                vid = self.pool.get((kx + dx, ky + dy))
-                if vid is not None and np.hypot(
-                    *(self._points[vid] - p)
-                ) <= self.snap:
-                    return vid
-        return None
-
-    def add_vertex(self, p):
-        vid = self.find_vertex(p)
-        if vid is not None:
-            return vid
-        vid = self.n_points
-        if vid == len(self._points):
-            grown = np.empty((2 * vid + 16, 2))
-            grown[:vid] = self._points
-            self._points = grown
-        self._points[vid] = p
-        self.n_points += 1
-        self.pool[self._key(p)] = vid
-        return vid
-
-    def split_edge(self, u, v, vid):
-        """Insert vid between u and v in every cell using that edge."""
-        key = (u, v) if u < v else (v, u)
-        cells = self.edge_map.pop(key, None)
-        if not cells:
-            raise MeshError(f"edge {key} not present")
-        for cid in cells:
-            loop = self.cells[cid]
-            n = len(loop)
-            for k in range(n):
-                a, b = loop[k], loop[(k + 1) % n]
-                if (a, b) == (u, v) or (a, b) == (v, u):
-                    loop.insert(k + 1, vid)
-                    break
-            else:
-                raise MeshError("edge not found in its cell")
-        # only the split edge changes: its two halves take its cells
-        for a, b in ((u, vid), (vid, v)):
-            self.edge_map.setdefault((a, b) if a < b else (b, a), []).extend(cells)
-        if key in self.con_edges:
-            self.con_edges.discard(key)
-            for a, b in ((u, vid), (vid, v)):
-                self.con_edges.add((min(a, b), max(a, b)))
-            self.con_verts.add(vid)
-
-    def replace_cell(self, cid, loop):
-        self._unregister(cid, self.cells[cid])
-        self.cells[cid] = list(loop)
-        self._register(cid, self.cells[cid])
-
-    def append_cell(self, loop):
-        cid = len(self.cells)
-        self.cells.append(list(loop))
-        self._register(cid, self.cells[cid])
-        return cid
-
-    def to_mesh(self) -> PolygonalMesh:
-        return build_mesh(
-            self.points.copy(),
-            self.cells,
-            sorted(self.con_edges),
-            sorted(self.con_verts),
-            compact=True,
-        )
+def _splice(loop, runs) -> list:
+    """The vertex list ``loop`` with a run of vertices inserted into each of
+    its edges that ``runs`` maps, as (u, v), u < v, to the run from u to v."""
+    out = []
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        out.append(a)
+        run = runs.get((a, b) if a < b else (b, a))
+        if run:
+            out.extend(run if a < b else run[::-1])
+    return out
 
 
-def _point_in_some_cell(mm: _MutableMesh, p):
-    for loop in mm.cells:
-        pts = np.array([mm.points[v] for v in loop])
-        if (
-            pts[:, 0].min() - mm.snap <= p[0] <= pts[:, 0].max() + mm.snap
-            and pts[:, 1].min() - mm.snap <= p[1] <= pts[:, 1].max() + mm.snap
-            and geometry.point_in_polygon(pts, p, mm.snap) == 1
-        ):
+def _split_constraint(con_edges, con_verts, key, run):
+    """Pass the constraint of the edge ``key`` on to the pieces that the
+    vertex run ``run`` splits it into, and to the run's vertices."""
+    if key in con_edges:
+        con_edges.discard(key)
+        chain = [key[0], *run, key[1]]
+        con_edges.update((min(a, b), max(a, b)) for a, b in zip(chain, chain[1:]))
+        con_verts.update(run)
+
+
+def _point_in_some_cell(points, cells, p, snap) -> bool:
+    """Whether ``p`` lies inside one of the vertex loops ``cells``, more than
+    ``snap`` from its boundary."""
+    for ids in cells:
+        pts = points[ids]
+        if ((pts.min(0) - snap <= p).all() and (p <= pts.max(0) + snap).all()
+                and geometry.point_in_polygon(pts, p, snap) == 1):
             return True
     return False
 
 
-def _cell_starts(cells):
-    """The cells' vertex ids end to end and the position where each starts."""
-    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-    flat = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64,
-                       count=int(sizes.sum()))
-    return flat, np.cumsum(sizes) - sizes
-
-
-def _edge_ends(mm: _MutableMesh):
-    """The edges of ``mm`` in map order and their (ne, 2) end vertex ids."""
-    edges = list(mm.edge_map)
-    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
-                       count=2 * len(edges))
-    return edges, ends.reshape(-1, 2)
-
-
-def _host_edge(mm: _MutableMesh, pe, tol):
-    """First edge in map order with ``pe`` in its interior, or None."""
-    edges, ends = _edge_ends(mm)
-    pu, pv = mm.points[ends[:, 0]], mm.points[ends[:, 1]]
-    e = pv - pu
-    ln = np.hypot(e[:, 0], e[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cr = np.abs(e[:, 0] * (pe[1] - pu[:, 1]) - e[:, 1] * (pe[0] - pu[:, 0])) / ln
-        t = ((pe[0] - pu[:, 0]) * e[:, 0] + (pe[1] - pu[:, 1]) * e[:, 1]) / (ln * ln)
-        # t differs from the dot product below by round-off, so the interval
-        # is widened here and each candidate is tested exactly, in map order
-        near = (ln > tol) & (cr <= tol) & (t > tol / ln - 1e-9) & (t < 1.0 + 1e-9 - tol / ln)
-    for k in np.flatnonzero(near).tolist():
-        t = ((pe - pu[k]) @ e[k]) / (ln[k] * ln[k])
-        if tol / ln[k] < t < 1.0 - tol / ln[k]:
-            return edges[k]
-    return None
-
-
-def _cut_one_segment(mm: _MutableMesh, a2, b2, tol):
+def _cut_segment(points, cells, con_edges, con_verts, a2, b2, tol):
     """Split every cell the segment's supporting line crosses, constrain the
     chord where it lies on the segment, put the segment's endpoints on the
     mesh and constrain the edges that run along it.
 
-    One signed-distance array over the vertices picks the crossed cells; a
-    vertex inserted while cutting lies on the line, so it changes no cell's
-    side test, and only the crossed cells are visited one by one.
+    ``cells`` (int64 vertex loops) and the constrained edge and vertex sets
+    change in place; returns ``points`` with the new vertices appended.  One
+    signed-distance array over the vertices picks the crossed cells, which
+    are visited in id order.  The first one the segment enters puts a vertex
+    on each crossed edge; a later cell of that edge sees it as a vertex on
+    the line, and the other cells of the edge take it when the segment is
+    done.  A new point reuses a vertex within half the tolerance of it.
     """
     d = np.asarray(b2, dtype=float) - np.asarray(a2, dtype=float)
     L = float(np.hypot(*d))
     if L <= tol:
-        return
+        return points
     dn = d / L
     a2 = np.asarray(a2, dtype=float)
+    snap = 0.5 * tol
 
     def sdist(p):
         return dn[0] * (p[..., 1] - a2[1]) - dn[1] * (p[..., 0] - a2[0])
@@ -626,20 +504,44 @@ def _cut_one_segment(mm: _MutableMesh, a2, b2, tol):
     def tpar(p):
         return dn[0] * (p[..., 0] - a2[0]) + dn[1] * (p[..., 1] - a2[1])
 
-    flat, starts = _cell_starts(mm.cells)
-    s = sdist(mm.points)[flat]
-    crossed = (np.maximum.reduceat(s, starts) > tol) & (np.minimum.reduceat(s, starts) < -tol)
-    for cid in np.flatnonzero(crossed).tolist():
-        loop = mm.cells[cid]
-        pts = mm.points[loop]
+    tail, _, sizes = _loop_edges(cells)
+    starts = np.cumsum(sizes) - sizes
+    s = sdist(points)
+    on_line = np.flatnonzero(np.abs(s) <= tol)
+    s = s[tail]
+    crossed = np.flatnonzero((np.maximum.reduceat(s, starts) > tol)
+                             & (np.minimum.reduceat(s, starts) < -tol))
+    # room for a vertex on every edge of a crossed cell and on both endpoints
+    n0 = n = len(points)
+    points = np.concatenate([points, np.empty((int(sizes[crossed].sum()) + 2, 2))])
+
+    def find(p):
+        # a vertex within snap of a point on the line is on the line
+        for ids in (on_line, np.arange(n0, n)):
+            dp = points[ids] - p
+            near = ids[np.hypot(dp[:, 0], dp[:, 1]) <= snap]
+            if len(near):
+                return int(near[0])
+        return None
+
+    def place(p):
+        nonlocal n
+        vid = find(p)
+        if vid is None:
+            points[n], vid = p, n
+            n += 1
+        return vid
+
+    made = {}  # crossed edge (u, v), u < v -> [the vertex put on it]
+    n_cells = len(cells)
+    for cid in crossed.tolist():
+        loop = _splice(cells[cid].tolist(), made)
+        pts = points[loop]
         s = sdist(pts).tolist()
-        n = len(loop)
-        events = []
-        for k in range(n):
-            if abs(s[k]) <= tol:
-                events.append((tpar(pts[k]), "v", loop[k], None))
-        for k in range(n):
-            j = (k + 1) % n
+        m = len(loop)
+        events = [(tpar(pts[k]), "v", loop[k], None) for k in range(m) if abs(s[k]) <= tol]
+        for k in range(m):
+            j = (k + 1) % m
             if (s[k] > tol and s[j] < -tol) or (s[k] < -tol and s[j] > tol):
                 t = s[k] / (s[k] - s[j])
                 p = pts[k] + t * (pts[j] - pts[k])
@@ -662,26 +564,26 @@ def _cut_one_segment(mm: _MutableMesh, a2, b2, tol):
         for ev in merged:
             if ev[1] == "v":
                 chord.append((ev[0], ev[2]))
-            else:
-                (u, v), p = ev[2], ev[3]
-                vid = mm.find_vertex(p)
-                if vid is None:
-                    vid = mm.add_vertex(p)
-                    mm.split_edge(u, v, vid)
-                elif vid not in (u, v) and vid not in mm.cells[cid]:
-                    mm.split_edge(u, v, vid)
-                chord.append((ev[0], vid))
+                continue
+            (u, v), p = ev[2], ev[3]
+            vid = find(p)
+            if vid is None or (vid not in (u, v) and vid not in loop):
+                vid = place(p)
+                key = (u, v) if u < v else (v, u)
+                made[key] = [vid]
+                _split_constraint(con_edges, con_verts, key, [vid])
+                loop = _splice(loop, made)
+            chord.append((ev[0], vid))
         (ta, va), (tb, vb) = chord
 
         inner = []
         for te, pe in ((0.0, a2), (L, a2 + L * dn)):
             if ta + tol < te < tb - tol:
-                vid = mm.add_vertex(pe)
-                mm.con_verts.add(vid)
+                vid = place(pe)
+                con_verts.add(vid)
                 inner.append((te, vid))
         inner.sort()
 
-        loop = mm.cells[cid]
         ia = loop.index(va)
         ib = loop.index(vb)
         if ia < ib:
@@ -695,37 +597,61 @@ def _cut_one_segment(mm: _MutableMesh, a2, b2, tol):
         piece2 = chain2 + inner_ids
         if len(piece1) < 3 or len(piece2) < 3:
             raise MeshError(f"cell {cid}: degenerate split")
-        mm.replace_cell(cid, piece1)
-        mm.append_cell(piece2)
+        cells[cid] = np.array(piece1, dtype=np.int64)
+        cells.append(np.array(piece2, dtype=np.int64))
 
         seq = [(ta, va)] + inner + [(tb, vb)]
         for (q0, v0), (q1, v1) in zip(seq, seq[1:]):
             if q0 >= -tol and q1 <= L + tol:
-                mm.con_edges.add((min(v0, v1), max(v0, v1)))
+                con_edges.add((min(v0, v1), max(v0, v1)))
+    for cid in [*crossed.tolist(), *range(n_cells, len(cells))]:
+        cells[cid] = np.array(_splice(cells[cid].tolist(), made), dtype=np.int64)
 
     # endpoints landing on existing vertices or edge interiors; endpoints
     # beyond the mesh mean the segment crosses fully and need no vertex
     for pe in (a2, a2 + L * dn):
-        vid = mm.find_vertex(pe)
+        vid = find(pe)
         if vid is not None:
-            mm.con_verts.add(vid)
+            con_verts.add(vid)
             continue
-        host = _host_edge(mm, pe, tol)
+        tail, head, sizes = _loop_edges(cells)
+        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+        pu = points[lo]
+        e = points[hi] - pu
+        ln = np.hypot(e[:, 0], e[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cr = np.abs(e[:, 0] * (pe[1] - pu[:, 1]) - e[:, 1] * (pe[0] - pu[:, 0])) / ln
+            t = ((pe[0] - pu[:, 0]) * e[:, 0] + (pe[1] - pu[:, 1]) * e[:, 1]) / (ln * ln)
+            # t differs from the dot product below by round-off, so the
+            # interval is widened here and each candidate is tested exactly
+            near = (ln > tol) & (cr <= tol) & (t > tol / ln - 1e-9) & (t < 1.0 + 1e-9 - tol / ln)
+        # the first edge in cell order with pe in its interior hosts it
+        host = next((k for k in np.flatnonzero(near).tolist()
+                     if tol / ln[k] < ((pe - pu[k]) @ e[k]) / (ln[k] * ln[k]) < 1.0 - tol / ln[k]),
+                    None)
         if host is not None:
-            vid = mm.add_vertex(pe)
-            mm.split_edge(*host, vid)
-            mm.con_verts.add(vid)
-        elif _point_in_some_cell(mm, pe):
+            vid = place(pe)
+            key = (int(lo[host]), int(hi[host]))
+            owner = np.repeat(np.arange(len(cells)), sizes)
+            for cid in np.unique(owner[(lo == key[0]) & (hi == key[1])]).tolist():
+                cells[cid] = np.array(_splice(cells[cid].tolist(), {key: [vid]}), dtype=np.int64)
+            _split_constraint(con_edges, con_verts, key, [vid])
+            con_verts.add(vid)
+        elif _point_in_some_cell(points, cells, pe, snap):
             raise MeshError(
                 "trace endpoint inside a cell survived the cutting pass"
             )
 
     # existing edges running along the segment become constrained
-    edges, ends = _edge_ends(mm)
-    near = np.abs(sdist(mm.points)) <= tol
-    t = tpar(mm.points)[ends]
-    along = near[ends].all(axis=1) & (t.min(axis=1) >= -tol) & (t.max(axis=1) <= L + tol)
-    mm.con_edges.update(edges[k] for k in np.flatnonzero(along).tolist())
+    points = points[:n]
+    tail, head, _ = _loop_edges(cells)
+    near = np.abs(sdist(points)) <= tol
+    t = tpar(points)
+    along = (near[tail] & near[head] & (np.minimum(t[tail], t[head]) >= -tol)
+             & (np.maximum(t[tail], t[head]) <= L + tol))
+    con_edges.update(zip(np.minimum(tail, head)[along].tolist(),
+                         np.maximum(tail, head)[along].tolist()))
+    return points
 
 
 def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=TOL_REL) -> PolygonalMesh:
@@ -739,25 +665,21 @@ def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=TOL_REL) -> PolygonalMe
         raise MeshError("empty mesh")
     scale = max(mesh.h, *(float(np.hypot(*(np.asarray(b) - np.asarray(a))))
                           for a, b in segments)) if segments else mesh.h
-    mm = _MutableMesh(mesh, snap=0.5 * tol_rel * scale)
-    area_before = mesh.total_area
+    points, cells = mesh.points.copy(), list(mesh.cells)
+    con_edges = set(mesh.constrained_edge_pairs())
+    con_verts = set(np.flatnonzero(mesh.vertex_constrained).tolist())
     for a2, b2 in segments:
-        _cut_one_segment(mm, a2, b2, tol_rel * scale)
-    out = mm.to_mesh()
-    if abs(out.total_area - area_before) > 1e-10 * area_before:
+        points = _cut_segment(points, cells, con_edges, con_verts, a2, b2, tol_rel * scale)
+    out = build_mesh(points, cells, sorted(con_edges), sorted(con_verts), compact=True)
+    if abs(out.total_area - mesh.total_area) > 1e-10 * mesh.total_area:
         raise MeshError("cutting changed the covered area")
     return out
 
 
-# ---------------------------------------------------------------------------
-# stitching
-# ---------------------------------------------------------------------------
-
-def _on_trace_vertices(mm: _MutableMesh, a2, dn, L, tol):
+def _on_trace_vertices(points, a2, dn, L, tol):
     """(t, vertex id) of every vertex on the trace, ascending."""
-    p = mm.points
-    t = dn[0] * (p[:, 0] - a2[0]) + dn[1] * (p[:, 1] - a2[1])
-    s = dn[0] * (p[:, 1] - a2[1]) - dn[1] * (p[:, 0] - a2[0])
+    t = dn[0] * (points[:, 0] - a2[0]) + dn[1] * (points[:, 1] - a2[1])
+    s = dn[0] * (points[:, 1] - a2[1]) - dn[1] * (points[:, 0] - a2[0])
     on = np.flatnonzero((np.abs(s) <= tol) & (-tol <= t) & (t <= L + tol))
     on = on[np.lexsort((on, t[on]))]
     return list(zip(t[on].tolist(), on.tolist()))
@@ -768,62 +690,83 @@ def stitch_meshes(meshes: dict, network: FractureNetwork):
 
     Returns ({fid: mesh}, matches) where matches[tid][fid] is the sorted
     (param, vertex_id) list along the trace, identical across the pair.
+
+    A parameter of the union that one side lacks becomes a new vertex on
+    that side's edge between its neighbours on the trace, interpolated from
+    the left one (the vertex just inserted when two fall in one gap).  It
+    lies more than the tolerance from every vertex on the trace, so it never
+    coincides with one.  Each split edge's run of new vertices is spliced
+    into the (at most two) cells of the edge once all traces are done.
     """
     tol = TOL_REL * network.scale
     frs = {f.fid: f for f in network.fractures}
-    mms = {fid: _MutableMesh(m, snap=0.5 * tol) for fid, m in meshes.items()}
+    points = {fid: m.points.copy() for fid, m in meshes.items()}
+    runs = {fid: {} for fid in meshes}  # split edge (u, v), u < v -> new vertices, u to v
     matches = {}
     for tr in network.traces:
         L = tr.length
-        side = {}
+        nodes = {}
         for fid in (tr.frac_i, tr.frac_j):
-            a2, b2 = tr.local_segment(frs[fid])
-            dn = (np.asarray(b2) - np.asarray(a2)) / L
-            side[fid] = (np.asarray(a2), dn)
-        nodes = {
-            fid: _on_trace_vertices(mms[fid], a2, dn, L, tol)
-            for fid, (a2, dn) in side.items()
-        }
-        params = []
-        for lst in nodes.values():
-            for t, _ in lst:
-                params.append(t)
-        params.sort()
+            a2, b2 = (np.asarray(p) for p in tr.local_segment(frs[fid]))
+            nodes[fid] = _on_trace_vertices(points[fid], a2, (b2 - a2) / L, L, tol)
+        params = sorted(t for have in nodes.values() for t, _ in have)
         union = []
         for t in params:
             if not union or t - union[-1] > tol:
                 union.append(t)
-        for fid in (tr.frac_i, tr.frac_j):
-            mm = mms[fid]
-            have = nodes[fid]
+        for fid, have in nodes.items():
             at = [q for q, _ in have]
+            gaps = {}  # k -> the missing parameters between have[k - 1] and have[k]
             for t in union:
                 k = bisect.bisect_left(at, t)
-                if (k < len(have) and abs(have[k][0] - t) <= tol) or (
-                    k > 0 and abs(have[k - 1][0] - t) <= tol
-                ):
+                if (k < len(at) and abs(at[k] - t) <= tol) or (k > 0 and abs(at[k - 1] - t) <= tol):
                     continue
-                if k == 0 or k == len(have):
+                if k == 0 or k == len(at):
                     raise MeshError(
                         f"trace {tr.tid}: node parameter {t} outside fracture "
                         f"{fid} coverage"
                     )
-                (t0, v0), (t1, v1) = have[k - 1], have[k]
-                p = mm.points[v0] + (t - t0) / (t1 - t0) * (
-                    mm.points[v1] - mm.points[v0]
-                )
-                vid = mm.add_vertex(p)
-                mm.split_edge(v0, v1, vid)
-                mm.con_verts.add(vid)
-                have.insert(k, (t, vid))
-                at.insert(k, t)
-        matches[tr.tid] = {fid: list(nodes[fid]) for fid in nodes}
-    # matches hold _MutableMesh ids; they stay valid because the rebuild
-    # compacts (renumbers) only when a vertex is unused
+                gaps.setdefault(k, []).append(t)
+            ends = [(have[k - 1][1], have[k][1]) for k in gaps]
+            edges = meshes[fid].edge_ids(*np.array(ends, dtype=np.int64).reshape(-1, 2).T)
+            pts, new = points[fid], []
+            for (k, ts), (v0, v1), edge in zip(gaps.items(), ends, edges.tolist()):
+                key = (min(v0, v1), max(v0, v1))
+                if edge < 0 or key in runs[fid]:
+                    raise MeshError(f"trace {tr.tid}: fracture {fid} has no edge between "
+                                    f"its trace vertices {v0} and {v1}")
+                t0, p0 = have[k - 1][0], pts[v0]
+                t1, p1 = have[k][0], pts[v1]
+                run = []
+                for t in ts:
+                    p0 = p0 + (t - t0) / (t1 - t0) * (p1 - p0)
+                    t0 = t
+                    run.append(len(pts) + len(new))
+                    new.append(p0)
+                runs[fid][key] = run if v0 < v1 else run[::-1]
+                have = have + list(zip(ts, run))
+            points[fid] = np.concatenate([pts, np.reshape(new, (-1, 2))])
+            nodes[fid] = sorted(have, key=lambda node: node[0])
+        matches[tr.tid] = nodes
+
     out = {}
-    for fid, mm in mms.items():
-        out[fid] = mm.to_mesh()
-        if out[fid].n_vertices != len(mm.points):
+    for fid, mesh in meshes.items():
+        cells = list(mesh.cells)
+        split = runs[fid]
+        con_edges = set(mesh.constrained_edge_pairs())
+        con_verts = set(np.flatnonzero(mesh.vertex_constrained).tolist())
+        con_verts.update(range(mesh.n_vertices, len(points[fid])))
+        edges = mesh.edge_ids(*np.array(list(split), dtype=np.int64).reshape(-1, 2).T)
+        for cid in np.unique(mesh.edge_cells[edges]).tolist():
+            if cid >= 0:
+                cells[cid] = np.array(_splice(cells[cid].tolist(), split), dtype=np.int64)
+        for key, run in split.items():
+            _split_constraint(con_edges, con_verts, key, run)
+        out[fid] = build_mesh(points[fid], cells, sorted(con_edges), sorted(con_verts),
+                              compact=True)
+        # matches hold these vertex ids, which a rebuild renumbers only when
+        # a vertex is unused
+        if out[fid].n_vertices != len(points[fid]):
             raise MeshError(f"fracture {fid}: stitched rebuild dropped vertices")
     return out, matches
 
@@ -1270,7 +1213,6 @@ class NetworkRunReport:
     lam: float
     k: int
     h: float                 # triangulation size driving the refinement
-    h_mesh: float            # max cell diameter of the final stitched mesh
     cells: int
     dofs: int
     nnz: int
@@ -1283,15 +1225,13 @@ class NetworkRunReport:
     max_pi_0: float
     energy_initial: int
     energy_final: int
-    energy_saved: float
     wall_time: float = 0.0
     solution: object = None
     gmap: object = None
-    system: object = None
 
 
 def solve_discretized(disc: NetworkDiscretization, k: int,
-                      estimate_condition=True, keep_system=False) -> NetworkRunReport:
+                      estimate_condition=True) -> NetworkRunReport:
     import time as _time
 
     t0 = _time.perf_counter()
@@ -1317,14 +1257,11 @@ def solve_discretized(disc: NetworkDiscretization, k: int,
     if estimate_condition:
         cond = vem.condition_estimate(system).cond
 
-    e1 = sum(i.energy_initial for i in disc.info.values())
-    e2_ = sum(i.energy_final for i in disc.info.values())
     report = NetworkRunReport(
         case=case.name,
         lam=disc.lam,
         k=k,
         h=disc.h,
-        h_mesh=max(m.h for m in disc.meshes.values()),
         cells=sum(m.n_cells for m in disc.meshes.values()),
         dofs=gmap.n_global,
         nnz=system.nnz,
@@ -1335,13 +1272,11 @@ def solve_discretized(disc: NetworkDiscretization, k: int,
         sol_h1=sol_h1,
         max_pi_nabla=float(dn.max()),
         max_pi_0=float(d0.max()),
-        energy_initial=e1,
-        energy_final=e2_,
-        energy_saved=0.0 if e1 == 0 else (e1 - e2_) / e1,
+        energy_initial=sum(i.energy_initial for i in disc.info.values()),
+        energy_final=sum(i.energy_final for i in disc.info.values()),
         wall_time=_time.perf_counter() - t0,
         solution=x,
         gmap=gmap,
-        system=system if keep_system else None,
     )
     return report
 
@@ -1466,6 +1401,7 @@ def load_network(path) -> NetworkCase:
             raise MeshFormatError("expected 'T m' header", line=ln)
         nt = parse_count(tok[1], "trace count", ln)
         traces = []
+        tol = _trace_tol(fractures)
         for tid in range(nt):
             ln, tok = tokens.take("trace line")
             if len(tok) != 8:
@@ -1480,6 +1416,8 @@ def load_network(path) -> NetworkCase:
                 if not _on_fracture(fractures[fid], np.array([a3, b3])):
                     raise MeshFormatError(f"trace {tid} does not lie on fracture {fid}",
                                           line=ln)
+            if np.linalg.norm(b3 - a3) <= tol:
+                raise MeshFormatError(f"trace {tid} has zero length", line=ln)
             if tuple(b3) < tuple(a3):
                 a3, b3 = b3, a3
             traces.append(TraceSegment(tid, a3, b3, i, j))

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import os
 
@@ -1084,22 +1085,128 @@ def ref_simplify_aligned_edges(mesh):
                           np.flatnonzero(mesh.vertex_constrained), compact=True)
 
 
-def ref_mutable_state(mesh, snap):
-    """(points, cells, snap pool, edge map) of a mutable mesh seeded by
-    registering one vertex and one cell at a time."""
-    points = [p.copy() for p in mesh.points]
-    cells = [list(map(int, ids)) for ids in mesh.cells]
-    pool = {}
-    for i, p in enumerate(points):
-        pool[(round(p[0] / snap), round(p[1] / snap))] = i
-    edge_map = {}
-    for cid, loop in enumerate(cells):
+# Reference cutting and stitching: the mutable mesh with a dict edge map, a
+# snap-grid vertex pool and cells as vertex lists, seeded by registering one
+# vertex and one cell at a time, that cut_by_traces and stitch_meshes ran on
+# before they worked on the PolygonalMesh arrays.  Both must match it bit
+# for bit.
+
+class RefMutableMesh:
+    """A mesh edited in place: a growing vertex list, cells as vertex lists,
+    an edge -> cells map, the constrained edges and vertices, and a
+    snap-grid pool that finds a vertex by position."""
+
+    def __init__(self, mesh, snap):
+        self.points = [p.copy() for p in mesh.points]
+        self.cells = [list(map(int, ids)) for ids in mesh.cells]
+        self.con_edges = set(mesh.constrained_edge_pairs())
+        self.con_verts = set(np.flatnonzero(mesh.vertex_constrained).tolist())
+        self.snap = snap
+        self.pool = {}
+        for i, p in enumerate(self.points):
+            self.pool[self._key(p)] = i
+        self.edge_map = {}
+        for cid, loop in enumerate(self.cells):
+            self._register(cid, loop)
+
+    def _key(self, p):
+        return (round(p[0] / self.snap), round(p[1] / self.snap))
+
+    def _register(self, cid, loop):
+        n = len(loop)
+        for k in range(n):
+            u, v = loop[k], loop[(k + 1) % n]
+            self.edge_map.setdefault((u, v) if u < v else (v, u), []).append(cid)
+
+    def _unregister(self, cid, loop):
         n = len(loop)
         for k in range(n):
             u, v = loop[k], loop[(k + 1) % n]
             key = (u, v) if u < v else (v, u)
-            edge_map.setdefault(key, []).append(cid)
-    return points, cells, pool, edge_map
+            cs = self.edge_map[key]
+            cs.remove(cid)
+            if not cs:
+                del self.edge_map[key]
+
+    def find_vertex(self, p):
+        kx, ky = self._key(p)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                vid = self.pool.get((kx + dx, ky + dy))
+                if vid is not None and np.hypot(*(self.points[vid] - p)) <= self.snap:
+                    return vid
+        return None
+
+    def add_vertex(self, p):
+        vid = self.find_vertex(p)
+        if vid is not None:
+            return vid
+        self.points.append(np.array(p, dtype=float))
+        vid = len(self.points) - 1
+        self.pool[self._key(p)] = vid
+        return vid
+
+    def split_edge(self, u, v, vid):
+        """Insert vid between u and v in every cell using that edge."""
+        key = (u, v) if u < v else (v, u)
+        cells = self.edge_map.pop(key, None)
+        if not cells:
+            raise MeshError(f"edge {key} not present")
+        for cid in cells:
+            loop = self.cells[cid]
+            n = len(loop)
+            for k in range(n):
+                if {loop[k], loop[(k + 1) % n]} == {u, v}:
+                    loop.insert(k + 1, vid)
+                    break
+        for a, b in ((u, vid), (vid, v)):
+            self.edge_map.setdefault((a, b) if a < b else (b, a), []).extend(cells)
+        if key in self.con_edges:
+            self.con_edges.discard(key)
+            for a, b in ((u, vid), (vid, v)):
+                self.con_edges.add((min(a, b), max(a, b)))
+            self.con_verts.add(vid)
+
+    def replace_cell(self, cid, loop):
+        self._unregister(cid, self.cells[cid])
+        self.cells[cid] = list(loop)
+        self._register(cid, self.cells[cid])
+
+    def append_cell(self, loop):
+        self.cells.append(list(loop))
+        self._register(len(self.cells) - 1, self.cells[-1])
+
+    def to_mesh(self):
+        return build_mesh(np.array(self.points).reshape(-1, 2), self.cells,
+                          sorted(self.con_edges), sorted(self.con_verts), compact=True)
+
+
+def ref_point_in_some_cell(mm, p):
+    for loop in mm.cells:
+        pts = np.array([mm.points[v] for v in loop])
+        if (
+            pts[:, 0].min() - mm.snap <= p[0] <= pts[:, 0].max() + mm.snap
+            and pts[:, 1].min() - mm.snap <= p[1] <= pts[:, 1].max() + mm.snap
+            and geometry.point_in_polygon(pts, p, mm.snap) == 1
+        ):
+            return True
+    return False
+
+
+def ref_cut_by_traces(mesh, segments, tol_rel=dfn.TOL_REL):
+    """cut_by_traces on a RefMutableMesh, one ``ref_cut_one_segment`` per
+    segment."""
+    if mesh.n_cells == 0:
+        raise MeshError("empty mesh")
+    scale = max(mesh.h, *(float(np.hypot(*(np.asarray(b) - np.asarray(a))))
+                          for a, b in segments)) if segments else mesh.h
+    mm = RefMutableMesh(mesh, snap=0.5 * tol_rel * scale)
+    for a2, b2 in segments:
+        ref_cut_one_segment(mm, a2, b2, tol_rel * scale)
+    out = mm.to_mesh()
+    if abs(out.total_area - mesh.total_area) > 1e-10 * mesh.total_area:
+        raise MeshError("cutting changed the covered area")
+    return out
 
 
 def ref_cut_one_segment(mm, a2, b2, tol):
@@ -1216,7 +1323,7 @@ def ref_cut_one_segment(mm, a2, b2, tol):
                 mm.con_verts.add(vid)
                 placed = True
                 break
-        if not placed and dfn._point_in_some_cell(mm, pe):
+        if not placed and ref_point_in_some_cell(mm, pe):
             raise MeshError(
                 "trace endpoint inside a cell survived the cutting pass"
             )
@@ -1229,15 +1336,63 @@ def ref_cut_one_segment(mm, a2, b2, tol):
                 mm.con_edges.add((min(u, v), max(u, v)))
 
 
-def ref_on_trace_vertices(mm, a2, dn, L, tol):
+def ref_on_trace_vertices(points, a2, dn, L, tol):
     out = []
-    for vid, p in enumerate(mm.points):
+    for vid, p in enumerate(points):
         t = dn[0] * (p[0] - a2[0]) + dn[1] * (p[1] - a2[1])
         s = dn[0] * (p[1] - a2[1]) - dn[1] * (p[0] - a2[0])
         if abs(s) <= tol and -tol <= t <= L + tol:
             out.append((float(t), vid))
     out.sort()
     return out
+
+
+def ref_stitch_meshes(meshes, network):
+    """stitch_meshes on one RefMutableMesh per fracture: each missing union
+    parameter is one vertex added and one edge split, in turn."""
+    tol = dfn.TOL_REL * network.scale
+    frs = {f.fid: f for f in network.fractures}
+    mms = {fid: RefMutableMesh(m, snap=0.5 * tol) for fid, m in meshes.items()}
+    matches = {}
+    for tr in network.traces:
+        L = tr.length
+        nodes = {}
+        for fid in (tr.frac_i, tr.frac_j):
+            a2, b2 = tr.local_segment(frs[fid])
+            dn = (np.asarray(b2) - np.asarray(a2)) / L
+            nodes[fid] = ref_on_trace_vertices(mms[fid].points, np.asarray(a2), dn, L, tol)
+        params = sorted(t for lst in nodes.values() for t, _ in lst)
+        union = []
+        for t in params:
+            if not union or t - union[-1] > tol:
+                union.append(t)
+        for fid, have in nodes.items():
+            mm = mms[fid]
+            for t in union:
+                at = [q for q, _ in have]
+                k = bisect.bisect_left(at, t)
+                if (k < len(have) and abs(have[k][0] - t) <= tol) or (
+                    k > 0 and abs(have[k - 1][0] - t) <= tol
+                ):
+                    continue
+                if k == 0 or k == len(have):
+                    raise MeshError(
+                        f"trace {tr.tid}: node parameter {t} outside fracture "
+                        f"{fid} coverage"
+                    )
+                (t0, v0), (t1, v1) = have[k - 1], have[k]
+                p = mm.points[v0] + (t - t0) / (t1 - t0) * (mm.points[v1] - mm.points[v0])
+                vid = mm.add_vertex(p)
+                mm.split_edge(v0, v1, vid)
+                mm.con_verts.add(vid)
+                have.insert(k, (t, vid))
+        matches[tr.tid] = nodes
+    out = {}
+    for fid, mm in mms.items():
+        out[fid] = mm.to_mesh()
+        if out[fid].n_vertices != len(mm.points):
+            raise MeshError(f"fracture {fid}: stitched rebuild dropped vertices")
+    return out, matches
 
 
 # Reference triangulation and traces: the per-polygon Sutherland-Hodgman

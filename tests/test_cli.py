@@ -88,6 +88,10 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
                  id="dfn-trace-off-fractures"),
     pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 1 0 0 0 2 0 0\n", 13,
                  id="dfn-trace-outside-polygon"),
+    pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 1 0.5 0 0 0.5 0 0\n", 13,
+                 id="dfn-trace-zero-length"),
+    pytest.param(".dfn", TWO_FRACTURES + "T 1\n0 1 0.5 0 0 0.5000000001 0 0\n", 13,
+                 id="dfn-trace-length-1e-10"),
     pytest.param(".dfn", TWO_FRACTURES + "BC\n", 12, id="dfn-bc-header"),
     pytest.param(".dfn", TWO_FRACTURES + "BC 1\ndirichlet 0 0 one 1 10\n", 13,
                  id="dfn-bc-plane"),
@@ -237,6 +241,16 @@ def test_dfn_solve_json_format(tmp_path):
 def test_convergence_needs_three_points(tmp_path):
     assert run(["convergence", "--network", "builtin:network1",
                 "--area", "0.1", "0.05"]) == 2
+
+
+def test_convergence_file_network_exit2(tmp_path, capsys):
+    """A file network has no exact solution, so it has no rates to fit."""
+    path = tmp_path / "net.dfn"
+    path.write_text(TWO_FRACTURES + "BC 1\ndirichlet 0 0 1 1 10.0\n")
+    assert run(["--out", tmp_path / "out", "convergence", "--network", path,
+                "--area", "0.1", "0.05", "0.02"]) == 2
+    assert "has no exact solution" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "rates.csv").exists()
 
 
 def test_convergence_mesh_family(tmp_path):

@@ -48,12 +48,12 @@ from conftest import (
     mutated_file,
     ref_build_dof_map,
     ref_compute_traces,
-    ref_cut_one_segment,
+    ref_cut_by_traces,
     ref_dof_positions,
     ref_forest_roots,
     ref_global_dof_ids,
-    ref_mutable_state,
     ref_on_trace_vertices,
+    ref_stitch_meshes,
     ref_triangulate_once,
 )
 
@@ -380,8 +380,8 @@ def test_agglomerate_fracture_keeps_trace_conforming(lam):
 
 
 def _cut_cases():
-    """(mesh, segments) of every cut above, plus each network1 fracture at
-    area 2e-2 with its traces."""
+    """(mesh, segments) of every cut above, each network1 fracture at area
+    2e-2 with its traces, and a segment along an edge that ends inside it."""
     square = build_mesh([[0, 0], [2, 0], [2, 2], [0, 2]], [[0, 1, 2, 3]])
     cases = [
         (build_mesh([[0, 0], [2, 0], [0, 2]], [[0, 1, 2]]), [((-1.0, 0.5), (3.0, 0.5))]),
@@ -397,6 +397,8 @@ def _cut_cases():
     for fr in case.network.fractures:
         cases.append((triangulate_fracture(fr, max_area=2e-2),
                       [t.local_segment(fr) for t in case.network.fracture_traces(fr.fid)]))
+    cases.append((build_mesh([[0, 0], [1, 0], [2, 0], [2, 2], [1, 2], [0, 2]],
+                             [[0, 1, 4, 5], [1, 2, 3, 4]]), [((1.0, 0.0), (1.0, 1.0))]))
     return cases
 
 
@@ -405,29 +407,12 @@ def cut_cases():
     return _cut_cases()
 
 
-def test_mutable_mesh_seed_matches_scalar_registration(cut_cases):
-    """The array-seeded mutable mesh holds the points, cells, snap pool and
-    edge map (in insertion order, which picks an endpoint's host edge) that
-    registering one vertex and one cell at a time builds."""
-    for mesh, segs in cut_cases:
-        for m in (mesh, cut_by_traces(mesh, segs)):
-            snap = 0.5e-9 * m.h
-            mm = dfn._MutableMesh(m, snap)
-            points, cells, pool, edge_map = ref_mutable_state(m, snap)
-            assert mm.points.tobytes() == np.array(points).tobytes()
-            assert mm.cells == cells
-            assert list(mm.pool.items()) == list(pool.items())
-            assert list(mm.edge_map.items()) == list(edge_map.items())
-
-
-@pytest.mark.parametrize("k", range(8))
-def test_cut_matches_scalar_reference(monkeypatch, cut_cases, k):
-    """Each cut above and each network1 fracture at area 2e-2 cuts into the
-    mesh the per-cell, per-edge loop makes, bit for bit."""
+@pytest.mark.parametrize("k", range(9))
+def test_cut_matches_scalar_reference(cut_cases, k):
+    """Each of ``_cut_cases`` cuts into the mesh that the per-cell, per-edge
+    loop on the mutable reference mesh makes, bit for bit."""
     mesh, segs = cut_cases[k]
-    got = cut_by_traces(mesh, segs)
-    monkeypatch.setattr(dfn, "_cut_one_segment", ref_cut_one_segment)
-    assert mesh_fields(got) == mesh_fields(cut_by_traces(mesh, segs))
+    assert mesh_fields(cut_by_traces(mesh, segs)) == mesh_fields(ref_cut_by_traces(mesh, segs))
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -514,14 +499,6 @@ def test_stitch_conforming_dof_identification(k):
     assert gmap.n_global == t_total - shared
 
 
-def _stitch_both_ways(monkeypatch, meshes, network):
-    got = stitch_meshes(meshes, network)
-    with monkeypatch.context() as patch:
-        patch.setattr(dfn, "_on_trace_vertices", ref_on_trace_vertices)
-        want = stitch_meshes(meshes, network)
-    return got, want
-
-
 def _assert_same_stitch(got, want):
     (out, matches), (ref_out, ref_matches) = got, want
     assert sorted(out) == sorted(ref_out)
@@ -539,25 +516,23 @@ def test_on_trace_vertices_matches_scalar_scan(rng):
     s = rng.choice([-2 * tol, -0.5 * tol, 0.0, 0.5 * tol], 60)
     t[30:] = t[:30]
     pts = np.column_stack([t, s])[rng.permutation(60)]
-    mm = dfn._MutableMesh(build_mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]), 0.5 * tol)
-    mm._points, mm.n_points = pts, len(pts)
     a2, dn = np.zeros(2), np.array([1.0, 0.0])
-    got = dfn._on_trace_vertices(mm, a2, dn, 1.0, tol)
-    assert got == ref_on_trace_vertices(mm, a2, dn, 1.0, tol)
+    got = dfn._on_trace_vertices(pts, a2, dn, 1.0, tol)
+    assert got == ref_on_trace_vertices(pts, a2, dn, 1.0, tol)
     assert any(p == q for (p, _), (q, _) in zip(got, got[1:]))
 
 
 @pytest.mark.parametrize("pa, pb", [([0.5], [0.3]), ([0.25, 0.5], [0.25, 0.5]), ([], [0.1, 0.7])])
-def test_stitch_matches_scalar_reference(monkeypatch, pa, pb):
+def test_stitch_matches_scalar_reference(pa, pb):
     network = two_plane_network()
     meshes = {0: mesh_with_trace_nodes(pa), 1: mesh_with_trace_nodes(pb)}
-    _assert_same_stitch(*_stitch_both_ways(monkeypatch, meshes, network))
+    _assert_same_stitch(stitch_meshes(meshes, network), ref_stitch_meshes(meshes, network))
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_network1_stitch_matches_scalar_reference(monkeypatch, lam):
     """network1 at area 2e-2 stitches into the meshes and trace matches of
-    the per-vertex scan, bit for bit."""
+    the mutable reference mesh, bit for bit."""
     case = network1()
     captured = {}
     stitch = dfn.stitch_meshes
@@ -569,9 +544,52 @@ def test_network1_stitch_matches_scalar_reference(monkeypatch, lam):
     monkeypatch.setattr(dfn, "stitch_meshes", capture)
     disc = discretize_network(case, max_area=2e-2, lam=lam)
     monkeypatch.undo()
-    got, want = _stitch_both_ways(monkeypatch, *captured["args"])
-    _assert_same_stitch(got, want)
+    got = stitch_meshes(*captured["args"])
+    _assert_same_stitch(got, ref_stitch_meshes(*captured["args"]))
     _assert_same_stitch(got, (disc.meshes, disc.matches))
+
+
+@pytest.fixture(scope="module")
+def random_cuts():
+    """The first ten networks of four random rectangles (seeds 0, 1, ...) in
+    which every fracture meets another, each fracture triangulated at area
+    2e-2 with (mesh, segments, tol_rel) of its cut."""
+    found, seed = [], 0
+    while len(found) < 10:
+        fractures = random_rectangle_network(np.random.default_rng(seed), 4)
+        seed += 1
+        try:
+            network = FractureNetwork(fractures, compute_traces(fractures))
+        except NetworkError:
+            continue
+        found.append((network, {
+            fr.fid: (triangulate_fracture(fr, max_area=2e-2),
+                     [t.local_segment(fr) for t in network.fracture_traces(fr.fid)],
+                     dfn.TOL_REL * network.scale / fr.diameter)
+            for fr in fractures}))
+    return found
+
+
+def test_random_network_cuts_match_reference(random_cuts):
+    """Random fractures, some with three or more traces, crossing on tilted
+    frames, cut into the meshes of the mutable reference mesh, bit for bit."""
+    assert max(len(segs) for _, cuts in random_cuts for _, segs, _ in cuts.values()) >= 3
+    for _, cuts in random_cuts:
+        for tri, segs, tol_rel in cuts.values():
+            assert mesh_fields(cut_by_traces(tri, segs, tol_rel=tol_rel)) == mesh_fields(
+                ref_cut_by_traces(tri, segs, tol_rel=tol_rel))
+
+
+@pytest.mark.filterwarnings("ignore:label .* skipped:RuntimeWarning")
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_random_network_stitch_matches_reference(random_cuts, lam):
+    """The cut and agglomerated random networks stitch into the meshes and
+    trace matches of the mutable reference mesh, bit for bit."""
+    for network, cuts in random_cuts:
+        meshes = {fid: agglomerate(cut_by_traces(tri, segs, tol_rel=tol_rel),
+                                   AgglomerationConfig(lam=lam)).mesh
+                  for fid, (tri, segs, tol_rel) in cuts.items()}
+        _assert_same_stitch(stitch_meshes(meshes, network), ref_stitch_meshes(meshes, network))
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +835,10 @@ def test_partial_dirichlet_planes_leave_neumann_boundary(tmp_path, k):
     path.write_text(TWO_FRACTURES)
     case = load_network(path)
     disc = discretize_network(case, max_area=0.05)
-    rep = solve_discretized(disc, k, estimate_condition=False, keep_system=True)
+    rep = solve_discretized(disc, k, estimate_condition=False)
     assert np.isfinite(rep.solution).all()
-    system = rep.system
+    system, _ = assemble_network(case.network, disc.meshes, rep.gmap,
+                                 dirichlet_values=case.dirichlet_values())
     assert np.isfinite(system.dirichlet_val).all()
     # exactly the DOFs on the two planes are Dirichlet, with their plane's value
     on_planes = {}
