@@ -370,6 +370,14 @@ def apply_labeling(mesh: PolygonalMesh, labels, skipped=None) -> PolygonalMesh:
 
 @dataclass
 class ReductionStats:
+    """Sizes before and after agglomeration and the labeling energies.
+
+    ``energy_final`` and ``energy_saved`` are those of the labeling the mesh
+    was built from: a merge that ``apply_labeling`` skipped leaves its cells
+    with their own indices, so it differs from the minimizer's last energy
+    (the end of ``AgglomerationResult.history``) when ``merges_skipped`` > 0.
+    """
+
     cells_before: int
     cells_after: int
     edges_before: int
@@ -409,6 +417,12 @@ def agglomerate(mesh: PolygonalMesh, config: AgglomerationConfig) -> Agglomerati
     out = apply_labeling(mesh, labels, skipped)
     e1 = history[0].total
     e2 = history[-1].total
+    if skipped:
+        # the cells of a skipped merge stay apart, each with its own index
+        applied = labels.copy()
+        for _, comp, _ in skipped:
+            applied[comp] = comp
+        e2 = _energy(problem, applied.tolist()).total
     stats = ReductionStats(
         cells_before=mesh.n_cells,
         cells_after=out.n_cells,

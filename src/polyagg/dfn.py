@@ -477,13 +477,15 @@ def _point_in_some_cell(points, cells, p, snap) -> bool:
     return False
 
 
-def _cut_segment(points, cells, con_edges, con_verts, a2, b2, tol):
+def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
     """Split every cell the segment's supporting line crosses, constrain the
     chord where it lies on the segment, put the segment's endpoints on the
     mesh and constrain the edges that run along it.
 
     ``cells`` (int64 vertex loops) and the constrained edge and vertex sets
-    change in place; returns ``points`` with the new vertices appended.  One
+    change in place; ``loops`` is ``_loop_edges(cells)`` on entry.  Returns
+    ``points`` with the new vertices appended and ``_loop_edges`` of the
+    cells on exit, which the next segment takes as its ``loops``.  One
     signed-distance array over the vertices picks the crossed cells, which
     are visited in id order.  The first one the segment enters puts a vertex
     on each crossed edge; a later cell of that edge sees it as a vertex on
@@ -493,7 +495,7 @@ def _cut_segment(points, cells, con_edges, con_verts, a2, b2, tol):
     d = np.asarray(b2, dtype=float) - np.asarray(a2, dtype=float)
     L = float(np.hypot(*d))
     if L <= tol:
-        return points
+        return points, loops
     dn = d / L
     a2 = np.asarray(a2, dtype=float)
     snap = 0.5 * tol
@@ -504,7 +506,7 @@ def _cut_segment(points, cells, con_edges, con_verts, a2, b2, tol):
     def tpar(p):
         return dn[0] * (p[..., 0] - a2[0]) + dn[1] * (p[..., 1] - a2[1])
 
-    tail, _, sizes = _loop_edges(cells)
+    tail, _, sizes = loops
     starts = np.cumsum(sizes) - sizes
     s = sdist(points)
     on_line = np.flatnonzero(np.abs(s) <= tol)
@@ -644,14 +646,14 @@ def _cut_segment(points, cells, con_edges, con_verts, a2, b2, tol):
 
     # existing edges running along the segment become constrained
     points = points[:n]
-    tail, head, _ = _loop_edges(cells)
+    loops = tail, head, _ = _loop_edges(cells)
     near = np.abs(sdist(points)) <= tol
     t = tpar(points)
     along = (near[tail] & near[head] & (np.minimum(t[tail], t[head]) >= -tol)
              & (np.maximum(t[tail], t[head]) <= L + tol))
     con_edges.update(zip(np.minimum(tail, head)[along].tolist(),
                          np.maximum(tail, head)[along].tolist()))
-    return points
+    return points, loops
 
 
 def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=TOL_REL) -> PolygonalMesh:
@@ -668,8 +670,10 @@ def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=TOL_REL) -> PolygonalMe
     points, cells = mesh.points.copy(), list(mesh.cells)
     con_edges = set(mesh.constrained_edge_pairs())
     con_verts = set(np.flatnonzero(mesh.vertex_constrained).tolist())
+    loops = _loop_edges(cells)
     for a2, b2 in segments:
-        points = _cut_segment(points, cells, con_edges, con_verts, a2, b2, tol_rel * scale)
+        points, loops = _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2,
+                                     tol_rel * scale)
     out = build_mesh(points, cells, sorted(con_edges), sorted(con_verts), compact=True)
     if abs(out.total_area - mesh.total_area) > 1e-10 * mesh.total_area:
         raise MeshError("cutting changed the covered area")

@@ -6,8 +6,9 @@ normalized interior moments against the degree k-2 monomials.  The local
 bilinear form couples the L2 projection of gradients with a dofi-dofi
 stabilization scaled by the transmissivity norm.  Element matrices are
 built for whole stacks of cells at once: the cells of all meshes of a
-discretization are split by vertex count (``cell_groups``) and every array
-of a ``VemElement`` then carries the stack axis.
+discretization are split by vertex count (``cell_groups``), each vertex
+count's cells are built in blocks of bounded memory, and every array of a
+``VemElement`` then carries the stack axis.
 """
 
 from dataclasses import dataclass, field
@@ -412,12 +413,28 @@ class Part(NamedTuple):
 
 
 class ElementGroup(NamedTuple):
-    """The cells of all parts that have one vertex count."""
+    """A block of the cells of all parts that have one vertex count, with
+    what the passes after the solve read of their elements."""
 
     cells: np.ndarray        # (m,) cell ids, each part's after the previous parts'
     part: np.ndarray         # (m,) part index of each cell
     dofs: np.ndarray         # (m, ndof) global DOF ids
-    element: VemElement
+    k: int
+    centroid: np.ndarray     # (m, 2)
+    diameter: np.ndarray     # (m,)
+    pi0s: np.ndarray         # L2 projector onto P_k
+    pigrad: tuple            # (x, y) L2 gradient projectors onto P_{k-1}
+    H: np.ndarray            # monomial mass matrix
+    qp: np.ndarray
+    qw: np.ndarray
+    dn: np.ndarray           # (m,) spectral norm of Pi_nabla*D - I
+    d0: np.ndarray           # (m,) spectral norm of Pi0*D - I
+
+    @classmethod
+    def of(cls, cells, part, dofs, el: VemElement):
+        """The group of the stacked element ``el`` of these cells."""
+        return cls(cells, part, dofs, el.k, el.centroid, el.diameter, el.pi0s, el.pigrad,
+                   el.H, el.qp, el.qw, *projector_discrepancies(el))
 
 
 def cell_groups(parts):
@@ -451,38 +468,62 @@ def _part_values(fns, part, pts):
     return out
 
 
+# bytes of element-pass temporaries per block of build_local_system, to bound
+# its memory.  A cell of n vertices and ndof DOFs peaks at about
+# 8 * (3 ndof^2 + 12 n (k + 1) dim P_k) bytes, its (ndof, ndof) matrices and
+# its monomials at the edges' Lobatto points: within 13% of the traced peak
+# of 3- to 15-gons at k = 1, 2, 3
+_ELEMENT_BLOCK = 1 << 22
+
+
 def build_local_system(parts, n_global: int):
     """Element groups, global matrix and load vector in global DOF ids.
 
-    One ``build_element`` and one ``local_stiffness`` call per vertex count
-    over all parts, with each cell's K; a part's source is evaluated on its
-    own cells.  ``groups`` is a list of ``ElementGroup``.
+    The cells of each vertex count over all parts (``cell_groups``) are
+    built in blocks of about ``_ELEMENT_BLOCK`` bytes of temporaries, so the
+    pass's memory does not grow with the largest group: one
+    ``build_element`` and one ``local_stiffness`` call per block, with each
+    cell's K, and a ``local_load`` call where a part has a source, which is
+    evaluated on its own cells.  ``groups`` holds one ``ElementGroup`` per
+    block, in cell-group order, with the projector discrepancies of its
+    cells.
 
-    Every element matrix is exactly symmetric, but the sparse conversion
-    sums the contributions to (i, j) and to (j, i) in orders of its own, so
-    where three or more cells meet (the trace DOFs of a network) the sums
-    can differ in the last bit; averaging with the transpose makes the
-    matrix exactly symmetric.
+    The element matrices are written once into one COO triple with int32
+    indices.  Every element matrix is exactly symmetric, but the sparse
+    conversion sums the contributions to (i, j) and to (j, i) in orders of
+    its own, so where three or more cells meet (the trace DOFs of a network)
+    the sums can differ in the last bit; averaging with the transpose makes
+    the matrix exactly symmetric.
     """
     k = parts[0].dofmap.k
     Ks = np.stack([np.eye(2) if p.K is None else np.asarray(p.K, dtype=float) for p in parts])
     sources = [p.f for p in parts]
+    nnz = sum(g.size * g.shape[1] for p in parts for _, g in p.dofmap.groups.values())
+    itype = np.int32 if n_global <= np.iinfo(np.int32).max else np.int64
+    rows, cols, vals = np.empty(nnz, dtype=itype), np.empty(nnz, dtype=itype), np.empty(nnz)
+    end = 0
     groups = []
-    rows, cols, vals = [], [], []
     b = np.zeros(n_global)
     for cells, part, dofs, pts in cell_groups(parts):
-        el = build_element(pts, k, cell_id=cells)
-        groups.append(ElementGroup(cells, part, dofs, el))
-        Ke = local_stiffness(el, Ks[part])
-        rows.append(np.broadcast_to(dofs[:, :, None], Ke.shape).ravel())
-        cols.append(np.broadcast_to(dofs[:, None, :], Ke.shape).ravel())
-        vals.append(Ke.ravel())
-        fq = _part_values(sources, part, el.qp)
-        if fq is not None:
-            np.add.at(b, dofs, local_load(el, fq))
-    A = sps.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n_global, n_global)).tocsr()
-    return groups, ((A + A.T) * 0.5).tocsr(), b
+        n, ndof = pts.shape[1], dofs.shape[1]
+        cell_bytes = 8 * (3 * ndof * ndof + 12 * n * (k + 1) * monomial_dim(k))
+        step = max(1, _ELEMENT_BLOCK // cell_bytes)
+        for s in range(0, len(cells), step):
+            blk = slice(s, s + step)
+            el = build_element(pts[blk], k, cell_id=cells[blk])
+            Ke = local_stiffness(el, Ks[part[blk]])
+            start, end = end, end + Ke.size
+            rows[start:end].reshape(Ke.shape)[...] = dofs[blk, :, None]
+            cols[start:end].reshape(Ke.shape)[...] = dofs[blk, None, :]
+            vals[start:end] = Ke.ravel()
+            fq = _part_values(sources, part[blk], el.qp)
+            if fq is not None:
+                np.add.at(b, dofs[blk], local_load(el, fq))
+            groups.append(ElementGroup.of(cells[blk], part[blk], dofs[blk], el))
+            del el, Ke, fq  # before the next block's build, not after it
+    A = sps.coo_matrix((vals, (rows, cols)), shape=(n_global, n_global)).tocsr()
+    del rows, cols, vals
+    return groups, (A + A.T) * 0.5, b
 
 
 def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
@@ -592,9 +633,8 @@ def projected_solution(groups, solution):
     out = []
     for g in groups:
         u = solution[g.dofs][..., None]
-        el = g.element
-        out.append(((el.pi0s @ u)[..., 0], (el.pigrad[0] @ u)[..., 0],
-                    (el.pigrad[1] @ u)[..., 0]))
+        out.append(((g.pi0s @ u)[..., 0], (g.pigrad[0] @ u)[..., 0],
+                    (g.pigrad[1] @ u)[..., 0]))
     return out
 
 
@@ -607,14 +647,13 @@ def error_norms(groups, projected, exact_u, exact_grad):
     l2 = 0.0
     h1 = 0.0
     for g, (c, cx, cy) in zip(groups, projected, strict=True):
-        el = g.element
         for p, (u, grad) in enumerate(zip(exact_u, exact_grad)):
             rows = np.flatnonzero(g.part == p)
             if not len(rows):
                 continue
             # one part's cells at a time keeps the temporaries small
-            qp, qw = el.qp[rows], el.qw[rows]
-            Mq = eval_monomials(el.k, qp, el.centroid[rows], el.diameter[rows])
+            qp, qw = g.qp[rows], g.qw[rows]
+            Mq = eval_monomials(g.k, qp, g.centroid[rows], g.diameter[rows])
             Mq1 = Mq[..., :cx.shape[-1]]
             uh, gxh, gyh = (np.einsum("...pr,...r->...p", M, a[rows])
                             for M, a in ((Mq, c), (Mq1, cx), (Mq1, cy)))
@@ -630,7 +669,7 @@ def solution_norms(groups, projected):
     l2 = 0.0
     h1 = 0.0
     for g, (c, cx, cy) in zip(groups, projected, strict=True):
-        H = g.element.H
+        H = g.H
         H1 = H[..., :cx.shape[-1], :cx.shape[-1]]
         l2 += float(np.einsum("...r,...rs,...s->...", c, H, c).sum())
         h1 += float(np.einsum("...r,...rs,...s->...", cx, H1, cx).sum()
@@ -639,10 +678,11 @@ def solution_norms(groups, projected):
 
 
 def projection_discrepancy(groups):
-    """Per-cell spectral norms of the two projector identities, in cell order."""
+    """Per-cell spectral norms of the two projector identities, in cell order,
+    gathered from the groups."""
     n = sum(len(g.cells) for g in groups)
     dn = np.empty(n)
     d0 = np.empty(n)
     for g in groups:
-        dn[g.cells], d0[g.cells] = projector_discrepancies(g.element)
+        dn[g.cells], d0[g.cells] = g.dn, g.d0
     return dn, d0

@@ -5,6 +5,7 @@ import os
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import settings, strategies as st
 
 import polyagg.agglomerate as agg
@@ -1689,6 +1690,32 @@ def ref_cell_groups(parts):
         cells, part, dofs, pts = zip(*groups[n])
         yield (np.array(cells, dtype=np.int64), np.array(part, dtype=np.int64),
                np.stack(dofs), np.stack(pts))
+
+
+def ref_build_local_system(parts, n_global):
+    """vem.build_local_system as one stack per vertex count, its COO triple
+    concatenated from int64 broadcast copies; returns the matrix, the load
+    vector and the per-cell projector discrepancies (dn, d0) in cell order."""
+    k = parts[0].dofmap.k
+    Ks = np.stack([np.eye(2) if p.K is None else np.asarray(p.K, dtype=float) for p in parts])
+    sources = [p.f for p in parts]
+    dn = np.empty(sum(p.mesh.n_cells for p in parts))
+    d0 = np.empty_like(dn)
+    rows, cols, vals = [], [], []
+    b = np.zeros(n_global)
+    for cells, part, dofs, pts in vem.cell_groups(parts):
+        el = vem.build_element(pts, k, cell_id=cells)
+        dn[cells], d0[cells] = vem.projector_discrepancies(el)
+        Ke = vem.local_stiffness(el, Ks[part])
+        rows.append(np.broadcast_to(dofs[:, :, None], Ke.shape).ravel())
+        cols.append(np.broadcast_to(dofs[:, None, :], Ke.shape).ravel())
+        vals.append(Ke.ravel())
+        fq = vem._part_values(sources, part, el.qp)
+        if fq is not None:
+            np.add.at(b, dofs, vem.local_load(el, fq))
+    A = sps.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n_global, n_global)).tocsr()
+    return ((A + A.T) * 0.5).tocsr(), b, dn, d0
 
 
 def network_parts(meshes, k):

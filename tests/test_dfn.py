@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
 import math
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import scipy.sparse as sps
 from hypothesis import given
 
 from polyagg import dfn, mesh as mesh_mod, vem
-from polyagg.agglomerate import AgglomerationConfig, agglomerate, apply_labeling, minimize
+from polyagg.agglomerate import AgglomerationConfig, agglomerate, apply_labeling, energy, minimize
 from polyagg.dfn import (
     NetworkError,
     _f1,
@@ -47,6 +49,7 @@ from conftest import (
     mesh_fields,
     mutated_file,
     ref_build_dof_map,
+    ref_build_local_system,
     ref_compute_traces,
     ref_cut_by_traces,
     ref_dof_positions,
@@ -592,6 +595,29 @@ def test_random_network_stitch_matches_reference(random_cuts, lam):
         _assert_same_stitch(stitch_meshes(meshes, network), ref_stitch_meshes(meshes, network))
 
 
+@pytest.mark.filterwarnings("ignore:label .* skipped:RuntimeWarning")
+def test_energy_final_is_that_of_the_applied_labeling(random_cuts):
+    """A merge that apply_labeling skips leaves its cells with their own
+    index: energy_final and energy_saved are the energies of that labeling,
+    while the history stays the minimizer's."""
+    config = AgglomerationConfig(lam=1.0)
+    differ = 0
+    for _, cuts in random_cuts:
+        for tri, segs, tol_rel in cuts.values():
+            mesh = cut_by_traces(tri, segs, tol_rel=tol_rel)
+            res = agglomerate(mesh, config)
+            skipped = []
+            apply_labeling(mesh, res.labels, skipped)
+            applied = res.labels.copy()
+            for _, comp, _ in skipped:
+                applied[comp] = comp
+            e0, e = res.history[0].total, energy(mesh, applied, config).total
+            assert (res.stats.energy_final, res.stats.energy_saved) == (e, (e0 - e) / e0)
+            assert res.stats.merges_skipped == len(skipped)
+            differ += e != res.history[-1].total
+    assert differ > 0
+
+
 # ---------------------------------------------------------------------------
 # assembly and solve
 # ---------------------------------------------------------------------------
@@ -709,6 +735,91 @@ def test_network_groups_match_per_cell_assembly(network1_discs, lam, k):
     the system of building and scattering each cell alone."""
     case, discs = network1_discs
     _check_network_groups(case, discs[lam], k)
+
+
+@pytest.fixture(scope="module")
+def network1_fine_discs():
+    """network1 at areas 1e-2 and 5e-3, each triangulated (lambda=0) and
+    agglomerated (1)."""
+    case = network1()
+    return case, {(area, lam): discretize_network(case, max_area=area, lam=lam)
+                  for area in (1e-2, 5e-3) for lam in (0.0, 1.0)}
+
+
+def _network1_parts(case, disc, k):
+    """The ``vem.Part`` of each fracture as ``assemble_network`` makes them,
+    and the global DOF count."""
+    gmap = build_global_dofmap(disc.meshes, case.network, disc.matches, k)
+    frs = {f.fid: f for f in case.network.fractures}
+    sources = case.sources()
+    return [vem.Part(disc.meshes[fid], gmap.locals[fid], gmap.g[fid], frs[fid].K,
+                     sources.get(fid)) for fid in sorted(disc.meshes)], gmap.n_global
+
+
+def _assert_matches_one_stack(parts, n_global):
+    """build_local_system gives the matrix (arrays and dtypes), the load
+    vector and the per-cell discrepancies of the one-stack oracle, bit for
+    bit; returns its groups."""
+    groups, A, b = vem.build_local_system(parts, n_global)
+    ref_A, ref_b, ref_dn, ref_d0 = ref_build_local_system(parts, n_global)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(A, name), getattr(ref_A, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(b, ref_b)
+    dn, d0 = vem.projection_discrepancy(groups)
+    assert np.array_equal(dn, ref_dn) and np.array_equal(d0, ref_d0)
+    return groups
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("area", [1e-2, 5e-3])
+def test_blocked_element_pass_matches_one_stack(network1_fine_discs, area, lam, k):
+    """The element pass in byte-bounded blocks, written into one int32 COO
+    triple, equals one stack per vertex count."""
+    case, discs = network1_fine_discs
+    _assert_matches_one_stack(*_network1_parts(case, discs[area, lam], k))
+
+
+def test_element_groups_spanning_many_blocks_match_one_stack(network1_fine_discs, monkeypatch):
+    """With a block budget of a few cells, the large vertex-count groups
+    span many blocks, and the pass still equals one stack."""
+    case, discs = network1_fine_discs
+    parts, n_global = _network1_parts(case, discs[5e-3, 1.0], 2)
+    monkeypatch.setattr(vem, "_ELEMENT_BLOCK", 1 << 16)
+    blocks = Counter(g.dofs.shape[1] for g in _assert_matches_one_stack(parts, n_global))
+    assert max(blocks.values()) >= 10
+
+
+def test_agglomerated_order_1_groups_are_single_blocks(network1_fine_discs):
+    """At area 5e-3, lambda 1, k=1 (the benchmark's n1-agglo run) no vertex
+    count's group splits: at order 1, blocks of a few hundred cells made
+    the pass measurably slower."""
+    case, discs = network1_fine_discs
+    parts, n_global = _network1_parts(case, discs[5e-3, 1.0], 1)
+    groups = vem.build_local_system(parts, n_global)[0]
+    assert len(groups) == len({g.dofs.shape[1] for g in groups})
+
+
+def test_element_pass_memory_is_bounded(network1_fine_discs):
+    """At area 1e-2, lambda 0, k=3 the traced peak of the element pass is at
+    most 30 MB (39.6 MB when each vertex count was one stack), and the
+    groups keep none of the matrices that only the pass reads."""
+    case, discs = network1_fine_discs
+    parts, n_global = _network1_parts(case, discs[1e-2, 0.0], 3)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        groups = vem.build_local_system(parts, n_global)[0]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 30 * 2**20
+    assert len(groups) > len({g.dofs.shape[1] for g in groups})
+    assert not {"D", "pins", "pi0km1s"} & set(vem.ElementGroup._fields)
 
 
 def test_forest_roots_matches_find_on_deep_forests(rng):

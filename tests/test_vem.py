@@ -508,7 +508,7 @@ def test_zero_area_padding_keeps_quadrature_sums(k):
     groups, padded, ref = [], 0, np.zeros(4)
     for cells, part, dofs, pts in vem.cell_groups(parts):
         el = build_element(pts, k, cell_id=cells)
-        groups.append(vem.ElementGroup(cells, part, dofs, el))
+        groups.append(vem.ElementGroup.of(cells, part, dofs, el))
         b = local_load(el, ms.f(el.qp.reshape(-1, 2)).reshape(el.qw.shape))
         for j in range(len(cells)):
             tris = ref_ear_clip(pts[j])
