@@ -21,7 +21,7 @@ import numpy as np
 from . import _fork, geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate
 from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _components, _LineTokens,
-                   _loop_edges, build_mesh, parse_count, parse_tokens)
+                   _loop_edges, _loop_edges_of, build_mesh, parse_count, parse_tokens)
 from .vem import SparseSpdSystem, build_dof_map, gauss_lobatto_points
 
 
@@ -477,6 +477,22 @@ def _point_in_some_cell(points, cells, p, snap) -> bool:
     return False
 
 
+def _update_loops(loops, cells, changed):
+    """``_loop_edges(cells)`` from ``loops``, its value before the loops of
+    the cell ids ``changed`` (ascending, ending with every cell appended
+    since) were rewritten; the other loops' vertices are copied in runs."""
+    tail, _, sizes = loops
+    ends = np.cumsum(sizes).tolist() + [len(tail)] * (len(cells) - len(sizes))
+    runs, prev = [], 0
+    for cid in changed:
+        runs += [tail[prev:ends[cid] - (int(sizes[cid]) if cid < len(sizes) else 0)], cells[cid]]
+        prev = ends[cid]
+    runs.append(tail[prev:])
+    sizes = np.concatenate([sizes, np.zeros(len(cells) - len(sizes), dtype=np.int64)])
+    sizes[changed] = [len(cells[cid]) for cid in changed]
+    return _loop_edges_of(np.concatenate(runs), sizes)
+
+
 def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
     """Split every cell the segment's supporting line crosses, constrain the
     chord where it lies on the segment, put the segment's endpoints on the
@@ -606,8 +622,10 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
         for (q0, v0), (q1, v1) in zip(seq, seq[1:]):
             if q0 >= -tol and q1 <= L + tol:
                 con_edges.add((min(v0, v1), max(v0, v1)))
-    for cid in [*crossed.tolist(), *range(n_cells, len(cells))]:
+    changed = [*crossed.tolist(), *range(n_cells, len(cells))]
+    for cid in changed:
         cells[cid] = np.array(_splice(cells[cid].tolist(), made), dtype=np.int64)
+    loops = _update_loops(loops, cells, changed)
 
     # endpoints landing on existing vertices or edge interiors; endpoints
     # beyond the mesh mean the segment crosses fully and need no vertex
@@ -616,7 +634,7 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
         if vid is not None:
             con_verts.add(vid)
             continue
-        tail, head, sizes = _loop_edges(cells)
+        tail, head, sizes = loops
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         pu = points[lo]
         e = points[hi] - pu
@@ -635,8 +653,10 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
             vid = place(pe)
             key = (int(lo[host]), int(hi[host]))
             owner = np.repeat(np.arange(len(cells)), sizes)
-            for cid in np.unique(owner[(lo == key[0]) & (hi == key[1])]).tolist():
+            changed = np.unique(owner[(lo == key[0]) & (hi == key[1])]).tolist()
+            for cid in changed:
                 cells[cid] = np.array(_splice(cells[cid].tolist(), {key: [vid]}), dtype=np.int64)
+            loops = _update_loops(loops, cells, changed)
             _split_constraint(con_edges, con_verts, key, [vid])
             con_verts.add(vid)
         elif _point_in_some_cell(points, cells, pe, snap):
@@ -646,7 +666,7 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
 
     # existing edges running along the segment become constrained
     points = points[:n]
-    loops = tail, head, _ = _loop_edges(cells)
+    tail, head, _ = loops
     near = np.abs(sdist(points)) <= tol
     t = tpar(points)
     along = (near[tail] & near[head] & (np.minimum(t[tail], t[head]) >= -tol)
@@ -884,10 +904,6 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
     """
     frs = {f.fid: f for f in network.fractures}
     fids = sorted(meshes)
-    parts = [vem.Part(meshes[fid], gmap.locals[fid], gmap.g[fid], frs[fid].K,
-                      sources.get(fid) if sources else None) for fid in fids]
-    groups, A, b = vem.build_local_system(parts, gmap.n_global)
-
     ids, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for fid in fids:
         mesh, dm = meshes[fid], gmap.locals[fid]
@@ -907,6 +923,9 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
     if not len(dir_idx):
         raise NetworkError("no Dirichlet boundary found (|Gamma_D| must be positive)")
     dvals = np.concatenate(vals)[::-1][last]
+    parts = [vem.Part(meshes[fid], gmap.locals[fid], gmap.g[fid], frs[fid].K,
+                      sources.get(fid) if sources else None) for fid in fids]
+    groups, A, b = vem.build_local_system(parts, gmap.n_global, dir_idx, dvals)
     free = np.setdiff1d(np.arange(gmap.n_global), dir_idx)
     system = SparseSpdSystem(A, b, dir_idx, dvals, free, gmap)
     return system, groups
@@ -1293,21 +1312,31 @@ _BC_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.m
               ast.Div: operator.truediv, ast.Pow: operator.pow}
 _BC_FUNCS = {name: getattr(np, name)
              for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")}
+# deepest nesting of a BC value expression, well below the recursion limit
+# that building the expression and evaluating it both recurse against
+_BC_MAX_DEPTH = 100
 
 
 def _parse_bc_value(text, line):
     """A BC value expression as a function of (n, 3) points.
 
     The grammar is numbers, ``x``, ``y``, ``z``, the binary operators
-    ``+ - * / **``, unary minus and the functions in ``_BC_FUNCS``; anything
-    else is a MeshFormatError at ``line``.  Nothing from the file is executed.
+    ``+ - * / **``, unary minus and the functions in ``_BC_FUNCS``, nested
+    at most ``_BC_MAX_DEPTH`` deep; anything else is a MeshFormatError at
+    ``line``.  Nothing from the file is executed.
     """
+    too_deep = MeshFormatError(f"BC value nests deeper than {_BC_MAX_DEPTH} levels", line=line)
     try:
         tree = ast.parse(text, mode="eval").body
     except SyntaxError:
         raise MeshFormatError(f"BC value {text!r} is not an expression", line=line) from None
+    except (RecursionError, MemoryError):
+        raise too_deep from None
 
-    def build(node):
+    def build(node, depth=0):
+        if depth > _BC_MAX_DEPTH:
+            raise too_deep
+        depth += 1
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             try:  # numpy scalars: overflow gives inf, not an exception at solve time
                 c = np.float64(node.value)
@@ -1320,14 +1349,14 @@ def _parse_bc_value(text, line):
             return lambda p3: p3[:, axis]
         if isinstance(node, ast.BinOp) and type(node.op) in _BC_BINOPS:
             op = _BC_BINOPS[type(node.op)]
-            left, right = build(node.left), build(node.right)
+            left, right = build(node.left, depth), build(node.right, depth)
             return lambda p3: op(left(p3), right(p3))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            arg = build(node.operand)
+            arg = build(node.operand, depth)
             return lambda p3: -arg(p3)
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _BC_FUNCS and len(node.args) == 1 and not node.keywords):
-            fn, arg = _BC_FUNCS[node.func.id], build(node.args[0])
+            fn, arg = _BC_FUNCS[node.func.id], build(node.args[0], depth)
             return lambda p3: fn(arg(p3))
         raise MeshFormatError(
             f"BC value {text!r}: {ast.unparse(node)!r} is not allowed "

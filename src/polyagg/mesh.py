@@ -423,6 +423,12 @@ def _loop_edges(cells):
     loop by loop, and each loop's length."""
     lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
     tail = np.concatenate(cells) if len(cells) else np.zeros(0, dtype=np.int64)
+    return _loop_edges_of(tail, lengths)
+
+
+def _loop_edges_of(tail, lengths):
+    """``_loop_edges`` of the loops whose vertices, concatenated, are
+    ``tail``, with the given lengths."""
     nxt = np.arange(1, len(tail) + 1)
     nxt[np.cumsum(lengths) - 1] = np.cumsum(lengths) - lengths
     return tail, tail[nxt], lengths

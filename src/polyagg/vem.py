@@ -356,28 +356,22 @@ def boundary_dofs(mesh: PolygonalMesh, dofmap: DofMap, edge_ids=None) -> np.ndar
 
 @dataclass
 class SparseSpdSystem:
-    A: sps.csr_matrix        # full symmetric operator
-    b: np.ndarray
+    A: sps.csc_matrix        # symmetric operator on the free DOFs
+    b: np.ndarray            # load on the free DOFs, less the Dirichlet lift
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
     free_idx: np.ndarray
     dofmap: DofMap
     _factor: object = field(default=None, repr=False)
-    _A_free: object = field(default=None, repr=False)
 
     @property
     def nnz(self) -> int:
         """Nonzeros of the Dirichlet-eliminated operator actually solved."""
-        return self.reduced_matrix().nnz
-
-    def reduced_matrix(self):
-        if self._A_free is None:
-            self._A_free = self.A[self.free_idx][:, self.free_idx].tocsc()
-        return self._A_free
+        return self.A.nnz
 
     def factor(self):
         if self._factor is None:
-            self._factor = _factor_spd(self.reduced_matrix())
+            self._factor = _factor_spd(self.A)
         return self._factor
 
 
@@ -424,7 +418,6 @@ class ElementGroup(NamedTuple):
     diameter: np.ndarray     # (m,)
     pi0s: np.ndarray         # L2 projector onto P_k
     pigrad: tuple            # (x, y) L2 gradient projectors onto P_{k-1}
-    H: np.ndarray            # monomial mass matrix
     qp: np.ndarray
     qw: np.ndarray
     dn: np.ndarray           # (m,) spectral norm of Pi_nabla*D - I
@@ -434,7 +427,7 @@ class ElementGroup(NamedTuple):
     def of(cls, cells, part, dofs, el: VemElement):
         """The group of the stacked element ``el`` of these cells."""
         return cls(cells, part, dofs, el.k, el.centroid, el.diameter, el.pi0s, el.pigrad,
-                   el.H, el.qp, el.qw, *projector_discrepancies(el))
+                   el.qp, el.qw, *projector_discrepancies(el))
 
 
 def cell_groups(parts):
@@ -476,8 +469,13 @@ def _part_values(fns, part, pts):
 _ELEMENT_BLOCK = 1 << 22
 
 
-def build_local_system(parts, n_global: int):
-    """Element groups, global matrix and load vector in global DOF ids.
+def build_local_system(parts, n_global: int, dirichlet_idx=(), dirichlet_val=()):
+    """Element groups, Dirichlet-eliminated operator and lifted load.
+
+    ``dirichlet_idx`` (ascending global DOF ids) and ``dirichlet_val`` give
+    the Dirichlet data.  The operator is the CSC matrix of the free DOFs,
+    ascending, and the load is theirs less the lift A_fd u_D; without
+    Dirichlet DOFs they are the whole operator and load.
 
     The cells of each vertex count over all parts (``cell_groups``) are
     built in blocks of about ``_ELEMENT_BLOCK`` bytes of temporaries, so the
@@ -489,17 +487,30 @@ def build_local_system(parts, n_global: int):
     cells.
 
     The element matrices are written once into one COO triple with int32
-    indices.  Every element matrix is exactly symmetric, but the sparse
-    conversion sums the contributions to (i, j) and to (j, i) in orders of
-    its own, so where three or more cells meet (the trace DOFs of a network)
-    the sums can differ in the last bit; averaging with the transpose makes
-    the matrix exactly symmetric.
+    indices, its rows numbered free DOFs first, then Dirichlet DOFs, so
+    that each kind's rows are one block of the converted matrix.  The
+    sparse conversion sums the contributions to an entry in an order that
+    depends on every entry of its row, so the rows are converted whole, and
+    the Dirichlet columns are split off after the sums.  Every element
+    matrix is exactly symmetric, but the sums to (i, j) and to (j, i) can
+    differ in the last bit where three or more cells meet (the trace DOFs
+    of a network); averaging with the transpose, and dropping the entries
+    whose sum is zero, makes the operator exactly symmetric, the free block
+    of ``(A + A.T) * 0.5`` of the full matrix bit for bit.
     """
     k = parts[0].dofmap.k
     Ks = np.stack([np.eye(2) if p.K is None else np.asarray(p.K, dtype=float) for p in parts])
     sources = [p.f for p in parts]
+    dir_idx = np.asarray(dirichlet_idx, dtype=np.int64)
+    on_dir = np.zeros(n_global, dtype=bool)
+    on_dir[dir_idx] = True
+    free_idx = np.flatnonzero(~on_dir)
+    n_free = len(free_idx)
     nnz = sum(g.size * g.shape[1] for p in parts for _, g in p.dofmap.groups.values())
     itype = np.int32 if n_global <= np.iinfo(np.int32).max else np.int64
+    row_of = np.empty(n_global, dtype=itype)
+    row_of[free_idx] = np.arange(n_free)
+    row_of[dir_idx] = np.arange(n_free, n_free + len(dir_idx))
     rows, cols, vals = np.empty(nnz, dtype=itype), np.empty(nnz, dtype=itype), np.empty(nnz)
     end = 0
     groups = []
@@ -513,7 +524,7 @@ def build_local_system(parts, n_global: int):
             el = build_element(pts[blk], k, cell_id=cells[blk])
             Ke = local_stiffness(el, Ks[part[blk]])
             start, end = end, end + Ke.size
-            rows[start:end].reshape(Ke.shape)[...] = dofs[blk, :, None]
+            rows[start:end].reshape(Ke.shape)[...] = row_of[dofs[blk]][:, :, None]
             cols[start:end].reshape(Ke.shape)[...] = dofs[blk, None, :]
             vals[start:end] = Ke.ravel()
             fq = _part_values(sources, part[blk], el.qp)
@@ -521,9 +532,22 @@ def build_local_system(parts, n_global: int):
                 np.add.at(b, dofs[blk], local_load(el, fq))
             groups.append(ElementGroup.of(cells[blk], part[blk], dofs[blk], el))
             del el, Ke, fq  # before the next block's build, not after it
-    A = sps.coo_matrix((vals, (rows, cols)), shape=(n_global, n_global)).tocsr()
+    C = sps.coo_matrix((vals, (rows, cols)), shape=(n_global, n_global)).tocsr()
     del rows, cols, vals
-    return groups, (A + A.T) * 0.5, b
+    cut = C.indptr[n_free]  # the free rows and the Dirichlet rows, as views of C
+    free_rows = sps.csr_matrix((C.data[:cut], C.indices[:cut], C.indptr[:n_free + 1]),
+                               shape=(n_free, n_global))
+    dir_rows = sps.csr_matrix((C.data[cut:], C.indices[cut:], C.indptr[n_free:] - cut),
+                              shape=(n_global - n_free, n_global))
+    del C
+    A_fd = (free_rows[:, dir_idx] + dir_rows[:, free_idx].T) * 0.5
+    A = free_rows[:, free_idx]
+    del free_rows, dir_rows
+    A.data += A.T.tocsr().data  # A^T has the pattern of A, entry for entry
+    A.eliminate_zeros()  # the entries whose two sums cancel, as scipy's sum drops them
+    A.data *= 0.5
+    b = b[free_idx] - A_fd @ np.asarray(dirichlet_val, dtype=float)
+    return groups, sps.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape), b
 
 
 def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
@@ -536,34 +560,30 @@ def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
     if dirichlet is None:
         raise MeshError("boundary data missing: a Dirichlet callable is required")
     dofmap = build_dof_map(mesh, k)
-    part = Part(mesh, dofmap, np.arange(dofmap.total), K, f)
-    groups, A, b = build_local_system([part], dofmap.total)
     dir_idx = boundary_dofs(mesh, dofmap)
-    pos = dof_positions(mesh, dofmap)
-    dir_val = np.asarray(dirichlet(pos[dir_idx]), dtype=float)
+    dir_val = np.asarray(dirichlet(dof_positions(mesh, dofmap)[dir_idx]), dtype=float)
+    part = Part(mesh, dofmap, np.arange(dofmap.total), K, f)
+    groups, A, b = build_local_system([part], dofmap.total, dir_idx, dir_val)
     free = np.setdiff1d(np.arange(dofmap.total), dir_idx)
     system = SparseSpdSystem(A, b, dir_idx, dir_val, free, dofmap)
     return system, groups
 
 
 def solve_spd(system: SparseSpdSystem) -> np.ndarray:
-    """Direct solve after symmetric Dirichlet elimination; checks the residual.
+    """Direct solve of the Dirichlet-eliminated system; checks the residual.
 
     Non-finite load or Dirichlet data, and a residual that is not finite or
     above 1e-12 relative, raise SolverError.
     """
     if not (np.isfinite(system.b).all() and np.isfinite(system.dirichlet_val).all()):
         raise SolverError("non-finite load vector or Dirichlet values")
-    x = np.zeros(system.A.shape[0])
+    x = np.zeros(len(system.free_idx) + len(system.dirichlet_idx))
     x[system.dirichlet_idx] = system.dirichlet_val
     if len(system.free_idx) == 0:
         return x
-    bI = system.b[system.free_idx] - system.A[system.free_idx][
-        :, system.dirichlet_idx
-    ] @ system.dirichlet_val
-    xI = system.factor().solve(bI)
-    res = np.linalg.norm(system.reduced_matrix() @ xI - bI)
-    scale = np.linalg.norm(bI)
+    xI = system.factor().solve(system.b)
+    res = np.linalg.norm(system.A @ xI - system.b)
+    scale = np.linalg.norm(system.b)
     if not (res <= 1e-12 * scale):  # written so that a NaN residual fails
         raise SolverError(f"solver residual {res:.3e} exceeds 1e-12 * {scale:.3e}")
     x[system.free_idx] = xI
@@ -587,7 +607,7 @@ def condition_estimate(system_or_matrix, tol=1e-6, max_iter=5000) -> CondEstimat
     the relative change drops below ``tol`` (well inside the 1% target).
     """
     if isinstance(system_or_matrix, SparseSpdSystem):
-        A = system_or_matrix.reduced_matrix()
+        A = system_or_matrix.A
         factor = system_or_matrix.factor()
     else:
         A = sps.csc_matrix(system_or_matrix)
@@ -665,11 +685,13 @@ def error_norms(groups, projected, exact_u, exact_grad):
 
 def solution_norms(groups, projected):
     """L2 norm and H1 seminorm of the projected discrete solution, as
-    quadratic forms of the monomial mass matrix."""
+    quadratic forms of the monomial mass matrix, which is rebuilt from each
+    group's quadrature as ``build_element`` builds it."""
     l2 = 0.0
     h1 = 0.0
     for g, (c, cx, cy) in zip(groups, projected, strict=True):
-        H = g.H
+        Mq = eval_monomials(g.k, g.qp, g.centroid, g.diameter)
+        H = Mq.swapaxes(-1, -2) @ (g.qw[..., None] * Mq)
         H1 = H[..., :cx.shape[-1], :cx.shape[-1]]
         l2 += float(np.einsum("...r,...rs,...s->...", c, H, c).sum())
         h1 += float(np.einsum("...r,...rs,...s->...", cx, H1, cx).sum()

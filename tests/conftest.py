@@ -1718,6 +1718,16 @@ def ref_build_local_system(parts, n_global):
     return ((A + A.T) * 0.5).tocsr(), b, dn, d0
 
 
+def ref_eliminated_system(parts, n_global, dirichlet_idx, dirichlet_val):
+    """The Dirichlet-eliminated operator (CSC) and lifted load by slicing
+    the full operator of ``ref_build_local_system``: A[free][:, free] and
+    b[free] - A[free][:, dir] u_D."""
+    A, b, _, _ = ref_build_local_system(parts, n_global)
+    free = np.setdiff1d(np.arange(n_global), dirichlet_idx)
+    A_free = A[free]
+    return A_free[:, free].tocsc(), b[free] - A_free[:, dirichlet_idx] @ dirichlet_val
+
+
 def network_parts(meshes, k):
     """A ``vem.Part`` per mesh, with no K or source, whose DOFs follow the
     previous meshes' as if none were shared; and the DOF count."""

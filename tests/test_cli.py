@@ -100,6 +100,10 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
                  id="dfn-bc-unknown-name"),
     pytest.param(".dfn", TWO_FRACTURES + "BC 1\ndirichlet 0 0 1 1 __import__('os')\n", 13,
                  id="dfn-bc-call"),
+    pytest.param(".dfn", TWO_FRACTURES + "BC 1\ndirichlet 0 0 1 1 " + "+".join(["x"] * 2000) + "\n",
+                 13, id="dfn-bc-long-sum"),
+    pytest.param(".dfn", TWO_FRACTURES + "BC 1\ndirichlet 0 0 1 1 " + "-" * 3000 + "x\n", 13,
+                 id="dfn-bc-deep-unary-minus"),
 ])
 def test_malformed_input_exit2_with_line(tmp_path, capsys, suffix, text, line):
     path = tmp_path / f"bad{suffix}"

@@ -53,6 +53,7 @@ from conftest import (
     ref_compute_traces,
     ref_cut_by_traces,
     ref_dof_positions,
+    ref_eliminated_system,
     ref_forest_roots,
     ref_global_dof_ids,
     ref_on_trace_vertices,
@@ -710,8 +711,9 @@ def _per_cell_system(network, meshes, gmap, sources):
 
 def _check_network_groups(case, disc, k):
     """One assembly over network-wide groups against the per-cell one:
-    the matrix is exactly symmetric, matrix and load agree to 1e-12
-    relative and the per-cell discrepancies to round-off."""
+    the eliminated matrix is exactly symmetric, matrix and lifted load agree
+    to 1e-12 relative with the per-cell ones and the per-cell discrepancies
+    to round-off.  Returns the system and the per-cell load before the lift."""
     network = case.network
     gmap = build_global_dofmap(disc.meshes, network, disc.matches, k)
     sources = case.sources()
@@ -719,8 +721,11 @@ def _check_network_groups(case, disc, k):
                                       dirichlet_values=case.dirichlet_values())
     assert (system.A != system.A.T).nnz == 0
     A, b, dn, d0 = _per_cell_system(network, disc.meshes, gmap, sources)
-    assert abs(system.A - A).max() <= 1e-12 * abs(A).max()
-    assert np.abs(system.b - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+    free, dirichlet = system.free_idx, system.dirichlet_idx
+    A_free = A[free]
+    assert abs(system.A - A_free[:, free]).max() <= 1e-12 * abs(A).max()
+    b_free = b[free] - A_free[:, dirichlet] @ system.dirichlet_val
+    assert np.abs(system.b - b_free).max() <= 1e-12 * max(np.abs(b_free).max(), 1.0)
     got_dn, got_d0 = vem.projection_discrepancy(groups)
     # the discrepancies are round-off themselves (up to 6e-8 at k=3); the
     # two builds differ in summation order only (measured up to 2e-11)
@@ -781,6 +786,72 @@ def test_blocked_element_pass_matches_one_stack(network1_fine_discs, area, lam, 
     _assert_matches_one_stack(*_network1_parts(case, discs[area, lam], k))
 
 
+def _assert_arrays_equal(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("area", [1e-2, 5e-3])
+def test_eliminated_system_matches_sliced_full_operator(network1_fine_discs, area, lam, k):
+    """The operator that assemble_network builds on the free DOFs alone is
+    A[free][:, free].tocsc() of the full operator, arrays and dtypes bit for
+    bit, its load is b[free] - A[free][:, dir] u_D, and the solution is the
+    one of the factor of that operator."""
+    case, discs = network1_fine_discs
+    disc = discs[area, lam]
+    parts, n_global = _network1_parts(case, disc, k)
+    gmap = build_global_dofmap(disc.meshes, case.network, disc.matches, k)
+    system, _ = assemble_network(case.network, disc.meshes, gmap, sources=case.sources(),
+                                 dirichlet_values=case.dirichlet_values())
+    dirichlet, dval, free = system.dirichlet_idx, system.dirichlet_val, system.free_idx
+    A, b = ref_eliminated_system(parts, n_global, dirichlet, dval)
+    assert isinstance(system.A, sps.csc_matrix) and system.A.shape == (len(free), len(free))
+    _assert_arrays_equal(system.A, A)
+    assert np.array_equal(system.b, b)
+    x = np.empty(n_global)
+    x[dirichlet], x[free] = dval, vem._factor_spd(A).solve(b)
+    assert np.array_equal(vem.solve_spd(system), x)
+
+
+def test_no_dirichlet_dofs_give_the_full_operator(network1_fine_discs):
+    """Empty Dirichlet data leave every DOF free: the full operator and load."""
+    case, discs = network1_fine_discs
+    parts, n_global = _network1_parts(case, discs[1e-2, 1.0], 2)
+    _, A, b = vem.build_local_system(parts, n_global, np.zeros(0, dtype=np.int64), np.zeros(0))
+    ref_A, ref_b, _, _ = ref_build_local_system(parts, n_global)
+    assert A.shape == (n_global, n_global)
+    _assert_arrays_equal(A, ref_A)
+    assert np.array_equal(b, ref_b)
+
+
+def test_solve_stage_memory_is_bounded(network1_fine_discs):
+    """At area 1e-2, lambda 0, k=3 (the benchmark's n1-k3 run) the memory
+    still held after the solve, traced from the DOF map on, is at most 13 MB
+    (17.0 MB when the system kept the full operator beside the eliminated
+    one and the groups kept the mass matrices).  SuperLU's factor is not
+    traced."""
+    case, discs = network1_fine_discs
+    disc = discs[1e-2, 0.0]
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gmap = build_global_dofmap(disc.meshes, case.network, disc.matches, 3)
+        system, groups = assemble_network(case.network, disc.meshes, gmap,
+                                          sources=case.sources(),
+                                          dirichlet_values=case.dirichlet_values())
+        x = vem.solve_spd(system)
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(x) == gmap.n_global and system._factor is not None and groups
+    assert live <= 13 * 2**20
+
+
 def test_element_groups_spanning_many_blocks_match_one_stack(network1_fine_discs, monkeypatch):
     """With a block budget of a few cells, the large vertex-count groups
     span many blocks, and the pass still equals one stack."""
@@ -819,7 +890,7 @@ def test_element_pass_memory_is_bounded(network1_fine_discs):
             tracemalloc.stop()
     assert peak <= 30 * 2**20
     assert len(groups) > len({g.dofs.shape[1] for g in groups})
-    assert not {"D", "pins", "pi0km1s"} & set(vem.ElementGroup._fields)
+    assert not {"D", "pins", "pi0km1s", "H"} & set(vem.ElementGroup._fields)
 
 
 def test_forest_roots_matches_find_on_deep_forests(rng):
@@ -856,7 +927,8 @@ def test_single_fracture_matches_single_mesh():
                                  sources=case.sources(),
                                  dirichlet_values=case.dirichlet_values())
     ref, _ = vem.assemble(mesh, 2, f=ms.f, dirichlet=ms.u)
-    assert (system.A != ref.A).nnz == 0
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(system.A, name), getattr(ref.A, name))
     assert np.array_equal(system.b, ref.b)
     assert np.array_equal(system.dirichlet_idx, ref.dirichlet_idx)
     assert np.array_equal(system.dirichlet_val, ref.dirichlet_val)
@@ -940,6 +1012,14 @@ def test_load_network_roundtrip(tmp_path):
     assert vals[0] == pytest.approx(0.75)
 
 
+def test_long_bc_sum_within_the_depth_cap_loads_and_evaluates(tmp_path):
+    """A 50-term sum nests 49 deep, inside the cap that rejects deeper ones."""
+    path = tmp_path / "net.dfn"
+    path.write_text(TWO_FRACTURES.replace("x + y", "+".join(["x"] * 50)))
+    bc = load_network(path).network.bcs[1]
+    assert bc.value(np.array([[0.25, 0.5, 1.0], [1.0, 0.0, 1.0]])).tolist() == [12.5, 50.0]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_partial_dirichlet_planes_leave_neumann_boundary(tmp_path, k):
     path = tmp_path / "net.dfn"
@@ -983,8 +1063,8 @@ def test_file_network_groups_with_fracture_k_match_per_cell_assembly(tmp_path, k
     K0, K1 = (fr.K for fr in case.network.fractures)
     assert not np.array_equal(K0, K1)
     disc = discretize_network(case, max_area=0.05)
-    system, b = _check_network_groups(case, disc, k)
-    assert not system.b.any() and not b.any()
+    _, b = _check_network_groups(case, disc, k)
+    assert not b.any()
 
 
 def test_load_network_bad_file(tmp_path):

@@ -32,6 +32,7 @@ from conftest import (
     ref_condition_estimate,
     ref_dof_positions,
     ref_ear_clip,
+    ref_eliminated_system,
     tri_grid_mesh,
 )
 
@@ -195,11 +196,50 @@ def test_assemble_symmetry_and_nnz():
     m = grid_mesh(3, 3, jitter=0.3, seed=5)
     ms = CATALOG["quadratic"]
     system, _ = assemble(m, 2, f=ms.f, dirichlet=ms.u)
-    diff = (system.A - system.A.T)
-    assert abs(diff).max() == 0.0
-    assert system.nnz > 0
-    Af = system.reduced_matrix()
-    assert (abs(Af - Af.T)).max() == 0.0
+    n_free = len(system.free_idx)
+    assert system.A.shape == (n_free, n_free)
+    assert n_free + len(system.dirichlet_idx) == system.dofmap.total
+    assert abs(system.A - system.A.T).max() == 0.0
+    assert system.nnz == system.A.nnz > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_assemble_matches_sliced_full_operator(k):
+    """vem.assemble builds A[free][:, free].tocsc() of the full operator and
+    the lifted load b[free] - A[free][:, dir] u_D, bit for bit, on a mesh
+    of mixed cells."""
+    mesh = agglomerate(tri_grid_mesh(6, 6), AgglomerationConfig(lam=1.0)).mesh
+    ms = CATALOG["sinsin"]
+    system, _ = assemble(mesh, k, f=ms.f, dirichlet=ms.u)
+    part = vem.Part(mesh, system.dofmap, np.arange(system.dofmap.total), None, ms.f)
+    A, b = ref_eliminated_system([part], system.dofmap.total, system.dirichlet_idx,
+                                 system.dirichlet_val)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(system.A, name), getattr(A, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(system.b, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solution_norms_match_stored_mass_matrices(k):
+    """solution_norms rebuilds each group's monomial mass matrix, and its
+    norms equal those of the mass matrices build_element returns, bit for
+    bit."""
+    mesh = agglomerate(tri_grid_mesh(6, 6), AgglomerationConfig(lam=1.0)).mesh
+    parts, total = network_parts([mesh, grid_mesh(3, 2, jitter=0.3)], k)
+    groups, Hs = [], []
+    for cells, part, dofs, pts in vem.cell_groups(parts):
+        el = build_element(pts, k, cell_id=cells)
+        groups.append(vem.ElementGroup.of(cells, part, dofs, el))
+        Hs.append(el.H)
+    projected = vem.projected_solution(groups, np.random.default_rng(5).standard_normal(total))
+    l2 = h1 = 0.0
+    for H, (c, cx, cy) in zip(Hs, projected):
+        H1 = H[..., :cx.shape[-1], :cx.shape[-1]]
+        l2 += float(np.einsum("...r,...rs,...s->...", c, H, c).sum())
+        h1 += float(np.einsum("...r,...rs,...s->...", cx, H1, cx).sum()
+                    + np.einsum("...r,...rs,...s->...", cy, H1, cy).sum())
+    assert vem.solution_norms(groups, projected) == (np.sqrt(l2), np.sqrt(h1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -250,7 +290,7 @@ def test_convergence_rates_k2():
 
 
 def test_solve_spd_one_by_one():
-    A = sps.csr_matrix(np.array([[2.0]]))
+    A = sps.csc_matrix(np.array([[2.0]]))
     system = vem.SparseSpdSystem(
         A, np.array([4.0]), np.array([], dtype=np.int64), np.array([]),
         np.array([0], dtype=np.int64), None,
@@ -263,10 +303,8 @@ def test_solve_residual_contract():
     ms = CATALOG["sinsin"]
     system, _ = assemble(m, 1, f=ms.f, dirichlet=ms.u)
     x = solve_spd(system)
-    free = system.free_idx
-    bI = system.b[free] - system.A[free][:, system.dirichlet_idx] @ system.dirichlet_val
-    res = np.linalg.norm(system.reduced_matrix() @ x[free] - bI)
-    assert res <= 1e-12 * np.linalg.norm(bI)
+    res = np.linalg.norm(system.A @ x[system.free_idx] - system.b)
+    assert res <= 1e-12 * np.linalg.norm(system.b)
 
 
 @pytest.mark.parametrize("field", ["b", "dirichlet_val"])
@@ -281,7 +319,7 @@ def test_solve_spd_rejects_non_finite_data(field):
 def test_solve_spd_rejects_nan_residual():
     # x = 4 / inf = 0 and the residual inf * 0 is NaN, which a `>` test misses
     system = vem.SparseSpdSystem(
-        sps.csr_matrix(np.array([[np.inf]])), np.array([4.0]),
+        sps.csc_matrix(np.array([[np.inf]])), np.array([4.0]),
         np.array([], dtype=np.int64), np.array([]),
         np.array([0], dtype=np.int64), None,
     )
@@ -291,7 +329,7 @@ def test_solve_spd_rejects_nan_residual():
 
 def _all_free(A, b=None):
     """System whose whole operator ``A`` is free: no Dirichlet DOF."""
-    A = sps.csr_matrix(A)
+    A = sps.csc_matrix(A)
     n = A.shape[0]
     b = np.ones(n) if b is None else b
     return vem.SparseSpdSystem(A, b, np.array([], dtype=np.int64), np.array([]),
@@ -303,9 +341,12 @@ def test_solve_spd_rejects_singular_reduced_matrix(k):
     """Without Dirichlet DOFs the stiffness matrix is singular (constants
     span its kernel): the factorization or the residual check fails."""
     ms = CATALOG["sinsin"]
-    system, _ = assemble(grid_mesh(4, 4), k, f=ms.f, dirichlet=ms.u)
+    mesh = grid_mesh(4, 4)
+    dofmap = vem.build_dof_map(mesh, k)
+    part = vem.Part(mesh, dofmap, np.arange(dofmap.total), None, ms.f)
+    _, A, b = vem.build_local_system([part], dofmap.total)
     with pytest.raises(SolverError):
-        solve_spd(_all_free(system.A, system.b))
+        solve_spd(_all_free(A, b))
 
 
 def test_solve_spd_rejects_exactly_singular_matrix():
@@ -383,7 +424,7 @@ def test_condition_estimate_applies_the_operator_once_per_iteration(monkeypatch,
     iteration plus one to start each of the two iterations."""
     ms = CATALOG["sinsin"]
     system, _ = assemble(grid_mesh(6, 6, jitter=0.3), k, f=ms.f, dirichlet=ms.u)
-    A, factor = system.reduced_matrix(), system.factor()
+    A, factor = system.A, system.factor()
     calls = []
 
     class CountedMatrix:
@@ -398,7 +439,7 @@ def test_condition_estimate_applies_the_operator_once_per_iteration(monkeypatch,
             calls.append("solve")
             return factor.solve(v)
 
-    monkeypatch.setattr(system, "reduced_matrix", CountedMatrix)
+    monkeypatch.setattr(system, "A", CountedMatrix())
     monkeypatch.setattr(system, "factor", CountedFactor)
     est = condition_estimate(system)
     assert est == ref_condition_estimate(A, factor)
