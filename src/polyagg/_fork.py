@@ -21,10 +21,17 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def replay(caught):
-    """Emit again the warnings ``warnings.catch_warnings(record=True)`` caught."""
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+def as_records(caught):
+    """The warnings ``warnings.catch_warnings(record=True)`` caught, as
+    (category, text, filename, lineno): pickle carries these, while a
+    warning's arguments or ``source`` may be anything."""
+    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def replay(records):
+    """Emit again the warnings of ``as_records``."""
+    for category, text, filename, lineno in records:
+        warnings.warn_explicit(text, category, filename, lineno)
 
 
 class Forked:
@@ -103,7 +110,7 @@ def _child(rfd, wfd, fn, args):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             value = fn(*args)
-        data = pickle.dumps((value, caught), protocol=pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps((value, as_records(caught)), protocol=pickle.HIGHEST_PROTOCOL)
         with open(wfd, "wb") as pipe:
             pipe.write(data)
         status = 0

@@ -22,7 +22,7 @@ from . import _fork, geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate
 from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _components, _LineTokens,
                    _loop_edges, _loop_edges_of, build_mesh, parse_count, parse_tokens)
-from .vem import SparseSpdSystem, build_dof_map, gauss_lobatto_points
+from .vem import SparseSpdSystem, build_dof_map
 
 
 class NetworkError(MeshError):
@@ -230,31 +230,32 @@ def compute_traces(fractures) -> list:
             traces.append(
                 TraceSegment(len(traces), pa, pb, fi.fid, fj.fid)
             )
-    _reject_shared_trace_lines(traces, tol)
+    for m, tr in enumerate(traces):
+        _reject_shared_trace_line(tr, traces[:m], tol)
     return traces
 
 
-def _reject_shared_trace_lines(traces, tol):
-    for m1 in range(len(traces)):
-        for m2 in range(m1 + 1, len(traces)):
-            t1, t2 = traces[m1], traces[m2]
-            shared = set((t1.frac_i, t1.frac_j)) & set((t2.frac_i, t2.frac_j))
-            if not shared:
-                continue
-            d1 = t1.b3 - t1.a3
-            d2 = t2.b3 - t2.a3
-            if np.linalg.norm(np.cross(d1, d2)) > tol * np.linalg.norm(d1):
-                continue
-            if np.linalg.norm(np.cross(d1, t2.a3 - t1.a3)) > tol * np.linalg.norm(d1):
-                continue
-            u = d1 / np.linalg.norm(d1)
-            i0 = sorted([float((t1.a3 - t1.a3) @ u), float((t1.b3 - t1.a3) @ u)])
-            i1 = sorted([float((t2.a3 - t1.a3) @ u), float((t2.b3 - t1.a3) @ u)])
-            if min(i0[1], i1[1]) - max(i0[0], i1[0]) > tol:
-                raise FractureError(
-                    min(shared),
-                    "shares a trace line with two other fractures (unsupported)",
-                )
+def _reject_shared_trace_line(t2, earlier, tol):
+    """FractureError when trace ``t2`` overlaps one of the ``earlier`` traces
+    on a fracture they share: that fracture meets two others along one line."""
+    for t1 in earlier:
+        shared = set((t1.frac_i, t1.frac_j)) & set((t2.frac_i, t2.frac_j))
+        if not shared:
+            continue
+        d1 = t1.b3 - t1.a3
+        d2 = t2.b3 - t2.a3
+        if np.linalg.norm(np.cross(d1, d2)) > tol * np.linalg.norm(d1):
+            continue
+        if np.linalg.norm(np.cross(d1, t2.a3 - t1.a3)) > tol * np.linalg.norm(d1):
+            continue
+        u = d1 / np.linalg.norm(d1)
+        i0 = sorted([float((t1.a3 - t1.a3) @ u), float((t1.b3 - t1.a3) @ u)])
+        i1 = sorted([float((t2.a3 - t1.a3) @ u), float((t2.b3 - t1.a3) @ u)])
+        if min(i0[1], i1[1]) - max(i0[0], i1[0]) > tol:
+            raise FractureError(
+                min(shared),
+                "shares a trace line with two other fractures (unsupported)",
+            )
 
 
 @dataclass
@@ -802,16 +803,20 @@ class GlobalDofMap:
     offsets: dict             # fid -> global offset before identification
     g: dict                   # fid -> (local_total,) global dof ids
     n_global: int
-
-
-def _edge_dof_points(fracture, mesh, edges, k):
-    """Global positions (E, k-1, 3) of the internal DOF points of mesh edges."""
-    ends = mesh.points[mesh.edges[edges]]
-    pts, _ = gauss_lobatto_points(k, ends[:, 0], ends[:, 1])
-    return fracture.to_global(pts.reshape(-1, 2)).reshape(len(edges), k - 1, 3)
+    trace_edges: dict         # fid -> ids of the edges between consecutive trace nodes
 
 
 def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k) -> GlobalDofMap:
+    """Global DOF ids, one per DOF after identifying the stitched trace nodes
+    and the slots of their covering edges across each trace's pair.
+
+    The covering edges join consecutive trace nodes on each side; their k-1
+    slots pair in order when both edges start at the same trace node (an
+    edge's slots run from its lower vertex id), reversed otherwise.  Node
+    pairs are checked in trace order, each for the edge that reaches it on
+    both sides, then for its two global positions agreeing within ``TOL_REL``
+    times the network scale.
+    """
     fids = sorted(meshes)
     locals_ = {fid: build_dof_map(meshes[fid], k) for fid in fids}
     offsets = {}
@@ -822,8 +827,10 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k) -> G
 
     frs = {f.fid: f for f in network.fractures}
     tol = TOL_REL * network.scale
+    slots = np.arange(k - 1)
     # pairs of identified DOFs, numbered before identification
     same_a, same_b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    trace_edges = {fid: [np.zeros(0, dtype=np.int64)] for fid in fids}
     for tr in network.traces:
         mi = matches[tr.tid]
         fid_a, fid_b = tr.frac_i, tr.frac_j
@@ -834,30 +841,24 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k) -> G
         if (np.abs(na[:, 0] - nb[:, 0]) > 1e-12 * max(1.0, tr.length)).any():
             raise MeshError(f"trace {tr.tid}: node parameters disagree")
         nodes_a, nodes_b = na[:, 1].astype(np.int64), nb[:, 1].astype(np.int64)
-        same_a.append(offsets[fid_a] + nodes_a)
-        same_b.append(offsets[fid_b] + nodes_b)
-        if k > 1:
-            # the k-1 edge slots of each covering edge pair, matched by
-            # position; a failed match ahead of a missing edge is reported first
-            ea = meshes[fid_a].edge_ids(nodes_a[:-1], nodes_a[1:])
-            eb = meshes[fid_b].edge_ids(nodes_b[:-1], nodes_b[1:])
-            missing = np.flatnonzero((ea < 0) | (eb < 0))
-            stop = missing[0] if len(missing) else len(ea)
-            ea, eb = ea[:stop], eb[:stop]
-            pa3, pb3 = (_edge_dof_points(frs[fid], meshes[fid], e, k)
-                        for fid, e in ((fid_a, ea), (fid_b, eb)))
-            dist = np.linalg.norm(pb3[:, None, :, :] - pa3[:, :, None, :], axis=-1)
-            s2 = dist.argmin(axis=-1)
-            best = np.take_along_axis(dist, s2[..., None], axis=-1).ravel()
-            if (best > tol).any():
-                raise MeshError(f"trace {tr.tid}: edge DOF match failed "
-                                f"({best[np.argmax(best > tol)]})")
-            if len(missing):
+        ea = meshes[fid_a].edge_ids(nodes_a[:-1], nodes_a[1:])
+        eb = meshes[fid_b].edge_ids(nodes_b[:-1], nodes_b[1:])
+        missing = np.concatenate([[False], (ea < 0) | (eb < 0)])
+        apart = np.linalg.norm(frs[fid_a].to_global(meshes[fid_a].points[nodes_a])
+                               - frs[fid_b].to_global(meshes[fid_b].points[nodes_b]), axis=1)
+        bad = np.flatnonzero(missing | (apart > tol))
+        if len(bad):
+            if missing[bad[0]]:
                 raise MeshError(f"trace {tr.tid}: covering edge missing")
-            same_a.append(offsets[fid_a] + locals_[fid_a].edge_base
-                          + (ea[:, None] * (k - 1) + np.arange(k - 1)).ravel())
-            same_b.append(offsets[fid_b] + locals_[fid_b].edge_base
-                          + (eb[:, None] * (k - 1) + s2).ravel())
+            raise MeshError(f"trace {tr.tid}: trace vertices apart ({apart[bad[0]]})")
+        flip = (nodes_a[:-1] < nodes_a[1:]) != (nodes_b[:-1] < nodes_b[1:])
+        slot_b = np.where(flip[:, None], k - 2 - slots, slots)
+        same_a += [offsets[fid_a] + nodes_a, offsets[fid_a] + locals_[fid_a].edge_base
+                   + (ea[:, None] * (k - 1) + slots).ravel()]
+        same_b += [offsets[fid_b] + nodes_b, offsets[fid_b] + locals_[fid_b].edge_base
+                   + (eb[:, None] * (k - 1) + slot_b).ravel()]
+        trace_edges[fid_a].append(ea)
+        trace_edges[fid_b].append(eb)
 
     roots = _components(total, np.concatenate(same_a), np.concatenate(same_b))
     uniq, inv = np.unique(roots, return_inverse=True)
@@ -865,32 +866,13 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k) -> G
     for fid in fids:
         lo = offsets[fid]
         g[fid] = inv[lo: lo + locals_[fid].total].astype(np.int64)
-    return GlobalDofMap(k, locals_, offsets, g, int(len(uniq)))
+    return GlobalDofMap(k, locals_, offsets, g, int(len(uniq)),
+                        {fid: np.concatenate(e) for fid, e in trace_edges.items()})
 
 
 # ---------------------------------------------------------------------------
-# boundary classification and network assembly
+# network assembly
 # ---------------------------------------------------------------------------
-
-def dirichlet_boundary_edges(mesh: PolygonalMesh, fracture: Fracture, traces, scale):
-    """Boundary edge ids not covered by traces (trace overlaps stay coupled):
-    an edge is covered when both endpoints and its midpoint lie on one trace
-    segment, within ``TOL_REL`` times ``scale``."""
-    tol = TOL_REL * scale
-    edges = mesh.boundary_edge_ids()
-    ends = mesh.points[mesh.edges[edges]]
-    pts = np.concatenate([ends, 0.5 * (ends[:, :1] + ends[:, 1:])], axis=1)
-    covered = np.zeros(len(edges), dtype=bool)
-    for tr in traces:
-        a2, b2 = (np.asarray(p) for p in tr.local_segment(fracture))
-        L = tr.length
-        dn = (b2 - a2) / L
-        dx, dy = pts[..., 0] - a2[0], pts[..., 1] - a2[1]
-        t = dn[0] * dx + dn[1] * dy
-        s = dn[0] * dy - dn[1] * dx
-        covered |= ((np.abs(s) <= tol) & (t >= -tol) & (t <= L + tol)).all(axis=1)
-    return edges[~covered]
-
 
 def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
                      sources=None, dirichlet_values=None):
@@ -898,7 +880,7 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
 
     ``sources`` and ``dirichlet_values`` map fid to callables on local 2D
     coordinates; identified trace DOFs share one global unknown.  Boundary
-    edges covered by a trace are interface, not Dirichlet.  Returns
+    edges on a trace (``gmap.trace_edges``) are interface, not Dirichlet.  Returns
     (system, element groups); the cells of the groups are numbered fracture
     after fracture, in fid order.
     """
@@ -907,9 +889,7 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
     ids, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for fid in fids:
         mesh, dm = meshes[fid], gmap.locals[fid]
-        edges = dirichlet_boundary_edges(
-            mesh, frs[fid], network.fracture_traces(fid), scale=network.scale
-        )
+        edges = np.setdiff1d(mesh.boundary_edge_ids(), gmap.trace_edges[fid])
         gfn = dirichlet_values.get(fid) if dirichlet_values else None
         if len(edges) == 0 or gfn is None:
             continue
@@ -1159,7 +1139,7 @@ def _fracture_share(network: FractureNetwork, fids, max_area, n_cells, config) -
                 mesh, info = _fracture_pipeline(network, fid, max_area, n_cells, config)
             except Exception:
                 break
-        done[fid] = (mesh, info, caught)
+        done[fid] = (mesh, info, _fork.as_records(caught))
     return done
 
 
@@ -1454,6 +1434,10 @@ def load_network(path) -> NetworkCase:
             if tuple(b3) < tuple(a3):
                 a3, b3 = b3, a3
             traces.append(TraceSegment(tid, a3, b3, i, j))
+            try:
+                _reject_shared_trace_line(traces[-1], traces[:-1], tol)
+            except FractureError as err:
+                raise MeshFormatError(str(err), line=ln) from err
 
     bcs = []
     if tokens.peek() == "BC":

@@ -12,19 +12,16 @@ def write_polydata(path, points3, polygons, cell_data=None, title="polyagg"):
         "DATASET POLYDATA",
         f"POINTS {len(points3)} double",
     ]
-    for p in points3:
-        lines.append(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
+    lines += [" ".join(map(repr, p)) for p in points3.tolist()]
     size = sum(len(c) + 1 for c in polygons)
     lines.append(f"POLYGONS {len(polygons)} {size}")
-    for c in polygons:
-        lines.append(" ".join([str(len(c))] + [str(int(v)) for v in c]))
+    lines += [" ".join(map(str, [len(c), *c])) for c in polygons]
     if cell_data:
         lines.append(f"CELL_DATA {len(polygons)}")
         for name, values in cell_data.items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            for v in np.asarray(values, dtype=float):
-                lines.append(repr(float(v)))
+            lines += map(repr, np.asarray(values, dtype=float).tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -35,7 +32,7 @@ def mesh_to_polydata(mesh, to_global=None):
         pts3 = np.column_stack([mesh.points, np.zeros(len(mesh.points))])
     else:
         pts3 = to_global(mesh.points)
-    return pts3, [list(map(int, ids)) for ids in mesh.cells]
+    return pts3, [ids.tolist() for ids in mesh.cells]
 
 
 def write_mesh_vtk(path, mesh, cell_data=None, to_global=None, title="polyagg"):

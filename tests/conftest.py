@@ -893,7 +893,9 @@ def ref_edge_index(mesh):
 def ref_global_dof_ids(meshes, network, matches, k, tol_rel=1e-9):
     """(g, n_global) of ``dfn.build_global_dofmap`` by one union-find call
     per identified DOF pair: a path-halving ``find`` and a ``union`` that
-    hangs the higher root under the lower one."""
+    hangs the higher root under the lower one.  The edge slots of a trace
+    pair by position: each slot of the first fracture's covering edge with
+    the nearest Gauss-Lobatto point of the other's, in 3D."""
     fids = sorted(meshes)
     locals_ = {fid: ref_build_dof_map(meshes[fid], k) for fid in fids}
     offsets = {}
@@ -952,6 +954,26 @@ def ref_global_dof_ids(meshes, network, matches, k, tol_rel=1e-9):
     g = {fid: inv[offsets[fid]: offsets[fid] + locals_[fid].total].astype(np.int64)
          for fid in fids}
     return g, int(len(uniq))
+
+
+def ref_dirichlet_boundary_edges(mesh, fracture, traces, scale, tol_rel=dfn.TOL_REL):
+    """Boundary edge ids not covered by traces: an edge is covered when both
+    endpoints and its midpoint lie on one trace segment, within ``tol_rel``
+    times ``scale``."""
+    tol = tol_rel * scale
+    edges = mesh.boundary_edge_ids()
+    ends = mesh.points[mesh.edges[edges]]
+    pts = np.concatenate([ends, 0.5 * (ends[:, :1] + ends[:, 1:])], axis=1)
+    covered = np.zeros(len(edges), dtype=bool)
+    for tr in traces:
+        a2, b2 = (np.asarray(p) for p in tr.local_segment(fracture))
+        L = tr.length
+        dn = (b2 - a2) / L
+        dx, dy = pts[..., 0] - a2[0], pts[..., 1] - a2[1]
+        t = dn[0] * dx + dn[1] * dy
+        s = dn[0] * dy - dn[1] * dx
+        covered |= ((np.abs(s) <= tol) & (t >= -tol) & (t <= L + tol)).all(axis=1)
+    return edges[~covered]
 
 
 # Reference mesh surgery: the per-edge and per-cell loops that the array
@@ -1766,6 +1788,33 @@ def ref_condition_estimate(A, factor, tol=1e-6, max_iter=5000):
     cond = lam_max / lam_min if lam_min > 0 else np.inf
     return vem.CondEstimate(float(cond), float(lam_max), float(lam_min),
                             ok1 and ok2, it1 + it2)
+
+
+def ref_write_polydata(path, points3, polygons, cell_data=None, title="polyagg"):
+    """``vtkio.write_polydata`` formatting each number on its own."""
+    points3 = np.asarray(points3, dtype=float)
+    lines = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        "DATASET POLYDATA",
+        f"POINTS {len(points3)} double",
+    ]
+    for p in points3:
+        lines.append(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
+    size = sum(len(c) + 1 for c in polygons)
+    lines.append(f"POLYGONS {len(polygons)} {size}")
+    for c in polygons:
+        lines.append(" ".join([str(len(c))] + [str(int(v)) for v in c]))
+    if cell_data:
+        lines.append(f"CELL_DATA {len(polygons)}")
+        for name, values in cell_data.items():
+            lines.append(f"SCALARS {name} double 1")
+            lines.append("LOOKUP_TABLE default")
+            for v in np.asarray(values, dtype=float):
+                lines.append(repr(float(v)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def mesh_fields(mesh):

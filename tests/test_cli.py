@@ -3,13 +3,13 @@ import csv
 import numpy as np
 import pytest
 
-from polyagg import dfn, vem
+from polyagg import dfn, quality, vem, vtkio
 from polyagg.cli import main
 from polyagg.dfn import cut_by_traces
 from polyagg.mesh import load_mesh, save_mesh
 from polyagg.solutions import CATALOG
 
-from conftest import cell_dofs, grid_mesh, tri_grid_mesh
+from conftest import cell_dofs, grid_mesh, ref_write_polydata, tri_grid_mesh
 
 
 def run(args):
@@ -213,6 +213,21 @@ def vtk_scalars(path, name):
     n = int(next(line for line in lines if line.startswith("CELL_DATA")).split()[1])
     at = lines.index(f"SCALARS {name} double 1") + 2  # after the lookup table line
     return np.array([float(v) for v in lines[at: at + n]])
+
+
+def test_vtk_text_matches_per_number_reference(tmp_path):
+    """Each stitched network1 mesh, in 3D with a ``u`` and a ``rho`` field,
+    is written byte for byte as by formatting each number on its own."""
+    case = dfn.network1()
+    disc = dfn.discretize_network(case, max_area=5e-2, lam=1.0)
+    for fr in case.network.fractures:
+        mesh = disc.meshes[fr.fid]
+        fields = {"u": case.exact[fr.fid].u(mesh.cell_centroid),
+                  "rho": [s.rho for s in quality.mesh_quality_report(mesh).scores]}
+        vtkio.write_mesh_vtk(tmp_path / "got.vtk", mesh, fields, to_global=fr.to_global)
+        ref_write_polydata(tmp_path / "want.vtk", fr.to_global(mesh.points),
+                           [list(map(int, ids)) for ids in mesh.cells], fields)
+        assert (tmp_path / "got.vtk").read_bytes() == (tmp_path / "want.vtk").read_bytes()
 
 
 def test_dfn_vtk_cell_sample_is_vertex_mean(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from polyagg.dfn import (
     build_global_dofmap,
     compute_traces,
     cut_by_traces,
-    dirichlet_boundary_edges,
     discretize_network,
     load_network,
     make_fracture,
@@ -52,6 +52,7 @@ from conftest import (
     ref_build_local_system,
     ref_compute_traces,
     ref_cut_by_traces,
+    ref_dirichlet_boundary_edges,
     ref_dof_positions,
     ref_eliminated_system,
     ref_forest_roots,
@@ -88,6 +89,27 @@ def test_network1_trace_interior_endpoint():
 
     end = f1.to_local(tr.b3[None, :])[0]
     assert point_in_polygon(poly, end) == 1
+
+
+def test_clockwise_fractures_under_a_frame_are_reversed():
+    """network1 with every vertex list clockwise in its frame gets the
+    counter-clockwise vertices back: the meshes, trace matches and report
+    values are network1's, bit for bit."""
+    case = network1()
+    fractures = [make_fracture(f.vertices3[::-1], fid=f.fid, frame=(f.origin, f.u_axis, f.v_axis))
+                 for f in case.network.fractures]
+    for f, back in zip(case.network.fractures, fractures, strict=True):
+        assert back.vertices3.tobytes() == f.vertices3.tobytes()
+    twin = NetworkCase(case.name, FractureNetwork(fractures, compute_traces(fractures)), case.exact)
+    runs = []
+    for c in (case, twin):
+        disc = discretize_network(c, max_area=5e-2, lam=1.0)
+        rep = solve_discretized(disc, 2)
+        runs.append(({fid: mesh_fields(m) for fid, m in disc.meshes.items()}, disc.matches,
+                     [getattr(rep, name) for name in ("cells", "dofs", "nnz", "cond", "err_l2",
+                                                      "err_h1", "max_pi_nabla", "max_pi_0")],
+                     rep.solution.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_parallel_fractures_no_trace():
@@ -647,20 +669,18 @@ def test_dof_layer_matches_scalar_reference(network1_discs, lam, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_global_dofmap_matches_union_find_reference(network1_discs, k):
     """The global ids of the one components pass over the identified DOF
-    pairs equal those of the per-pair union-find, at both lambdas."""
+    pairs equal those of the per-pair union-find, and the Dirichlet edges
+    those of the geometric trace cover, at both lambdas."""
     case, discs = network1_discs
     for disc in discs.values():
-        gmap = build_global_dofmap(disc.meshes, case.network, disc.matches, k)
-        g, n_global = ref_global_dof_ids(disc.meshes, case.network, disc.matches, k)
-        assert n_global == gmap.n_global < sum(dm.total for dm in gmap.locals.values())
-        for fid in disc.meshes:
-            assert gmap.g[fid].dtype == np.int64 and np.array_equal(gmap.g[fid], g[fid])
+        _assert_trace_rules_match_geometry(case.network, disc.meshes, disc.matches, k)
 
 
 def test_global_dofmap_edge_slot_errors(network1_discs):
-    """A moved trace vertex fails the edge DOF match, a trace node that ends
-    no mesh edge with its neighbours fails as a missing covering edge, and
-    with both on one trace the earlier edge pair's failure is reported."""
+    """At every order, a moved trace vertex fails as trace vertices apart, a
+    trace node that ends no mesh edge with its neighbours fails as a missing
+    covering edge, and with both on one trace the earlier node pair's
+    failure is reported."""
     case, discs = network1_discs
     disc = discs[0.0]
     tr = case.network.traces[0]
@@ -670,20 +690,19 @@ def test_global_dofmap_edge_slot_errors(network1_discs):
     mesh_b = disc.meshes[fb]
     moved = mesh_b.points.copy()
     (_, v1), (_, v2) = nodes[1], nodes[2]
-    moved[v1] += 0.3 * (moved[v2] - moved[v1])  # internal points of edge pairs 0, 1 move
+    moved[v1] += 0.3 * (moved[v2] - moved[v1])
     meshes = {**disc.meshes, fb: dataclasses.replace(mesh_b, points=moved)}
     t, v = nodes[-2]
     far = int(np.argmax(np.linalg.norm(mesh_b.points - mesh_b.points[v], axis=1)))
     broken = {**disc.matches,
               tr.tid: {**disc.matches[tr.tid], fb: nodes[:-2] + [(t, far), nodes[-1]]}}
-    for k in (2, 3):
-        with pytest.raises(MeshError, match=rf"trace {tr.tid}: edge DOF match failed \(0\.\d+"):
+    for k in (1, 2, 3):
+        with pytest.raises(MeshError, match=rf"trace {tr.tid}: trace vertices apart \(0\.\d+"):
             build_global_dofmap(meshes, case.network, disc.matches, k)
         with pytest.raises(MeshError, match=f"trace {tr.tid}: covering edge missing"):
             build_global_dofmap(disc.meshes, case.network, broken, k)
-        with pytest.raises(MeshError, match="edge DOF match failed"):
+        with pytest.raises(MeshError, match="trace vertices apart"):
             build_global_dofmap(meshes, case.network, broken, k)
-    build_global_dofmap(meshes, case.network, broken, 1)  # no edge slots at k=1
 
 
 def _per_cell_system(network, meshes, gmap, sources):
@@ -937,12 +956,10 @@ def test_single_fracture_matches_single_mesh():
 def test_dirichlet_excludes_trace_covered_boundary():
     case = network1()
     network = case.network
-    f2 = network.fractures[1]
-    mesh = triangulate_fracture(f2, max_area=0.1)
-    segs = [t.local_segment(f2) for t in network.fracture_traces(1)]
-    cut = cut_by_traces(mesh, segs)
-    edges = dirichlet_boundary_edges(cut, f2, network.fracture_traces(1),
-                                     scale=network.scale)
+    disc = discretize_network(case, max_area=0.1, lam=0.0)
+    gmap = build_global_dofmap(disc.meshes, network, disc.matches, 1)
+    cut = disc.meshes[1]
+    edges = np.setdiff1d(cut.boundary_edge_ids(), gmap.trace_edges[1])
     # the right edge x=0 of F2 is the trace with F3: never Dirichlet
     for e in edges:
         u, v = cut.edges[int(e)]
@@ -950,6 +967,50 @@ def test_dirichlet_excludes_trace_covered_boundary():
             abs(cut.points[u][0]) < 1e-9 and abs(cut.points[v][0]) < 1e-9
         )
     assert len(edges) > 0
+
+
+def _assert_trace_rules_match_geometry(network, meshes, matches, k):
+    """The stitch's node lists give the global ids of the per-pair union-find
+    with its Gauss-Lobatto position match, and their covering edges are
+    exactly the boundary edges that lie on a trace: the Dirichlet DOFs of
+    the assembly are those of the other boundary edges."""
+    gmap = build_global_dofmap(meshes, network, matches, k)
+    g, n_global = ref_global_dof_ids(meshes, network, matches, k)
+    assert n_global == gmap.n_global < sum(dm.total for dm in gmap.locals.values())
+    frs = {f.fid: f for f in network.fractures}
+    want = []
+    for fid, mesh in meshes.items():
+        assert gmap.g[fid].dtype == np.int64 and np.array_equal(gmap.g[fid], g[fid])
+        edges = ref_dirichlet_boundary_edges(mesh, frs[fid], network.fracture_traces(fid),
+                                             network.scale)
+        assert np.array_equal(
+            np.setdiff1d(mesh.boundary_edge_ids(), gmap.trace_edges[fid]), edges)
+        want.append(gmap.g[fid][vem.boundary_dofs(mesh, gmap.locals[fid], edges)])
+    system, _ = assemble_network(network, meshes, gmap,
+                                 dirichlet_values={fid: lambda p: p[:, 0] for fid in meshes})
+    assert np.array_equal(system.dirichlet_idx, np.unique(np.concatenate(want)))
+
+
+@pytest.fixture(scope="module")
+def random_stitched(random_cuts):
+    """(network, meshes, matches) of each random network, cut, agglomerated
+    at lambda 0 and 1 and stitched."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "label .* skipped", RuntimeWarning)
+        for network, cuts in random_cuts:
+            for lam in (0.0, 1.0):
+                meshes = {fid: agglomerate(cut_by_traces(tri, segs, tol_rel=tol_rel),
+                                           AgglomerationConfig(lam=lam)).mesh
+                          for fid, (tri, segs, tol_rel) in cuts.items()}
+                out.append((network, *stitch_meshes(meshes, network)))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_random_network_trace_rules_match_geometric_oracles(random_stitched, k):
+    for network, meshes, matches in random_stitched:
+        _assert_trace_rules_match_geometry(network, meshes, matches, k)
 
 
 def test_solve_network_coarse():
@@ -1078,6 +1139,34 @@ def test_load_network_bad_file(tmp_path):
 
 # TWO_FRACTURES with its trace written out, so that mutations reach the T block
 TWO_FRACTURES_TRACED = TWO_FRACTURES.replace("BC 2", "T 1\n0 1 0 0 0 1 0 0\nBC 2")
+
+
+# a unit square at z = 0, a vertical rectangle in y = 0.5 and a tilted one,
+# all three through the line y = 0.5, z = 0
+SHARED_LINE = [
+    [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+    [(0, 0.5, -0.5), (1, 0.5, -0.5), (1, 0.5, 0.5), (0, 0.5, 0.5)],
+    [(0, 0, -0.5), (1, 0, -0.5), (1, 1, 0.5), (0, 1, 0.5)],
+]
+
+
+def test_compute_traces_rejects_a_shared_trace_line():
+    fractures = [make_fracture(verts, fid=fid) for fid, verts in enumerate(SHARED_LINE)]
+    with pytest.raises(dfn.FractureError,
+                       match="fracture 0 shares a trace line with two other fractures"):
+        compute_traces(fractures)
+
+
+def test_file_traces_on_a_shared_line_fail_at_the_later_trace(tmp_path):
+    """Traces read from a ``T`` block get the shared-line check of computed
+    ones, reported at the line of the trace that overlaps an earlier one."""
+    path = tmp_path / "shared.dfn"
+    blocks = "".join("4\n" + "".join(f"{x} {y} {z}\n" for x, y, z in verts)
+                     for verts in SHARED_LINE)
+    path.write_text(f"F 3\n{blocks}T 2\n0 1 0 0.5 0 1 0.5 0\n0 2 0 0.5 0 1 0.5 0\n")
+    with pytest.raises(MeshFormatError, match="fracture 0 shares a trace line") as err:
+        load_network(path)
+    assert err.value.line == 19
 
 
 def test_valid_network_fixture_loads(tmp_path):

@@ -131,6 +131,35 @@ def test_lowest_failing_fracture_raises(cpus, monkeypatch, n):
     assert len(forks) == n - 1
 
 
+def test_fracture_failing_only_in_its_worker_is_solved_here(cpus, monkeypatch):
+    """Fracture 0, in the child's share, fails there only: this process
+    solves it again, and meshes, infos and warnings are those of a run in
+    one process."""
+    case = dfn.network1()
+    pipeline = dfn._fracture_pipeline
+    here = os.getpid()
+
+    def fails_in_worker(network, fid, *args):
+        warnings.warn(f"fracture {fid} starts", RuntimeWarning)
+        if fid == 0 and os.getpid() != here:
+            raise MemoryError("fracture 0 fails in its worker")
+        return pipeline(network, fid, *args)
+
+    monkeypatch.setattr(dfn, "_fracture_pipeline", fails_in_worker)
+    runs = []
+    for n in (2, 1):
+        forks = cpus(n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            disc = dfn.discretize_network(case, max_area=0.05, lam=1.0)
+        assert len(forks) == n - 1
+        runs.append(({fid: mesh_fields(mesh) for fid, mesh in disc.meshes.items()}, disc.info,
+                     [(w.category, str(w.message)) for w in caught]))
+    assert runs[0] == runs[1]
+    assert [text for _, text in runs[0][2] if text.endswith("starts")] == [
+        f"fracture {fid} starts" for fid in range(3)]
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_cli_exit_codes_leave_no_child(cpus, monkeypatch, tmp_path, capsys, n):
     """An input error in a fracture exits 2 and a failed solve exits 3, and
@@ -220,6 +249,66 @@ def test_child_warnings_are_emitted_here_and_not_printed(cpus, capfd):
     assert [str(w.message) for w in caught] == [f"from the child, warning {k}" for k in range(2)]
     assert {(w.category, w.filename) for w in caught} == {(RuntimeWarning, __file__)}
     assert capfd.readouterr() == ("", "")
+
+
+class _Unpicklable:
+    def __reduce__(self):
+        raise TypeError("pickle cannot carry this")
+
+    def __repr__(self):
+        return "<unpicklable>"
+
+
+def _warn_unpicklable(path):
+    """Record this pid in ``path``, then warn with an argument and with a
+    ``source`` (an open file) that pickle cannot carry."""
+    with open(path, "a") as out:
+        out.write(f"{os.getpid()}\n")
+    warnings.warn(UserWarning("leaked", _Unpicklable()))
+    with open(path) as src:
+        warnings.warn("unclosed file", ResourceWarning, source=src)
+    return 42
+
+
+def test_unpicklable_warnings_come_back_without_a_rerun(cpus, tmp_path):
+    """Warnings whose arguments or source pickle cannot carry come back with
+    their category and text, and the call runs in the child only."""
+    forks = cpus(2)
+    path = tmp_path / "pids"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with _fork.Forked(_warn_unpicklable, path) as child:
+            assert child.result() == 42
+    assert path.read_text().split() == [str(pid) for pid in forks] and len(forks) == 1
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [
+        (UserWarning, "('leaked', <unpicklable>)", __file__),
+        (ResourceWarning, "unclosed file", __file__),
+    ]
+
+
+def test_unpicklable_fracture_warnings_run_each_fracture_once(cpus, monkeypatch, tmp_path):
+    """A child's share whose warnings pickle cannot carry is not solved again
+    here: each fracture runs once, and its warnings arrive in fid order."""
+    case = dfn.network1()
+    fid_of = _fid_by_cut_cells(case, 0.05)
+    agglomerate = dfn.agglomerate
+    path = tmp_path / "runs"
+
+    def warning(mesh, config):
+        fid = fid_of[mesh.n_cells]
+        with open(path, "a") as out:
+            out.write(f"{fid}\n")
+        warnings.warn(UserWarning(f"fracture {fid}", _Unpicklable()))
+        return agglomerate(mesh, config)
+
+    monkeypatch.setattr(dfn, "agglomerate", warning)
+    forks = cpus(2)
+    with pytest.warns(UserWarning) as caught:
+        dfn.discretize_network(case, max_area=0.05, lam=1.0)
+    assert len(forks) == 1
+    assert sorted(path.read_text().split()) == ["0", "1", "2"]
+    assert [str(w.message) for w in caught] == [
+        f"('fracture {fid}', <unpicklable>)" for fid in range(3)]
 
 
 def _only_here(parent):

@@ -464,6 +464,38 @@ def test_condition_tridiagonal_laplacian():
     assert est.cond == pytest.approx(exact, rel=0.01)
 
 
+def test_condition_estimate_without_iterations_and_when_capped(monkeypatch):
+    """No DOF gives cond 1 and one DOF its own value, with no iteration; a
+    run stopped at ``max_iter`` is not converged and counts the iterations
+    of both the stopped power iteration and the inverse one."""
+    assert condition_estimate(sps.csc_matrix((0, 0))) == vem.CondEstimate(1.0, 0.0, 0.0, True, 0)
+    assert condition_estimate(sps.csc_matrix([[4.0]])) == vem.CondEstimate(1.0, 4.0, 4.0, True, 0)
+    A = sps.diags(np.arange(1.0, 11.0)).tocsc()
+    system = _all_free(A)
+    factor = system.factor()
+    calls = []
+
+    class CountedMatrix:
+        shape = A.shape
+
+        def __matmul__(self, v):
+            calls.append("A")
+            return A @ v
+
+    class CountedFactor:
+        def solve(self, v):
+            calls.append("solve")
+            return factor.solve(v)
+
+    monkeypatch.setattr(system, "A", CountedMatrix())
+    monkeypatch.setattr(system, "factor", CountedFactor)
+    est = condition_estimate(system, max_iter=20)
+    assert est == ref_condition_estimate(A, factor, max_iter=20)
+    products, solves = calls.count("A") - 1, calls.count("solve") - 1
+    assert not est.converged and products == 20 and 0 < solves < 20
+    assert est.iterations == products + solves
+
+
 def test_projection_discrepancy_square_vs_sliver():
     square = build_element(SQUARE, 1)
     assert max(projector_discrepancies(square)) <= 1e-12
