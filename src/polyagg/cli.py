@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _fork, dfn, quality, vtkio
+from . import dfn, quality, vtkio
 from .agglomerate import AgglomerationConfig, agglomerate, write_energy_csv
 from .mesh import MeshError, load_mesh, save_mesh
 from .solutions import CATALOG
@@ -127,11 +127,6 @@ def _report_from_run(rep, mesh_id):
     }
 
 
-def _rho_tables(meshes) -> list:
-    """The per-cell rho of each mesh."""
-    return [[s.rho for s in quality.mesh_quality_report(mesh).scores] for mesh in meshes]
-
-
 def cmd_dfn(args) -> int:
     case = _load_case(args.network)
     out = _outdir(args)
@@ -144,16 +139,11 @@ def cmd_dfn(args) -> int:
                 sc_mode=args.sc_mode,
             )
             mesh_id = f"area={target}" if target is not None else f"cells={cells}"
-            # the rho tables of all fractures but the one with the fewest
-            # cells are computed in a forked child while the solves run
-            fids = sorted(disc.meshes, key=lambda fid: (disc.meshes[fid].n_cells, fid))
-            with _fork.Forked(_rho_tables, [disc.meshes[fid] for fid in fids[1:]]) as tables:
-                for k in args.order:
-                    rep = dfn.solve_discretized(disc, k)
-                    rows.append(_report_from_run(rep, mesh_id))
-                    print(f"{mesh_id} lambda={lam} k={k} dofs={rep.dofs} "
-                          f"cells={rep.cells} err_l2={rep.err_l2} err_h1={rep.err_h1}")
-                rhos = dict(zip(fids, _rho_tables([disc.meshes[fids[0]]]) + tables.result()))
+            for k in args.order:
+                rep = dfn.solve_discretized(disc, k)
+                rows.append(_report_from_run(rep, mesh_id))
+                print(f"{mesh_id} lambda={lam} k={k} dofs={rep.dofs} "
+                      f"cells={rep.cells} err_l2={rep.err_l2} err_h1={rep.err_h1}")
             # per-fracture VTK for the last order solved
             gmap = rep.gmap
             frs = {f.fid: f for f in case.network.fractures}
@@ -167,7 +157,8 @@ def cmd_dfn(args) -> int:
                 vtkio.write_mesh_vtk(
                     out / f"{mesh_id.replace('=', '_')}_lambda_{lam}_fracture_{fid}.vtk",
                     mesh,
-                    {"u": uh_cell, "rho": rhos[fid]},
+                    {"u": uh_cell,
+                     "rho": [s.rho for s in quality.mesh_quality_report(mesh).scores]},
                     to_global=frs[fid].to_global,
                 )
     write_report(rows, out / f"dfn.{args.format}", args.format)
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--lambda", dest="lam", type=_lambda, required=True)
     a.add_argument("--sc-mode", choices=("literal", "potts"), default="potts")
     a.add_argument("--dc-power", type=int, choices=(1, 2), default=2)
-    a.add_argument("--max-cycles", type=int, default=50)
+    a.add_argument("--max-cycles", type=_positive(int, "max-cycles"), default=50)
     a.set_defaults(func=cmd_agglomerate)
 
     s = sub.add_parser("solve", help="single-mesh VEM solve")

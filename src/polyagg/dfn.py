@@ -21,7 +21,7 @@ import numpy as np
 from . import _fork, geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate
 from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _components, _LineTokens,
-                   _loop_edges, _loop_edges_of, build_mesh, parse_count, parse_tokens)
+                   _loop_edges, build_mesh, parse_count, parse_tokens)
 from .vem import SparseSpdSystem, build_dof_map
 
 
@@ -80,6 +80,8 @@ def make_fracture(vertices3, K=None, fid=0, frame=None) -> Fracture:
     verts = np.asarray(vertices3, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 3:
         raise NetworkError(f"fracture {fid}: need at least 3 3D vertices")
+    if not np.isfinite(verts).all():
+        raise NetworkError(f"fracture {fid}: non-finite vertex coordinate")
     edge_len = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
     short = np.flatnonzero(edge_len <= 1e-10 * edge_len.max())
     if len(short):
@@ -478,31 +480,13 @@ def _point_in_some_cell(points, cells, p, snap) -> bool:
     return False
 
 
-def _update_loops(loops, cells, changed):
-    """``_loop_edges(cells)`` from ``loops``, its value before the loops of
-    the cell ids ``changed`` (ascending, ending with every cell appended
-    since) were rewritten; the other loops' vertices are copied in runs."""
-    tail, _, sizes = loops
-    ends = np.cumsum(sizes).tolist() + [len(tail)] * (len(cells) - len(sizes))
-    runs, prev = [], 0
-    for cid in changed:
-        runs += [tail[prev:ends[cid] - (int(sizes[cid]) if cid < len(sizes) else 0)], cells[cid]]
-        prev = ends[cid]
-    runs.append(tail[prev:])
-    sizes = np.concatenate([sizes, np.zeros(len(cells) - len(sizes), dtype=np.int64)])
-    sizes[changed] = [len(cells[cid]) for cid in changed]
-    return _loop_edges_of(np.concatenate(runs), sizes)
-
-
-def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
+def _cut_segment(points, cells, con_edges, con_verts, a2, b2, tol):
     """Split every cell the segment's supporting line crosses, constrain the
     chord where it lies on the segment, put the segment's endpoints on the
     mesh and constrain the edges that run along it.
 
     ``cells`` (int64 vertex loops) and the constrained edge and vertex sets
-    change in place; ``loops`` is ``_loop_edges(cells)`` on entry.  Returns
-    ``points`` with the new vertices appended and ``_loop_edges`` of the
-    cells on exit, which the next segment takes as its ``loops``.  One
+    change in place; returns ``points`` with the new vertices appended.  One
     signed-distance array over the vertices picks the crossed cells, which
     are visited in id order.  The first one the segment enters puts a vertex
     on each crossed edge; a later cell of that edge sees it as a vertex on
@@ -512,7 +496,7 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
     d = np.asarray(b2, dtype=float) - np.asarray(a2, dtype=float)
     L = float(np.hypot(*d))
     if L <= tol:
-        return points, loops
+        return points
     dn = d / L
     a2 = np.asarray(a2, dtype=float)
     snap = 0.5 * tol
@@ -523,7 +507,7 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
     def tpar(p):
         return dn[0] * (p[..., 0] - a2[0]) + dn[1] * (p[..., 1] - a2[1])
 
-    tail, _, sizes = loops
+    tail, _, sizes = _loop_edges(cells)
     starts = np.cumsum(sizes) - sizes
     s = sdist(points)
     on_line = np.flatnonzero(np.abs(s) <= tol)
@@ -623,10 +607,8 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
         for (q0, v0), (q1, v1) in zip(seq, seq[1:]):
             if q0 >= -tol and q1 <= L + tol:
                 con_edges.add((min(v0, v1), max(v0, v1)))
-    changed = [*crossed.tolist(), *range(n_cells, len(cells))]
-    for cid in changed:
+    for cid in [*crossed.tolist(), *range(n_cells, len(cells))]:
         cells[cid] = np.array(_splice(cells[cid].tolist(), made), dtype=np.int64)
-    loops = _update_loops(loops, cells, changed)
 
     # endpoints landing on existing vertices or edge interiors; endpoints
     # beyond the mesh mean the segment crosses fully and need no vertex
@@ -635,7 +617,7 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
         if vid is not None:
             con_verts.add(vid)
             continue
-        tail, head, sizes = loops
+        tail, head, sizes = _loop_edges(cells)
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         pu = points[lo]
         e = points[hi] - pu
@@ -654,10 +636,8 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
             vid = place(pe)
             key = (int(lo[host]), int(hi[host]))
             owner = np.repeat(np.arange(len(cells)), sizes)
-            changed = np.unique(owner[(lo == key[0]) & (hi == key[1])]).tolist()
-            for cid in changed:
+            for cid in np.unique(owner[(lo == key[0]) & (hi == key[1])]).tolist():
                 cells[cid] = np.array(_splice(cells[cid].tolist(), {key: [vid]}), dtype=np.int64)
-            loops = _update_loops(loops, cells, changed)
             _split_constraint(con_edges, con_verts, key, [vid])
             con_verts.add(vid)
         elif _point_in_some_cell(points, cells, pe, snap):
@@ -667,14 +647,14 @@ def _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2, tol):
 
     # existing edges running along the segment become constrained
     points = points[:n]
-    tail, head, _ = loops
+    tail, head, _ = _loop_edges(cells)
     near = np.abs(sdist(points)) <= tol
     t = tpar(points)
     along = (near[tail] & near[head] & (np.minimum(t[tail], t[head]) >= -tol)
              & (np.maximum(t[tail], t[head]) <= L + tol))
     con_edges.update(zip(np.minimum(tail, head)[along].tolist(),
                          np.maximum(tail, head)[along].tolist()))
-    return points, loops
+    return points
 
 
 def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=TOL_REL) -> PolygonalMesh:
@@ -691,10 +671,8 @@ def cut_by_traces(mesh: PolygonalMesh, segments, tol_rel=TOL_REL) -> PolygonalMe
     points, cells = mesh.points.copy(), list(mesh.cells)
     con_edges = set(mesh.constrained_edge_pairs())
     con_verts = set(np.flatnonzero(mesh.vertex_constrained).tolist())
-    loops = _loop_edges(cells)
     for a2, b2 in segments:
-        points, loops = _cut_segment(points, cells, loops, con_edges, con_verts, a2, b2,
-                                     tol_rel * scale)
+        points = _cut_segment(points, cells, con_edges, con_verts, a2, b2, tol_rel * scale)
     out = build_mesh(points, cells, sorted(con_edges), sorted(con_verts), compact=True)
     if abs(out.total_area - mesh.total_area) > 1e-10 * mesh.total_area:
         raise MeshError("cutting changed the covered area")
@@ -1395,6 +1373,8 @@ def load_network(path) -> NetworkCase:
             if len(tok) != 3:
                 raise MeshFormatError("fracture vertex must be 'x y z'", line=ln)
             verts.append(parse_tokens(float, tok, "fracture vertex", ln))
+            if not np.isfinite(verts[-1]).all():
+                raise MeshFormatError("non-finite fracture vertex coordinate", line=ln)
         K = None
         if tokens.peek() == "K":
             ln, tok = tokens.take("K line")
@@ -1452,6 +1432,9 @@ def load_network(path) -> NetworkCase:
                     "BC line must be 'dirichlet a b c d <value>'", line=ln
                 )
             plane = np.array(parse_tokens(float, tok[1:5], "plane coefficient", ln))
+            if not np.isfinite(plane).all() or not plane[:3].any():
+                raise MeshFormatError("dirichlet plane needs finite coefficients and a "
+                                      "nonzero normal (a, b, c)", line=ln)
             bcs.append(BCSpec(plane, _parse_bc_value(" ".join(tok[5:]), ln)))
     tokens.finish()
     try:

@@ -423,12 +423,6 @@ def _loop_edges(cells):
     loop by loop, and each loop's length."""
     lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
     tail = np.concatenate(cells) if len(cells) else np.zeros(0, dtype=np.int64)
-    return _loop_edges_of(tail, lengths)
-
-
-def _loop_edges_of(tail, lengths):
-    """``_loop_edges`` of the loops whose vertices, concatenated, are
-    ``tail``, with the given lengths."""
     nxt = np.arange(1, len(tail) + 1)
     nxt[np.cumsum(lengths) - 1] = np.cumsum(lengths) - lengths
     return tail, tail[nxt], lengths
@@ -693,6 +687,8 @@ def load_mesh(path) -> PolygonalMesh:
         pts.append(parse_tokens(float, tok[:2], "vertex coordinate", ln))
         if not np.isfinite(pts[-1]).all():
             raise MeshFormatError("non-finite vertex coordinate", line=ln)
+        if len(tok) == 3 and tok[2] not in ("0", "1"):
+            raise MeshFormatError(f"vertex flag must be 0 or 1, got {tok[2]!r}", line=ln)
         if len(tok) == 3 and tok[2] == "1":
             vflags.append(i)
 

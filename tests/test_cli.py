@@ -150,6 +150,14 @@ def test_bad_arguments_exit2_with_usage(capsys, args):
     assert err.startswith("usage:") and "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cycles", ["0", "-3"])
+def test_agglomerate_max_cycles_not_positive_exit2(capsys, cycles):
+    with pytest.raises(SystemExit) as exc:
+        run(["agglomerate", "any.mesh", "--lambda", "0.5", "--max-cycles", cycles])
+    assert exc.value.code == 2
+    assert f"max-cycles must be a positive number, got '{cycles}'" in capsys.readouterr().err
+
+
 def test_missing_file_exit2(tmp_path):
     assert run(["quality", tmp_path / "nope.mesh"]) == 2
 

@@ -1137,6 +1137,57 @@ def test_load_network_bad_file(tmp_path):
         load_network(path)
 
 
+# TWO_FRACTURES with its fractures swapped: the trace runs along the
+# boundary of the pair's second fracture
+TWO_FRACTURES_SWAPPED = (
+    "F 2\n"
+    "4\n0 0 -1\n1 0 -1\n1 0 1\n0 0 1\n"
+    "4\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+    "BC 2\n"
+    "dirichlet 0 0 1 1 10.0\n"
+    "dirichlet 0 0 -1 1 x + y\n"
+)
+# two unit squares that meet along a boundary edge of both
+SHARED_EDGE = "F 2\n4\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4\n0 0 0\n1 0 0\n1 0 1\n0 0 1\n"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("text", [TWO_FRACTURES_SWAPPED, SHARED_EDGE], ids=["second", "both"])
+def test_boundary_trace_rules_match_geometric_oracles(tmp_path, text, k):
+    """A trace on the boundary of the pair's second fracture, or of both,
+    gets the trace rules of the geometric oracles."""
+    path = tmp_path / "net.dfn"
+    path.write_text(text)
+    case = load_network(path)
+    assert [(tr.frac_i, tr.frac_j) for tr in case.network.traces] == [(0, 1)]
+    for lam in (0.0, 1.0):
+        disc = discretize_network(case, max_area=0.05, lam=lam)
+        _assert_trace_rules_match_geometry(case.network, disc.meshes, disc.matches, k)
+
+
+@pytest.mark.parametrize("plane", ["nan 0 1 1", "0 0 inf 1", "0 0 1 -inf", "0 0 0 0", "0 0 0 1"])
+def test_bc_plane_non_finite_or_without_normal_fails_at_its_line(tmp_path, plane):
+    """A NaN coefficient matches no boundary point and so drops the plane's
+    data; a zero normal with d = 0 matches every boundary point."""
+    path = tmp_path / "net.dfn"
+    path.write_text(TWO_FRACTURES.replace("dirichlet 0 0 1 1", f"dirichlet {plane}"))
+    with pytest.raises(MeshFormatError, match="line 15: dirichlet plane needs finite"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_non_finite_fracture_vertex_fails_at_its_line(tmp_path, coord):
+    path = tmp_path / "net.dfn"
+    for text, line in ((f"F 1\n4\n0 0 0\n1 0 0\n1 1 {coord}\n0 1 0\n", 5),
+                       (TWO_FRACTURES.replace("1 1 0\n", f"1 1 {coord}\n"), 6)):
+        path.write_text(text)
+        with pytest.raises(MeshFormatError,
+                           match=f"line {line}: non-finite fracture vertex coordinate"):
+            load_network(path)
+    with pytest.raises(NetworkError, match="fracture 3: non-finite vertex coordinate"):
+        make_fracture([(0, 0, 0), (1, 0, 0), (1, 1, float(coord)), (0, 1, 0)], fid=3)
+
+
 # TWO_FRACTURES with its trace written out, so that mutations reach the T block
 TWO_FRACTURES_TRACED = TWO_FRACTURES.replace("BC 2", "T 1\n0 1 0 0 0 1 0 0\nBC 2")
 

@@ -1,5 +1,5 @@
-"""The forked per-fracture workers and quality reports give the results of
-one fracture after another, and leave no child process behind."""
+"""The forked per-fracture workers give the results of one fracture after
+another, and leave no child process behind."""
 
 import json
 import os
@@ -85,11 +85,11 @@ def _dfn_solve_outputs(tmp_path, name):
 
 
 def test_forked_dfn_solve_writes_the_same_files(cpus, tmp_path):
-    """The dfn-solve report (but its wall times) and the VTK files, whose rho
-    fields come from the forked quality reports, are byte-identical."""
+    """The dfn-solve report (but its wall times) and the VTK files are
+    byte-identical."""
     forks = cpus(2)
     forked = _dfn_solve_outputs(tmp_path, "forked")
-    assert len(forks) == 4  # per lambda: one pipeline child, one report child
+    assert len(forks) == 2  # one pipeline child per lambda
     cpus(1)
     alone = _dfn_solve_outputs(tmp_path, "alone")
     assert len(forked[1]) == 6
@@ -185,7 +185,7 @@ def test_cli_exit_codes_leave_no_child(cpus, monkeypatch, tmp_path, capsys, n):
 
     monkeypatch.setattr(vem, "solve_spd", singular)
     assert main(args) == 3
-    assert len(forks) == 3 * (n - 1)  # a pipeline child per run, a report child in the second
+    assert len(forks) == 2 * (n - 1)  # a pipeline child per run
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -206,6 +206,14 @@ def test_mesh_io_error_has_line(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("flag", ["x", "2", "-1", "1.0"])
+def test_mesh_io_rejects_a_vertex_flag_other_than_0_or_1(tmp_path, flag):
+    path = tmp_path / "flag.mesh"
+    path.write_text(f"V 4\n0 0 0\n1 0 {flag}\n1 1\n0 1 1\nC 1\n0 1 2 3\n")
+    with pytest.raises(MeshFormatError, match=f"line 3: vertex flag must be 0 or 1, got '{flag}'"):
+        load_mesh(path)
+
+
 # two unit squares sharing the constrained edge 1-4
 VALID_MESH = "V 6\n0 0\n1 0 1\n2 0\n2 1\n1 1 1\n0 1\nC 2\n0 1 4 5\n1 2 3 4\nE 1\n1 4\n"
 
