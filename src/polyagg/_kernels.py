@@ -21,16 +21,16 @@ NUMBA_ENABLED = False
 _QUALITY_BLOCK = 1 << 16
 
 
-def quality_scores(pts, collinear_tol, kernel_rel_tol):
+def quality_scores(pts):
     """All four regularity indicators plus the combined score of one cell
     (n, 2) or of each cell of a stack (..., n, 2) with one vertex count.
 
     Returns (..., 5): rho1, rho2, rho3, rho4, rho.  Cells must be simple and
     CCW-oriented; a cell of zero area or diameter scores all zeros.
     Collinear runs are maximal chains of consecutive edges whose turn angle
-    satisfies |cross|/(|a||b|) < collinear_tol; kernels of relative area
-    below kernel_rel_tol count as empty.  Each cell's scores do not depend
-    on the stack it is scored in.
+    satisfies |cross|/(|a||b|) < ``geometry.COLLINEAR_TOL``; kernels of
+    relative area below ``geometry.KERNEL_REL_TOL`` count as empty.  Each
+    cell's scores do not depend on the stack it is scored in.
     """
     pts = np.asarray(pts, dtype=np.float64)
     lead, n = pts.shape[:-2], pts.shape[-2]
@@ -38,13 +38,13 @@ def quality_scores(pts, collinear_tol, kernel_rel_tol):
     step = max(1, _QUALITY_BLOCK // (2 * n + 8))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.concatenate([
-            _scores_block(flat[s:s + step], collinear_tol, kernel_rel_tol)
+            _scores_block(flat[s:s + step])
             for s in range(0, len(flat), step)
         ] or [np.zeros((0, 5))])
     return out.reshape(lead + (5,))
 
 
-def _scores_block(pts, collinear_tol, kernel_rel_tol):
+def _scores_block(pts):
     """quality_scores of a stack (g, n, 2)."""
     g, n = pts.shape[:2]
     area = geometry.polygon_area(pts)
@@ -56,7 +56,7 @@ def _scores_block(pts, collinear_tol, kernel_rel_tol):
     u = np.roll(d, 1, axis=1)
     cr = u[..., 0] * d[..., 1] - u[..., 1] * d[..., 0]
     denom = np.roll(elen, 1, axis=1) * elen
-    corner = (denom > 0.0) & (np.abs(cr) / denom >= collinear_tol)
+    corner = (denom > 0.0) & (np.abs(cr) / denom >= geometry.COLLINEAR_TOL)
 
     # walk the edges from the first corner; a run ends where the next vertex
     # is a corner.  Without corners no run ends and rho4 stays 1.
@@ -80,7 +80,7 @@ def _scores_block(pts, collinear_tol, kernel_rel_tol):
 
     buf, _ = geometry.kernel_clip(pts, 1e-12 * diam)
     ka = geometry.polygon_area(buf)
-    rho1 = np.where(ka < kernel_rel_tol * area, 0.0, np.minimum(ka / area, 1.0))
+    rho1 = np.where(ka < geometry.KERNEL_REL_TOL * area, 0.0, np.minimum(ka / area, 1.0))
 
     rho = np.minimum(np.sqrt(rho1 * (rho2 + 3.0 / n + rho4) / 3.0), 1.0)
     out = np.stack([rho1, rho2, np.full(g, 3.0 / n), rho4, rho], axis=-1)

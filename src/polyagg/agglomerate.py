@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, quality
-from .geometry import COLLINEAR_TOL
+from . import _kernels, geometry
 from .mesh import (
     PolygonalMesh,
     _components,
@@ -60,10 +59,11 @@ def _round_half_away(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def _droppable(mesh, ids, tol):
+def _droppable(mesh, ids):
     """(g, n) mask of the unconstrained straight vertices of union loops (g, n):
     neither the vertex nor either loop edge at it is a constrained mesh edge,
-    and its two loop edges point the same way within ``tol``."""
+    and it is straight between its loop neighbours
+    (``geometry.straight_vertices``)."""
 
     def constrained_edge(a, b):
         e = mesh.edge_ids(a, b)  # -1 for a chord left by a dropped vertex
@@ -73,18 +73,11 @@ def _droppable(mesh, ids, tol):
     nxt = np.roll(ids, -1, axis=1)
     free = ~(mesh.vertex_constrained[ids] | constrained_edge(prv, ids)
              | constrained_edge(ids, nxt))
-    pts = mesh.points[ids]
-    u1 = pts - np.roll(pts, 1, axis=1)
-    u2 = np.roll(pts, -1, axis=1) - pts
-    denom = np.hypot(u1[..., 0], u1[..., 1]) * np.hypot(u2[..., 0], u2[..., 1])
-    turn = np.abs(u1[..., 0] * u2[..., 1] - u1[..., 1] * u2[..., 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        straight = (denom != 0.0) & (turn / denom < tol)
-    ahead = u1[..., 0] * u2[..., 0] + u1[..., 1] * u2[..., 1] > 0.0
-    return free & straight & ahead
+    pts = mesh.points
+    return free & geometry.straight_vertices(pts[prv], pts[ids], pts[nxt])
 
 
-def _simplified_loop_groups(mesh, loops, tol=COLLINEAR_TOL):
+def _simplified_loop_groups(mesh, loops):
     """Union loops with their unconstrained straight vertices dropped, grouped
     by the vertex count that remains.
 
@@ -106,7 +99,7 @@ def _simplified_loop_groups(mesh, loops, tol=COLLINEAR_TOL):
         idx = np.concatenate([i for i, _ in parts])
         ids = np.concatenate([v for _, v in parts])
         if n > 3:
-            drop = _droppable(mesh, ids, tol)
+            drop = _droppable(mesh, ids)
             hit = drop.any(axis=1)
             if hit.any():
                 keep = np.arange(n) != drop[hit].argmax(axis=1)[:, None]
@@ -116,7 +109,7 @@ def _simplified_loop_groups(mesh, loops, tol=COLLINEAR_TOL):
             yield idx, ids
 
 
-def _union_rhos(mesh: PolygonalMesh, pairs, tol=COLLINEAR_TOL) -> list:
+def _union_rhos(mesh: PolygonalMesh, pairs) -> list:
     """rho of the simplified union of each pair of adjacent cells, None where
     the union fails (``MergeError``).
 
@@ -127,8 +120,8 @@ def _union_rhos(mesh: PolygonalMesh, pairs, tol=COLLINEAR_TOL) -> list:
     scored = [k for k, err in enumerate(errors) if err is None]
     loops = [loops[k] for k in scored]
     rhos = [None] * len(pairs)
-    for idx, ids in _simplified_loop_groups(mesh, loops, tol):
-        r = _kernels.quality_scores(mesh.points[ids], tol, quality.KERNEL_REL_TOL)
+    for idx, ids in _simplified_loop_groups(mesh, loops):
+        r = _kernels.quality_scores(mesh.points[ids])
         for k, v in zip(idx.tolist(), r[:, 4].tolist()):
             rhos[scored[k]] = v
     return rhos
@@ -143,8 +136,13 @@ class _Problem:
         n = self.scale = mesh.n_cells
         self.w = _round_half_away(config.lam * self.scale)
         self.potts = config.sc_mode == "potts"
-        self.adj_pairs = mesh.adjacency_pairs()
-        self.neighbors = [nb.tolist() for nb in mesh.neighbors]
+        a, b = mesh.adjacent
+        self.adj_pairs = list(zip(a.tolist(), b.tolist()))
+        # per cell, its neighbours in ascending order: the pairs run by (a, b)
+        self.neighbors = [[] for _ in range(n)]
+        for p, q in self.adj_pairs:
+            self.neighbors[p].append(q)
+            self.neighbors[q].append(p)
         # costs[p][label]: integer data cost of giving cell p that label, for
         # its own index and its neighbours; every other label costs scale
         rhos = _union_rhos(mesh, self.adj_pairs)  # before the dicts: lower peak memory
@@ -331,7 +329,7 @@ def apply_labeling(mesh: PolygonalMesh, labels, skipped=None) -> PolygonalMesh:
         raise ValueError("labeling length does not match the cell count")
     # components ordered by label, then by their lowest cell
     n = mesh.n_cells
-    a, b = mesh.adjacent_cells()
+    a, b = mesh.adjacent
     same = labels[a] == labels[b]
     roots = _components(n, a[same], b[same])
     order = np.lexsort((np.arange(n), roots, labels))
@@ -405,7 +403,7 @@ def agglomerate(mesh: PolygonalMesh, config: AgglomerationConfig) -> Agglomerati
         # the trivial labeling is the unique minimum (all data terms zero,
         # zero smoothness weight); skip the union-quality precomputation
         labels = trivial_labeling(mesh.n_cells)
-        n_adj = len(mesh.adjacency_pairs())
+        n_adj = len(mesh.adjacent[0])
         history = [
             EnergyBreakdown(0, n_adj, 0, 0),
             EnergyBreakdown(0, n_adj, 0, 1),

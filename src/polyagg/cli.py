@@ -180,8 +180,6 @@ def cmd_convergence(args) -> int:
         if case.exact is None:
             raise MeshError(f"{args.network} has no exact solution to measure "
                             "convergence rates against")
-        if len(args.area) < 3:
-            raise MeshError("convergence needs at least 3 refinements")
         families = (  # lazily: one lambda's meshes in memory at a time
             [dfn.discretize_network(case, max_area=a, lam=lam,
                                     sc_mode=args.sc_mode)
@@ -189,12 +187,14 @@ def cmd_convergence(args) -> int:
             for lam in args.lam
         )
     else:
-        if len(args.meshes) < 3:
-            raise MeshError("convergence needs at least 3 meshes")
         families = [[_mesh_discretization(m, args.solution) for m in args.meshes]]
     rows = []
     rates = []
     for discs in families:
+        # a rate fit through fewer than 3 mesh sizes is rank-deficient or exact
+        hs = sorted({d.h for d in discs})
+        if len(hs) < 3:
+            raise MeshError(f"convergence needs at least 3 distinct mesh sizes h, got {hs}")
         for k in args.order:
             reps = [dfn.solve_discretized(d, k, estimate_condition=not args.network)
                     for d in discs]
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
         parser.error("dfn-solve needs --area or --cells")
     try:
         return args.func(args)
-    except (MeshError, dfn.NetworkError, FileNotFoundError) as err:
+    except (MeshError, dfn.NetworkError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     except (SolverError, np.linalg.LinAlgError) as err:

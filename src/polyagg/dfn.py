@@ -778,7 +778,6 @@ def stitch_meshes(meshes: dict, network: FractureNetwork):
 class GlobalDofMap:
     k: int
     locals: dict              # fid -> DofMap
-    offsets: dict             # fid -> global offset before identification
     g: dict                   # fid -> (local_total,) global dof ids
     n_global: int
     trace_edges: dict         # fid -> ids of the edges between consecutive trace nodes
@@ -844,7 +843,7 @@ def build_global_dofmap(meshes: dict, network: FractureNetwork, matches, k) -> G
     for fid in fids:
         lo = offsets[fid]
         g[fid] = inv[lo: lo + locals_[fid].total].astype(np.int64)
-    return GlobalDofMap(k, locals_, offsets, g, int(len(uniq)),
+    return GlobalDofMap(k, locals_, g, int(len(uniq)),
                         {fid: np.concatenate(e) for fid, e in trace_edges.items()})
 
 
@@ -865,7 +864,8 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
     frs = {f.fid: f for f in network.fractures}
     fids = sorted(meshes)
     ids, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for fid in fids:
+    fixed = np.zeros(len(fids), dtype=bool)  # fracture has Dirichlet DOFs
+    for i, fid in enumerate(fids):
         mesh, dm = meshes[fid], gmap.locals[fid]
         edges = np.setdiff1d(mesh.boundary_edge_ids(), gmap.trace_edges[fid])
         gfn = dirichlet_values.get(fid) if dirichlet_values else None
@@ -876,10 +876,18 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
         keep = np.isfinite(val)  # NaN: no plane matched, homogeneous Neumann
         ids.append(gmap.g[fid][loc[keep]])
         vals.append(val[keep])
+        fixed[i] = keep.any()
+    # without Dirichlet data, the head of a group of fractures joined by
+    # traces is fixed only up to a constant
+    ends = np.array([(t.frac_i, t.frac_j) for t in network.traces], dtype=np.int64)
+    roots = _components(len(fids), *np.searchsorted(fids, ends.reshape(-1, 2)).T)
+    floating = np.setdiff1d(roots, roots[fixed])
+    if len(floating):
+        names = ", ".join(str(fids[i]) for i in np.flatnonzero(roots == floating[0]))
+        raise NetworkError(f"no Dirichlet boundary on fractures {names} (|Gamma_D| "
+                           "must be positive in each group of fractures joined by traces)")
     # a DOF on the boundary of several fractures takes the last one's value
     dir_idx, last = np.unique(np.concatenate(ids)[::-1], return_index=True)
-    if not len(dir_idx):
-        raise NetworkError("no Dirichlet boundary found (|Gamma_D| must be positive)")
     dvals = np.concatenate(vals)[::-1][last]
     parts = [vem.Part(meshes[fid], gmap.locals[fid], gmap.g[fid], frs[fid].K,
                       sources.get(fid) if sources else None) for fid in fids]

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 COLLINEAR_TOL = 1e-9  # relative cross-product threshold for aligned edges
+KERNEL_REL_TOL = 1e-14  # kernels below this relative area count as empty
 
 
 class GeometryError(ValueError):
@@ -67,6 +68,19 @@ def polygon_diameter(pts):
     d = pts[..., :, None, :] - pts[..., None, :, :]
     sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
     return np.sqrt(sq.max(axis=(-2, -1), initial=0.0))
+
+
+def straight_vertices(prev, cur, nxt):
+    """Mask of the points ``cur`` (..., 2) that lie straight between ``prev``
+    and ``nxt``: the edges into and out of each one are aligned within
+    ``COLLINEAR_TOL`` and point the same way."""
+    u1 = cur - prev
+    u2 = nxt - cur
+    denom = np.hypot(u1[..., 0], u1[..., 1]) * np.hypot(u2[..., 0], u2[..., 1])
+    cross = u1[..., 0] * u2[..., 1] - u1[..., 1] * u2[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aligned = (denom != 0.0) & (np.abs(cross) / denom < COLLINEAR_TOL)
+    return aligned & (u1[..., 0] * u2[..., 0] + u1[..., 1] * u2[..., 1] > 0.0)
 
 
 def ensure_ccw(pts) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Polygonal mesh data structure, construction, merging and simplification.
 
 A mesh is a flat vertex table plus per-cell CCW vertex-index loops.  Edges,
-constraint flags and the cell adjacency map (keyed by shared *unconstrained*
-edges) are derived at build time; mutating operations return new meshes.
+constraint flags and the adjacent cell pairs (those sharing an
+*unconstrained* edge) are derived at build time; mutating operations return
+new meshes.
 """
 
 import itertools
@@ -11,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .geometry import COLLINEAR_TOL
 
 
 class MeshError(ValueError):
@@ -68,9 +68,8 @@ class PolygonalMesh:
     edge_cells: np.ndarray             # (ne, 2) int64 first and second cell, -1 for none
     cell_area: np.ndarray
     cell_centroid: np.ndarray
-    cell_diameter: np.ndarray
-    neighbors: list                    # per cell, sorted adjacent cell ids
-    h: float
+    adjacent: tuple                    # (a, b) int64 cells sharing a free edge, a < b, ascending
+    h: float                           # largest cell diameter
     _edge_keys: np.ndarray = field(repr=False)  # see _edge_lookup
     _edge_key_ids: np.ndarray = field(repr=False)
 
@@ -95,42 +94,26 @@ class PolygonalMesh:
         -1 for a pair that is not an edge."""
         return _edge_lookup(self._edge_keys, self._edge_key_ids, self.n_vertices, u, v)
 
-    def adjacent_cells(self):
-        """(a, b) int64 arrays of the adjacent cell pairs, a < b, ascending."""
-        n = self.n_cells
-        counts = np.fromiter(map(len, self.neighbors), dtype=np.int64, count=n)
-        a = np.repeat(np.arange(n), counts)
-        b = np.concatenate(self.neighbors) if n else a
-        return a[b > a], b[b > a]
-
     def boundary_edge_ids(self) -> np.ndarray:
         return np.flatnonzero(self.edge_cells[:, 1] < 0)
-
-    def adjacency_pairs(self) -> list:
-        """Unordered adjacent cell pairs (i, j), i < j, ascending."""
-        a, b = self.adjacent_cells()
-        return list(zip(a.tolist(), b.tolist()))
 
     def constrained_edge_pairs(self) -> list:
         return list(map(tuple, self.edges[self.edge_constrained].tolist()))
 
-    # A pickle carries ``cells`` and ``neighbors`` as one flat array plus
-    # sizes each: a list of thousands of small arrays costs 10x more to dump
-    # and load, which matters when meshes cross a process boundary.
+    # A pickle carries ``cells`` as one flat array plus sizes: a list of
+    # thousands of small arrays costs 10x more to dump and load, which
+    # matters when meshes cross a process boundary.
     def __getstate__(self):
         state = dict(self.__dict__)
-        for name in ("cells", "neighbors"):
-            parts = state.pop(name)
-            sizes = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-            flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            state[name] = (flat, sizes)
+        cells = state["cells"]
+        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        state["cells"] = (np.concatenate(cells) if cells else np.empty(0, dtype=np.int64), sizes)
         return state
 
     def __setstate__(self, state):
-        for name in ("cells", "neighbors"):
-            flat, sizes = state[name]
-            # a split at no offset still yields one part, so cut to the count
-            state[name] = np.split(flat, np.cumsum(sizes)[:-1])[:len(sizes)]
+        flat, sizes = state["cells"]
+        # a split at no offset still yields one part, so cut to the count
+        state["cells"] = np.split(flat, np.cumsum(sizes)[:-1])[:len(sizes)]
         self.__dict__.update(state)
 
 
@@ -203,7 +186,7 @@ def build_mesh(
     owner = np.empty_like(tail)
     cell_area = np.empty(nc)
     cell_centroid = np.empty((nc, 2))
-    cell_diameter = np.empty(nc)
+    h = 0.0
     for idx, ids, loops, diameter in groups:
         at = offsets[idx][:, None] + np.arange(ids.shape[1])
         tail[at] = ids
@@ -213,7 +196,7 @@ def build_mesh(
         cell_area[idx] = area
         cell_centroid[idx, 0] = cx
         cell_centroid[idx, 1] = cy
-        cell_diameter[idx] = diameter
+        h = max(h, float(diameter.max()))
     cell_arrays = [tail[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
     edges, edge_cells, keys, key_ids = _edge_table(tail, head, owner, nv)
@@ -236,14 +219,11 @@ def build_mesh(
     if len(degenerate):
         raise CellError(int(degenerate[0]), "has zero area")
 
-    # adjacency across shared unconstrained edges, both ways, each pair once
+    # cells sharing an unconstrained edge, each pair once; an edge's first
+    # cell comes before its second in traversal order, so it is the lower one
     inner = (edge_cells[:, 1] >= 0) & ~edge_constrained
-    a, b = edge_cells[inner, 0], edge_cells[inner, 1]
     span = max(nc, 1)
-    pairs = np.unique(np.concatenate([a * span + b, b * span + a]))
-    bounds = np.searchsorted(pairs // span, np.arange(nc + 1)).tolist()
-    others = pairs % span
-    neighbors = [others[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    pairs = np.unique(edge_cells[inner, 0] * span + edge_cells[inner, 1])
 
     return PolygonalMesh(
         points=pts,
@@ -254,9 +234,8 @@ def build_mesh(
         edge_cells=edge_cells,
         cell_area=cell_area,
         cell_centroid=cell_centroid,
-        cell_diameter=cell_diameter,
-        neighbors=neighbors,
-        h=float(cell_diameter.max()) if nc else 0.0,
+        adjacent=(pairs // span, pairs % span),
+        h=h,
         _edge_keys=keys,
         _edge_key_ids=key_ids,
     )
@@ -562,13 +541,12 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
 # aligned-edge simplification
 # ---------------------------------------------------------------------------
 
-def _removable_vertices(points, cells, constrained_edges, constrained_vertices,
-                        tol=COLLINEAR_TOL) -> np.ndarray:
+def _removable_vertices(points, cells, constrained_edges, constrained_vertices) -> np.ndarray:
     """Mask of the removable vertices of the mesh that ``points``, the int64
     vertex loops ``cells`` and these constraints would build: unconstrained
     hanging nodes interior to straight runs.  Such a vertex lies on exactly
-    two mesh edges, neither constrained, aligned within ``tol``; dropping it
-    keeps every cell's area."""
+    two mesh edges, neither constrained, and is straight between their other
+    ends (``geometry.straight_vertices``); dropping it keeps every cell's area."""
     nv = len(points)
     tail, head, _ = _loop_edges(cells)
     keys = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head))
@@ -588,25 +566,16 @@ def _removable_vertices(points, cells, constrained_edges, constrained_vertices,
     free = ~(edge_constrained[at1 // 2] | edge_constrained[at2 // 2])
     v, at1, at2 = v[free], at1[free], at2[free]
     a, b = ends[at1 ^ 1], ends[at2 ^ 1]  # the other end of each edge
-    u1 = points[v] - points[a]
-    u2 = points[b] - points[v]
-    denom = np.hypot(u1[:, 0], u1[:, 1]) * np.hypot(u2[:, 0], u2[:, 1])
-    cr = u1[:, 0] * u2[:, 1] - u1[:, 1] * u2[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aligned = (denom != 0.0) & (np.abs(cr) / denom < tol)
-    ahead = u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1] > 0.0
     removable = np.zeros(nv, dtype=bool)
-    removable[v[aligned & ahead]] = True
+    removable[v[geometry.straight_vertices(points[a], points[v], points[b])]] = True
     return removable
 
 
-def _drop_aligned_vertices(points, cells, constrained_edges, constrained_vertices,
-                           tol=COLLINEAR_TOL) -> list:
+def _drop_aligned_vertices(points, cells, constrained_edges, constrained_vertices) -> list:
     """``cells`` without their removable vertices (``_removable_vertices``),
     swept again until none is left; ``cells`` itself when there is none."""
     while True:
-        removable = _removable_vertices(points, cells, constrained_edges,
-                                        constrained_vertices, tol)
+        removable = _removable_vertices(points, cells, constrained_edges, constrained_vertices)
         if not removable.any():
             return cells
         new_cells = []
@@ -642,12 +611,15 @@ class _LineTokens:
     ``#`` comments are stripped, read in order as (line number, tokens)."""
 
     def __init__(self, path):
-        with open(path) as fh:
-            raw = fh.readlines()
+        with open(path, "rb") as fh:
+            raw = fh.read().splitlines()  # at \n, \r\n and \r, as text mode reads
         self.n_lines = len(raw)
         self.lines = []
         for ln, line in enumerate(raw, start=1):
-            body = line.split("#", 1)[0].strip()
+            try:
+                body = line.decode().split("#", 1)[0].strip()
+            except UnicodeDecodeError:
+                raise MeshFormatError("not UTF-8 text", line=ln) from None
             if body:
                 self.lines.append((ln, body.split()))
         self.pos = 0

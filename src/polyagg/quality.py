@@ -12,10 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, geometry
-from .geometry import COLLINEAR_TOL
 from .mesh import PolygonalMesh
-
-KERNEL_REL_TOL = 1e-14  # kernels below this relative area count as empty
 
 
 @dataclass(frozen=True)
@@ -30,9 +27,9 @@ class QualityScores:
         return (self.rho1, self.rho2, self.rho3, self.rho4, self.rho)
 
 
-def scores_from_points(points, tol=COLLINEAR_TOL) -> QualityScores:
+def scores_from_points(points) -> QualityScores:
     pts = geometry.as_points(points)
-    return QualityScores(*_kernels.quality_scores(pts, tol, KERNEL_REL_TOL).tolist())
+    return QualityScores(*_kernels.quality_scores(pts).tolist())
 
 
 @dataclass
@@ -44,14 +41,14 @@ class QualityReport:
     bin_edges: np.ndarray
 
 
-def mesh_quality_report(mesh: PolygonalMesh, tol=COLLINEAR_TOL) -> QualityReport:
+def mesh_quality_report(mesh: PolygonalMesh) -> QualityReport:
     """Scores of every cell, one ``quality_scores`` call per vertex count."""
     counts = np.array([len(ids) for ids in mesh.cells])
     table = np.empty((mesh.n_cells, 5))
     for n in np.unique(counts):
         cids = np.flatnonzero(counts == n)
         verts = np.array([mesh.cells[c] for c in cids])
-        table[cids] = _kernels.quality_scores(mesh.points[verts], tol, KERNEL_REL_TOL)
+        table[cids] = _kernels.quality_scores(mesh.points[verts])
     scores = [QualityScores(*row) for row in table.tolist()]
     rhos = table[:, 4].copy()  # contiguous, so the mean sums as before
     hist, edges = np.histogram(rhos, bins=10, range=(0.0, 1.0))

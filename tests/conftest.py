@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import functools
 import os
 
@@ -94,6 +95,14 @@ def mixed_region_mesh():
             if ch != ".":
                 labels[2 * (6 * j + i): 2 * (6 * j + i) + 2] = base.n_cells + ord(ch)
     return apply_labeling(base, labels)
+
+
+# two pairs of crossing unit squares, the second shifted by x + 5; the
+# Dirichlet planes x = 0 and x = 1 touch only the first pair
+TWO_CROSSING_PAIRS = "F 4\n" + "".join(
+    f"4\n{x} 0 0\n{x + 1} 0 0\n{x + 1} 1 0\n{x} 1 0\n"
+    f"4\n{x} 0.5 -0.5\n{x + 1} 0.5 -0.5\n{x + 1} 0.5 0.5\n{x} 0.5 0.5\n" for x in (0, 5)
+) + "BC 2\ndirichlet 1 0 0 0 1.0\ndirichlet 1 0 0 -1 0.0\n"
 
 
 NON_STAR_POLY = np.array(
@@ -675,6 +684,23 @@ def packed_min_cut(cap_s, cap_t, edges, caps, solver=None):
     return value + cap_s.sum(), mask
 
 
+def ref_neighbors(mesh):
+    """Ascending neighbour list of every cell: the cells across its
+    unconstrained shared edges, by one loop over the edge table."""
+    nbs = [set() for _ in range(mesh.n_cells)]
+    for (c, d), constrained in zip(mesh.edge_cells.tolist(), mesh.edge_constrained.tolist()):
+        if d >= 0 and not constrained:
+            nbs[c].add(d)
+            nbs[d].add(c)
+    return [sorted(nb) for nb in nbs]
+
+
+def adjacency_pairs(mesh):
+    """``mesh.adjacent`` as a list of (a, b) pairs."""
+    a, b = mesh.adjacent
+    return list(zip(a.tolist(), b.tolist()))
+
+
 class RefProblem:
     """Precomputed integer costs and adjacency for one minimization run."""
 
@@ -684,8 +710,8 @@ class RefProblem:
         self.scale = mesh.n_cells
         self.w = agg._round_half_away(config.lam * self.scale)
         self.potts = config.sc_mode == "potts"
-        self.adj_pairs = mesh.adjacency_pairs()
-        self.neighbors = [nb.tolist() for nb in mesh.neighbors]
+        self.neighbors = ref_neighbors(mesh)
+        self.adj_pairs = [(c, d) for c, nbs in enumerate(self.neighbors) for d in nbs if d > c]
         self.dc_int = {}
         for pair, r in zip(self.adj_pairs, agg._union_rhos(mesh, self.adj_pairs)):
             cost = 1.0 if r is None else 1.0 - r**config.dc_power
@@ -1042,6 +1068,7 @@ def ref_label_components(mesh, labels):
     classes = {}
     for c in range(mesh.n_cells):
         classes.setdefault(int(labels[c]), []).append(c)
+    neighbors = ref_neighbors(mesh)
     out = []
     for lab in sorted(classes):
         members = classes[lab]
@@ -1055,8 +1082,7 @@ def ref_label_components(mesh, labels):
             stack = [c]
             while stack:
                 x = stack.pop()
-                for nb in mesh.neighbors[x]:
-                    nb = int(nb)
+                for nb in neighbors[x]:
                     if nb in member_set and nb not in seen:
                         seen.add(nb)
                         comp.append(nb)
@@ -1817,17 +1843,18 @@ def ref_write_polydata(path, points3, polygons, cell_data=None, title="polyagg")
         fh.write("\n".join(lines) + "\n")
 
 
+def _comparable(value):
+    """A mesh field as comparable Python values and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_comparable(v) for v in value]
+    return value
+
+
 def mesh_fields(mesh):
-    """Every PolygonalMesh field, as comparable Python values and bytes."""
-    arrays = ("points", "vertex_constrained", "edges", "edge_constrained", "edge_cells",
-              "cell_area", "cell_centroid", "cell_diameter", "_edge_keys", "_edge_key_ids")
-    return (
-        [(name, getattr(mesh, name).dtype.str, getattr(mesh, name).shape,
-          getattr(mesh, name).tobytes()) for name in arrays],
-        [(c.dtype.str, c.tobytes()) for c in mesh.cells],
-        [(nb.dtype.str, nb.tobytes()) for nb in mesh.neighbors],
-        mesh.h,
-    )
+    """Every PolygonalMesh field by name, as comparable Python values and bytes."""
+    return {f.name: _comparable(getattr(mesh, f.name)) for f in dataclasses.fields(mesh)}
 
 
 @pytest.fixture(autouse=True)

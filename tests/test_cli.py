@@ -9,7 +9,7 @@ from polyagg.dfn import cut_by_traces
 from polyagg.mesh import load_mesh, save_mesh
 from polyagg.solutions import CATALOG
 
-from conftest import cell_dofs, grid_mesh, ref_write_polydata, tri_grid_mesh
+from conftest import TWO_CROSSING_PAIRS, cell_dofs, grid_mesh, ref_write_polydata, tri_grid_mesh
 
 
 def run(args):
@@ -66,6 +66,9 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
     pytest.param(".mesh", "V 99999999999999999999\n0 0\n", 2, id="mesh-huge-count"),
     pytest.param(".mesh", "V 5\n0 0\n2 0\n2 2\n1 0\n0 2\nC 1\n0 1 2 3 4\n", 8,
                  id="mesh-pinched-cell"),
+    pytest.param(".mesh", (TRIANGLE + "C 1\n0 1 2").encode() + b"\xff\n", 6, id="mesh-not-utf8"),
+    pytest.param(".dfn", TWO_FRACTURES[:24].encode() + b"\xff" + TWO_FRACTURES[24:].encode(), 6,
+                 id="dfn-not-utf8"),
     pytest.param(".dfn", "F two\n", 1, id="dfn-fracture-count"),
     pytest.param(".dfn", "F 0\n", 1, id="dfn-no-fractures"),
     pytest.param(".dfn", "F 1\nthree\n", 2, id="dfn-vertex-count"),
@@ -107,7 +110,10 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
 ])
 def test_malformed_input_exit2_with_line(tmp_path, capsys, suffix, text, line):
     path = tmp_path / f"bad{suffix}"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     if suffix == ".mesh":
         args = ["quality", path]
     else:
@@ -162,6 +168,14 @@ def test_missing_file_exit2(tmp_path):
     assert run(["quality", tmp_path / "nope.mesh"]) == 2
 
 
+@pytest.mark.parametrize("command", [["quality"], ["dfn-solve", "--area", "0.1", "--network"]],
+                         ids=["mesh", "dfn"])
+def test_unreadable_input_path_exit2(tmp_path, capsys, command):
+    """A directory given as the input file is an input error, not a traceback."""
+    assert run(["--out", tmp_path / "out", *command, tmp_path]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_agglomerate_lambda_zero_identity(tmp_path):
     mesh = save_grid(tmp_path)
     out = tmp_path / "out"
@@ -203,6 +217,18 @@ def test_solve_patch_and_report(tmp_path):
 def test_solve_unknown_solution_exit2(tmp_path):
     mesh = save_grid(tmp_path)
     assert run(["solve", mesh, "--solution", "nope"]) == 2
+
+
+@pytest.mark.parametrize("k", ["1", "3"])
+def test_dfn_solve_without_dirichlet_data_on_a_fracture_group_exit2(tmp_path, capsys, k):
+    """Fractures 2 and 3 meet no Dirichlet plane: their head is only fixed
+    up to a constant, so the solve stops before it starts."""
+    path = tmp_path / "pairs.dfn"
+    path.write_text(TWO_CROSSING_PAIRS)
+    out = tmp_path / "out"
+    assert run(["--out", out, "dfn-solve", "--network", path, "--area", "0.01", "--order", k]) == 2
+    assert "no Dirichlet boundary on fractures 2, 3" in capsys.readouterr().err
+    assert not (out / "dfn.csv").exists()
 
 
 def test_dfn_solve_builtin(tmp_path):
@@ -268,6 +294,26 @@ def test_dfn_solve_json_format(tmp_path):
 def test_convergence_needs_three_points(tmp_path):
     assert run(["convergence", "--network", "builtin:network1",
                 "--area", "0.1", "0.05"]) == 2
+
+
+@pytest.mark.parametrize("areas", [["0.1", "0.1", "0.1"], ["0.1", "0.099", "0.098"]],
+                         ids=["same-area", "same-mesh"])
+def test_convergence_needs_three_distinct_mesh_sizes(tmp_path, capsys, areas):
+    """Three areas that give fewer than three distinct h make no rate fit:
+    0.1, 0.099 and 0.098 give two identical meshes."""
+    out = tmp_path / "out"
+    assert run(["--out", out, "convergence", "--network", "builtin:network1",
+                "--area", *areas]) == 2
+    assert "at least 3 distinct mesh sizes h" in capsys.readouterr().err
+    assert not (out / "rates.csv").exists()
+
+
+def test_convergence_mesh_family_needs_three_distinct_mesh_sizes(tmp_path, capsys):
+    mesh = save_grid(tmp_path, 4, 4)
+    other = tmp_path / "g8.mesh"
+    save_mesh(grid_mesh(8, 8), other)
+    assert run(["--out", tmp_path / "out", "convergence", "--meshes", mesh, other, mesh]) == 2
+    assert "at least 3 distinct mesh sizes h" in capsys.readouterr().err
 
 
 def test_convergence_file_network_exit2(tmp_path, capsys):

@@ -44,6 +44,8 @@ from polyagg.solutions import CATALOG
 
 from conftest import (
     FUZZ_SETTINGS,
+    TWO_CROSSING_PAIRS,
+    adjacency_pairs,
     cell_dofs,
     dof_maps_equal,
     mesh_fields,
@@ -355,7 +357,7 @@ def test_cut_along_existing_edges_flags_constraints():
     e = out.edge_ids(np.argmin(np.linalg.norm(out.points - [1, 0], axis=1)),
                      np.argmin(np.linalg.norm(out.points - [1, 1], axis=1)))
     assert e >= 0 and out.edge_constrained[e]
-    assert out.adjacency_pairs() == []
+    assert adjacency_pairs(out) == []
 
 
 def on_trace_params(mesh, a2, b2, tol=1e-9):
@@ -1104,6 +1106,23 @@ def test_partial_dirichlet_planes_leave_neumann_boundary(tmp_path, k):
     assert system.dirichlet_val == pytest.approx(
         [on_planes[d] for d in system.dirichlet_idx], abs=1e-12
     )
+
+
+def test_fracture_group_without_dirichlet_data_is_an_error(tmp_path):
+    """Each group of fractures joined by traces needs a Dirichlet DOF: the
+    second pair meets no plane.  With the plane x = 1 moved to x = 6, on the
+    second pair, the network solves."""
+    path = tmp_path / "net.dfn"
+    path.write_text(TWO_CROSSING_PAIRS)
+    case = load_network(path)
+    assert sorted((t.frac_i, t.frac_j) for t in case.network.traces) == [(0, 1), (2, 3)]
+    disc = discretize_network(case, max_area=0.05)
+    for k in (1, 2):
+        with pytest.raises(NetworkError, match=r"no Dirichlet boundary on fractures 2, 3 "):
+            solve_discretized(disc, k, estimate_condition=False)
+    path.write_text(TWO_CROSSING_PAIRS.replace("1 0 0 -1 0.0", "1 0 0 -6 0.0"))
+    disc = discretize_network(load_network(path), max_area=0.05)
+    assert np.isfinite(solve_discretized(disc, 1, estimate_condition=False).solution).all()
 
 
 def test_non_finite_bc_value_on_its_plane_is_an_error(tmp_path):

@@ -15,13 +15,13 @@ from polyagg.agglomerate import (
     trivial_labeling,
 )
 from polyagg.dfn import cut_by_traces, network1, triangulate_fracture
-from polyagg.geometry import COLLINEAR_TOL
+from polyagg.geometry import COLLINEAR_TOL, KERNEL_REL_TOL
 import polyagg.mesh as mesh_mod
 from polyagg.mesh import MergeError, build_mesh
-from polyagg.quality import KERNEL_REL_TOL
 
 import polyagg.agglomerate as agg
 from conftest import (
+    adjacency_pairs,
     grid_mesh,
     mixed_region_mesh,
     mesh_fields,
@@ -183,7 +183,7 @@ def union_meshes(cut_fracture):
 def _union_loops(mesh):
     """(pair, union loop or None on MergeError) for every adjacent pair."""
     out = []
-    for pair in mesh.adjacency_pairs():
+    for pair in adjacency_pairs(mesh):
         try:
             out.append((pair, ref_union_loop(mesh, pair)))
         except MergeError:
@@ -223,7 +223,7 @@ def test_union_loops_match_scalar_reference(union_meshes, union_labels, which):
     errors' classes and messages, on every adjacent pair (both cell orders)
     and on every component that apply_labeling merges."""
     mesh = union_meshes[which]
-    pairs = mesh.adjacency_pairs()
+    pairs = adjacency_pairs(mesh)
     comps = [c for _, c in ref_label_components(mesh, union_labels[which]) if len(c) > 1]
     assert comps
     _assert_union_loops_match(mesh, pairs + [(q, p) for p, q in pairs] + comps)
@@ -345,7 +345,7 @@ def test_problem_costs_match_per_pair_reference(monkeypatch, union_meshes, which
     assert sum(s[0] for s in shapes) == sum(r is not None for r in rhos)
     if which == "mixed":
         assert None in rhos and 0.0 in rhos  # failed unions and non-star unions
-    for (p, q), r in list(zip(mesh.adjacency_pairs(), rhos))[:40]:
+    for (p, q), r in list(zip(adjacency_pairs(mesh), rhos))[:40]:
         assert agg._union_rhos(mesh, [(q, p)]) == [r]
 
 
@@ -484,7 +484,7 @@ def test_energy_trivial_labeling():
     m = grid_mesh(3, 2)
     config = AgglomerationConfig(lam=0.5)
     e = energy(m, trivial_labeling(m.n_cells), config)
-    n_edges = len(m.adjacency_pairs())
+    n_edges = len(adjacency_pairs(m))
     assert e.data_term == 0
     assert e.smooth_term == n_edges
     assert e.total == round(0.5 * m.n_cells) * n_edges

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from polyagg.mesh import (
     MergeNonSimpleError,
     MeshError,
     MeshFormatError,
+    PolygonalMesh,
     _union_loops,
     build_mesh,
     load_mesh,
@@ -18,7 +21,16 @@ from polyagg.mesh import (
 
 from hypothesis import given, strategies as st
 
-from conftest import FUZZ_SETTINGS, grid_mesh, mutated_file, ref_build_mesh_cells
+from conftest import (
+    FUZZ_SETTINGS,
+    adjacency_pairs,
+    grid_mesh,
+    mesh_fields,
+    mixed_region_mesh,
+    mutated_file,
+    ref_build_mesh_cells,
+    ref_neighbors,
+)
 
 
 TWO_SQUARES = dict(
@@ -30,26 +42,43 @@ TWO_SQUARES = dict(
 def test_single_cell_mesh():
     m = build_mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
     assert m.n_edges == 4
-    assert m.adjacency_pairs() == []
+    assert adjacency_pairs(m) == []
     assert m.h == pytest.approx(np.sqrt(2))
 
 
 def test_two_squares_adjacency():
     m = build_mesh(**TWO_SQUARES)
-    assert m.adjacency_pairs() == [(0, 1)]
+    assert adjacency_pairs(m) == [(0, 1)]
 
 
 def test_constrained_edge_breaks_adjacency():
     m = build_mesh(**TWO_SQUARES, constrained_edges=[(1, 4)])
-    assert m.adjacency_pairs() == []
+    assert adjacency_pairs(m) == []
     assert m.vertex_constrained[1] and m.vertex_constrained[4]
 
 
-def test_adjacency_symmetry():
-    m = grid_mesh(4, 3)
-    for c, nbs in enumerate(m.neighbors):
-        for nb in nbs:
-            assert c in m.neighbors[nb]
+def test_adjacent_pairs_match_edge_table_reference():
+    """``adjacent`` holds each pair of cells across an unconstrained shared
+    edge once, a < b, ascending, as int64 arrays."""
+    cut = build_mesh(**TWO_SQUARES, constrained_edges=[(1, 4)])
+    for m in (grid_mesh(4, 3), mixed_region_mesh(), cut):
+        a, b = m.adjacent
+        assert a.dtype == b.dtype == np.int64
+        ref = [(c, d) for c, nbs in enumerate(ref_neighbors(m)) for d in nbs if d > c]
+        assert adjacency_pairs(m) == ref
+
+
+def test_mesh_fields_sees_every_mesh_field():
+    """Each PolygonalMesh field, changed alone, changes ``mesh_fields``: the
+    bit-identity checks that compare meshes by it skip no table."""
+    m = grid_mesh(2, 2)
+    base = mesh_fields(m)
+    names = [f.name for f in dataclasses.fields(PolygonalMesh)]
+    assert list(base) == names
+    for name in names:
+        value = getattr(m, name)
+        changed = value + 1.0 if isinstance(value, float) else value[:-1]
+        assert mesh_fields(dataclasses.replace(m, **{name: changed})) != base, name
 
 
 def test_build_rejects_dangling_index():
@@ -184,7 +213,7 @@ def test_mesh_io_roundtrip(tmp_path):
     m2 = load_mesh(path)
     assert m2.n_cells == m.n_cells
     assert np.allclose(m2.points, m.points)
-    assert m2.adjacency_pairs() == m.adjacency_pairs()
+    assert adjacency_pairs(m2) == adjacency_pairs(m)
     assert m2.constrained_edge_pairs() == m.constrained_edge_pairs()
     assert np.array_equal(m2.vertex_constrained, m.vertex_constrained)
 
@@ -250,8 +279,7 @@ def test_edges_numbered_by_first_occurrence():
                                 [1, 2], [3, 4], [4, 7], [7, 8], [5, 8]]
     assert m.edge_cells.tolist() == [[0, -1], [0, 2], [0, 3], [0, -1], [1, -1], [1, -1],
                                      [1, 2], [2, -1], [2, -1], [3, -1], [3, -1], [3, -1]]
-    assert [list(nb) for nb in m.neighbors] == [[2, 3], [2], [0, 1], [0]]
-    assert all(nb.dtype == np.int64 for nb in m.neighbors)
+    assert adjacency_pairs(m) == [(0, 2), (0, 3), (1, 2)]
     assert [list(c) for c in m.cells] == MIXED["cells"]
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from polyagg import _kernels
-from polyagg.geometry import COLLINEAR_TOL
-from polyagg.quality import KERNEL_REL_TOL, mesh_quality_report, scores_from_points
+from polyagg.geometry import COLLINEAR_TOL, KERNEL_REL_TOL
+from polyagg.quality import mesh_quality_report, scores_from_points
 
 from conftest import (
     NON_STAR_POLY,
@@ -171,7 +171,7 @@ def test_quality_csv(tmp_path):
 
 
 def _scores(pts):
-    return _kernels.quality_scores(pts, COLLINEAR_TOL, KERNEL_REL_TOL)
+    return _kernels.quality_scores(pts)
 
 
 def _reference(poly):
