@@ -7,7 +7,6 @@ distinct labels.  Costs are integerized by the cell count, so every swap move
 is one exact integer min cut.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -435,11 +434,3 @@ def agglomerate(mesh: PolygonalMesh, config: AgglomerationConfig) -> Agglomerati
         merges_skipped=len(skipped),
     )
     return AgglomerationResult(out, labels, history, stats)
-
-
-def write_energy_csv(history, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cycle", "data", "smooth", "total"])
-        for h in history:
-            w.writerow([h.iterations, h.data_term, h.smooth_term, h.total])

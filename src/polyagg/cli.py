@@ -1,6 +1,7 @@
 """Command line front end: quality, agglomerate, solve, dfn-solve, convergence.
 
-Exit codes: 0 success, 2 input error, 3 numerical failure.
+Exit codes: 0 success, 2 input error, 3 numerical failure (out of memory
+included).
 """
 
 import argparse
@@ -12,15 +13,19 @@ from pathlib import Path
 import numpy as np
 
 from . import dfn, quality, vtkio
-from .agglomerate import AgglomerationConfig, agglomerate, write_energy_csv
+from .agglomerate import AgglomerationConfig, agglomerate
 from .mesh import MeshError, load_mesh, save_mesh
 from .solutions import CATALOG
 from .vem import SolverError
 
+# after "mesh" and "lambda", each report column is a NetworkRunReport field
 REPORT_COLUMNS = [
     "mesh", "lambda", "k", "cells", "dofs", "energy_initial", "energy_final",
     "err_l2", "err_h1", "nnz", "cond", "max_pi_nabla", "max_pi_0", "wall_time",
 ]
+QUALITY_COLUMNS = ["cell_id", "rho1", "rho2", "rho3", "rho4", "rho"]
+ENERGY_COLUMNS = ["cycle", "data", "smooth", "total"]
+RATE_COLUMNS = ["k", "lambda", "rate_h_l2", "rate_h_h1", "rate_dof_l2", "rate_dof_h1"]
 
 
 def _fmt(v):
@@ -31,17 +36,19 @@ def _fmt(v):
     return str(v)
 
 
-def write_report(rows, path, fmt="csv"):
+def write_table(rows, columns, path, fmt):
+    """Write the dicts ``rows`` to ``path.csv`` (a header of ``columns``, then
+    each row's values under them) or to ``path.json`` (each row's ``columns``)."""
+    rows = [{c: r.get(c) for c in columns} for r in rows]
     if fmt == "json":
-        with open(path, "w") as fh:
+        with open(f"{path}.json", "w") as fh:
             json.dump(rows, fh, indent=1, default=_fmt)
             fh.write("\n")
         return
-    with open(path, "w", newline="") as fh:
+    with open(f"{path}.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        for r in rows:
-            w.writerow([_fmt(r.get(c)) for c in REPORT_COLUMNS])
+        w.writerow(columns)
+        w.writerows([_fmt(v) for v in r.values()] for r in rows)
 
 
 def _outdir(args) -> Path:
@@ -54,7 +61,9 @@ def cmd_quality(args) -> int:
     mesh = load_mesh(args.mesh)
     report = quality.mesh_quality_report(mesh)
     out = _outdir(args)
-    quality.write_quality_csv(report, out / "quality.csv")
+    write_table([dict(zip(QUALITY_COLUMNS, (i, *s.as_tuple())))
+                 for i, s in enumerate(report.scores)],
+                QUALITY_COLUMNS, out / "quality", args.format)
     rhos = [s.rho for s in report.scores]
     vtkio.write_mesh_vtk(out / "quality.vtk", mesh, {"rho": rhos})
     print(f"cells={mesh.n_cells} min_rho={report.min_rho:.5f} "
@@ -71,7 +80,8 @@ def cmd_agglomerate(args) -> int:
     result = agglomerate(mesh, config)
     out = _outdir(args)
     save_mesh(result.mesh, out / "agglomerated.mesh")
-    write_energy_csv(result.history, out / "energy.csv")
+    write_table([dict(zip(ENERGY_COLUMNS, (h.iterations, h.data_term, h.smooth_term, h.total)))
+                 for h in result.history], ENERGY_COLUMNS, out / "energy", args.format)
     s = result.stats
     print(f"cells {s.cells_before} -> {s.cells_after}")
     print(f"edges {s.edges_before} -> {s.edges_after}")
@@ -95,8 +105,8 @@ def cmd_solve(args) -> int:
     disc = _mesh_discretization(args.mesh, args.solution)
     rep = dfn.solve_discretized(disc, args.order)
     out = _outdir(args)
-    write_report([_report_from_run(rep, str(args.mesh))],
-                 out / f"solve.{args.format}", args.format)
+    write_table([_report_from_run(rep, str(args.mesh))], REPORT_COLUMNS,
+                out / "solve", args.format)
     print(f"k={args.order} dofs={rep.dofs} err_l2={rep.err_l2:.3e} "
           f"err_h1={rep.err_h1:.3e} nnz={rep.nnz} cond={rep.cond:.3e}")
     return 0
@@ -109,29 +119,15 @@ def _load_case(spec: str):
 
 
 def _report_from_run(rep, mesh_id):
-    return {
-        "mesh": mesh_id,
-        "lambda": rep.lam,
-        "k": rep.k,
-        "cells": rep.cells,
-        "dofs": rep.dofs,
-        "energy_initial": rep.energy_initial,
-        "energy_final": rep.energy_final,
-        "err_l2": rep.err_l2,
-        "err_h1": rep.err_h1,
-        "nnz": rep.nnz,
-        "cond": rep.cond,
-        "max_pi_nabla": rep.max_pi_nabla,
-        "max_pi_0": rep.max_pi_0,
-        "wall_time": rep.wall_time,
-    }
+    return {"mesh": mesh_id, "lambda": rep.lam,
+            **{c: getattr(rep, c) for c in REPORT_COLUMNS[2:]}}
 
 
 def cmd_dfn(args) -> int:
     case = _load_case(args.network)
     out = _outdir(args)
     rows = []
-    for target in (args.area if args.area else [None]):
+    for target in args.area or [None]:
         cells = None if target is not None else args.cells
         for lam in args.lam:
             disc = dfn.discretize_network(
@@ -161,7 +157,7 @@ def cmd_dfn(args) -> int:
                      "rho": [s.rho for s in quality.mesh_quality_report(mesh).scores]},
                     to_global=frs[fid].to_global,
                 )
-    write_report(rows, out / f"dfn.{args.format}", args.format)
+    write_table(rows, REPORT_COLUMNS, out / "dfn", args.format)
     return 0
 
 
@@ -223,18 +219,9 @@ def cmd_convergence(args) -> int:
         r["expected_l2"] = base["err_l2"] * ratio ** ((r["k"] + 1) / 2.0)
         r["expected_h1"] = base["err_h1"] * ratio ** (r["k"] / 2.0)
 
-    with open(out / "convergence_rows.csv", "w", newline="") as fh:
-        cols = REPORT_COLUMNS + ["expected_l2", "expected_h1"]
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([_fmt(r.get(c)) for c in cols])
-    with open(out / "rates.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        cols = ["k", "lambda", "rate_h_l2", "rate_h_h1", "rate_dof_l2", "rate_dof_h1"]
-        w.writerow(cols)
-        for r in rates:
-            w.writerow([_fmt(r[c]) for c in cols])
+    write_table(rows, REPORT_COLUMNS + ["expected_l2", "expected_h1"],
+                out / "convergence_rows", args.format)
+    write_table(rates, RATE_COLUMNS, out / "rates", args.format)
     for r in rates:
         print(f"k={r['k']} lambda={r['lambda']} rate_h_l2={r['rate_h_l2']:.3f} "
               f"rate_h_h1={r['rate_h_h1']:.3f}")
@@ -294,17 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dfn-solve", help="full DFN pipeline solve")
     d.add_argument("--network", required=True,
                    help="DFN file or builtin:network1")
-    d.add_argument("--area", type=_positive(float, "area"), nargs="*", default=[])
-    d.add_argument("--cells", type=_positive(int, "cells"), default=None)
+    size = d.add_mutually_exclusive_group(required=True)
+    size.add_argument("--area", type=_positive(float, "area"), nargs="+")
+    size.add_argument("--cells", type=_positive(int, "cells"))
     d.add_argument("--lambda", dest="lam", type=_lambda, nargs="+", default=[0.0])
     d.add_argument("--order", type=int, choices=(1, 2, 3), nargs="+", default=[1])
     d.add_argument("--sc-mode", choices=("literal", "potts"), default="potts")
     d.set_defaults(func=cmd_dfn)
 
     c = sub.add_parser("convergence", help="rate table over refinements")
-    c.add_argument("--network", default=None)
+    family = c.add_mutually_exclusive_group(required=True)
+    family.add_argument("--network")
+    family.add_argument("--meshes", nargs="+")
     c.add_argument("--area", type=_positive(float, "area"), nargs="*", default=[])
-    c.add_argument("--meshes", nargs="*", default=[])
     c.add_argument("--solution", default="sinsin")
     c.add_argument("--lambda", dest="lam", type=_lambda, nargs="+", default=[0.0])
     c.add_argument("--order", type=int, choices=(1, 2, 3), nargs="+", default=[1])
@@ -314,17 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "dfn-solve" and not args.area and args.cells is None:
-        parser.error("dfn-solve needs --area or --cells")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MeshError, dfn.NetworkError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
-    except (SolverError, np.linalg.LinAlgError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
+    except (SolverError, np.linalg.LinAlgError, MemoryError) as err:
+        print(f"numerical failure: {err or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -1361,10 +1361,7 @@ def load_network(path) -> NetworkCase:
     value is an expression in x, y, z (grammar in ``_parse_bc_value``).
     """
     tokens = _LineTokens(path)
-    ln, tok = tokens.take("F header")
-    if tok[0] != "F" or len(tok) != 2:
-        raise MeshFormatError("expected 'F n' header", line=ln)
-    nf = parse_count(tok[1], "fracture count", ln)
+    ln, nf = tokens.header("F", "n", "fracture count")
     if nf < 1:
         raise MeshFormatError("network has no fractures", line=ln)
     fractures = []
@@ -1397,10 +1394,7 @@ def load_network(path) -> NetworkCase:
 
     traces = None
     if tokens.peek() == "T":
-        ln, tok = tokens.take("T header")
-        if len(tok) != 2:
-            raise MeshFormatError("expected 'T m' header", line=ln)
-        nt = parse_count(tok[1], "trace count", ln)
+        _, nt = tokens.header("T", "m", "trace count")
         traces = []
         tol = _trace_tol(fractures)
         for tid in range(nt):
@@ -1429,11 +1423,7 @@ def load_network(path) -> NetworkCase:
 
     bcs = []
     if tokens.peek() == "BC":
-        ln, tok = tokens.take("BC header")
-        if len(tok) != 2:
-            raise MeshFormatError("expected 'BC m' header", line=ln)
-        nb = parse_count(tok[1], "BC count", ln)
-        for _ in range(nb):
+        for _ in range(tokens.header("BC", "m", "BC count")[1]):
             ln, tok = tokens.take("BC line")
             if tok[0] != "dirichlet" or len(tok) < 6:
                 raise MeshFormatError(

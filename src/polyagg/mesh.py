@@ -626,12 +626,20 @@ class _LineTokens:
 
     def take(self, what):
         """The next line; at the end of the file a MeshFormatError naming
-        ``what`` at the last line."""
+        ``what`` at the last line (line 1 of an empty file)."""
         if self.pos >= len(self.lines):
             raise MeshFormatError(f"unexpected end of file, expected {what}",
-                                  line=self.n_lines)
+                                  line=max(self.n_lines, 1))
         self.pos += 1
         return self.lines[self.pos - 1]
+
+    def header(self, tag, letter, what):
+        """(line number, count) of the next line, a ``tag count`` block
+        header; else a MeshFormatError ``expected 'tag letter' header``."""
+        ln, tok = self.take(f"{tag} header")
+        if tok[0] != tag or len(tok) != 2:
+            raise MeshFormatError(f"expected '{tag} {letter}' header", line=ln)
+        return ln, parse_count(tok[1], what, ln)
 
     def peek(self):
         """First token of the next line, None at the end of the file."""
@@ -646,10 +654,7 @@ class _LineTokens:
 def load_mesh(path) -> PolygonalMesh:
     """Read the whitespace text format: V/C blocks plus optional E block."""
     tokens = _LineTokens(path)
-    ln, tok = tokens.take("V header")
-    if tok[0] != "V" or len(tok) != 2:
-        raise MeshFormatError("expected 'V n' header", line=ln)
-    nv = parse_count(tok[1], "vertex count", ln)
+    _, nv = tokens.header("V", "n", "vertex count")
     pts = []
     vflags = []
     for i in range(nv):
@@ -664,10 +669,7 @@ def load_mesh(path) -> PolygonalMesh:
         if len(tok) == 3 and tok[2] == "1":
             vflags.append(i)
 
-    ln, tok = tokens.take("C header")
-    if tok[0] != "C" or len(tok) != 2:
-        raise MeshFormatError("expected 'C m' header", line=ln)
-    nc = parse_count(tok[1], "cell count", ln)
+    ln, nc = tokens.header("C", "m", "cell count")
     if nc < 1:
         raise MeshFormatError("mesh has no cells", line=ln)
     cells = []
@@ -680,10 +682,7 @@ def load_mesh(path) -> PolygonalMesh:
     cons = []
     edge_lines = []
     if tokens.peek() is not None:
-        ln, tok = tokens.take("E header")
-        if tok[0] != "E" or len(tok) != 2:
-            raise MeshFormatError("expected 'E k' header", line=ln)
-        for _ in range(parse_count(tok[1], "edge count", ln)):
+        for _ in range(tokens.header("E", "k", "edge count")[1]):
             ln, tok = tokens.take("edge line")
             if len(tok) != 2:
                 raise MeshFormatError("edge line must be 'i j'", line=ln)

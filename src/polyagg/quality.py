@@ -6,7 +6,6 @@ score is sqrt(rho1*(rho2+rho3+rho4)/3), zero exactly for non-star-shaped
 cells and approaching one for squares and equilateral triangles.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +53,3 @@ def mesh_quality_report(mesh: PolygonalMesh) -> QualityReport:
     hist, edges = np.histogram(rhos, bins=10, range=(0.0, 1.0))
     return QualityReport(scores, float(rhos.min()), float(rhos.mean()), hist, edges)
 
-
-def write_quality_csv(report: QualityReport, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cell_id", "rho1", "rho2", "rho3", "rho4", "rho"])
-        for i, s in enumerate(report.scores):
-            w.writerow([i, repr(s.rho1), repr(s.rho2), repr(s.rho3),
-                        repr(s.rho4), repr(s.rho)])

@@ -1,4 +1,5 @@
 import bisect
+import csv
 import dataclasses
 import functools
 import os
@@ -1841,6 +1842,82 @@ def ref_write_polydata(path, points3, polygons, cell_data=None, title="polyagg")
                 lines.append(repr(float(v)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+REF_REPORT_COLUMNS = [
+    "mesh", "lambda", "k", "cells", "dofs", "energy_initial", "energy_final",
+    "err_l2", "err_h1", "nnz", "cond", "max_pi_nabla", "max_pi_0", "wall_time",
+]
+
+
+def ref_fmt(v):
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def ref_report_row(rep, mesh_id):
+    """A report row of a ``NetworkRunReport``, each field copied by hand."""
+    return {
+        "mesh": mesh_id,
+        "lambda": rep.lam,
+        "k": rep.k,
+        "cells": rep.cells,
+        "dofs": rep.dofs,
+        "energy_initial": rep.energy_initial,
+        "energy_final": rep.energy_final,
+        "err_l2": rep.err_l2,
+        "err_h1": rep.err_h1,
+        "nnz": rep.nnz,
+        "cond": rep.cond,
+        "max_pi_nabla": rep.max_pi_nabla,
+        "max_pi_0": rep.max_pi_0,
+        "wall_time": rep.wall_time,
+    }
+
+
+def ref_write_report(rows, path):
+    """The ``solve`` and ``dfn-solve`` report as CSV."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(REF_REPORT_COLUMNS)
+        for r in rows:
+            w.writerow([ref_fmt(r.get(c)) for c in REF_REPORT_COLUMNS])
+
+
+def ref_write_convergence(rows, rates, out):
+    """``convergence_rows.csv`` and ``rates.csv`` in the directory ``out``."""
+    with open(out / "convergence_rows.csv", "w", newline="") as fh:
+        cols = REF_REPORT_COLUMNS + ["expected_l2", "expected_h1"]
+        w = csv.writer(fh)
+        w.writerow(cols)
+        for r in rows:
+            w.writerow([ref_fmt(r.get(c)) for c in cols])
+    with open(out / "rates.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        cols = ["k", "lambda", "rate_h_l2", "rate_h_h1", "rate_dof_l2", "rate_dof_h1"]
+        w.writerow(cols)
+        for r in rates:
+            w.writerow([ref_fmt(r[c]) for c in cols])
+
+
+def ref_write_energy_csv(history, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["cycle", "data", "smooth", "total"])
+        for h in history:
+            w.writerow([h.iterations, h.data_term, h.smooth_term, h.total])
+
+
+def ref_write_quality_csv(report, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["cell_id", "rho1", "rho2", "rho3", "rho4", "rho"])
+        for i, s in enumerate(report.scores):
+            w.writerow([i, repr(s.rho1), repr(s.rho2), repr(s.rho3),
+                        repr(s.rho4), repr(s.rho)])
 
 
 def _comparable(value):

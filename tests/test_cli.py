@@ -1,15 +1,29 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from polyagg import dfn, quality, vem, vtkio
+from polyagg.agglomerate import AgglomerationConfig, agglomerate
 from polyagg.cli import main
 from polyagg.dfn import cut_by_traces
 from polyagg.mesh import load_mesh, save_mesh
 from polyagg.solutions import CATALOG
 
-from conftest import TWO_CROSSING_PAIRS, cell_dofs, grid_mesh, ref_write_polydata, tri_grid_mesh
+from conftest import (
+    TWO_CROSSING_PAIRS,
+    cell_dofs,
+    grid_mesh,
+    ref_fmt,
+    ref_report_row,
+    ref_write_convergence,
+    ref_write_energy_csv,
+    ref_write_polydata,
+    ref_write_quality_csv,
+    ref_write_report,
+    tri_grid_mesh,
+)
 
 
 def run(args):
@@ -52,6 +66,7 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
 
 
 @pytest.mark.parametrize("suffix, text, line", [
+    pytest.param(".mesh", "", 1, id="mesh-empty-file"),
     pytest.param(".mesh", "V two\n", 1, id="mesh-vertex-count"),
     pytest.param(".mesh", "V -1\n", 1, id="mesh-negative-count"),
     pytest.param(".mesh", TRIANGLE + "C one\n", 5, id="mesh-cell-count"),
@@ -69,6 +84,7 @@ TRIANGLE = "V 3\n0 0\n1 0\n0 1\n"
     pytest.param(".mesh", (TRIANGLE + "C 1\n0 1 2").encode() + b"\xff\n", 6, id="mesh-not-utf8"),
     pytest.param(".dfn", TWO_FRACTURES[:24].encode() + b"\xff" + TWO_FRACTURES[24:].encode(), 6,
                  id="dfn-not-utf8"),
+    pytest.param(".dfn", "", 1, id="dfn-empty-file"),
     pytest.param(".dfn", "F two\n", 1, id="dfn-fracture-count"),
     pytest.param(".dfn", "F 0\n", 1, id="dfn-no-fractures"),
     pytest.param(".dfn", "F 1\nthree\n", 2, id="dfn-vertex-count"),
@@ -142,10 +158,13 @@ def test_lambda_out_of_range_exit2(capsys, command, lam):
     pytest.param(["dfn-solve", "--cells", "-3"], id="dfn-cells-negative"),
     pytest.param(["dfn-solve", "--cells", "0"], id="dfn-cells-zero"),
     pytest.param(["dfn-solve"], id="dfn-no-area-or-cells"),
+    pytest.param(["dfn-solve", "--area", "0.1", "--cells", "50"], id="dfn-area-and-cells"),
     pytest.param(["dfn-solve", "--area", "0.1", "--order", "4"], id="dfn-order"),
     pytest.param(["convergence", "--area", "0.1", "0.05", "0.02", "--order", "4"],
                  id="convergence-order"),
     pytest.param(["convergence", "--area", "0.1", "0", "0.05"], id="convergence-area-zero"),
+    pytest.param(["convergence", "--meshes", "a.mesh", "b.mesh", "c.mesh"],
+                 id="convergence-network-and-meshes"),
 ])
 def test_bad_arguments_exit2_with_usage(capsys, args):
     command, *rest = args
@@ -398,3 +417,81 @@ def test_dfn_determinism_modulo_walltime(tmp_path):
         a.pop("wall_time")
         b.pop("wall_time")
         assert a == b
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_every_table_matches_the_reference_writers(tmp_path):
+    """Each command's CSV tables are byte for byte what the reference writers
+    write for the same data (a report table with the CLI's wall times), and
+    under ``--format json`` each table is ``<name>.json`` holding the CSV's rows."""
+    grid = save_grid(tmp_path, 2, 2)
+    cut = tmp_path / "cut.mesh"
+    save_mesh(cut_by_traces(tri_grid_mesh(6, 6), [((0.0, 0.53), (1.0, 0.53))]), cut)
+    jittered = []
+    for n in (4, 6, 8):
+        jittered.append(tmp_path / f"j{n}.mesh")
+        save_mesh(grid_mesh(n, n, jitter=0.3, seed=n), jittered[-1])
+    network = ["--network", "builtin:network1"]
+    commands = {
+        "quality": (["quality", grid], ["quality"]),
+        "agglomerate": (["agglomerate", cut, "--lambda", "1"], ["energy"]),
+        "solve": (["solve", jittered[1], "--order", "2"], ["solve"]),
+        "dfn-solve": (["dfn-solve", *network, "--area", "0.1", "--lambda", "0", "1",
+                       "--order", "1", "2"], ["dfn"]),
+        "convergence-meshes": (["convergence", "--meshes", *jittered, "--order", "1", "2"],
+                               ["convergence_rows", "rates"]),
+        "convergence-network": (["convergence", *network, "--area", "0.2", "0.1", "0.05",
+                                 "--lambda", "0", "1"], ["convergence_rows", "rates"]),
+    }
+    for name, (args, tables) in commands.items():
+        assert run(["--out", tmp_path / name / "csv", *args]) == 0
+        assert run(["--out", tmp_path / name / "json", "--format", "json", *args]) == 0
+        json_dir = tmp_path / name / "json"
+        assert sorted(p.name for p in json_dir.iterdir() if p.suffix in (".csv", ".json")) == [
+            f"{t}.json" for t in sorted(tables)]
+        for table in tables:
+            got = read_csv(tmp_path / name / "csv" / f"{table}.csv")
+            want = [{c: ref_fmt(v) for c, v in r.items()}
+                    for r in json.loads((json_dir / f"{table}.json").read_text())]
+            for r in got + want:
+                r.pop("wall_time", None)
+            assert got == want, (name, table)
+
+    lines = (tmp_path / "quality" / "csv" / "quality.csv").read_text().splitlines()
+    assert lines[0] == "cell_id,rho1,rho2,rho3,rho4,rho"
+    assert len(lines) == 5
+
+    def with_cli_wall_times(rows, name, table):
+        for r, got in zip(rows, read_csv(tmp_path / name / "csv" / f"{table}.csv")):
+            r["wall_time"] = float(got["wall_time"])
+        return rows
+
+    ref = tmp_path / "ref"
+    for name in commands:
+        (ref / name).mkdir(parents=True)
+    ref_write_quality_csv(quality.mesh_quality_report(load_mesh(grid)),
+                          ref / "quality" / "quality.csv")
+    ref_write_energy_csv(agglomerate(load_mesh(cut), AgglomerationConfig(lam=1.0)).history,
+                         ref / "agglomerate" / "energy.csv")
+    disc = dfn.mesh_discretization(load_mesh(jittered[1]), CATALOG["sinsin"],
+                                   name=str(jittered[1]))
+    rows = [ref_report_row(dfn.solve_discretized(disc, 2), str(jittered[1]))]
+    ref_write_report(with_cli_wall_times(rows, "solve", "solve"), ref / "solve" / "solve.csv")
+    rows = []
+    for lam in (0.0, 1.0):
+        disc = dfn.discretize_network(dfn.network1(), max_area=0.1, lam=lam)
+        rows += [ref_report_row(dfn.solve_discretized(disc, k), "area=0.1") for k in (1, 2)]
+    ref_write_report(with_cli_wall_times(rows, "dfn-solve", "dfn"), ref / "dfn-solve" / "dfn.csv")
+    for name in ("convergence-meshes", "convergence-network"):
+        json_dir = tmp_path / name / "json"
+        rows = json.loads((json_dir / "convergence_rows.json").read_text())
+        ref_write_convergence(with_cli_wall_times(rows, name, "convergence_rows"),
+                              json.loads((json_dir / "rates.json").read_text()), ref / name)
+    for name, (_, tables) in commands.items():
+        for table in tables:
+            got = (tmp_path / name / "csv" / f"{table}.csv").read_bytes()
+            assert got == (ref / name / f"{table}.csv").read_bytes(), (name, table)

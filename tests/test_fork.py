@@ -191,6 +191,29 @@ def test_cli_exit_codes_leave_no_child(cpus, monkeypatch, tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_out_of_memory_exits_3_and_leaves_no_child(cpus, monkeypatch, tmp_path, capsys, n):
+    """A MemoryError in fracture 0's pipeline, a child's share when there
+    are two CPUs, exits 3 with a one-line message and leaves no child."""
+    fid_of = _fid_by_cut_cells(dfn.network1(), 0.05)
+    agglomerate = dfn.agglomerate
+
+    def out_of_memory(mesh, config):
+        if fid_of[mesh.n_cells] == 0:
+            raise MemoryError("Unable to allocate 3.64 TiB for an array")
+        return agglomerate(mesh, config)
+
+    forks = cpus(n)
+    monkeypatch.setattr(dfn, "agglomerate", out_of_memory)
+    assert main(["--out", str(tmp_path), "dfn-solve", "--network", "builtin:network1",
+                 "--area", "0.05", "--lambda", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: Unable to allocate 3.64 TiB for an array\n"
+    assert len(forks) == n - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_fracture_warnings_arrive_in_fid_order(cpus, monkeypatch, n):
     case = dfn.network1()
     fid_of = _fid_by_cut_cells(case, 0.05)

@@ -158,18 +158,6 @@ def test_mesh_report_with_bad_cell():
     assert rep.min_rho == 0.0
 
 
-def test_quality_csv(tmp_path):
-    from polyagg.quality import write_quality_csv
-
-    m = grid_mesh(2, 2)
-    rep = mesh_quality_report(m)
-    path = tmp_path / "q.csv"
-    write_quality_csv(rep, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "cell_id,rho1,rho2,rho3,rho4,rho"
-    assert len(lines) == 5
-
-
 def _scores(pts):
     return _kernels.quality_scores(pts)
 
