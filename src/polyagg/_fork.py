@@ -1,10 +1,10 @@
 """Independent work in forked worker processes.
 
 ``Forked(fn, *args)`` starts ``fn(*args)`` in a child made by ``os.fork`` and
-``result()`` reads its pickled value and warnings back through a pipe.
-Without ``os.fork``, with one available CPU, or when the child fails in any
-way, ``result()`` runs ``fn(*args)`` in this process instead, so the caller
-gets the same value, warnings and exception either way.
+``result()`` reads its pickled value back through a pipe.  Only the value
+travels: the child runs with every warning an error.  Without ``os.fork``,
+or when the child fails in any way, ``result()`` is ``None``; the caller
+does the work itself then.
 """
 
 import os
@@ -21,19 +21,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def as_records(caught):
-    """The warnings ``warnings.catch_warnings(record=True)`` caught, as
-    (category, text, filename, lineno): pickle carries these, while a
-    warning's arguments or ``source`` may be anything."""
-    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-
-
-def replay(records):
-    """Emit again the warnings of ``as_records``."""
-    for category, text, filename, lineno in records:
-        warnings.warn_explicit(text, category, filename, lineno)
-
-
 class Forked:
     """``fn(*args)`` running in a forked child.
 
@@ -42,9 +29,8 @@ class Forked:
     """
 
     def __init__(self, fn, *args):
-        self._call = (fn, args)
         self._pid = self._pipe = None
-        if not hasattr(os, "fork") or available_cpus() < 2:
+        if not hasattr(os, "fork"):
             return
         rfd, wfd = os.pipe()
         try:
@@ -73,31 +59,26 @@ class Forked:
                 self._pid = None
 
     def result(self):
-        """The value of ``fn(*args)``, after its warnings; the child is reaped."""
-        fn, args = self._call
+        """The child's value of ``fn(*args)``, or ``None`` when there is no
+        child or it failed; the child is reaped."""
         if self._pid is None:
-            return fn(*args)
+            return None
         # read to the end first: a child blocks on a full pipe until then
         with open(self._pipe, "rb") as pipe:
             self._pipe = None
             data = pipe.read()
         try:
-            out = pickle.loads(data)  # while the child exits
+            return pickle.loads(data)  # while the child exits
         except Exception:
-            out = None  # cut short: the child failed before it wrote all
+            return None  # cut short: the child failed before it wrote all
         finally:
             os.waitpid(self._pid, 0)
             self._pid = None
-        if out is None:
-            return fn(*args)  # here the call raises the child's error
-        value, caught = out
-        replay(caught)
-        return value
 
 
 def _child(rfd, wfd, fn, args):
-    """Run ``fn(*args)``, write the pickle of its value and warnings to
-    ``wfd`` and exit.
+    """Run ``fn(*args)`` with every warning an error, write the pickle of
+    its value to ``wfd`` and exit.
 
     The child leaves only through ``os._exit``: it runs no exit handler,
     flushes none of the parent's buffered output and prints nothing.  It
@@ -107,10 +88,8 @@ def _child(rfd, wfd, fn, args):
     status = 1
     try:
         os.close(rfd)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = fn(*args)
-        data = pickle.dumps((value, as_records(caught)), protocol=pickle.HIGHEST_PROTOCOL)
+        warnings.simplefilter("error")
+        data = pickle.dumps(fn(*args), protocol=pickle.HIGHEST_PROTOCOL)
         with open(wfd, "wb") as pipe:
             pipe.write(data)
         status = 0

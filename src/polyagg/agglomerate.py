@@ -318,8 +318,8 @@ def apply_labeling(mesh: PolygonalMesh, labels, skipped=None) -> PolygonalMesh:
     """Merge every edge-connected component of each label class.
 
     Components whose union is not a simple hole-free polygon (or would erase
-    a constrained edge) fall back to their original cells with a warning;
-    a list ``skipped`` gets one (label, cells, reason) per such component.
+    a constrained edge) fall back to their original cells; a list
+    ``skipped`` gets one (label, cells, reason) per such component.
     Aligned edges are merged afterwards; constraints survive both steps.
     ``mesh`` itself is returned when neither step changes a cell.
     """
@@ -349,10 +349,8 @@ def apply_labeling(mesh: PolygonalMesh, labels, skipped=None) -> PolygonalMesh:
         if err is None:
             new_cells.append(loop)
             continue
-        label = int(labels[comp[0]])
-        warnings.warn(f"label {label}: merge of cells {comp} skipped ({err})", RuntimeWarning)
         if skipped is not None:
-            skipped.append((label, comp, str(err)))
+            skipped.append((int(labels[comp[0]]), comp, str(err)))
         new_cells.extend(mesh.cells[c] for c in comp)
 
     # aligned vertices are dropped before the one build of the merged mesh
@@ -365,6 +363,13 @@ def apply_labeling(mesh: PolygonalMesh, labels, skipped=None) -> PolygonalMesh:
     return build_mesh(mesh.points, kept, cons, cvs, compact=True)
 
 
+def warn_skipped(skipped) -> None:
+    """One RuntimeWarning per (label, cells, reason) of ``apply_labeling``'s
+    ``skipped`` list."""
+    for label, comp, reason in skipped:
+        warnings.warn(f"label {label}: merge of cells {comp} skipped ({reason})", RuntimeWarning)
+
+
 @dataclass
 class ReductionStats:
     """Sizes before and after agglomeration and the labeling energies.
@@ -372,7 +377,7 @@ class ReductionStats:
     ``energy_final`` and ``energy_saved`` are those of the labeling the mesh
     was built from: a merge that ``apply_labeling`` skipped leaves its cells
     with their own indices, so it differs from the minimizer's last energy
-    (the end of ``AgglomerationResult.history``) when ``merges_skipped`` > 0.
+    (the end of ``AgglomerationResult.history``) when ``skipped`` is not empty.
     """
 
     cells_before: int
@@ -385,7 +390,7 @@ class ReductionStats:
     energy_final: int
     energy_saved: float
     cycles: int
-    merges_skipped: int    # label components left as their cells (see apply_labeling)
+    skipped: list          # (label, cells, reason) of each merge left as its cells
 
 
 @dataclass
@@ -431,6 +436,6 @@ def agglomerate(mesh: PolygonalMesh, config: AgglomerationConfig) -> Agglomerati
         energy_final=e2,
         energy_saved=0.0 if e1 == 0 else (e1 - e2) / e1,
         cycles=history[-1].iterations,
-        merges_skipped=len(skipped),
+        skipped=skipped,
     )
     return AgglomerationResult(out, labels, history, stats)

@@ -7,13 +7,14 @@ included).
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import dfn, quality, vtkio
-from .agglomerate import AgglomerationConfig, agglomerate
+from .agglomerate import AgglomerationConfig, agglomerate, warn_skipped
 from .mesh import MeshError, load_mesh, save_mesh
 from .solutions import CATALOG
 from .vem import SolverError
@@ -38,11 +39,14 @@ def _fmt(v):
 
 def write_table(rows, columns, path, fmt):
     """Write the dicts ``rows`` to ``path.csv`` (a header of ``columns``, then
-    each row's values under them) or to ``path.json`` (each row's ``columns``)."""
+    each row's values under them) or to ``path.json`` (each row's ``columns``,
+    a float that is not finite as null)."""
     rows = [{c: r.get(c) for c in columns} for r in rows]
     if fmt == "json":
+        rows = [{c: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for c, v in r.items()} for r in rows]
         with open(f"{path}.json", "w") as fh:
-            json.dump(rows, fh, indent=1, default=_fmt)
+            json.dump(rows, fh, indent=1, default=_fmt, allow_nan=False)
             fh.write("\n")
         return
     with open(f"{path}.csv", "w", newline="") as fh:
@@ -78,6 +82,7 @@ def cmd_agglomerate(args) -> int:
                                  dc_power=args.dc_power,
                                  max_cycles=args.max_cycles)
     result = agglomerate(mesh, config)
+    warn_skipped(result.stats.skipped)
     out = _outdir(args)
     save_mesh(result.mesh, out / "agglomerated.mesh")
     write_table([dict(zip(ENERGY_COLUMNS, (h.iterations, h.data_term, h.smooth_term, h.total)))
@@ -170,6 +175,14 @@ def _fit_slope(xs, ys):
 
 
 def cmd_convergence(args) -> int:
+    if args.network:
+        family, foreign = "--network", {"--solution": args.solution}
+    else:
+        family, foreign = "--meshes", {"--area": args.area, "--lambda": args.lam,
+                                       "--sc-mode": args.sc_mode}
+    for flag, value in foreign.items():
+        if value is not None:
+            args.usage_error(f"argument {flag}: not allowed with argument {family}")
     out = _outdir(args)
     if args.network:
         case = _load_case(args.network)
@@ -178,12 +191,12 @@ def cmd_convergence(args) -> int:
                             "convergence rates against")
         families = (  # lazily: one lambda's meshes in memory at a time
             [dfn.discretize_network(case, max_area=a, lam=lam,
-                                    sc_mode=args.sc_mode)
-             for a in sorted(args.area, reverse=True)]
-            for lam in args.lam
+                                    sc_mode=args.sc_mode or "potts")
+             for a in sorted(args.area or [], reverse=True)]
+            for lam in args.lam or [0.0]
         )
     else:
-        families = [[_mesh_discretization(m, args.solution) for m in args.meshes]]
+        families = [[_mesh_discretization(m, args.solution or "sinsin") for m in args.meshes]]
     rows = []
     rates = []
     for discs in families:
@@ -293,12 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     family = c.add_mutually_exclusive_group(required=True)
     family.add_argument("--network")
     family.add_argument("--meshes", nargs="+")
-    c.add_argument("--area", type=_positive(float, "area"), nargs="*", default=[])
-    c.add_argument("--solution", default="sinsin")
-    c.add_argument("--lambda", dest="lam", type=_lambda, nargs="+", default=[0.0])
+    # --network only: --area, --lambda (default 0), --sc-mode (default potts);
+    # --meshes only: --solution (default sinsin)
+    c.add_argument("--area", type=_positive(float, "area"), nargs="*")
+    c.add_argument("--solution")
+    c.add_argument("--lambda", dest="lam", type=_lambda, nargs="+")
     c.add_argument("--order", type=int, choices=(1, 2, 3), nargs="+", default=[1])
-    c.add_argument("--sc-mode", choices=("literal", "potts"), default="potts")
-    c.set_defaults(func=cmd_convergence)
+    c.add_argument("--sc-mode", choices=("literal", "potts"))
+    c.set_defaults(func=cmd_convergence, usage_error=c.error)
     return p
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fork, geometry, vem
-from .agglomerate import AgglomerationConfig, agglomerate
+from .agglomerate import AgglomerationConfig, agglomerate, warn_skipped
 from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _components, _LineTokens,
                    _loop_edges, build_mesh, parse_count, parse_tokens)
 from .vem import SparseSpdSystem, build_dof_map
@@ -893,7 +893,7 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
                       sources.get(fid) if sources else None) for fid in fids]
     groups, A, b = vem.build_local_system(parts, gmap.n_global, dir_idx, dvals)
     free = np.setdiff1d(np.arange(gmap.n_global), dir_idx)
-    system = SparseSpdSystem(A, b, dir_idx, dvals, free, gmap)
+    system = SparseSpdSystem(A, b, dir_idx, dvals, free)
     return system, groups
 
 
@@ -1071,7 +1071,7 @@ class FracturePipelineInfo:
     energy_final: int
     energy_saved: float
     cycles: int
-    merges_skipped: int
+    skipped: list              # (label, cells, reason) of each skipped merge
     history: list
 
 
@@ -1108,24 +1108,23 @@ def _fracture_pipeline(network: FractureNetwork, fid, max_area, n_cells, config)
         energy_final=stats.energy_final,
         energy_saved=stats.energy_saved,
         cycles=stats.cycles,
-        merges_skipped=stats.merges_skipped,
+        skipped=stats.skipped,
         history=result.history,
     )
 
 
 def _fracture_share(network: FractureNetwork, fids, max_area, n_cells, config) -> dict:
-    """fid -> (mesh, info, recorded warnings) of ``_fracture_pipeline`` on
-    each of ``fids`` in turn.  The first fracture that raises ends the
-    share; it and the fractures after it are left out."""
+    """fid -> (mesh, info) of ``_fracture_pipeline`` on each of ``fids`` in
+    turn, with every warning an error.  The first fracture that raises or
+    warns ends the share; it and the fractures after it are left out."""
     done = {}
-    for fid in fids:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fid in fids:
             try:
-                mesh, info = _fracture_pipeline(network, fid, max_area, n_cells, config)
+                done[fid] = _fracture_pipeline(network, fid, max_area, n_cells, config)
             except Exception:
                 break
-        done[fid] = (mesh, info, _fork.as_records(caught))
     return done
 
 
@@ -1147,10 +1146,10 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
     """triangulate + cut + agglomerate per fracture, then stitch globally.
 
     The fractures are split by area over one worker per available CPU: this
-    process runs the first share and a forked child each other one.  The
-    result, the warnings (re-emitted in fid order) and the error raised (that
-    of the lowest fid that fails, by running it again here) are those of one
-    fracture after another.
+    process runs the first share and a forked child each other one.  A
+    fracture a share left out (it raised or warned there) runs again here,
+    in fid order, so the result, the warnings (the skipped merges among
+    them) and the error raised are those of one fracture after another.
     """
     network = case.network
     config = AgglomerationConfig(lam=lam, sc_mode=sc_mode)
@@ -1162,16 +1161,13 @@ def discretize_network(case: NetworkCase, max_area=None, n_cells=None,
                     for share in shares[1:]]
         done = _fracture_share(network, shares[0], *args)
         for child in children:
-            done.update(child.result())
+            done.update(child.result() or {})
 
     meshes = {}
     infos = {}
     for fid in sorted(areas):
-        if fid not in done:
-            meshes[fid], infos[fid] = _fracture_pipeline(network, fid, *args)
-            continue
-        meshes[fid], infos[fid], caught = done[fid]
-        _fork.replay(caught)
+        meshes[fid], infos[fid] = done.get(fid) or _fracture_pipeline(network, fid, *args)
+        warn_skipped(infos[fid].skipped)
 
     stitched, matches = stitch_meshes(meshes, network)
     # the refinement parameter is the triangulation size h: agglomeration
@@ -1192,7 +1188,7 @@ def mesh_discretization(mesh: PolygonalMesh, exact, name="mesh") -> NetworkDiscr
                        frame=((0, 0, 0), (1, 0, 0), (0, 1, 0)))
     case = NetworkCase(name, FractureNetwork([fr], []), {0: exact})
     info = FracturePipelineInfo(0, mesh.n_cells, mesh.n_cells, mesh.n_cells,
-                                mesh.h, 0, 0, 0.0, 0, 0, [])
+                                mesh.h, 0, 0, 0.0, 0, [], [])
     return NetworkDiscretization(case, 0.0, {0: mesh}, {}, {0: info}, mesh.h)
 
 
@@ -1205,7 +1201,7 @@ class NetworkRunReport:
     cells: int
     dofs: int
     nnz: int
-    cond: float
+    cond: float | None       # None when not estimated
     err_l2: float | None
     err_h1: float | None
     sol_l2: float
@@ -1242,9 +1238,7 @@ def solve_discretized(disc: NetworkDiscretization, k: int,
         err_l2, err_h1 = vem.error_norms(groups, projected, [sol.u for sol in exact],
                                          [sol.grad for sol in exact])
     dn, d0 = vem.projection_discrepancy(groups)
-    cond = float("nan")
-    if estimate_condition:
-        cond = vem.condition_estimate(system).cond
+    cond = vem.condition_estimate(system).cond if estimate_condition else None
 
     report = NetworkRunReport(
         case=case.name,

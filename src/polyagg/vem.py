@@ -361,7 +361,6 @@ class SparseSpdSystem:
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
     free_idx: np.ndarray
-    dofmap: DofMap
     _factor: object = field(default=None, repr=False)
 
     @property
@@ -565,7 +564,7 @@ def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
     part = Part(mesh, dofmap, np.arange(dofmap.total), K, f)
     groups, A, b = build_local_system([part], dofmap.total, dir_idx, dir_val)
     free = np.setdiff1d(np.arange(dofmap.total), dir_idx)
-    system = SparseSpdSystem(A, b, dir_idx, dir_val, free, dofmap)
+    system = SparseSpdSystem(A, b, dir_idx, dir_val, free)
     return system, groups
 
 

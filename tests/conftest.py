@@ -36,6 +36,37 @@ def equilateral_cell(side=1.0):
     return np.array([[0, 0], [side, 0], [side / 2, h]])
 
 
+def random_rectangle_network(rng, n):
+    """``n`` random rectangles in the unit cube, in random orientations."""
+    fractures = []
+    for fid in range(n):
+        c = rng.random(3)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        v = rng.normal(size=3)
+        v -= (v @ u) * u
+        v /= np.linalg.norm(v)
+        a, b = 0.2 + 0.5 * rng.random(2)
+        fractures.append(dfn.make_fracture(
+            [c - a * u - b * v, c + a * u - b * v, c + a * u + b * v, c - a * u + b * v],
+            fid=fid))
+    return fractures
+
+
+def random_networks(count=10):
+    """The first ``count`` networks of four random rectangles (seeds 0, 1,
+    ...) in which every fracture meets another."""
+    found, seed = [], 0
+    while len(found) < count:
+        fractures = random_rectangle_network(np.random.default_rng(seed), 4)
+        seed += 1
+        try:
+            found.append(dfn.FractureNetwork(fractures, dfn.compute_traces(fractures)))
+        except dfn.NetworkError:
+            continue
+    return found
+
+
 def grid_mesh(nx, ny, lx=1.0, ly=1.0, constrained_edges=(), jitter=0.0, seed=0):
     """Quad grid mesh over [0,lx]x[0,ly]; optional interior vertex jitter."""
     xs = np.linspace(0.0, lx, nx + 1)

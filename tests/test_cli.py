@@ -6,7 +6,7 @@ import pytest
 
 from polyagg import dfn, quality, vem, vtkio
 from polyagg.agglomerate import AgglomerationConfig, agglomerate
-from polyagg.cli import main
+from polyagg.cli import main, write_table
 from polyagg.dfn import cut_by_traces
 from polyagg.mesh import load_mesh, save_mesh
 from polyagg.solutions import CATALOG
@@ -21,6 +21,7 @@ from conftest import (
     ref_write_energy_csv,
     ref_write_polydata,
     ref_write_quality_csv,
+    random_networks,
     ref_write_report,
     tri_grid_mesh,
 )
@@ -165,6 +166,8 @@ def test_lambda_out_of_range_exit2(capsys, command, lam):
     pytest.param(["convergence", "--area", "0.1", "0", "0.05"], id="convergence-area-zero"),
     pytest.param(["convergence", "--meshes", "a.mesh", "b.mesh", "c.mesh"],
                  id="convergence-network-and-meshes"),
+    pytest.param(["convergence", "--area", "0.1", "0.05", "0.02", "--solution", "nope"],
+                 id="convergence-network-and-solution"),
 ])
 def test_bad_arguments_exit2_with_usage(capsys, args):
     command, *rest = args
@@ -173,6 +176,21 @@ def test_bad_arguments_exit2_with_usage(capsys, args):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", [["--lambda", "1"], ["--area", "5"], ["--area"],
+                                    ["--sc-mode", "literal"]])
+def test_convergence_meshes_rejects_network_options(tmp_path, capsys, option):
+    """--area, --lambda and --sc-mode belong to --network: with --meshes they
+    are a usage error, and nothing is written."""
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", tmp_path / "out", "convergence", "--meshes", "a.mesh", "b.mesh",
+             "c.mesh", *option])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err
+    assert f"error: argument {option[0]}: not allowed with argument --meshes" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cycles", ["0", "-3"])
@@ -218,6 +236,27 @@ def test_agglomerate_aggressive_on_cut_triangles(tmp_path):
     assert 0.6 <= reduction <= 0.8
     # constraints survive the CLI round trip
     assert len(m2.constrained_edge_pairs()) > 0
+
+
+def test_agglomerate_command_warns_each_skipped_merge(tmp_path):
+    """``agglomerate`` warns once per merge the library skipped, with
+    ``warn_skipped``'s text, in the library's order."""
+    network = random_networks(1)[0]
+    for fr in network.fractures:
+        segs = [t.local_segment(fr) for t in network.fracture_traces(fr.fid)]
+        cut = cut_by_traces(dfn.triangulate_fracture(fr, max_area=2e-2), segs,
+                            tol_rel=dfn.TOL_REL * network.scale / fr.diameter)
+        skipped = agglomerate(cut, AgglomerationConfig(lam=1.0)).stats.skipped
+        if skipped:
+            break
+    assert skipped
+    path = tmp_path / "cut.mesh"
+    save_mesh(cut, path)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert run(["--out", tmp_path / "out", "agglomerate", path, "--lambda", "1"]) == 0
+    assert [str(w.message) for w in caught] == [
+        f"label {label}: merge of cells {comp} skipped ({reason})"
+        for label, comp, reason in skipped]
 
 
 def test_solve_patch_and_report(tmp_path):
@@ -376,7 +415,7 @@ def test_single_mesh_route_matches_reference(tmp_path):
         err_l2, err_h1 = vem.error_norms(groups, vem.projected_solution(groups, x),
                                          [ms.u], [ms.grad])
         dn, d0 = vem.projection_discrepancy(groups)
-        return {"mesh": str(path), "k": str(k), "dofs": str(system.dofmap.total),
+        return {"mesh": str(path), "k": str(k), "dofs": str(vem.build_dof_map(mesh, k).total),
                 "nnz": str(system.nnz), "err_l2": float(err_l2),
                 "err_h1": float(err_h1),
                 "cond": float(vem.condition_estimate(system).cond),
@@ -424,10 +463,12 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def test_every_table_matches_the_reference_writers(tmp_path):
-    """Each command's CSV tables are byte for byte what the reference writers
-    write for the same data (a report table with the CLI's wall times), and
-    under ``--format json`` each table is ``<name>.json`` holding the CSV's rows."""
+@pytest.fixture(scope="module")
+def cli_tables(tmp_path_factory):
+    """Every command run under both formats into ``<dir>/<name>/csv`` and
+    ``<dir>/<name>/json``: (dir, name -> (CLI arguments, tables written),
+    (grid, cut, jittered) input meshes)."""
+    tmp_path = tmp_path_factory.mktemp("tables")
     grid = save_grid(tmp_path, 2, 2)
     cut = tmp_path / "cut.mesh"
     save_mesh(cut_by_traces(tri_grid_mesh(6, 6), [((0.0, 0.53), (1.0, 0.53))]), cut)
@@ -447,9 +488,38 @@ def test_every_table_matches_the_reference_writers(tmp_path):
         "convergence-network": (["convergence", *network, "--area", "0.2", "0.1", "0.05",
                                  "--lambda", "0", "1"], ["convergence_rows", "rates"]),
     }
-    for name, (args, tables) in commands.items():
+    for name, (args, _) in commands.items():
         assert run(["--out", tmp_path / name / "csv", *args]) == 0
         assert run(["--out", tmp_path / name / "json", "--format", "json", *args]) == 0
+    return tmp_path, commands, (grid, cut, jittered)
+
+
+def test_every_json_table_is_strict_json(cli_tables, tmp_path):
+    """Every ``--format json`` table parses with NaN and infinities refused:
+    a value not measured (the network families' ``cond``) or not finite is
+    null."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    root, commands, _ = cli_tables
+    for name, (_, tables) in commands.items():
+        for table in tables:
+            json.loads((root / name / "json" / f"{table}.json").read_text(),
+                       parse_constant=refuse)
+    rows = json.loads((root / "convergence-network" / "json" / "convergence_rows.json").read_text())
+    assert [r["cond"] for r in rows] == [None] * 6
+    write_table([{"a": float("nan"), "b": -np.inf, "c": 1.5}], ["a", "b", "c"],
+                tmp_path / "t", "json")
+    assert json.loads((tmp_path / "t.json").read_text(), parse_constant=refuse) == [
+        {"a": None, "b": None, "c": 1.5}]
+
+
+def test_every_table_matches_the_reference_writers(cli_tables):
+    """Each command's CSV tables are byte for byte what the reference writers
+    write for the same data (a report table with the CLI's wall times), and
+    under ``--format json`` each table is ``<name>.json`` holding the CSV's rows."""
+    tmp_path, commands, (grid, cut, jittered) = cli_tables
+    for name, (_, tables) in commands.items():
         json_dir = tmp_path / name / "json"
         assert sorted(p.name for p in json_dir.iterdir() if p.suffix in (".csv", ".json")) == [
             f"{t}.json" for t in sorted(tables)]

@@ -1,5 +1,5 @@
-"""The forked per-fracture workers give the results of one fracture after
-another, and leave no child process behind."""
+"""The forked per-fracture workers give the results and warnings of one
+fracture after another, and leave no child process behind."""
 
 import json
 import os
@@ -15,7 +15,7 @@ from polyagg.cli import main
 from polyagg.mesh import MeshError, build_mesh
 from polyagg.vem import SolverError
 
-from conftest import grid_mesh, mesh_fields
+from conftest import grid_mesh, mesh_fields, random_networks
 
 
 @pytest.fixture
@@ -63,6 +63,33 @@ def test_forked_discretization_matches_in_process(cpus, area, lam):
     alone = dfn.discretize_network(case, max_area=area, lam=lam)
     assert forks == []
     assert _disc_values(forked) == _disc_values(alone)
+
+
+def test_random_networks_skip_the_same_merges_forked_and_in_process(cpus, capfd):
+    """On the random networks at area 2e-2, lambda 1, where merges are
+    skipped, the forked and in-process runs give the same meshes, infos (with
+    their skipped lists), matches and h, and the same skip warnings: each
+    once, here, in fid order.  No child prints anything."""
+    cases = [dfn.NetworkCase(f"random {i}", net) for i, net in enumerate(random_networks())]
+    runs = []
+    for n in (2, 1):
+        forks = cpus(n)
+        discs, caught = [], []
+        for case in cases:
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                discs.append(_disc_values(dfn.discretize_network(case, max_area=2e-2, lam=1.0)))
+            caught.append([(w.category, str(w.message)) for w in record])
+        assert len(forks) == (n - 1) * len(cases)
+        runs.append((discs, caught))
+    assert runs[0] == runs[1]
+    discs, caught = runs[1]
+    assert caught == [
+        [(RuntimeWarning, f"label {label}: merge of cells {comp} skipped ({reason})")
+         for _, info in sorted(infos.items()) for label, comp, reason in info.skipped]
+        for _, infos, _, _ in discs]
+    assert sum(map(len, caught)) == 36
+    assert capfd.readouterr() == ("", "")
 
 
 def test_balanced_shares_put_the_largest_fracture_first():
@@ -131,16 +158,18 @@ def test_lowest_failing_fracture_raises(cpus, monkeypatch, n):
     assert len(forks) == n - 1
 
 
-def test_fracture_failing_only_in_its_worker_is_solved_here(cpus, monkeypatch):
+def test_fracture_failing_only_in_its_worker_is_solved_here(cpus, monkeypatch, tmp_path):
     """Fracture 0, in the child's share, fails there only: this process
-    solves it again, and meshes, infos and warnings are those of a run in
-    one process."""
+    solves it and fracture 1 after it again, and meshes and infos are those
+    of a run in one process."""
     case = dfn.network1()
     pipeline = dfn._fracture_pipeline
     here = os.getpid()
+    path = tmp_path / "runs"
 
     def fails_in_worker(network, fid, *args):
-        warnings.warn(f"fracture {fid} starts", RuntimeWarning)
+        with open(path, "a") as out:
+            out.write(f"{fid}:{'here' if os.getpid() == here else 'child'}\n")
         if fid == 0 and os.getpid() != here:
             raise MemoryError("fracture 0 fails in its worker")
         return pipeline(network, fid, *args)
@@ -149,15 +178,12 @@ def test_fracture_failing_only_in_its_worker_is_solved_here(cpus, monkeypatch):
     runs = []
     for n in (2, 1):
         forks = cpus(n)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            disc = dfn.discretize_network(case, max_area=0.05, lam=1.0)
+        disc = dfn.discretize_network(case, max_area=0.05, lam=1.0)
         assert len(forks) == n - 1
-        runs.append(({fid: mesh_fields(mesh) for fid, mesh in disc.meshes.items()}, disc.info,
-                     [(w.category, str(w.message)) for w in caught]))
+        runs.append(({fid: mesh_fields(mesh) for fid, mesh in disc.meshes.items()}, disc.info))
     assert runs[0] == runs[1]
-    assert [text for _, text in runs[0][2] if text.endswith("starts")] == [
-        f"fracture {fid} starts" for fid in range(3)]
+    assert sorted(path.read_text().split()) == [
+        "0:child", "0:here", "0:here", "1:here", "1:here", "2:here", "2:here"]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -246,32 +272,21 @@ def test_mesh_pickle_keeps_every_field():
         assert back.n_cells == mesh.n_cells
 
 
-def test_forked_call_returns_the_childs_value(cpus):
+def test_forked_call_returns_the_childs_value(cpus, monkeypatch):
+    """The child's value comes back; without ``os.fork`` there is none."""
     forks = cpus(2)
     with _fork.Forked(os.getpid) as child:
         pid = child.result()
     assert forks == [pid] and pid != os.getpid()
-    cpus(1)
+    monkeypatch.delattr(_fork.os, "fork")
     with _fork.Forked(os.getpid) as alone:
-        assert alone.result() == os.getpid()
+        assert alone.result() is None
 
 
 def _warn_twice():
     for k in range(2):
         warnings.warn(f"from the child, warning {k}", RuntimeWarning)
     return "value"
-
-
-def test_child_warnings_are_emitted_here_and_not_printed(cpus, capfd):
-    forks = cpus(2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with _fork.Forked(_warn_twice) as child:
-            assert child.result() == "value"
-    assert len(forks) == 1
-    assert [str(w.message) for w in caught] == [f"from the child, warning {k}" for k in range(2)]
-    assert {(w.category, w.filename) for w in caught} == {(RuntimeWarning, __file__)}
-    assert capfd.readouterr() == ("", "")
 
 
 class _Unpicklable:
@@ -293,35 +308,62 @@ def _warn_unpicklable(path):
     return 42
 
 
-def test_unpicklable_warnings_come_back_without_a_rerun(cpus, tmp_path):
-    """Warnings whose arguments or source pickle cannot carry come back with
-    their category and text, and the call runs in the child only."""
+def test_a_warning_fails_the_child_which_prints_nothing(cpus, capfd, tmp_path):
+    """A child runs with every warning an error: a call that warns, also with
+    what pickle cannot carry, gives None, is not run here, and neither it
+    nor its warnings print anything."""
     forks = cpus(2)
     path = tmp_path / "pids"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with _fork.Forked(_warn_unpicklable, path) as child:
-            assert child.result() == 42
-    assert path.read_text().split() == [str(pid) for pid in forks] and len(forks) == 1
-    assert [(w.category, str(w.message), w.filename) for w in caught] == [
-        (UserWarning, "('leaked', <unpicklable>)", __file__),
-        (ResourceWarning, "unclosed file", __file__),
-    ]
+        for fn, args in ((_warn_twice, ()), (_warn_unpicklable, (path,))):
+            with _fork.Forked(fn, *args) as child:
+                assert child.result() is None
+    assert len(forks) == 2 and path.read_text().split() == [str(forks[1])]
+    assert caught == []
+    assert capfd.readouterr() == ("", "")
 
 
-def test_unpicklable_fracture_warnings_run_each_fracture_once(cpus, monkeypatch, tmp_path):
-    """A child's share whose warnings pickle cannot carry is not solved again
-    here: each fracture runs once, and its warnings arrive in fid order."""
+def test_child_warnings_are_emitted_here_and_not_printed(cpus, monkeypatch, capfd):
+    """Fracture 0, in the child's share, warns twice: the warnings are
+    emitted once each, here, with their category and filename, and no
+    process prints anything."""
     case = dfn.network1()
     fid_of = _fid_by_cut_cells(case, 0.05)
     agglomerate = dfn.agglomerate
+
+    def warning(mesh, config):
+        if fid_of[mesh.n_cells] == 0:
+            _warn_twice()
+        return agglomerate(mesh, config)
+
+    monkeypatch.setattr(dfn, "agglomerate", warning)
+    forks = cpus(2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dfn.discretize_network(case, max_area=0.05, lam=1.0)
+    assert len(forks) == 1
+    assert [str(w.message) for w in caught] == [f"from the child, warning {k}" for k in range(2)]
+    assert {(w.category, w.filename) for w in caught} == {(RuntimeWarning, __file__)}
+    assert capfd.readouterr() == ("", "")
+
+
+def test_fracture_that_warns_in_a_worker_runs_again_here(cpus, monkeypatch, tmp_path):
+    """Fracture 0 warns, with what pickle cannot carry, in the child's share:
+    the share ends there, this process runs fractures 0 and 1 again, and the
+    warning is emitted once, here."""
+    case = dfn.network1()
+    fid_of = _fid_by_cut_cells(case, 0.05)
+    agglomerate = dfn.agglomerate
+    here = os.getpid()
     path = tmp_path / "runs"
 
     def warning(mesh, config):
         fid = fid_of[mesh.n_cells]
         with open(path, "a") as out:
-            out.write(f"{fid}\n")
-        warnings.warn(UserWarning(f"fracture {fid}", _Unpicklable()))
+            out.write(f"{fid}:{'here' if os.getpid() == here else 'child'}\n")
+        if fid == 0:
+            warnings.warn(UserWarning(f"fracture {fid}", _Unpicklable()))
         return agglomerate(mesh, config)
 
     monkeypatch.setattr(dfn, "agglomerate", warning)
@@ -329,9 +371,8 @@ def test_unpicklable_fracture_warnings_run_each_fracture_once(cpus, monkeypatch,
     with pytest.warns(UserWarning) as caught:
         dfn.discretize_network(case, max_area=0.05, lam=1.0)
     assert len(forks) == 1
-    assert sorted(path.read_text().split()) == ["0", "1", "2"]
-    assert [str(w.message) for w in caught] == [
-        f"('fracture {fid}', <unpicklable>)" for fid in range(3)]
+    assert sorted(path.read_text().split()) == ["0:child", "0:here", "1:here", "2:here"]
+    assert [str(w.message) for w in caught] == ["('fracture 0', <unpicklable>)"]
 
 
 def _only_here(parent):
@@ -340,14 +381,14 @@ def _only_here(parent):
     return "here"
 
 
-def test_failed_child_runs_the_call_again_here(cpus):
+def test_failed_child_gives_none(cpus):
     """A call that raises in the child, or returns what pickle cannot carry,
-    is run again in this process."""
+    gives None: it is not run again in this process."""
     forks = cpus(2)
     with _fork.Forked(_only_here, os.getpid()) as child:
-        assert child.result() == "here"
+        assert child.result() is None
     with _fork.Forked(lambda: lambda: 7) as child:
-        assert child.result()() == 7
+        assert child.result() is None
     assert len(forks) == 2
 
 

@@ -13,6 +13,7 @@ from polyagg.agglomerate import (
     minimize,
     swap_move,
     trivial_labeling,
+    warn_skipped,
 )
 from polyagg.dfn import cut_by_traces, network1, triangulate_fracture
 from polyagg.geometry import COLLINEAR_TOL, KERNEL_REL_TOL
@@ -261,8 +262,9 @@ def test_union_loops_errors_match_scalar_reference(cells, error):
 @pytest.mark.parametrize("which", ["cut", "lambda1", "mixed", "bent"])
 def test_apply_labeling_matches_scalar_reference(union_meshes, union_labels, which):
     """apply_labeling merges the components the scalar search finds, in its
-    order, into the scalar trace's loops, warns for the same failed merges,
-    and its simplification drops the scalar mask's vertices."""
+    order, into the scalar trace's loops, reports the same failed merges
+    without a warning, and its simplification drops the scalar mask's
+    vertices."""
     mesh, labels = union_meshes[which], union_labels[which]
     new_cells, skipped = [], []
     for lab, comp in ref_label_components(mesh, labels):
@@ -270,7 +272,7 @@ def test_apply_labeling_matches_scalar_reference(union_meshes, union_labels, whi
         if err is None:
             new_cells.append(np.asarray(loop, dtype=np.int64))
         else:
-            skipped.append(f"label {lab}: merge of cells {comp} skipped ({err[1]})")
+            skipped.append((int(lab), comp, err[1]))
             new_cells.extend(mesh.cells[c] for c in comp)
     merged = build_mesh(mesh.points, new_cells, mesh.constrained_edge_pairs(),
                         np.nonzero(mesh.vertex_constrained)[0])
@@ -278,20 +280,24 @@ def test_apply_labeling_matches_scalar_reference(union_meshes, union_labels, whi
     got = mesh_mod._removable_vertices(merged.points, merged.cells, merged.constrained_edge_pairs(),
                                       np.flatnonzero(merged.vertex_constrained))
     assert removable.any() and np.array_equal(got, removable)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = apply_labeling(mesh, labels)
-    assert [str(w.message) for w in caught] == skipped
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_labeling(mesh, labels, got)
+    assert got == skipped
     assert mesh_fields(out) == mesh_fields(ref_simplify_aligned_edges(merged))
 
 
 def test_apply_labeling_skip_warning_names_merge_of_cells():
-    """A skipped merge warns with "merge of cells" in a RuntimeWarning: the
-    benchmark counts ``agglomerate.merges_skipped`` from that text."""
+    """``warn_skipped`` turns a skipped merge into a RuntimeWarning with
+    "merge of cells" in it: the benchmark counts ``agglomerate.merges_skipped``
+    from that text."""
     m = grid_mesh(3, 3)
     labels = np.where(np.arange(9) == 4, 4, 0)
+    skipped = []
+    apply_labeling(m, labels, skipped)
     with pytest.warns(RuntimeWarning) as caught:
-        apply_labeling(m, labels)
+        warn_skipped(skipped)
     assert [str(w.message) for w in caught] == [
         "label 0: merge of cells [0, 1, 2, 3, 5, 6, 7, 8] skipped (union encloses a hole)"
     ]
@@ -625,27 +631,28 @@ def test_apply_labeling_hole_falls_back():
     labels = np.arange(9)
     for c in [0, 1, 2, 3, 5, 6, 7, 8]:
         labels[c] = 0
-    with pytest.warns(RuntimeWarning, match="skipped"):
-        out = apply_labeling(m, labels)
+    skipped = []
+    out = apply_labeling(m, labels, skipped)
+    assert [comp for _, comp, _ in skipped] == [[0, 1, 2, 3, 5, 6, 7, 8]]
     assert out.n_cells == 9
     assert out.total_area == pytest.approx(m.total_area, rel=1e-10)
 
 
 def test_skipped_merges_are_counted(monkeypatch):
-    """A merge that falls back to its cells is reported to ``skipped`` and
-    counted in the agglomeration's ``merges_skipped``."""
+    """A merge that falls back to its cells is reported to ``skipped``, and
+    the agglomeration's ``skipped`` holds it, with no warning."""
     m = grid_mesh(3, 3)
     labels = np.where(np.arange(9) == 4, 4, 0)
     skipped = []
-    with pytest.warns(RuntimeWarning, match="merge of cells"):
-        apply_labeling(m, labels, skipped)
+    apply_labeling(m, labels, skipped)
     assert skipped == [(0, [0, 1, 2, 3, 5, 6, 7, 8], "union encloses a hole")]
     monkeypatch.setattr(agg, "minimize", lambda mesh, config, _problem: (labels, [
         agg.EnergyBreakdown(2, 0, 2, 0), agg.EnergyBreakdown(1, 0, 1, 1)]))
-    with pytest.warns(RuntimeWarning, match="merge of cells"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         stats = agglomerate(m, AgglomerationConfig(lam=1.0)).stats
-    assert stats.merges_skipped == 1
-    assert agglomerate(m, AgglomerationConfig(lam=0.0)).stats.merges_skipped == 0
+    assert stats.skipped == skipped
+    assert agglomerate(m, AgglomerationConfig(lam=0.0)).stats.skipped == []
 
 
 def test_agglomerate_lambda_zero_keeps_cell_count():

@@ -198,7 +198,7 @@ def test_assemble_symmetry_and_nnz():
     system, _ = assemble(m, 2, f=ms.f, dirichlet=ms.u)
     n_free = len(system.free_idx)
     assert system.A.shape == (n_free, n_free)
-    assert n_free + len(system.dirichlet_idx) == system.dofmap.total
+    assert n_free + len(system.dirichlet_idx) == vem.build_dof_map(m, 2).total
     assert abs(system.A - system.A.T).max() == 0.0
     assert system.nnz == system.A.nnz > 0
 
@@ -211,8 +211,9 @@ def test_assemble_matches_sliced_full_operator(k):
     mesh = agglomerate(tri_grid_mesh(6, 6), AgglomerationConfig(lam=1.0)).mesh
     ms = CATALOG["sinsin"]
     system, _ = assemble(mesh, k, f=ms.f, dirichlet=ms.u)
-    part = vem.Part(mesh, system.dofmap, np.arange(system.dofmap.total), None, ms.f)
-    A, b = ref_eliminated_system([part], system.dofmap.total, system.dirichlet_idx,
+    dofmap = vem.build_dof_map(mesh, k)
+    part = vem.Part(mesh, dofmap, np.arange(dofmap.total), None, ms.f)
+    A, b = ref_eliminated_system([part], dofmap.total, system.dirichlet_idx,
                                  system.dirichlet_val)
     for name in ("indptr", "indices", "data"):
         got, want = getattr(system.A, name), getattr(A, name)
@@ -293,7 +294,7 @@ def test_solve_spd_one_by_one():
     A = sps.csc_matrix(np.array([[2.0]]))
     system = vem.SparseSpdSystem(
         A, np.array([4.0]), np.array([], dtype=np.int64), np.array([]),
-        np.array([0], dtype=np.int64), None,
+        np.array([0], dtype=np.int64),
     )
     assert solve_spd(system)[0] == pytest.approx(2.0)
 
@@ -321,7 +322,7 @@ def test_solve_spd_rejects_nan_residual():
     system = vem.SparseSpdSystem(
         sps.csc_matrix(np.array([[np.inf]])), np.array([4.0]),
         np.array([], dtype=np.int64), np.array([]),
-        np.array([0], dtype=np.int64), None,
+        np.array([0], dtype=np.int64),
     )
     with pytest.raises(SolverError, match="residual nan"):
         solve_spd(system)
@@ -333,7 +334,7 @@ def _all_free(A, b=None):
     n = A.shape[0]
     b = np.ones(n) if b is None else b
     return vem.SparseSpdSystem(A, b, np.array([], dtype=np.int64), np.array([]),
-                               np.arange(n), None)
+                               np.arange(n))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
