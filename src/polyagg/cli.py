@@ -65,11 +65,10 @@ def cmd_quality(args) -> int:
     mesh = load_mesh(args.mesh)
     report = quality.mesh_quality_report(mesh)
     out = _outdir(args)
-    write_table([dict(zip(QUALITY_COLUMNS, (i, *s.as_tuple())))
-                 for i, s in enumerate(report.scores)],
+    write_table([dict(zip(QUALITY_COLUMNS, (i, *row)))
+                 for i, row in enumerate(report.scores.tolist())],
                 QUALITY_COLUMNS, out / "quality", args.format)
-    rhos = [s.rho for s in report.scores]
-    vtkio.write_mesh_vtk(out / "quality.vtk", mesh, {"rho": rhos})
+    vtkio.write_mesh_vtk(out / "quality.vtk", mesh, {"rho": report.scores[:, 4]})
     print(f"cells={mesh.n_cells} min_rho={report.min_rho:.5f} "
           f"mean_rho={report.mean_rho:.5f}")
     print("histogram " + " ".join(str(int(c)) for c in report.histogram))
@@ -152,14 +151,12 @@ def cmd_dfn(args) -> int:
                 xloc = rep.solution[gmap.g[fid]]
                 # vertex mean is a cheap per-cell sample of the solution;
                 # a vertex's DOF id is its vertex id
-                sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
-                uh_cell = np.add.reduceat(xloc[np.concatenate(mesh.cells)],
-                                          np.cumsum(sizes) - sizes) / sizes
+                uh_cell = (np.add.reduceat(xloc[mesh.cell_vertices], mesh.cell_offsets[:-1])
+                           / np.diff(mesh.cell_offsets))
                 vtkio.write_mesh_vtk(
                     out / f"{mesh_id.replace('=', '_')}_lambda_{lam}_fracture_{fid}.vtk",
                     mesh,
-                    {"u": uh_cell,
-                     "rho": [s.rho for s in quality.mesh_quality_report(mesh).scores]},
+                    {"u": uh_cell, "rho": quality.mesh_quality_report(mesh).scores[:, 4]},
                     to_global=frs[fid].to_global,
                 )
     write_table(rows, REPORT_COLUMNS, out / "dfn", args.format)

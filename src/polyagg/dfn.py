@@ -22,7 +22,7 @@ from . import _fork, geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate, warn_skipped
 from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _components, _LineTokens,
                    _loop_edges, build_mesh, parse_count, parse_tokens)
-from .vem import SparseSpdSystem, build_dof_map
+from .vem import build_dof_map
 
 
 class NetworkError(MeshError):
@@ -891,9 +891,7 @@ def assemble_network(network: FractureNetwork, meshes: dict, gmap: GlobalDofMap,
     dvals = np.concatenate(vals)[::-1][last]
     parts = [vem.Part(meshes[fid], gmap.locals[fid], gmap.g[fid], frs[fid].K,
                       sources.get(fid) if sources else None) for fid in fids]
-    groups, A, b = vem.build_local_system(parts, gmap.n_global, dir_idx, dvals)
-    free = np.setdiff1d(np.arange(gmap.n_global), dir_idx)
-    system = SparseSpdSystem(A, b, dir_idx, dvals, free)
+    groups, system = vem.build_local_system(parts, gmap.n_global, dir_idx, dvals)
     return system, groups
 
 

@@ -1,13 +1,14 @@
 """Polygonal mesh data structure, construction, merging and simplification.
 
-A mesh is a flat vertex table plus per-cell CCW vertex-index loops.  Edges,
+A mesh is a flat vertex table plus a cell table: every cell's CCW vertex
+ids in one flat array, cell after cell, with each cell's offset.  Edges,
 constraint flags and the adjacent cell pairs (those sharing an
 *unconstrained* edge) are derived at build time; mutating operations return
 new meshes.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,7 +63,8 @@ class MergeConstraintError(MergeError):
 class PolygonalMesh:
     points: np.ndarray                 # (nv, 2)
     vertex_constrained: np.ndarray     # (nv,) bool
-    cells: list                        # list of int64 arrays, CCW loops
+    cell_vertices: np.ndarray          # (sum of cell sizes,) int64 CCW loops, cell after cell
+    cell_offsets: np.ndarray           # (nc + 1,) int64 start of each cell in cell_vertices
     edges: np.ndarray                  # (ne, 2) int64 (u, v), u < v, by first use
     edge_constrained: np.ndarray       # (ne,) bool
     edge_cells: np.ndarray             # (ne, 2) int64 first and second cell, -1 for none
@@ -72,6 +74,11 @@ class PolygonalMesh:
     h: float                           # largest cell diameter
     _edge_keys: np.ndarray = field(repr=False)  # see _edge_lookup
     _edge_key_ids: np.ndarray = field(repr=False)
+    cells: list = field(init=False, repr=False)  # per-cell views of cell_vertices
+
+    def __post_init__(self):
+        bounds = self.cell_offsets.tolist()
+        self.cells = [self.cell_vertices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     @property
     def n_vertices(self) -> int:
@@ -100,21 +107,19 @@ class PolygonalMesh:
     def constrained_edge_pairs(self) -> list:
         return list(map(tuple, self.edges[self.edge_constrained].tolist()))
 
-    # A pickle carries ``cells`` as one flat array plus sizes: a list of
-    # thousands of small arrays costs 10x more to dump and load, which
-    # matters when meshes cross a process boundary.
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        cells = state["cells"]
-        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-        state["cells"] = (np.concatenate(cells) if cells else np.empty(0, dtype=np.int64), sizes)
-        return state
+    def by_vertex_count(self):
+        """(n, cell ids, (m, n) vertex ids) of the cells with n vertices, for
+        each vertex count n in ascending order; the cell ids ascend."""
+        sizes = np.diff(self.cell_offsets)
+        for n in np.unique(sizes).tolist():
+            cids = np.flatnonzero(sizes == n)
+            yield n, cids, self.cell_vertices[self.cell_offsets[cids, None] + np.arange(n)]
 
-    def __setstate__(self, state):
-        flat, sizes = state["cells"]
-        # a split at no offset still yields one part, so cut to the count
-        state["cells"] = np.split(flat, np.cumsum(sizes)[:-1])[:len(sizes)]
-        self.__dict__.update(state)
+    # a pickle carries the constructor's arguments, so the cells go as one
+    # table: a list of thousands of small arrays costs 10x more to dump and
+    # load, which matters when meshes cross a process boundary
+    def __reduce__(self):
+        return PolygonalMesh, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def build_mesh(
@@ -197,7 +202,6 @@ def build_mesh(
         cell_centroid[idx, 0] = cx
         cell_centroid[idx, 1] = cy
         h = max(h, float(diameter.max()))
-    cell_arrays = [tail[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
     edges, edge_cells, keys, key_ids = _edge_table(tail, head, owner, nv)
     cons = [(int(u), int(v)) if u < v else (int(v), int(u)) for u, v in constrained_edges]
@@ -228,7 +232,8 @@ def build_mesh(
     return PolygonalMesh(
         points=pts,
         vertex_constrained=vertex_constrained,
-        cells=cell_arrays,
+        cell_vertices=tail,
+        cell_offsets=offsets,
         edges=edges,
         edge_constrained=edge_constrained,
         edge_cells=edge_cells,
@@ -446,12 +451,13 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
     members = np.fromiter(itertools.chain.from_iterable(cell_sets), dtype=np.int64,
                           count=int(sizes.sum()))
     # every directed edge (tail, head) of every member cell, in traversal order
-    tail, head, lengths = _loop_edges(mesh.cells)
-    uses = lengths[members]
+    cell_start = mesh.cell_offsets[members]
+    uses = mesh.cell_offsets[members + 1] - cell_start
     first_use = np.cumsum(uses) - uses
-    cell_start = np.cumsum(lengths) - lengths
-    at = np.arange(int(uses.sum())) + np.repeat(cell_start[members] - first_use, uses)
-    tail, head = tail[at], head[at]
+    at = np.arange(int(uses.sum())) + np.repeat(cell_start - first_use, uses)
+    nxt = at + 1
+    nxt[first_use + uses - 1] = cell_start
+    tail, head = mesh.cell_vertices[at], mesh.cell_vertices[nxt]
     owner = np.repeat(np.repeat(np.arange(n_sets), sizes), uses)
     lo, hi = np.minimum(tail, head), np.maximum(tail, head)
     key = ((owner * nv + lo) * nv + hi) * 2 + (tail > head)

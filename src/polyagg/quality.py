@@ -33,7 +33,7 @@ def scores_from_points(points) -> QualityScores:
 
 @dataclass
 class QualityReport:
-    scores: list            # QualityScores per cell
+    scores: np.ndarray      # (n_cells, 5): rho1, rho2, rho3, rho4, rho of each cell
     min_rho: float
     mean_rho: float
     histogram: np.ndarray   # 10 bins over [0, 1]
@@ -42,14 +42,9 @@ class QualityReport:
 
 def mesh_quality_report(mesh: PolygonalMesh) -> QualityReport:
     """Scores of every cell, one ``quality_scores`` call per vertex count."""
-    counts = np.array([len(ids) for ids in mesh.cells])
     table = np.empty((mesh.n_cells, 5))
-    for n in np.unique(counts):
-        cids = np.flatnonzero(counts == n)
-        verts = np.array([mesh.cells[c] for c in cids])
-        table[cids] = _kernels.quality_scores(mesh.points[verts])
-    scores = [QualityScores(*row) for row in table.tolist()]
+    for _, cids, ids in mesh.by_vertex_count():
+        table[cids] = _kernels.quality_scores(mesh.points[ids])
     rhos = table[:, 4].copy()  # contiguous, so the mean sums as before
     hist, edges = np.histogram(rhos, bins=10, range=(0.0, 1.0))
-    return QualityReport(scores, float(rhos.min()), float(rhos.mean()), hist, edges)
-
+    return QualityReport(table, float(rhos.min()), float(rhos.mean()), hist, edges)

@@ -305,11 +305,8 @@ def build_dof_map(mesh: PolygonalMesh, k: int) -> DofMap:
     edge_base = nv
     moment_base = nv + ne * km1
     total = moment_base + nc * nmom
-    sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=nc)
     groups = {}
-    for n in np.unique(sizes).tolist():
-        cids = np.flatnonzero(sizes == n)
-        ids = np.stack([mesh.cells[c] for c in cids])
+    for n, cids, ids in mesh.by_vertex_count():
         g = np.empty((len(cids), n * k + nmom), dtype=np.int64)
         g[:, :n] = ids
         if k > 1:
@@ -469,7 +466,7 @@ _ELEMENT_BLOCK = 1 << 22
 
 
 def build_local_system(parts, n_global: int, dirichlet_idx=(), dirichlet_val=()):
-    """Element groups, Dirichlet-eliminated operator and lifted load.
+    """Element groups and the ``SparseSpdSystem`` of the free DOFs.
 
     ``dirichlet_idx`` (ascending global DOF ids) and ``dirichlet_val`` give
     the Dirichlet data.  The operator is the CSC matrix of the free DOFs,
@@ -501,6 +498,7 @@ def build_local_system(parts, n_global: int, dirichlet_idx=(), dirichlet_val=())
     Ks = np.stack([np.eye(2) if p.K is None else np.asarray(p.K, dtype=float) for p in parts])
     sources = [p.f for p in parts]
     dir_idx = np.asarray(dirichlet_idx, dtype=np.int64)
+    dir_val = np.asarray(dirichlet_val, dtype=float)
     on_dir = np.zeros(n_global, dtype=bool)
     on_dir[dir_idx] = True
     free_idx = np.flatnonzero(~on_dir)
@@ -545,8 +543,9 @@ def build_local_system(parts, n_global: int, dirichlet_idx=(), dirichlet_val=())
     A.data += A.T.tocsr().data  # A^T has the pattern of A, entry for entry
     A.eliminate_zeros()  # the entries whose two sums cancel, as scipy's sum drops them
     A.data *= 0.5
-    b = b[free_idx] - A_fd @ np.asarray(dirichlet_val, dtype=float)
-    return groups, sps.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape), b
+    b = b[free_idx] - A_fd @ dir_val
+    A = sps.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    return groups, SparseSpdSystem(A, b, dir_idx, dir_val, free_idx)
 
 
 def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
@@ -562,9 +561,7 @@ def assemble(mesh: PolygonalMesh, k: int, K=None, f=None, dirichlet=None):
     dir_idx = boundary_dofs(mesh, dofmap)
     dir_val = np.asarray(dirichlet(dof_positions(mesh, dofmap)[dir_idx]), dtype=float)
     part = Part(mesh, dofmap, np.arange(dofmap.total), K, f)
-    groups, A, b = build_local_system([part], dofmap.total, dir_idx, dir_val)
-    free = np.setdiff1d(np.arange(dofmap.total), dir_idx)
-    system = SparseSpdSystem(A, b, dir_idx, dir_val, free)
+    groups, system = build_local_system([part], dofmap.total, dir_idx, dir_val)
     return system, groups
 
 
@@ -598,12 +595,12 @@ class CondEstimate:
     iterations: int
 
 
-def condition_estimate(system_or_matrix, tol=1e-6, max_iter=5000) -> CondEstimate:
+def condition_estimate(system_or_matrix, max_iter=5000) -> CondEstimate:
     """2-norm condition estimate of the eliminated SPD operator.
 
     Largest eigenvalue by power iteration, smallest by inverse iteration
     through the sparse factorization; Rayleigh quotients are iterated until
-    the relative change drops below ``tol`` (well inside the 1% target).
+    the relative change drops below 1e-6 (well inside the 1% target).
     """
     if isinstance(system_or_matrix, SparseSpdSystem):
         A = system_or_matrix.A
@@ -633,7 +630,7 @@ def condition_estimate(system_or_matrix, tol=1e-6, max_iter=5000) -> CondEstimat
             v = w / nw
             w = op(v)
             new = float(v @ w)
-            if abs(new - lam) <= tol * abs(new):
+            if abs(new - lam) <= 1e-6 * abs(new):
                 return new, it, True
             lam = new
         return lam, max_iter, False

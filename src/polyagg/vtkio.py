@@ -3,11 +3,11 @@
 import numpy as np
 
 
-def write_polydata(path, points3, polygons, cell_data=None, title="polyagg"):
+def write_polydata(path, points3, polygons, cell_data=None):
     points3 = np.asarray(points3, dtype=float)
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "polyagg",
         "ASCII",
         "DATASET POLYDATA",
         f"POINTS {len(points3)} double",
@@ -35,6 +35,6 @@ def mesh_to_polydata(mesh, to_global=None):
     return pts3, [ids.tolist() for ids in mesh.cells]
 
 
-def write_mesh_vtk(path, mesh, cell_data=None, to_global=None, title="polyagg"):
+def write_mesh_vtk(path, mesh, cell_data=None, to_global=None):
     pts3, polys = mesh_to_polydata(mesh, to_global)
-    write_polydata(path, pts3, polys, cell_data, title)
+    write_polydata(path, pts3, polys, cell_data)

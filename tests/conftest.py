@@ -365,6 +365,18 @@ def ref_is_simple_polygon(pts, eps=None) -> bool:
     return True
 
 
+def ref_by_vertex_count(mesh):
+    """``PolygonalMesh.by_vertex_count`` from the per-cell list ``cells``:
+    (n, cell ids, (m, n) vertex ids) per vertex count n, ascending, each
+    group stacked from its cells one at a time."""
+    counts = np.array([len(ids) for ids in mesh.cells], dtype=np.int64)
+    groups = []
+    for n in np.unique(counts).tolist():
+        cids = np.flatnonzero(counts == n)
+        groups.append((n, cids, np.array([mesh.cells[c] for c in cids], dtype=np.int64)))
+    return groups
+
+
 def ref_build_mesh_cells(points, cells, compact=True):
     """Cell validation and edge table of ``build_mesh``, one cell at a time.
 
@@ -1946,9 +1958,8 @@ def ref_write_quality_csv(report, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["cell_id", "rho1", "rho2", "rho3", "rho4", "rho"])
-        for i, s in enumerate(report.scores):
-            w.writerow([i, repr(s.rho1), repr(s.rho2), repr(s.rho3),
-                        repr(s.rho4), repr(s.rho)])
+        for i, row in enumerate(report.scores.tolist()):
+            w.writerow([i, *map(repr, row)])
 
 
 def _comparable(value):

@@ -759,7 +759,8 @@ def _assert_matches_one_stack(parts, n_global):
     """build_local_system gives the matrix (arrays and dtypes), the load
     vector and the per-cell discrepancies of the one-stack oracle, bit for
     bit; returns its groups."""
-    groups, A, b = vem.build_local_system(parts, n_global)
+    groups, system = vem.build_local_system(parts, n_global)
+    A, b = system.A, system.b
     ref_A, ref_b, ref_dn, ref_d0 = ref_build_local_system(parts, n_global)
     for name in ("indptr", "indices", "data"):
         got, want = getattr(A, name), getattr(ref_A, name)
@@ -814,9 +815,11 @@ def test_no_dirichlet_dofs_give_the_full_operator(network1_fine_discs):
     """Empty Dirichlet data leave every DOF free: the full operator and load."""
     case, discs = network1_fine_discs
     parts, n_global = _network1_parts(case, discs[1e-2, 1.0], 2)
-    _, A, b = vem.build_local_system(parts, n_global, np.zeros(0, dtype=np.int64), np.zeros(0))
+    _, system = vem.build_local_system(parts, n_global, np.zeros(0, dtype=np.int64), np.zeros(0))
+    A, b = system.A, system.b
     ref_A, ref_b, _, _ = ref_build_local_system(parts, n_global)
     assert A.shape == (n_global, n_global)
+    assert np.array_equal(system.free_idx, np.arange(n_global))
     _assert_arrays_equal(A, ref_A)
     assert np.array_equal(b, ref_b)
 

@@ -270,6 +270,10 @@ def test_mesh_pickle_keeps_every_field():
         back = pickle.loads(pickle.dumps(mesh))
         assert mesh_fields(back) == mesh_fields(mesh)
         assert back.n_cells == mesh.n_cells
+        assert all(np.shares_memory(ids, back.cell_vertices) for ids in back.cells)
+        # the pickled state is the cell table, not a list of per-cell arrays
+        _, state = mesh.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+        assert not any(isinstance(value, list) for value in state)
 
 
 def test_forked_call_returns_the_childs_value(cpus, monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     mixed_region_mesh,
     mutated_file,
     ref_build_mesh_cells,
+    ref_by_vertex_count,
     ref_neighbors,
 )
 
@@ -77,8 +79,9 @@ def test_mesh_fields_sees_every_mesh_field():
     assert list(base) == names
     for name in names:
         value = getattr(m, name)
-        changed = value + 1.0 if isinstance(value, float) else value[:-1]
-        assert mesh_fields(dataclasses.replace(m, **{name: changed})) != base, name
+        changed = copy.copy(m)
+        setattr(changed, name, value + 1.0 if isinstance(value, float) else value[:-1])
+        assert mesh_fields(changed) != base, name
 
 
 def test_build_rejects_dangling_index():
@@ -359,6 +362,30 @@ def test_non_integer_indices_truncate_as_before():
     assert [list(c) for c in m.cells] == TWO_SQUARES["cells"]
 
 
+def assert_cell_table(m):
+    """``cells`` are the int64 views of the cell table, one per offset pair,
+    and ``by_vertex_count`` gives what regrouping ``cells`` gives."""
+    assert m.cell_vertices.dtype == m.cell_offsets.dtype == np.int64
+    assert m.cell_offsets[0] == 0 and m.cell_offsets[-1] == len(m.cell_vertices)
+    assert len(m.cells) == len(m.cell_offsets) - 1
+    for ids, a, b in zip(m.cells, m.cell_offsets[:-1], m.cell_offsets[1:]):
+        assert np.shares_memory(ids, m.cell_vertices)
+        assert ids.dtype == np.int64 and ids.tolist() == m.cell_vertices[a:b].tolist()
+    got = list(m.by_vertex_count())
+    want = ref_by_vertex_count(m)
+    assert [n for n, _, _ in got] == [n for n, _, _ in want]
+    for (_, cids, ids), (n, ref_cids, ref_ids) in zip(got, want):
+        assert cids.dtype == ids.dtype == np.int64 and ids.shape == (len(cids), n)
+        assert np.array_equal(cids, ref_cids) and np.array_equal(ids, ref_ids)
+
+
+def test_cell_table_of_mixed_meshes():
+    mixed = mixed_region_mesh()
+    for m in (build_mesh(np.zeros((0, 2)), []), grid_mesh(3, 2), mixed):
+        assert_cell_table(m)
+    assert len(list(mixed.by_vertex_count())) > 3
+
+
 @st.composite
 def mutated_cells(draw):
     """MIXED's cells after 1-3 random index replacements, insertions,
@@ -397,6 +424,7 @@ def test_build_mesh_matches_per_cell_reference(cells, compact):
     m = build_mesh(MIXED["points"], cells, compact=compact)
     ref_cells, ref_edges, ref_edge_cells = ref
     assert [c.tolist() for c in m.cells] == [c.tolist() for c in ref_cells]
+    assert_cell_table(m)
     assert m.edges.dtype == m.edge_cells.dtype == np.int64
     assert m.edges.shape == m.edge_cells.shape == (len(ref_edges), 2)
     assert m.edges.tolist() == [list(e) for e in ref_edges]

@@ -133,7 +133,7 @@ def test_rho_zero_matches_combination_rule(rng):
 def test_mesh_report_uniform_grid():
     m = grid_mesh(4, 4)
     rep = mesh_quality_report(m)
-    vals = np.array([s.rho for s in rep.scores])
+    vals = rep.scores[:, 4]
     assert np.allclose(vals, vals[0], atol=1e-12)
     assert rep.min_rho == pytest.approx(0.905006, abs=1e-6)
 
@@ -206,6 +206,6 @@ def test_mesh_report_one_call_per_vertex_count(monkeypatch):
     rep = mesh_quality_report(mesh)
     counts = sorted({len(ids) for ids in mesh.cells})
     assert sorted(s[-2] for s in shapes) == counts and len(counts) > 3
-    for ids, s in zip(mesh.cells, rep.scores):
-        assert np.array_equal(s.as_tuple(), _reference(mesh.points[ids]))
-        assert all(type(v) is float for v in s.as_tuple())
+    assert rep.scores.shape == (mesh.n_cells, 5) and rep.scores.dtype == np.float64
+    for ids, row in zip(mesh.cells, rep.scores):
+        assert np.array_equal(row, _reference(mesh.points[ids]))

@@ -345,9 +345,9 @@ def test_solve_spd_rejects_singular_reduced_matrix(k):
     mesh = grid_mesh(4, 4)
     dofmap = vem.build_dof_map(mesh, k)
     part = vem.Part(mesh, dofmap, np.arange(dofmap.total), None, ms.f)
-    _, A, b = vem.build_local_system([part], dofmap.total)
+    _, system = vem.build_local_system([part], dofmap.total)
     with pytest.raises(SolverError):
-        solve_spd(_all_free(A, b))
+        solve_spd(system)
 
 
 def test_solve_spd_rejects_exactly_singular_matrix():
