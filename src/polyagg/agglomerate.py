@@ -14,9 +14,12 @@ import numpy as np
 
 from . import _kernels, geometry
 from .mesh import (
+    _UNION_ERRORS,
     PolygonalMesh,
     _components,
     _drop_aligned_vertices,
+    _row_positions,
+    _rows_by_length,
     _union_loops,
     build_mesh,
 )
@@ -60,38 +63,26 @@ def _round_half_away(x: float) -> int:
 
 def _droppable(mesh, ids):
     """(g, n) mask of the unconstrained straight vertices of union loops (g, n):
-    neither the vertex nor either loop edge at it is a constrained mesh edge,
-    and it is straight between its loop neighbours
-    (``geometry.straight_vertices``)."""
-
-    def constrained_edge(a, b):
-        e = mesh.edge_ids(a, b)  # -1 for a chord left by a dropped vertex
-        return (e >= 0) & mesh.edge_constrained[e]
-
-    prv = np.roll(ids, 1, axis=1)
-    nxt = np.roll(ids, -1, axis=1)
-    free = ~(mesh.vertex_constrained[ids] | constrained_edge(prv, ids)
-             | constrained_edge(ids, nxt))
+    the vertex is not constrained, so no constrained mesh edge meets it, and
+    it is straight between its loop neighbours (``geometry.straight_vertices``)."""
     pts = mesh.points
-    return free & geometry.straight_vertices(pts[prv], pts[ids], pts[nxt])
+    prv, nxt = np.roll(ids, 1, axis=1), np.roll(ids, -1, axis=1)
+    return ~mesh.vertex_constrained[ids] & geometry.straight_vertices(pts[prv], pts[ids], pts[nxt])
 
 
-def _simplified_loop_groups(mesh, loops):
-    """Union loops with their unconstrained straight vertices dropped, grouped
-    by the vertex count that remains.
+def _simplified_loop_groups(mesh, loops, offsets):
+    """The non-empty rows of the union loop table (loops, offsets) with their
+    unconstrained straight vertices dropped, grouped by the vertex count that
+    remains.
 
-    Yields (loop indices, (g, n) vertex ids) once per vertex count.  Loops
-    are processed a vertex count at a time, largest first: each loop of the
+    Yields (row ids, (g, n) vertex ids) once per vertex count.  Loops are
+    processed a vertex count at a time, largest first: each loop of the
     count drops its first droppable vertex and moves down one count, so the
     vertices dropped are those of a scan that restarts after every drop.
     Loops of 3 vertices or fewer are kept as they are.
     """
-    by_count = {}
-    for k, loop in enumerate(loops):
-        by_count.setdefault(len(loop), []).append(k)
-    # vertex count -> [(loop indices, (g, n) vertex ids)]
-    pending = {n: [(np.array(ks), np.array([loops[k] for k in ks], dtype=np.int64))]
-               for n, ks in by_count.items()}
+    # vertex count -> [(row ids, (g, n) vertex ids)]
+    pending = {n: [(rows, ids)] for n, rows, ids in _rows_by_length(loops, offsets) if n}
     while pending:
         n = max(pending)
         parts = pending.pop(n)
@@ -115,15 +106,12 @@ def _union_rhos(mesh: PolygonalMesh, pairs) -> list:
     The unions are simplified and scored by vertex count, one
     ``quality_scores`` call per count.
     """
-    loops, errors = _union_loops(mesh, pairs)
-    scored = [k for k, err in enumerate(errors) if err is None]
-    loops = [loops[k] for k in scored]
-    rhos = [None] * len(pairs)
-    for idx, ids in _simplified_loop_groups(mesh, loops):
-        r = _kernels.quality_scores(mesh.points[ids])
-        for k, v in zip(idx.tolist(), r[:, 4].tolist()):
-            rhos[scored[k]] = v
-    return rhos
+    loops, offsets, failed = _union_loops(mesh, np.asarray(pairs, dtype=np.int64).ravel(),
+                                          np.arange(0, 2 * len(pairs) + 1, 2))
+    rhos = np.zeros(len(pairs))
+    for rows, ids in _simplified_loop_groups(mesh, loops, offsets):
+        rhos[rows] = _kernels.quality_scores(mesh.points[ids])[:, 4]
+    return [None if f >= 0 else r for f, r in zip(failed.tolist(), rhos.tolist())]
 
 
 class _Problem:
@@ -144,7 +132,7 @@ class _Problem:
             self.neighbors[q].append(p)
         # costs[p][label]: integer data cost of giving cell p that label, for
         # its own index and its neighbours; every other label costs scale
-        rhos = _union_rhos(mesh, self.adj_pairs)  # before the dicts: lower peak memory
+        rhos = _union_rhos(mesh, np.column_stack((a, b)))  # before the dicts: lower peak memory
         self.costs = [{p: 0} for p in range(n)]
         for (p, q), r in zip(self.adj_pairs, rhos):
             cost = 1.0 if r is None else 1.0 - r**config.dc_power
@@ -326,41 +314,42 @@ def apply_labeling(mesh: PolygonalMesh, labels, skipped=None) -> PolygonalMesh:
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != mesh.n_cells:
         raise ValueError("labeling length does not match the cell count")
-    # components ordered by label, then by their lowest cell
+    # components ordered by label, then by their lowest cell: the cells in
+    # ``order``, component ``comp`` starting at each ``first``
     n = mesh.n_cells
     a, b = mesh.adjacent
     same = labels[a] == labels[b]
     roots = _components(n, a[same], b[same])
     order = np.lexsort((np.arange(n), roots, labels))
-    bounds = np.flatnonzero(roots[order][1:] != roots[order][:-1]) + 1
-    bounds = [0, *bounds.tolist(), n] if n else []
-    cells = order.tolist()
-    comps = [cells[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    unions = [comp for comp in comps if len(comp) > 1]
-    loops, errors = _union_loops(mesh, unions)
-    merges = iter(zip(loops, errors))
+    first = np.ones(n, dtype=bool)
+    first[1:] = roots[order][1:] != roots[order][:-1]
+    comp = np.cumsum(first) - 1
+    union = np.bincount(comp) > 1
+    members = order[union[comp]]
+    set_offsets = np.append(np.flatnonzero(first[union[comp]]), len(members))
+    loops, loop_offsets, failed = _union_loops(mesh, members, set_offsets)
+    if skipped is not None:
+        for s in np.flatnonzero(failed >= 0).tolist():
+            ids = members[set_offsets[s]:set_offsets[s + 1]].tolist()
+            skipped.append((int(labels[ids[0]]), ids, _UNION_ERRORS[failed[s]][1]))
 
-    new_cells = []
-    for comp in comps:
-        if len(comp) == 1:
-            new_cells.append(mesh.cells[comp[0]])
-            continue
-        loop, err = next(merges)
-        if err is None:
-            new_cells.append(loop)
-            continue
-        if skipped is not None:
-            skipped.append((int(labels[comp[0]]), comp, str(err)))
-        new_cells.extend(mesh.cells[c] for c in comp)
+    # the merged cell table gathers rows of the mesh's cell table followed by
+    # the loop table: a merged component gives its loop, any other cell its
+    # own row
+    merged = union.copy()
+    merged[union] = failed < 0
+    src = np.where(merged[comp], n + np.cumsum(union)[comp] - 1, order)[~merged[comp] | first]
+    at, offsets = _row_positions(
+        np.concatenate([mesh.cell_offsets, len(mesh.cell_vertices) + loop_offsets[1:]]), src)
+    cells = np.concatenate([mesh.cell_vertices, loops])[at]
 
     # aligned vertices are dropped before the one build of the merged mesh
-    cons = mesh.constrained_edge_pairs()
-    cvs = np.flatnonzero(mesh.vertex_constrained)
-    kept = _drop_aligned_vertices(mesh.points, new_cells, cons, cvs)
-    if (not unions and kept is new_cells and (order == np.arange(n)).all()
+    kept, offsets = _drop_aligned_vertices(mesh.points, cells, offsets, mesh.vertex_constrained)
+    if (not len(members) and kept is cells and (order == np.arange(n)).all()
             and np.bincount(mesh.edges.ravel(), minlength=mesh.n_vertices).all()):
         return mesh  # every cell and vertex kept, in order: a build would copy it
-    return build_mesh(mesh.points, kept, cons, cvs, compact=True)
+    return build_mesh(mesh.points, np.split(kept, offsets[1:-1]), mesh.constrained_edge_pairs(),
+                      np.flatnonzero(mesh.vertex_constrained), compact=True)
 
 
 def warn_skipped(skipped) -> None:

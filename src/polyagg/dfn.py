@@ -21,7 +21,7 @@ import numpy as np
 from . import _fork, geometry, vem
 from .agglomerate import AgglomerationConfig, agglomerate, warn_skipped
 from .mesh import (MeshError, MeshFormatError, PolygonalMesh, _components, _LineTokens,
-                   _loop_edges, build_mesh, parse_count, parse_tokens)
+                   _next_in_row, build_mesh, parse_count, parse_tokens)
 from .vem import build_dof_map
 
 
@@ -445,6 +445,14 @@ def _triangulate_once(fracture: Fracture, max_area, n_cells, jitter) -> Polygona
 # relative tolerance of cutting, stitching, DOF matching and boundary
 # classification, times each step's length scale
 TOL_REL = 1e-9
+
+
+def _loop_edges(cells):
+    """Every directed edge (tail, head) of the int64 vertex loops ``cells``,
+    loop by loop, and each loop's length."""
+    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    tail = np.concatenate(cells) if len(cells) else np.zeros(0, dtype=np.int64)
+    return tail, tail[_next_in_row(np.append(0, np.cumsum(lengths)))], lengths
 
 
 def _splice(loop, runs) -> list:

@@ -7,7 +7,6 @@ constraint flags and the adjacent cell pairs (those sharing an
 new meshes.
 """
 
-import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -110,10 +109,7 @@ class PolygonalMesh:
     def by_vertex_count(self):
         """(n, cell ids, (m, n) vertex ids) of the cells with n vertices, for
         each vertex count n in ascending order; the cell ids ascend."""
-        sizes = np.diff(self.cell_offsets)
-        for n in np.unique(sizes).tolist():
-            cids = np.flatnonzero(sizes == n)
-            yield n, cids, self.cell_vertices[self.cell_offsets[cids, None] + np.arange(n)]
+        return _rows_by_length(self.cell_vertices, self.cell_offsets)
 
     # a pickle carries the constructor's arguments, so the cells go as one
     # table: a list of thousands of small arrays costs 10x more to dump and
@@ -371,6 +367,36 @@ def _edge_lookup(keys, key_ids, nv, u, v):
     return np.where(keys[at] == key, key_ids[at], -1)
 
 
+# A table is rows of ids in one flat int64 array, row after row, with each
+# row's start in an offsets array of one more entry than there are rows.
+
+def _rows_by_length(flat, offsets):
+    """(n, row ids, (m, n) entries) of the rows of length n of the table
+    (flat, offsets), for each length n in ascending order; row ids ascend."""
+    sizes = np.diff(offsets)
+    for n in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == n)
+        yield n, rows, flat[offsets[rows, None] + np.arange(n)]
+
+
+def _row_positions(offsets, rows):
+    """Positions in a table's flat array of the entries of ``rows``, row
+    after row, and the offsets of the table those entries make."""
+    start = offsets[rows]
+    sizes = offsets[rows + 1] - start
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return np.arange(out[-1]) + np.repeat(start - out[:-1], sizes), out
+
+
+def _next_in_row(offsets) -> np.ndarray:
+    """Position of the entry after each entry of a table of non-empty rows,
+    read as loops: a row's first entry follows its last."""
+    nxt = np.arange(1, offsets[-1] + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    return nxt
+
+
 # ---------------------------------------------------------------------------
 # merging
 # ---------------------------------------------------------------------------
@@ -402,16 +428,6 @@ def _components(n, a, b) -> np.ndarray:
         roots = _forest_roots(roots)
 
 
-def _loop_edges(cells):
-    """Every directed edge (tail, head) of the int64 vertex loops ``cells``,
-    loop by loop, and each loop's length."""
-    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-    tail = np.concatenate(cells) if len(cells) else np.zeros(0, dtype=np.int64)
-    nxt = np.arange(1, len(tail) + 1)
-    nxt[np.cumsum(lengths) - 1] = np.cumsum(lengths) - lengths
-    return tail, tail[nxt], lengths
-
-
 # union loop failures in the order the per-set trace checks them: the first
 # three are raised at a directed edge (the earliest in traversal order, then
 # the lowest here), the others after all edges passed
@@ -427,13 +443,15 @@ _UNION_ERRORS = (
 )
 
 
-def _union_loops(mesh: PolygonalMesh, cell_sets):
+def _union_loops(mesh: PolygonalMesh, members, set_offsets):
     """Outer vertex loop of the boolean union of each set of cells.
 
-    Returns (loops, errors): per set either its CCW boundary loop, an int64
-    array that starts at its lowest vertex id, and None, or None and the
-    ``MergeError`` that makes the union not a simple hole-free polygon or
-    that would delete a constrained edge.
+    The sets and the loops are tables: set s lists the cells
+    ``members[set_offsets[s]:set_offsets[s + 1]]``.  Returns (loops, offsets,
+    failed): set s's row of (loops, offsets) is its CCW boundary loop from its
+    lowest vertex id and failed[s] is -1; or its row is empty and failed[s]
+    indexes the ``_UNION_ERRORS`` entry that makes the union not a simple
+    hole-free polygon or that would delete a constrained edge.
 
     The directed edges of all sets are taken cell by cell in the order each
     set lists its cells.  One sort by (set, edge, direction) groups the uses
@@ -446,19 +464,14 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
     walked all at once, from each set's lowest vertex.
     """
     nv = mesh.n_vertices
-    sizes = np.fromiter(map(len, cell_sets), dtype=np.int64, count=len(cell_sets))
-    n_sets = len(sizes)
-    members = np.fromiter(itertools.chain.from_iterable(cell_sets), dtype=np.int64,
-                          count=int(sizes.sum()))
+    n_sets = len(set_offsets) - 1
+    member_set = np.repeat(np.arange(n_sets), np.diff(set_offsets))
     # every directed edge (tail, head) of every member cell, in traversal order
-    cell_start = mesh.cell_offsets[members]
-    uses = mesh.cell_offsets[members + 1] - cell_start
-    first_use = np.cumsum(uses) - uses
-    at = np.arange(int(uses.sum())) + np.repeat(cell_start - first_use, uses)
-    nxt = at + 1
-    nxt[first_use + uses - 1] = cell_start
-    tail, head = mesh.cell_vertices[at], mesh.cell_vertices[nxt]
-    owner = np.repeat(np.repeat(np.arange(n_sets), sizes), uses)
+    at, use_offsets = _row_positions(mesh.cell_offsets, members)
+    uses = np.diff(use_offsets)
+    tail = mesh.cell_vertices[at]
+    head = tail[_next_in_row(use_offsets)]
+    owner = np.repeat(member_set, uses)
     lo, hi = np.minimum(tail, head), np.maximum(tail, head)
     key = ((owner * nv + lo) * nv + hi) * 2 + (tail > head)
     order = np.argsort(key, kind="stable")
@@ -494,8 +507,7 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
     inner = np.flatnonzero(follows)
     member_of = np.repeat(np.arange(len(members)), uses)
     roots = _components(len(members), member_of[item[inner - 1]], member_of[item[inner]])
-    member_set = np.repeat(np.arange(n_sets), sizes)
-    split = roots != (np.cumsum(sizes) - sizes)[member_set]
+    split = roots != set_offsets[member_set]
     kind[(kind < 0) & (np.bincount(member_set[split], minlength=n_sets) > 0)] = 3
 
     # walk the boundary of the sets without an error
@@ -510,10 +522,10 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
     walking = np.flatnonzero(n_bound > 0)
     cur = first[walking]
     loop_len = np.zeros(n_sets, dtype=np.int64)
-    steps = []  # (sets, tails) visited at each step
+    rank = np.zeros(len(free), dtype=np.int64)  # the step that visits each free edge
     step = 0
     while len(walking):
-        steps.append((walking, tail[item[free[cur]]]))
+        rank[cur] = step
         step += 1
         cur = succ[cur]
         closed = cur == first[walking]
@@ -526,70 +538,58 @@ def _union_loops(mesh: PolygonalMesh, cell_sets):
     kind[closed & (loop_len < n_bound)] = 6
     kind[closed & (loop_len == n_bound) & (loop_len < 3)] = 7
 
-    loops = [None] * n_sets
-    errors = [None] * n_sets
-    ok = kind < 0
-    if steps:
-        sets = np.concatenate([s for s, _ in steps])
-        tails = np.concatenate([t for _, t in steps])
-        keep = ok[sets]
-        tails = tails[keep][np.argsort(sets[keep], kind="stable")]
-        bounds = np.cumsum(loop_len[ok]).tolist()
-        for s, a, b in zip(np.flatnonzero(ok).tolist(), [0] + bounds[:-1], bounds):
-            loops[s] = tails[a:b]
-    for s, k in zip(np.flatnonzero(~ok).tolist(), kind[~ok].tolist()):
-        cls, message = _UNION_ERRORS[k]
-        errors[s] = cls(message)
-    return loops, errors
+    # a closed walk visits every free edge of its set once, in loop order
+    loop_len[kind >= 0] = 0
+    offsets = np.zeros(n_sets + 1, dtype=np.int64)
+    np.cumsum(loop_len, out=offsets[1:])
+    done = kind[isets[free]] < 0
+    loops = np.empty(offsets[-1], dtype=np.int64)
+    loops[offsets[isets[free[done]]] + rank[done]] = tail[item[free[done]]]
+    return loops, offsets, kind
 
 
 # ---------------------------------------------------------------------------
 # aligned-edge simplification
 # ---------------------------------------------------------------------------
 
-def _removable_vertices(points, cells, constrained_edges, constrained_vertices) -> np.ndarray:
-    """Mask of the removable vertices of the mesh that ``points``, the int64
-    vertex loops ``cells`` and these constraints would build: unconstrained
-    hanging nodes interior to straight runs.  Such a vertex lies on exactly
-    two mesh edges, neither constrained, and is straight between their other
-    ends (``geometry.straight_vertices``); dropping it keeps every cell's area."""
+def _removable_vertices(points, cells, offsets, constrained) -> np.ndarray:
+    """Mask of the removable vertices of the mesh that ``points`` and the
+    cell table (cells, offsets) would build: hanging nodes interior to
+    straight runs that the mask ``constrained`` (which holds the ends of every
+    constrained edge) leaves free.  Such a vertex lies on exactly two mesh
+    edges and is straight between their other ends
+    (``geometry.straight_vertices``); dropping it keeps every cell's area."""
     nv = len(points)
-    tail, head, _ = _loop_edges(cells)
-    keys = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head))
-    cons = np.array(constrained_edges, dtype=np.int64).reshape(-1, 2)
-    edge_constrained = np.isin(keys, cons.min(axis=1) * nv + cons.max(axis=1))
-    ends = np.column_stack([keys // nv, keys % nv]).reshape(-1)
-    vertex_constrained = np.zeros(nv, dtype=bool)
-    vertex_constrained[np.asarray(constrained_vertices, dtype=np.int64)] = True
-    vertex_constrained[ends.reshape(-1, 2)[edge_constrained]] = True
-    # the two edges at a candidate vertex; which one comes first does not
-    # change the test below
-    by_vertex = np.argsort(ends, kind="stable")
-    degree = np.bincount(ends, minlength=nv)
-    first = np.cumsum(degree) - degree
-    v = np.flatnonzero((degree == 2) & ~vertex_constrained)
-    at1, at2 = by_vertex[first[v]], by_vertex[first[v] + 1]  # v's places in ``ends``
-    free = ~(edge_constrained[at1 // 2] | edge_constrained[at2 // 2])
-    v, at1, at2 = v[free], at1[free], at2[free]
-    a, b = ends[at1 ^ 1], ends[at2 ^ 1]  # the other end of each edge
+    nxt = _next_in_row(offsets)
+    keys = np.unique(np.minimum(cells, cells[nxt]) * nv + np.maximum(cells, cells[nxt]))
+    degree = np.bincount(keys // nv, minlength=nv) + np.bincount(keys % nv, minlength=nv)
+    v = np.flatnonzero((degree == 2) & ~constrained)
+    # a cell edge (a, v) into such a vertex and the cell's next edge (v, b)
+    # are its two edges, in either order
+    into = np.zeros(nv, dtype=np.int64)
+    into[cells[nxt]] = np.arange(len(cells))
+    a, b = cells[into[v]], cells[nxt[nxt[into[v]]]]
     removable = np.zeros(nv, dtype=bool)
     removable[v[geometry.straight_vertices(points[a], points[v], points[b])]] = True
     return removable
 
 
-def _drop_aligned_vertices(points, cells, constrained_edges, constrained_vertices) -> list:
-    """``cells`` without their removable vertices (``_removable_vertices``),
-    swept again until none is left; ``cells`` itself when there is none."""
+def _drop_aligned_vertices(points, cells, offsets, constrained):
+    """The cell table (cells, offsets) without its removable vertices
+    (``_removable_vertices``), swept again until none is left; the table
+    itself when there is none.  A vertex whose removal would leave a cell
+    below a triangle stays, in every cell and every later sweep."""
+    pinned = constrained.copy()
     while True:
-        removable = _removable_vertices(points, cells, constrained_edges, constrained_vertices)
-        if not removable.any():
-            return cells
-        new_cells = []
-        for ids in cells:
-            kept = ids[~removable[ids]]
-            # safety: never collapse a cell below a triangle
-            new_cells.append(kept if len(kept) >= 3 else ids)
-        cells = new_cells
+        hit = _removable_vertices(points, cells, offsets, pinned)[cells]
+        # a cell that would keep fewer than 3 vertices pins those it would lose
+        short = np.diff(np.append(0, np.cumsum(~hit))[offsets]) < 3
+        pinned[cells[hit & np.repeat(short, np.diff(offsets))]] = True
+        keep = ~hit | pinned[cells]
+        if keep.all():
+            return cells, offsets
+        cells = cells[keep]
+        offsets = offsets - np.append(0, np.cumsum(~keep))[offsets]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import functools
 import os
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -10,11 +12,13 @@ import pytest
 import scipy.sparse as sps
 from hypothesis import settings, strategies as st
 
+import polyagg
 import polyagg.agglomerate as agg
 from polyagg import _kernels, dfn, geometry, vem
 from polyagg.geometry import COLLINEAR_TOL
 from polyagg.mesh import (
     MergeConstraintError,
+    MergeError,
     MergeHoleError,
     MergeNonSimpleError,
     MeshError,
@@ -1165,17 +1169,102 @@ def ref_removable_vertices(mesh, tol=COLLINEAR_TOL):
 
 def ref_simplify_aligned_edges(mesh):
     """The mesh without the vertices ``ref_removable_vertices`` finds, swept
-    again (one build per sweep) until none is left."""
+    again (one build per sweep) until none is left; ``mesh`` itself when
+    there is none.  A vertex whose removal would leave a cell below a
+    triangle stays, in every cell and every later sweep."""
+    cons = mesh.constrained_edge_pairs()
+    cvs = np.flatnonzero(mesh.vertex_constrained)
+    pinned = np.zeros(mesh.n_vertices, dtype=bool)
+    out = mesh
     while True:
-        removable = ref_removable_vertices(mesh)
+        removable = ref_removable_vertices(out) & ~pinned
+        for ids in out.cells:
+            if len(ids) - removable[ids].sum() < 3:
+                pinned[ids[removable[ids]]] = True
+        removable &= ~pinned
         if not removable.any():
-            return mesh
-        cells = []
-        for ids in mesh.cells:
-            kept = ids[~removable[ids]]
-            cells.append(kept if len(kept) >= 3 else ids)
-        mesh = build_mesh(mesh.points, cells, mesh.constrained_edge_pairs(),
-                          np.flatnonzero(mesh.vertex_constrained), compact=True)
+            break
+        # vertex ids stay put until the last build, so ``pinned`` stays valid
+        out = build_mesh(out.points, [ids[~removable[ids]] for ids in out.cells],
+                         cons, cvs, compact=False)
+    return mesh if out is mesh else build_mesh(out.points, out.cells, cons, cvs)
+
+
+def ref_union(mesh, cells):
+    """(loop, None) or (None, (error class, message)) by the scalar trace."""
+    try:
+        return ref_union_loop(mesh, cells), None
+    except MergeError as err:
+        return None, (type(err), str(err))
+
+
+def pack_rows(rows):
+    """The int64 table (flat, offsets) of a list of id lists."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    return np.array([v for r in rows for v in r], dtype=np.int64), offsets
+
+
+# The list form of the merge pass, which the table form in ``mesh`` and
+# ``agglomerate`` replaced: union loops as one array per set, regrouped by a
+# dict, and apply_labeling's loop over components.  The table form must give
+# the same rows, rhos, skipped merges and meshes bit for bit.
+
+def list_simplified_loop_groups(mesh, loops):
+    """``agglomerate._simplified_loop_groups`` over a list of union loops:
+    yields (loop indices, (g, n) vertex ids) once per remaining vertex count."""
+    by_count = {}
+    for k, loop in enumerate(loops):
+        by_count.setdefault(len(loop), []).append(k)
+    # vertex count -> [(loop indices, (g, n) vertex ids)]
+    pending = {n: [(np.array(ks), np.array([loops[k] for k in ks], dtype=np.int64))]
+               for n, ks in by_count.items()}
+    while pending:
+        n = max(pending)
+        parts = pending.pop(n)
+        idx = np.concatenate([i for i, _ in parts])
+        ids = np.concatenate([v for _, v in parts])
+        if n > 3:
+            drop = agg._droppable(mesh, ids)
+            hit = drop.any(axis=1)
+            if hit.any():
+                keep = np.arange(n) != drop[hit].argmax(axis=1)[:, None]
+                pending.setdefault(n - 1, []).append((idx[hit], ids[hit][keep].reshape(-1, n - 1)))
+                idx, ids = idx[~hit], ids[~hit]
+        if len(idx):
+            yield idx, ids
+
+
+def list_union_rhos(mesh, pairs):
+    """``agglomerate._union_rhos`` from the scalar union loops, simplified by
+    ``list_simplified_loop_groups``."""
+    unions = [ref_union(mesh, pair)[0] for pair in pairs]
+    scored = [k for k, loop in enumerate(unions) if loop is not None]
+    loops = [np.asarray(unions[k], dtype=np.int64) for k in scored]
+    rhos = [None] * len(pairs)
+    for idx, ids in list_simplified_loop_groups(mesh, loops):
+        r = _kernels.quality_scores(mesh.points[ids])
+        for k, v in zip(idx.tolist(), r[:, 4].tolist()):
+            rhos[scored[k]] = v
+    return rhos
+
+
+def list_apply_labeling(mesh, labels, skipped):
+    """``agglomerate.apply_labeling`` by a loop over the components of
+    ``ref_label_components``, each traced by ``ref_union_loop``, then
+    ``ref_simplify_aligned_edges``; a failed component keeps its cells and
+    adds (label, cells, reason) to ``skipped``."""
+    new_cells = []
+    for lab, comp in ref_label_components(mesh, labels):
+        loop, err = ref_union(mesh, comp) if len(comp) > 1 else (mesh.cells[comp[0]], None)
+        if err is None:
+            new_cells.append(np.asarray(loop, dtype=np.int64))
+        else:
+            skipped.append((int(lab), comp, err[1]))
+            new_cells.extend(mesh.cells[c] for c in comp)
+    merged = build_mesh(mesh.points, new_cells, mesh.constrained_edge_pairs(),
+                        np.flatnonzero(mesh.vertex_constrained))
+    return ref_simplify_aligned_edges(merged)
 
 
 # Reference cutting and stitching: the mutable mesh with a dict edge map, a
@@ -1976,6 +2065,21 @@ def mesh_fields(mesh):
     return {f.name: _comparable(getattr(mesh, f.name)) for f in dataclasses.fields(mesh)}
 
 
+def run_python(args, timeout=60):
+    """``python args`` in a child process that imports this ``polyagg``;
+    subprocess.TimeoutExpired when it runs longer than ``timeout`` seconds."""
+    src = os.path.dirname(os.path.dirname(polyagg.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *map(str, args)], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+# a unit square over a sliver triangle (0, 4, 1) whose apex, vertex 4, lies
+# 1e-10 below the square's bottom edge: straight within COLLINEAR_TOL, but
+# the sliver cannot lose it
+SLIVER_MESH = "V 5\n0 0\n1 0\n1 1\n0 1\n0.5 -1e-10\nC 2\n0 1 2 3\n0 4 1\n"
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fails a test that leaves a child process behind, running or unreaped."""
@@ -1990,6 +2094,18 @@ def no_child_process_left():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session")
+def random_cuts():
+    """The first ten networks of four random rectangles (seeds 0, 1, ...) in
+    which every fracture meets another, each fracture triangulated at area
+    2e-2 with (mesh, segments, tol_rel) of its cut."""
+    return [(network, {
+        fr.fid: (dfn.triangulate_fracture(fr, max_area=2e-2),
+                 [t.local_segment(fr) for t in network.fracture_traces(fr.fid)],
+                 dfn.TOL_REL * network.scale / fr.diameter)
+        for fr in network.fractures}) for network in random_networks()]
 
 
 # tokens a file mutation may write: numbers at and beyond the float and

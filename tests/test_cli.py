@@ -8,10 +8,11 @@ from polyagg import dfn, quality, vem, vtkio
 from polyagg.agglomerate import AgglomerationConfig, agglomerate
 from polyagg.cli import main, write_table
 from polyagg.dfn import cut_by_traces
-from polyagg.mesh import load_mesh, save_mesh
+from polyagg.mesh import build_mesh, load_mesh, save_mesh
 from polyagg.solutions import CATALOG
 
 from conftest import (
+    SLIVER_MESH,
     TWO_CROSSING_PAIRS,
     cell_dofs,
     grid_mesh,
@@ -23,6 +24,7 @@ from conftest import (
     ref_write_quality_csv,
     random_networks,
     ref_write_report,
+    run_python,
     tri_grid_mesh,
 )
 
@@ -222,6 +224,19 @@ def test_agglomerate_lambda_zero_identity(tmp_path):
     rows = list(csv.DictReader(open(out / "energy.csv")))
     totals = [int(r["total"]) for r in rows]
     assert all(b <= a for a, b in zip(totals, totals[1:]))
+
+
+def test_agglomerate_sliver_mesh_exits(tmp_path):
+    """The sliver's apex is straight but cannot be dropped: the command ends
+    (in a child process, which a sweep that never ends makes time out) and
+    writes the mesh as it was."""
+    path, out = tmp_path / "sliver.mesh", tmp_path / "out"
+    path.write_text(SLIVER_MESH)
+    proc = run_python(["-m", "polyagg.cli", "--out", out, "agglomerate", path, "--lambda", "0"])
+    assert proc.returncode == 0, proc.stderr
+    m = load_mesh(out / "agglomerated.mesh")
+    rebuilt = build_mesh(m.points, m.cells)
+    assert [ids.tolist() for ids in rebuilt.cells] == [[0, 1, 2, 3], [0, 4, 1]]
 
 
 def test_agglomerate_aggressive_on_cut_triangles(tmp_path):

@@ -61,7 +61,6 @@ from conftest import (
     ref_on_trace_vertices,
     ref_stitch_meshes,
     ref_triangulate_once,
-    random_networks,
     random_rectangle_network,
 )
 
@@ -559,18 +558,6 @@ def test_network1_stitch_matches_scalar_reference(monkeypatch, lam):
     got = stitch_meshes(*captured["args"])
     _assert_same_stitch(got, ref_stitch_meshes(*captured["args"]))
     _assert_same_stitch(got, (disc.meshes, disc.matches))
-
-
-@pytest.fixture(scope="module")
-def random_cuts():
-    """The first ten networks of four random rectangles (seeds 0, 1, ...) in
-    which every fracture meets another, each fracture triangulated at area
-    2e-2 with (mesh, segments, tol_rel) of its cut."""
-    return [(network, {
-        fr.fid: (triangulate_fracture(fr, max_area=2e-2),
-                 [t.local_segment(fr) for t in network.fracture_traces(fr.fid)],
-                 dfn.TOL_REL * network.scale / fr.diameter)
-        for fr in network.fractures}) for network in random_networks()]
 
 
 def test_random_network_cuts_match_reference(random_cuts):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyagg import _kernels
 from polyagg.agglomerate import (
@@ -18,14 +19,18 @@ from polyagg.agglomerate import (
 from polyagg.dfn import cut_by_traces, network1, triangulate_fracture
 from polyagg.geometry import COLLINEAR_TOL, KERNEL_REL_TOL
 import polyagg.mesh as mesh_mod
-from polyagg.mesh import MergeError, build_mesh
+from polyagg.mesh import build_mesh, load_mesh
 
 import polyagg.agglomerate as agg
 from conftest import (
+    SLIVER_MESH,
     adjacency_pairs,
     grid_mesh,
+    list_apply_labeling,
+    list_union_rhos,
     mixed_region_mesh,
     mesh_fields,
+    pack_rows,
     packed_min_cut,
     ref_label_components,
     ref_maxflow,
@@ -35,7 +40,8 @@ from conftest import (
     ref_residual_source_set,
     ref_simplified_union_points,
     ref_simplify_aligned_edges,
-    ref_union_loop,
+    ref_union,
+    run_python,
     tri_grid_mesh,
 )
 
@@ -181,34 +187,23 @@ def union_meshes(cut_fracture):
     }
 
 
-def _union_loops(mesh):
+def _pair_unions(mesh):
     """(pair, union loop or None on MergeError) for every adjacent pair."""
-    out = []
-    for pair in adjacency_pairs(mesh):
-        try:
-            out.append((pair, ref_union_loop(mesh, pair)))
-        except MergeError:
-            out.append((pair, None))
-    return out
-
-
-def _ref_union(mesh, cells):
-    """(loop, None) or (None, (error class, message)) by the scalar trace."""
-    try:
-        return ref_union_loop(mesh, cells), None
-    except MergeError as err:
-        return None, (type(err), str(err))
+    return [(pair, ref_union(mesh, pair)[0]) for pair in adjacency_pairs(mesh)]
 
 
 def _assert_union_loops_match(mesh, cell_sets):
-    loops, errors = mesh_mod._union_loops(mesh, cell_sets)
-    assert len(loops) == len(errors) == len(cell_sets)
-    for cells, loop, err in zip(cell_sets, loops, errors):
-        want, want_err = _ref_union(mesh, cells)
+    """The union loop table of ``cell_sets`` holds the scalar trace's loops,
+    and a failed set's row is empty with its error's class and message."""
+    loops, offsets, failed = mesh_mod._union_loops(mesh, *pack_rows(cell_sets))
+    assert loops.dtype == offsets.dtype == failed.dtype == np.int64
+    assert len(offsets) == len(failed) + 1 == len(cell_sets) + 1
+    for cells, lo, hi, code in zip(cell_sets, offsets[:-1], offsets[1:], failed.tolist()):
+        want, want_err = ref_union(mesh, cells)
         if want_err is None:
-            assert err is None and loop.dtype == np.int64 and loop.tolist() == want
+            assert code == -1 and loops[lo:hi].tolist() == want
         else:
-            assert loop is None and (type(err), str(err)) == want_err
+            assert lo == hi and mesh_mod._UNION_ERRORS[code] == want_err
 
 
 @pytest.fixture(scope="module")
@@ -254,8 +249,8 @@ def test_union_loops_errors_match_scalar_reference(cells, error):
     mesh = _squares(3, 3)
     u, v = sorted(set(mesh.cells[3].tolist()) & set(mesh.cells[4].tolist()))
     mesh = _squares(3, 3, constrained=[(u, v)])
-    (loop,), (err,) = mesh_mod._union_loops(mesh, [cells])
-    assert loop is None and type(err) is error
+    loops, _, (code,) = mesh_mod._union_loops(mesh, *pack_rows([cells]))
+    assert not len(loops) and mesh_mod._UNION_ERRORS[code][0] is error
     _assert_union_loops_match(mesh, [cells, [1, 2], [4, 5, 7, 8]])
 
 
@@ -268,7 +263,7 @@ def test_apply_labeling_matches_scalar_reference(union_meshes, union_labels, whi
     mesh, labels = union_meshes[which], union_labels[which]
     new_cells, skipped = [], []
     for lab, comp in ref_label_components(mesh, labels):
-        loop, err = _ref_union(mesh, comp) if len(comp) > 1 else (mesh.cells[comp[0]], None)
+        loop, err = ref_union(mesh, comp) if len(comp) > 1 else (mesh.cells[comp[0]], None)
         if err is None:
             new_cells.append(np.asarray(loop, dtype=np.int64))
         else:
@@ -277,8 +272,8 @@ def test_apply_labeling_matches_scalar_reference(union_meshes, union_labels, whi
     merged = build_mesh(mesh.points, new_cells, mesh.constrained_edge_pairs(),
                         np.nonzero(mesh.vertex_constrained)[0])
     removable = ref_removable_vertices(merged)
-    got = mesh_mod._removable_vertices(merged.points, merged.cells, merged.constrained_edge_pairs(),
-                                      np.flatnonzero(merged.vertex_constrained))
+    got = mesh_mod._removable_vertices(merged.points, merged.cell_vertices, merged.cell_offsets,
+                                       merged.vertex_constrained)
     assert removable.any() and np.array_equal(got, removable)
     got = []
     with warnings.catch_warnings():
@@ -303,12 +298,73 @@ def test_apply_labeling_skip_warning_names_merge_of_cells():
     ]
 
 
+# the sliver mesh, and the same with a cell below that shares the sliver's
+# edges (0, 4) and (4, 1) and could drop vertex 4 on its own
+SLIVER_BELOW = SLIVER_MESH.replace("V 5", "V 7").replace(
+    "C 2", "1 -1\n0 -1\nC 3") + "0 6 5 1 4\n"
+
+
+@pytest.mark.parametrize("text", [SLIVER_MESH, SLIVER_BELOW], ids=["sliver", "below"])
+def test_aligned_vertex_sweep_keeps_the_sliver_apex(tmp_path, text):
+    """Dropping vertex 4 would leave the sliver a segment, so it stays in
+    every cell, and the sweep ends.  The merge runs in a child process, so
+    that a sweep that never ends fails the test when it times out."""
+    src, dst = tmp_path / "in.mesh", tmp_path / "out.mesh"
+    src.write_text(text)
+    proc = run_python(["-c", "import sys, numpy as np\n"
+                       "from polyagg.agglomerate import apply_labeling\n"
+                       "from polyagg.mesh import load_mesh, save_mesh\n"
+                       "m = load_mesh(sys.argv[1])\n"
+                       "save_mesh(apply_labeling(m, np.arange(m.n_cells)), sys.argv[2])\n",
+                       src, dst])
+    assert proc.returncode == 0, proc.stderr
+    out = load_mesh(dst)
+    rebuilt = build_mesh(out.points, out.cells, out.constrained_edge_pairs())
+    assert mesh_fields(rebuilt) == mesh_fields(load_mesh(src))
+    assert all(4 in ids for ids in rebuilt.cells[1:])
+
+
+@pytest.fixture(scope="module")
+def merge_cases(union_meshes, union_labels, random_cuts):
+    """(mesh, lambda=1 labeling) of each union mesh and of each cut fracture
+    of the random networks."""
+    cases = [(mesh, union_labels[which]) for which, mesh in union_meshes.items()]
+    for _, cuts in random_cuts:
+        for tri, segs, tol_rel in cuts.values():
+            mesh = cut_by_traces(tri, segs, tol_rel=tol_rel)
+            cases.append((mesh, minimize(mesh, AgglomerationConfig(lam=1.0))[0]))
+    return cases
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_table_merge_pass_matches_list_oracle(merge_cases, data):
+    """With some cells relabelled as a neighbour, so that components grow and
+    some unions fail, the merge pass gives the list oracle's union rows and
+    failures, rhos, skipped merges and mesh, bit for bit."""
+    mesh, labels = merge_cases[data.draw(st.integers(0, len(merge_cases) - 1), label="case")]
+    a, b = mesh.adjacent
+    labels = labels.copy()
+    for k in data.draw(st.lists(st.integers(0, len(a) - 1), max_size=12), label="relabel"):
+        labels[a[k]] = labels[b[k]]
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(a) - 1), st.booleans()),
+                               max_size=30), label="pairs")
+    pairs = [(int(b[k]), int(a[k])) if flip else (int(a[k]), int(b[k])) for k, flip in picks]
+    comps = [c for _, c in ref_label_components(mesh, labels) if len(c) > 1]
+    _assert_union_loops_match(mesh, pairs + comps)
+    assert agg._union_rhos(mesh, pairs) == list_union_rhos(mesh, pairs)
+    got, want = [], []
+    out = apply_labeling(mesh, labels, got)
+    assert mesh_fields(out) == mesh_fields(list_apply_labeling(mesh, labels, want))
+    assert got == want
+
+
 @pytest.mark.parametrize("which", ["cut", "lambda1", "mixed", "bent"])
 def test_simplified_loops_match_per_loop_reference(union_meshes, which):
     mesh = union_meshes[which]
-    loops = [loop for _, loop in _union_loops(mesh) if loop is not None]
+    loops = [loop for _, loop in _pair_unions(mesh) if loop is not None]
     got = {}
-    for idx, ids in agg._simplified_loop_groups(mesh, loops):
+    for idx, ids in agg._simplified_loop_groups(mesh, *pack_rows(loops)):
         assert ids.shape[0] == len(idx) and ids.shape[1] not in {len(v) for v in got.values()}
         got.update(zip(idx.tolist(), ids))
     assert sorted(got) == list(range(len(loops)))
@@ -336,7 +392,7 @@ def test_problem_costs_match_per_pair_reference(monkeypatch, union_meshes, which
     monkeypatch.setattr(_kernels, "quality_scores", counted)
     problem = agg._Problem(mesh, config)
     expected, rhos = [{p: 0} for p in range(mesh.n_cells)], []
-    for (p, q), loop in _union_loops(mesh):
+    for (p, q), loop in _pair_unions(mesh):
         r = None
         if loop is not None:
             pts = ref_simplified_union_points(mesh, loop)

@@ -14,6 +14,7 @@ from polyagg.mesh import (
     MeshError,
     MeshFormatError,
     PolygonalMesh,
+    _UNION_ERRORS,
     _union_loops,
     build_mesh,
     load_mesh,
@@ -29,6 +30,7 @@ from conftest import (
     mesh_fields,
     mixed_region_mesh,
     mutated_file,
+    pack_rows,
     ref_build_mesh_cells,
     ref_by_vertex_count,
     ref_neighbors,
@@ -120,9 +122,10 @@ def test_tiling_total_area():
 
 def union_loop(mesh, cells):
     """The union loop of one cell set; raises its MergeError."""
-    (loop,), (err,) = _union_loops(mesh, [cells])
-    if err is not None:
-        raise err
+    loop, _, (code,) = _union_loops(mesh, *pack_rows([cells]))
+    if code >= 0:
+        cls, message = _UNION_ERRORS[code]
+        raise cls(message)
     return loop
 
 
